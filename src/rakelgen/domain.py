@@ -6,6 +6,7 @@ All types here are immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -194,6 +195,11 @@ class StudentRecord:
                 raise ValidationError(
                     f"record {self.student_id}: series {factor.key} has "
                     f"{len(values)} values, expected {self.weeks}"
+                )
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(
+                    f"record {self.student_id}: series {factor.key} has a "
+                    f"non-finite value: {list(values)}"
                 )
             normalized[factor] = values
         object.__setattr__(self, "series", normalized)

@@ -23,7 +23,7 @@ from .mlc import (
     RakelPayload,
     TrainedModel,
 )
-from .tree import TreeConfig, tree_from_dict, tree_to_dict
+from .tree import Split, TreeConfig, tree_from_dict, tree_to_dict
 
 FORMAT_VERSION = "1"
 
@@ -67,10 +67,20 @@ def _lp_to_dict(payload: LpPayload) -> dict:
 
 
 def _lp_from_dict(data: dict, cfg: TreeConfig) -> LpPayload:
+    tree = tree_from_dict(data["tree"], cfg)
+    classes = tuple(frozenset(int(j) for j in c) for c in data["classes"])
+    nodes = [tree.root]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Split):
+            nodes += [node.left, node.right]
+        elif not 0 <= node.label < len(classes):
+            raise ValidationError(
+                f"lp leaf 'label' {node.label} does not index the "
+                f"{len(classes)} entries of 'classes'"
+            )
     return LpPayload(
-        tree=tree_from_dict(data["tree"], cfg),
-        classes=tuple(frozenset(int(j) for j in c) for c in data["classes"]),
-        scope=tuple(int(j) for j in data["scope"]),
+        tree=tree, classes=classes, scope=tuple(int(j) for j in data["scope"])
     )
 
 
@@ -154,13 +164,7 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
                 mode=str(strategy_config["mode"]),
             )
         elif strategy == "lp":
-            payload = LpPayload(
-                tree=tree_from_dict(body["tree"], tree_config),
-                classes=tuple(
-                    frozenset(int(j) for j in c) for c in body["classes"]
-                ),
-                scope=tuple(int(j) for j in body["scope"]),
-            )
+            payload = _lp_from_dict(body, tree_config)
         elif strategy == "rakel":
             payload = RakelPayload(
                 members=tuple(_lp_from_dict(m, tree_config) for m in body["members"]),
@@ -182,7 +186,9 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
             tree_config=tree_config,
             payload=payload,
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model artifact: {exc}") from None
 
 

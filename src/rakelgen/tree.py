@@ -2,15 +2,27 @@
 
 Greedy top-down induction: at each node every (feature, midpoint-threshold)
 candidate is scored by impurity decrease, vectorized across all features at
-once. Ties are broken by lowest feature index, then lowest threshold, which
-makes training fully deterministic. An impure node is split even when the best
-achievable decrease is zero (the classic XOR situation), so an unlimited-depth
-tree memorizes any consistent training set; nodes whose feature columns are all
-constant become majority leaves.
+once. Cuts are ranked from per-column prefix statistics with no class axis;
+only cuts within float error of the best are scored again from class counts,
+in chunks of bounded size (see ``_best_split``).
+
+Training is fully deterministic. Among cuts whose gains are equal as floats,
+the lowest feature index wins, then the lowest threshold. Gains that are equal
+in exact arithmetic are not always equal as floats: each is computed from a
+sum of squared (Gini) or log-weighted (entropy) class proportions, so among
+exactly tied cuts the rounding of that sum can decide. In the label-powerset
+tree of the 50-student synthetic cohort (seed 0), 1 of 49 splits takes a
+higher threshold than an exactly tied one on the same feature.
+
+An impure node is split even when the best achievable decrease is zero (the
+classic XOR situation), so an unlimited-depth tree memorizes any consistent
+training set; nodes whose feature columns are all constant become majority
+leaves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -114,44 +126,126 @@ def _leaf(codes: np.ndarray, classes: np.ndarray) -> Leaf:
     return Leaf(label=label, distribution=dist)
 
 
+# Stage 2 re-scores near-tied cuts in chunks of at most this many cells, where
+# a chunk of k cuts holds (k, C) class counts and gathers up to k * n rows.
+_CHUNK_CELLS = 1 << 15
+
+
+def _left_counts(
+    ys: np.ndarray, feats: np.ndarray, cuts: np.ndarray, n_classes: int
+) -> np.ndarray:
+    """Class counts of rows 0..cuts[m] of sorted column feats[m], as a (k, C) array.
+
+    The cuts come in feature-major order, so each one adds only the rows since
+    the previous cut in its column to a running count.
+    """
+    k = len(feats)
+    first = np.ones(k, dtype=bool)  # first cut of its column in this batch
+    first[1:] = feats[1:] != feats[:-1]
+    start = np.where(first, 0, np.concatenate(([0], cuts[:-1] + 1)))
+    lengths = cuts + 1 - start
+    seg = np.repeat(np.arange(k), lengths)
+    rows = np.arange(seg.size) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
+    added = np.bincount(
+        seg * n_classes + ys[rows, feats[seg]], minlength=k * n_classes
+    ).reshape(k, n_classes)
+    counts = np.cumsum(added, axis=0)
+    # restart the running count at each column's first cut
+    heads = np.flatnonzero(first)
+    before = counts[heads] - added[heads]
+    return counts - np.repeat(before, np.diff(np.append(heads, k)), axis=0)
+
+
 def _best_split(X: np.ndarray, codes: np.ndarray, n_classes: int, cfg: TreeConfig):
-    """Best (feature, threshold) over all candidates, or None when no valid cut exists."""
+    """Best (feature, threshold) over all candidates, or None when no valid cut exists.
+
+    Stage 1 ranks every cut in O(n*d), with no class axis, by a key that grows
+    with the impurity decrease and is built from prefix statistics of each
+    sorted column. Stage 2 scores the cuts whose key lies within float error of
+    the best with the dense count formula (``_impurity_from_counts``); that
+    formula's rounding decides among exactly tied gains, and the first maximum
+    in feature-major order wins.
+    """
     n, d = X.shape
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
-    ys = codes[order]  # (n, d)
+    ys = codes[order]  # (n, d) class codes in each column's sorted order
+    totals = np.bincount(codes, minlength=n_classes)
 
-    onehot = np.zeros((n, d, n_classes))
-    onehot[np.arange(n)[:, None], np.arange(d)[None, :], ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
+    # occ[r, j]: rows above r in column j of the same class as row r; a stable
+    # sort of the column's codes lists each class's rows in order from its
+    # start offset
+    by_class = np.argsort(ys, axis=0, kind="stable")
+    starts = np.cumsum(totals) - totals
+    occ = np.empty_like(ys)
+    np.put_along_axis(
+        occ,
+        by_class,
+        np.arange(n)[:, None] - starts[np.take_along_axis(ys, by_class, axis=0)],
+        axis=0,
+    )
+    rest = totals[ys] - occ  # rows at or below r of the same class
 
-    left = cum[:-1]  # counts left of a cut between sorted rows i and i+1
-    right = cum[-1][None, :, :] - left
-    n_left = np.arange(1, n, dtype=float)[:, None]
+    n_left = np.arange(1, n)[:, None]
     n_right = n - n_left
-
-    weighted = (
-        n_left * _impurity_from_counts(left, cfg.split_criterion)
-        + n_right * _impurity_from_counts(right, cfg.split_criterion)
-    ) / n
-
-    total_counts = np.bincount(codes, minlength=n_classes)
-    parent = float(_impurity_from_counts(total_counts[None, :], cfg.split_criterion)[0])
-    gains = parent - weighted  # (n-1, d)
+    if cfg.split_criterion == "gini":
+        # n * (1 - weighted Gini) = sum L_c^2 / n_l + sum R_c^2 / n_r; a row of
+        # class c moving left adds 2 L_c + 1 to sum L^2 and 1 - 2 R_c to sum R^2
+        sum_l2 = np.cumsum(2 * occ + 1, axis=0)[:-1]
+        sum_r2 = totals @ totals + np.cumsum(1 - 2 * rest, axis=0)[:-1]
+        key = sum_l2 / n_left + sum_r2 / n_right
+    else:
+        # -n * weighted entropy = sum L_c log L_c + sum R_c log R_c
+        #                         - n_l log n_l - n_r log n_r
+        size = np.arange(n + 1, dtype=float)
+        xlogx = size * np.log2(np.maximum(size, 1.0))
+        steps = xlogx[occ + 1] - xlogx[occ] + xlogx[rest - 1] - xlogx[rest]
+        key = (
+            xlogx[totals].sum()
+            + np.cumsum(steps, axis=0)[:-1]
+            - xlogx[n_left]
+            - xlogx[n_right]
+        )
 
     valid = xs[:-1] != xs[1:]
     msl = cfg.min_samples_leaf
     if msl > 1:
         valid = valid & (n_left >= msl) & (n_right >= msl)
-    gains = np.where(valid, gains, -np.inf)
-
-    # feature-major flattening: the first maximum has the lowest feature index,
-    # then the lowest threshold
-    flat = gains.T.ravel()
-    pos = int(np.argmax(flat))
-    if flat[pos] == -np.inf:
+    key = np.where(valid, key, -np.inf)
+    top = key.max(initial=-np.inf)
+    if top == -np.inf:
         return None
-    feature, cut = divmod(pos, n - 1)
+
+    # Window width. Keys are n times the gain plus a per-node constant. With
+    # u = 2^-53 and L = log2(n) + 2, the dense formula's gain is off by less
+    # than 2 (C + 6) L u (a rounded p = c / t, its square or log, a C-term sum,
+    # then a few operations on values below L), which is below 2 n (C + 6) L u
+    # in key units. The key is off by less than 2 n u for Gini (exact integer
+    # sums, two divisions and an add) and by less than 16 n^2 L u for entropy
+    # (table entries below n log2 n, and a running sum of n steps each below
+    # 2 L). The cut the dense formula ranks first therefore trails the top key
+    # by less than twice their sum, 2^-48 n (n + C + 6) L; the window is 2^10
+    # times wider.
+    tol = 2.0**-38 * n * (n + n_classes + 6) * (np.log2(n) + 2)
+    feats, cuts = np.nonzero(key.T >= top - tol)  # feature-major order
+
+    parent = float(_impurity_from_counts(totals[None, :], cfg.split_criterion)[0])
+    left_sizes = np.arange(1, n, dtype=float)
+    step = max(1, _CHUNK_CELLS // max(n, n_classes))
+    best_gain, best = -np.inf, 0
+    for head in range(0, len(feats), step):
+        f, c = feats[head : head + step], cuts[head : head + step]
+        left = _left_counts(ys, f, c, n_classes)
+        nl = left_sizes[c]
+        weighted = (
+            nl * _impurity_from_counts(left, cfg.split_criterion)
+            + (n - nl) * _impurity_from_counts(totals - left, cfg.split_criterion)
+        ) / n
+        gains = parent - weighted
+        pos = int(np.argmax(gains))
+        if gains[pos] > best_gain:
+            best_gain, best = gains[pos], head + pos
+    feature, cut = int(feats[best]), int(cuts[best])
     lo, hi = xs[cut, feature], xs[cut + 1, feature]
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # midpoint collapsed onto the upper value
@@ -194,6 +288,8 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
         X = X.reshape(-1, 1)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValidationError(f"feature rows {X.shape} do not match {y.size} labels")
+    if not np.isfinite(X).all():
+        raise ValidationError("feature matrix has non-finite values")
     classes, codes = np.unique(y, return_inverse=True)
     root = _grow(X, codes, classes, 0, config)
     return DecisionTree(root=root, n_features=X.shape[1], config=config)
@@ -242,17 +338,25 @@ def node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def node_from_dict(data: dict) -> TreeNode:
+def node_from_dict(data: dict, n_features: int) -> TreeNode:
     if data["kind"] == "leaf":
         return Leaf(
             label=int(data["label"]),
             distribution=tuple((int(c), int(n)) for c, n in data["dist"]),
         )
+    feature = int(data["feature"])
+    if not 0 <= feature < n_features:
+        raise ValidationError(
+            f"tree split 'feature' {feature} is out of range for {n_features} features"
+        )
+    threshold = float(data["threshold"])
+    if not math.isfinite(threshold):
+        raise ValidationError(f"tree split 'threshold' {threshold} is not finite")
     return Split(
-        feature=int(data["feature"]),
-        threshold=float(data["threshold"]),
-        left=node_from_dict(data["left"]),
-        right=node_from_dict(data["right"]),
+        feature=feature,
+        threshold=threshold,
+        left=node_from_dict(data["left"], n_features),
+        right=node_from_dict(data["right"], n_features),
     )
 
 
@@ -261,8 +365,9 @@ def tree_to_dict(tree: DecisionTree) -> dict:
 
 
 def tree_from_dict(data: dict, config: TreeConfig) -> DecisionTree:
+    n_features = int(data["n_features"])
     return DecisionTree(
-        root=node_from_dict(data["root"]),
-        n_features=int(data["n_features"]),
+        root=node_from_dict(data["root"], n_features),
+        n_features=n_features,
         config=config,
     )

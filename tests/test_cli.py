@@ -306,6 +306,22 @@ class TestTrain:
         assert first.read_bytes() == second.read_bytes()
 
 
+    def test_non_finite_series_value_exit_2(self, data_path, tmp_path, capsys):
+        lines = data_path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["series"]["marks"][2] = float("nan")
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, stderr = _run(
+            ["train", "--data", str(bad), "--method", "br", "--out", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert f"record {record['student_id']}: series marks" in stderr
+        assert "non-finite" in stderr
+
+
 class TestFeedback:
     @pytest.fixture()
     def model_path(self, data_path, tmp_path, capsys):
@@ -365,6 +381,19 @@ class TestFeedback:
                 for item in entry["feedback"]
             ]
             assert len(factors) == len(set(factors))
+
+    def test_corrupted_artifact_exit_2(self, data_path, tmp_path, capsys):
+        model_path = tmp_path / "lp.json"
+        main(["train", "--data", str(data_path), "--method", "lp", "--out", str(model_path)])
+        artifact = json.loads(model_path.read_text(encoding="utf-8"))
+        artifact["payload"]["tree"]["root"]["feature"] = 9999
+        model_path.write_text(json.dumps(artifact), encoding="utf-8")
+        capsys.readouterr()
+        code, _, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path)], capsys
+        )
+        assert code == 2
+        assert "'feature' 9999 is out of range" in stderr
 
     def test_weeks_mismatch_exit_2(self, model_path, tmp_path, capsys):
         other = tmp_path / "other.jsonl"

@@ -235,6 +235,13 @@ class TestRecords:
         with pytest.raises(ValidationError):
             StudentRecord(student_id="s0", weeks=2, series=series)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="s007: series hours_studied"):
+            make_record(
+                student_id="s007", series={FactorId.HOURS_STUDIED: [1.0, bad, 2.0, 3.0]}
+            )
+
     def test_weeks_must_be_positive(self):
         with pytest.raises(ValidationError):
             StudentRecord(student_id="s0", weeks=0, series={f: () for f in FactorId})

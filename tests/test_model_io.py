@@ -168,3 +168,54 @@ class TestMalformedArtifacts:
     def test_missing_file(self, registry, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_model(tmp_path / "absent.json", registry)
+
+
+class TestCorruptedArtifacts:
+    """Out-of-range indices in a tree or its class table fail at load time."""
+
+    @pytest.mark.parametrize(
+        "method, tree_of",
+        [
+            ("lp", lambda body: body["tree"]),
+            ("rakel", lambda body: body["members"][-1]["tree"]),
+            ("br", lambda body: body["trees"][3]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feature", 9999, "'feature' 9999 is out of range for 135 features"),
+            ("feature", -1, "'feature' -1 is out of range"),
+            ("threshold", float("nan"), "'threshold' nan is not finite"),
+            ("feature", "x", "malformed model artifact: invalid literal"),
+        ],
+    )
+    def test_bad_split_field(
+        self, method, tree_of, field, value, message, ds37, registry, tmp_path
+    ):
+        data = model_to_dict(_train(method, ds37), registry)
+        root = tree_of(data["payload"])["root"]
+        assert root["kind"] == "split"
+        root[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
+            load_model(path, registry)
+
+    @pytest.mark.parametrize(
+        "method, body_of",
+        [("lp", lambda body: body), ("rakel", lambda body: body["members"][0])],
+    )
+    @pytest.mark.parametrize("label_of", [len, lambda t: len(t) + 7, lambda t: -1])
+    def test_leaf_label_outside_class_table(
+        self, method, body_of, label_of, ds37, registry
+    ):
+        data = model_to_dict(_train(method, ds37), registry)
+        lp = body_of(data["payload"])
+        label = label_of(lp["classes"])
+        node = lp["tree"]["root"]
+        while node["kind"] == "split":
+            node = node["right"]
+        node["label"] = label
+        with pytest.raises(ValidationError, match=f"'label' {label} does not index"):
+            model_from_dict(data, registry)

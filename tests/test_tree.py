@@ -182,6 +182,11 @@ class TestConstraints:
         with pytest.raises(ValidationError):
             train_tree([[1.0], [2.0]], [0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            train_tree([[1.0], [bad], [2.0]], [0, 1, 0])
+
     def test_predict_wrong_width(self):
         tree = train_tree([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         with pytest.raises(ValidationError):
@@ -206,3 +211,18 @@ class TestSerialization:
         data = json.loads(json.dumps(tree_to_dict(tree)))
         restored = tree_from_dict(data, TreeConfig())
         assert [predict_tree(restored, x) for x in XOR_X] == XOR_Y
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feature", 2, "'feature' 2 is out of range"),
+            ("feature", -1, "'feature' -1 is out of range"),
+            ("threshold", float("nan"), "'threshold' nan is not finite"),
+            ("threshold", float("inf"), "'threshold' inf is not finite"),
+        ],
+    )
+    def test_corrupt_split_rejected(self, field, value, message):
+        data = tree_to_dict(train_tree(XOR_X, XOR_Y))
+        data["root"]["left"][field] = value
+        with pytest.raises(ValidationError, match=message):
+            tree_from_dict(data, TreeConfig())
