@@ -30,11 +30,13 @@ from .evaluation import (
     render_table,
     report_to_json,
 )
-from .features import extract_features, feature_schema, ols_slope, trend_word
+from .features import extract_features, feature_matrix, feature_schema, ols_slope, trend_word
 from .mlc import (
     RakelConfig,
     TrainedModel,
+    gold_matrix,
     predict,
+    predict_batch,
     predict_record,
     predict_votes,
     train_binary_relevance,
@@ -44,7 +46,7 @@ from .mlc import (
     train_rakel,
 )
 from .model_io import load_model, save_model
-from .nlg import feedback_for_record, render_summary, render_text, select_templates
+from .nlg import feedback_for_record, feedback_for_records, render_summary, render_text, select_templates
 from .synth import SynthConfig, default_synth_config, generate_dataset, load_synth_config
 from .tree import DecisionTree, TreeConfig, predict_tree, train_tree
 
@@ -72,9 +74,12 @@ __all__ = [
     "default_registry",
     "default_synth_config",
     "extract_features",
+    "feature_matrix",
     "feature_schema",
     "feedback_for_record",
+    "feedback_for_records",
     "generate_dataset",
+    "gold_matrix",
     "load_dataset",
     "load_model",
     "load_registry",
@@ -82,6 +87,7 @@ __all__ = [
     "ols_slope",
     "paired_t_test",
     "predict",
+    "predict_batch",
     "predict_record",
     "predict_tree",
     "predict_votes",

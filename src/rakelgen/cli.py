@@ -48,7 +48,7 @@ from .mlc import (
     STRATEGIES,
 )
 from .model_io import load_model, save_model
-from .nlg import feedback_for_record, render_text, summary_to_json
+from .nlg import feedback_for_records, render_text, summary_to_json
 from .synth import (
     achieved_correlations,
     default_synth_config,
@@ -359,10 +359,7 @@ def cmd_feedback(args) -> int:
         raise ValidationError(
             f"model was trained on {model.weeks}-week series, dataset has {ds.weeks}"
         )
-    summaries = [
-        feedback_for_record(model, record, registry, args.trend_tolerance)
-        for record in ds.records
-    ]
+    summaries = feedback_for_records(model, ds.records, registry, args.trend_tolerance)
     if args.format == "json":
         text = json.dumps([summary_to_json(s) for s in summaries], indent=2) + "\n"
     else:

@@ -15,17 +15,19 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domain import Dataset, LabelVector, labelset_to_vector
 from .errors import ValidationError
+from .features import feature_matrix
 from .mlc import (
     RakelConfig,
     STRATEGIES,
     TrainedModel,
-    predict_record,
+    gold_matrix,
+    predict_batch,
     train_binary_relevance,
     train_chain,
     train_lp,
@@ -46,6 +48,8 @@ METHOD_LABELS = {
 }
 
 TABLE_COLUMNS = ("Classifier", "Accuracy", "Precision", "Recall", "F-score")
+
+CHAIN_METHODS = ("chain-predicted", "chain-real")
 
 
 @dataclass(frozen=True)
@@ -171,12 +175,23 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
     raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
 
 
-def cross_validate(ds: Dataset, method: str, opts: EvalOptions = EvalOptions()) -> CvOutcome:
+def cross_validate(
+    ds: Dataset,
+    method: str,
+    opts: EvalOptions = EvalOptions(),
+    chains: dict[int, TrainedModel] | None = None,
+) -> CvOutcome:
     """Score one strategy under k-fold cross-validation.
 
     Every record is predicted exactly once, by the model trained on the other
-    folds. The headline metrics pool all predictions (or average the per-fold
-    metrics under ``aggregate="fold-mean"``).
+    folds; each test fold is predicted as one feature matrix. The headline
+    metrics pool all predictions (or average the per-fold metrics under
+    ``aggregate="fold-mean"``).
+
+    The two chain methods train identical trees and differ only in how they
+    predict. ``chains`` maps a fold to its trained chain: a chain method reuses
+    the entry of its fold and records the chains it trains, so a comparison
+    of both methods trains each fold's chain once.
     """
     ds.require_labeled()
     plan = make_fold_plan(len(ds.records), opts.n_folds, opts.seed)
@@ -188,11 +203,22 @@ def cross_validate(ds: Dataset, method: str, opts: EvalOptions = EvalOptions()) 
             r for r, f in zip(ds.records, plan) if f != fold
         )
         test_records = tuple(r for r, f in zip(ds.records, plan) if f == fold)
-        model = train_method(method, Dataset(ds.registry, train_records), opts)
+        shared = chains is not None and method in CHAIN_METHODS
+        if shared and fold in chains:
+            model = _with_history(chains[fold], method)
+        else:
+            model = train_method(method, Dataset(ds.registry, train_records), opts)
+            if shared:
+                chains[fold] = model
         fold_gold = [
             labelset_to_vector(r.expert_labels, ds.registry) for r in test_records
         ]
-        fold_pred = [predict_record(model, r, ds.registry) for r in test_records]
+        bits, _ = predict_batch(
+            model,
+            feature_matrix(test_records, model.feature_mode),
+            gold_matrix(model, test_records, ds.registry),
+        )
+        fold_pred = [LabelVector(tuple(row)) for row in bits.tolist()]
         fold_metrics.append(compute_metrics(fold_gold, fold_pred))
         all_gold.extend(fold_gold)
         all_pred.extend(fold_pred)
@@ -206,6 +232,12 @@ def cross_validate(ds: Dataset, method: str, opts: EvalOptions = EvalOptions()) 
             f_score=_mean(m.f_score for m in fold_metrics),
         )
     return CvOutcome(metrics=metrics, fold_metrics=tuple(fold_metrics))
+
+
+def _with_history(chain: TrainedModel, method: str) -> TrainedModel:
+    """The trained chain as a model of the given chain method."""
+    history = "real" if method == "chain-real" else "predicted"
+    return replace(chain, strategy=method, payload=replace(chain.payload, history=history))
 
 
 def _mean(values) -> float:
@@ -332,7 +364,8 @@ def comparison_report(
         raise ValidationError("duplicate method in request")
     if reference not in methods:
         raise ValidationError(f"reference method {reference!r} is not among the methods")
-    outcomes = {m: cross_validate(ds, m, opts) for m in methods}
+    chains: dict[int, TrainedModel] = {}
+    outcomes = {m: cross_validate(ds, m, opts, chains) for m in methods}
     reference_folds = outcomes[reference].fold_accuracies
     results = []
     for method in methods:

@@ -28,10 +28,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import Dataset, LabelVector, StudentRecord, labelset_to_vector
+from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry
 from .errors import LabelCoverageWarning, ValidationError
-from .features import FeatureVector, extract_features
-from .tree import DecisionTree, TreeConfig, predict_tree, train_tree
+from .features import FeatureVector, feature_matrix
+from .tree import DecisionTree, TreeConfig, predict_rows, train_tree
 
 STRATEGIES = ("br", "chain-predicted", "chain-real", "majority", "lp", "rakel")
 
@@ -105,27 +105,37 @@ class TrainedModel:
     payload: BrPayload | ChainPayload | MajorityPayload | LpPayload | RakelPayload
 
 
-def _label_matrix(ds: Dataset) -> np.ndarray:
-    """Gold bits as an (n_records, n_labels) 0/1 array, in registry order."""
-    registry = ds.registry
-    Y = np.zeros((len(ds.records), len(registry)), dtype=int)
-    for i, record in enumerate(ds.records):
+def _label_matrix(records, registry: TemplateRegistry) -> np.ndarray:
+    """Expert labels as an (n_records, n_labels) 0/1 array, in registry order."""
+    Y = np.zeros((len(records), len(registry)), dtype=int)
+    for i, record in enumerate(records):
         for template_id in record.expert_labels:
             Y[i, registry.label_index(template_id)] = 1
     return Y
 
 
-def _feature_matrix(ds: Dataset, mode: str) -> np.ndarray:
-    return np.array(
-        [extract_features(r, mode).values for r in ds.records], dtype=float
-    )
+def gold_matrix(
+    model: TrainedModel, records, registry: TemplateRegistry | None
+) -> np.ndarray | None:
+    """The ``gold`` argument of ``predict_batch`` for these records: their
+    expert labels for a chain-real model, None for every other strategy."""
+    if model.strategy != "chain-real":
+        return None
+    for record in records:
+        if record.expert_labels is None:
+            raise ValidationError(
+                f"record {record.student_id}: chain-real prediction needs expert labels"
+            )
+    if registry is None:
+        raise ValidationError("chain-real prediction needs the registry to encode gold labels")
+    return _label_matrix(records, registry)
 
 
 def _training_arrays(ds: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
     if len(ds.records) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    return _feature_matrix(ds, mode), _label_matrix(ds)
+    return feature_matrix(ds.records, mode), _label_matrix(ds.records, ds.registry)
 
 
 def _as_row(x: FeatureVector | np.ndarray) -> np.ndarray:
@@ -193,25 +203,9 @@ def predict_chain(
     model: TrainedModel, x: FeatureVector | np.ndarray, gold: LabelVector | None = None
 ) -> LabelVector:
     """Sequential prediction; history bits come from own outputs or from gold."""
-    payload = model.payload
-    if not isinstance(payload, ChainPayload):
+    if not isinstance(model.payload, ChainPayload):
         raise ValidationError(f"model strategy is {model.strategy}, not a chain")
-    if payload.history == "real" and gold is None:
-        raise ValidationError("real-history chain prediction requires a gold label vector")
-    if payload.history == "predicted" and gold is not None:
-        raise ValidationError("predicted-history chain prediction takes no gold vector")
-    if gold is not None and len(gold) != model.n_labels:
-        raise ValidationError("gold vector length does not match the model's label count")
-    base = _as_row(x)
-    bits = [0] * model.n_labels
-    history: list[float] = []
-    for p, tree in enumerate(payload.trees):
-        xp = np.concatenate([base, history]) if p else base
-        predicted = predict_tree(tree, xp)
-        bits[payload.order[p]] = int(predicted)
-        source = gold.bits[payload.order[p]] if payload.history == "real" else predicted
-        history.append(float(source))
-    return LabelVector(tuple(bits))
+    return predict(model, x, gold)
 
 
 def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
@@ -226,7 +220,7 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
     if len(ds.records) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    Y = _label_matrix(ds)
+    Y = _label_matrix(ds.records, ds.registry)
     n = Y.shape[0]
     if mode == "per-label":
         bits = tuple(int(c * 2 > n) for c in Y.sum(axis=0))
@@ -254,7 +248,7 @@ def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
     returned table is a bijection between class ids and observed sets.
     """
     ds.require_labeled()
-    Y = _label_matrix(ds)
+    Y = _label_matrix(ds.records, ds.registry)
     return _lp_encode(Y, scope=tuple(range(Y.shape[1])))
 
 
@@ -298,19 +292,11 @@ def train_lp(
     )
 
 
-def _lp_labelset(payload: LpPayload, x: np.ndarray) -> frozenset[int]:
-    class_id = predict_tree(payload.tree, x)
-    return payload.classes[class_id]
-
-
 def predict_lp(model: TrainedModel, x: FeatureVector | np.ndarray) -> LabelVector:
     """Decode the predicted class back to its label set (always an observed one)."""
-    payload = model.payload
-    if not isinstance(payload, LpPayload):
+    if not isinstance(model.payload, LpPayload):
         raise ValidationError(f"model strategy is {model.strategy}, not lp")
-    labelset = _lp_labelset(payload, _as_row(x))
-    bits = [1 if j in labelset else 0 for j in range(model.n_labels)]
-    return LabelVector(tuple(bits))
+    return predict(model, x)
 
 
 def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
@@ -381,18 +367,6 @@ def train_rakel(
     )
 
 
-def _rakel_votes(payload: RakelPayload, x: np.ndarray, n_labels: int) -> list[float]:
-    votes = [0.0] * n_labels
-    counts = [0] * n_labels
-    for member in payload.members:
-        labelset = _lp_labelset(member, x)
-        for j in member.scope:
-            counts[j] += 1
-            if j in labelset:
-                votes[j] += 1.0
-    return [votes[j] / counts[j] if counts[j] else 0.0 for j in range(n_labels)]
-
-
 def predict_rakel(
     model: TrainedModel, x: FeatureVector | np.ndarray, threshold: float | None = None
 ) -> LabelVector:
@@ -404,7 +378,7 @@ def predict_rakel(
     t = payload.config.threshold if threshold is None else threshold
     if not 0.0 <= t <= 1.0:
         raise ValidationError("threshold must be in [0, 1]")
-    means = _rakel_votes(payload, _as_row(x), model.n_labels)
+    _, means = predict_votes(model, x)
     return LabelVector(tuple(int(v > t) for v in means))
 
 
@@ -421,49 +395,80 @@ def predict_votes(
 ) -> tuple[LabelVector, tuple[float, ...]]:
     """Prediction plus per-label vote strengths (vote means for rakel, the bit
     itself for strategies without a vote notion)."""
-    payload = model.payload
-    if isinstance(payload, RakelPayload):
-        if gold is not None:
-            raise ValidationError("only chain-real prediction takes a gold vector")
-        means = _rakel_votes(payload, _as_row(x), model.n_labels)
-        t = payload.config.threshold
-        vector = LabelVector(tuple(int(v > t) for v in means))
-        return vector, tuple(means)
-    if isinstance(payload, ChainPayload):
-        vector = predict_chain(model, x, gold)
-    elif isinstance(payload, BrPayload):
-        if gold is not None:
-            raise ValidationError("only chain-real prediction takes a gold vector")
-        row = _as_row(x)
-        vector = LabelVector(tuple(int(predict_tree(t, row)) for t in payload.trees))
-    elif isinstance(payload, MajorityPayload):
-        if gold is not None:
-            raise ValidationError("only chain-real prediction takes a gold vector")
-        vector = LabelVector(payload.bits)
-    elif isinstance(payload, LpPayload):
-        if gold is not None:
-            raise ValidationError("only chain-real prediction takes a gold vector")
-        vector = predict_lp(model, x)
-    else:
-        raise ValidationError(f"unknown payload type {type(payload).__name__}")
-    return vector, tuple(float(b) for b in vector.bits)
+    gold_row = None if gold is None else np.array([gold.bits])
+    bits, votes = predict_batch(model, _as_row(x)[None, :], gold_row)
+    return LabelVector(tuple(bits[0].tolist())), tuple(votes[0].tolist())
 
 
 def predict_record(
     model: TrainedModel, record: StudentRecord, registry=None
 ) -> LabelVector:
     """Convenience wrapper: extract features with the model's mode, then predict."""
-    x = extract_features(record, model.feature_mode)
-    gold = None
-    if model.strategy == "chain-real":
-        if record.expert_labels is None:
-            raise ValidationError(
-                f"record {record.student_id}: chain-real prediction needs expert labels"
-            )
-        if registry is None:
-            raise ValidationError("chain-real prediction needs the registry to encode gold labels")
-        gold = labelset_to_vector(record.expert_labels, registry)
-    return predict(model, x, gold)
+    gold = gold_matrix(model, [record], registry)
+    bits, _ = predict_batch(model, feature_matrix([record], model.feature_mode), gold)
+    return LabelVector(tuple(bits[0].tolist()))
+
+
+def _labelset_table(payload: LpPayload, n_labels: int) -> np.ndarray:
+    """(n_classes, n_labels) 0/1 rows: the labels in scope that each class sets."""
+    table = np.zeros((len(payload.classes), n_labels))
+    for class_id, labelset in enumerate(payload.classes):
+        table[class_id, [j for j in payload.scope if j in labelset]] = 1.0
+    return table
+
+
+def predict_batch(
+    model: TrainedModel, X: np.ndarray, gold: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions for the feature rows X (n, d), as (bits (n, L) int, votes (n, L) float).
+
+    Votes are the mean member votes for rakel and the bits themselves for the
+    other strategies. ``gold`` (n, L) holds the history bits of a chain-real
+    model (see ``gold_matrix``), and only such a model takes it.
+    """
+    payload = model.payload
+    X = np.asarray(X, dtype=float)
+    n, n_labels = len(X), model.n_labels
+    real_history = isinstance(payload, ChainPayload) and payload.history == "real"
+    if real_history != (gold is not None):
+        raise ValidationError(
+            "real-history chain prediction requires a gold label vector"
+            if real_history
+            else "only chain-real prediction takes a gold vector"
+        )
+    if real_history and np.shape(gold) != (n, n_labels):
+        raise ValidationError(
+            f"gold matrix shape {np.shape(gold)} does not match ({n}, {n_labels})"
+        )
+    if isinstance(payload, RakelPayload):
+        votes = np.zeros((n, n_labels))
+        counts = np.zeros(n_labels)
+        for member in payload.members:
+            table = _labelset_table(member, n_labels)
+            votes += table[predict_rows(member.tree, X)]
+            counts[list(member.scope)] += 1
+        # vote sums and counts are small integers, so each mean is one rounding
+        np.divide(votes, counts, out=votes, where=counts > 0)
+        return (votes > payload.config.threshold).astype(int), votes
+    bits = np.zeros((n, n_labels), dtype=int)
+    if isinstance(payload, ChainPayload):
+        # columns after the features hold the history bits, in chain order
+        Xh = np.empty((n, X.shape[1] + n_labels))
+        Xh[:, : X.shape[1]] = X
+        for p, tree in enumerate(payload.trees):
+            label = payload.order[p]
+            bits[:, label] = predict_rows(tree, Xh[:, : X.shape[1] + p])
+            Xh[:, X.shape[1] + p] = gold[:, label] if real_history else bits[:, label]
+    elif isinstance(payload, BrPayload):
+        for j, tree in enumerate(payload.trees):
+            bits[:, j] = predict_rows(tree, X)
+    elif isinstance(payload, MajorityPayload):
+        bits[:] = payload.bits
+    elif isinstance(payload, LpPayload):
+        bits = _labelset_table(payload, n_labels).astype(int)[predict_rows(payload.tree, X)]
+    else:
+        raise ValidationError(f"unknown payload type {type(payload).__name__}")
+    return bits, bits.astype(float)
 
 
 def _map_maybe_parallel(fn, items, n_jobs: int) -> list:

@@ -66,9 +66,19 @@ def _lp_to_dict(payload: LpPayload) -> dict:
     }
 
 
-def _lp_from_dict(data: dict, cfg: TreeConfig) -> LpPayload:
+def _lp_from_dict(data: dict, cfg: TreeConfig, n_labels: int) -> LpPayload:
     tree = tree_from_dict(data["tree"], cfg)
+    scope = tuple(int(j) for j in data["scope"])
+    if len(set(scope)) != len(scope) or not all(0 <= j < n_labels for j in scope):
+        raise ValidationError(
+            f"lp 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
+        )
     classes = tuple(frozenset(int(j) for j in c) for c in data["classes"])
+    for labelset in classes:
+        if not labelset <= set(scope):
+            raise ValidationError(
+                f"lp 'classes' entry {sorted(labelset)} is not a subset of 'scope' {list(scope)}"
+            )
     nodes = [tree.root]
     while nodes:
         node = nodes.pop()
@@ -79,9 +89,7 @@ def _lp_from_dict(data: dict, cfg: TreeConfig) -> LpPayload:
                 f"lp leaf 'label' {node.label} does not index the "
                 f"{len(classes)} entries of 'classes'"
             )
-    return LpPayload(
-        tree=tree, classes=classes, scope=tuple(int(j) for j in data["scope"])
-    )
+    return LpPayload(tree=tree, classes=classes, scope=scope)
 
 
 def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
@@ -128,6 +136,24 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
     }
 
 
+def _check_label_axis(payload, strategy: str, n_labels: int) -> None:
+    """Per-label payload fields must have one entry per label: prediction
+    indexes its label columns by them."""
+    if isinstance(payload, (BrPayload, ChainPayload)) and len(payload.trees) != n_labels:
+        raise ValidationError(f"model has {len(payload.trees)} 'trees' for {n_labels} labels")
+    if isinstance(payload, MajorityPayload) and len(payload.bits) != n_labels:
+        raise ValidationError(f"model has {len(payload.bits)} 'bits' for {n_labels} labels")
+    if isinstance(payload, ChainPayload):
+        if sorted(payload.order) != list(range(n_labels)):
+            raise ValidationError(
+                f"chain 'order' must be a permutation of 0..{n_labels - 1}"
+            )
+        if f"chain-{payload.history}" != strategy:
+            raise ValidationError(
+                f"chain 'history' {payload.history!r} does not match strategy {strategy!r}"
+            )
+
+
 def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
     if not isinstance(data, dict):
         raise ValidationError("model artifact must be a JSON object")
@@ -145,6 +171,12 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
         )
     try:
         strategy = data["strategy"]
+        n_labels = int(data["n_labels"])
+        if n_labels != len(registry):
+            raise ValidationError(
+                f"model 'n_labels' {n_labels} does not match the registry's "
+                f"{len(registry)} templates"
+            )
         tree_config = _tree_config_from_dict(data["tree_config"])
         strategy_config = data["strategy_config"]
         body = data["payload"]
@@ -164,10 +196,12 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
                 mode=str(strategy_config["mode"]),
             )
         elif strategy == "lp":
-            payload = _lp_from_dict(body, tree_config)
+            payload = _lp_from_dict(body, tree_config, n_labels)
         elif strategy == "rakel":
             payload = RakelPayload(
-                members=tuple(_lp_from_dict(m, tree_config) for m in body["members"]),
+                members=tuple(
+                    _lp_from_dict(m, tree_config, n_labels) for m in body["members"]
+                ),
                 config=RakelConfig(
                     k=int(strategy_config["k"]),
                     m=int(strategy_config["m"]),
@@ -177,10 +211,11 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
             )
         else:
             raise ValidationError(f"unknown strategy {strategy!r} in model artifact")
+        _check_label_axis(payload, strategy, n_labels)
         return TrainedModel(
             strategy=strategy,
             registry_version=str(data["registry_version"]),
-            n_labels=int(data["n_labels"]),
+            n_labels=n_labels,
             weeks=int(data["weeks"]),
             feature_mode=str(data["feature_mode"]),
             tree_config=tree_config,

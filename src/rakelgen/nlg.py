@@ -17,11 +17,10 @@ from .domain import (
     StudentRecord,
     Template,
     TemplateRegistry,
-    labelset_to_vector,
 )
 from .errors import ValidationError
-from .features import DEFAULT_TREND_TOLERANCE, extract_features, ols_slope, trend_word
-from .mlc import TrainedModel, predict_votes
+from .features import DEFAULT_TREND_TOLERANCE, feature_matrix, ols_slope, trend_word
+from .mlc import TrainedModel, gold_matrix, predict_batch
 
 REFERENCE_PRIORITY = {
     ReferenceType.TREND: 0,
@@ -31,6 +30,10 @@ REFERENCE_PRIORITY = {
 }
 
 DROP_REASON_CONFLICT = "factor-conflict"
+
+#: ``feedback_for_records`` predicts this many records at a time, so it never
+#: holds the feature or vote rows of more than one chunk.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,20 @@ def format_number(value: float) -> str:
     return f"{value:.1f}"
 
 
+_SLOT_FORMATTERS = {
+    "average": lambda series, tolerance: format_number(sum(series) / len(series)),
+    "trend_word": lambda series, tolerance: trend_word(ols_slope(series), tolerance),
+    "first_week_value": lambda series, tolerance: format_number(series[0]),
+    "last_week_value": lambda series, tolerance: format_number(series[-1]),
+    "per_week_list": lambda series, tolerance: ", ".join(format_number(v) for v in series),
+}
+
+
 def _slot_values(
-    series: tuple[float, ...], tolerance: float
+    template: Template, series: tuple[float, ...], tolerance: float
 ) -> dict[str, str]:
-    mean = sum(series) / len(series)
-    return {
-        "average": format_number(mean),
-        "trend_word": trend_word(ols_slope(series), tolerance),
-        "first_week_value": format_number(series[0]),
-        "last_week_value": format_number(series[-1]),
-        "per_week_list": ", ".join(format_number(v) for v in series),
-    }
+    """The text of each slot the template uses."""
+    return {slot: _SLOT_FORMATTERS[slot](series, tolerance) for slot in template.slots()}
 
 
 def render_summary(
@@ -119,7 +125,7 @@ def render_summary(
     sentences = []
     template_ids = []
     for template, _ in selection.chosen:
-        values = _slot_values(record.series[template.factor], trend_tolerance)
+        values = _slot_values(template, record.series[template.factor], trend_tolerance)
         sentences.append(template.surface_text.format(**values))
         template_ids.append(template.id)
     return Summary(
@@ -129,6 +135,28 @@ def render_summary(
     )
 
 
+def feedback_for_records(
+    model: TrainedModel,
+    records,
+    registry: TemplateRegistry,
+    trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
+) -> list[Summary]:
+    """Predict, resolve conflicts, render: one summary per student, in order.
+
+    Records are predicted ``_CHUNK_ROWS`` at a time, one feature matrix each.
+    """
+    summaries = []
+    for head in range(0, len(records), _CHUNK_ROWS):
+        chunk = records[head : head + _CHUNK_ROWS]
+        X = feature_matrix(chunk, model.feature_mode)
+        bits, votes = predict_batch(model, X, gold_matrix(model, chunk, registry))
+        for record, row_bits, row_votes in zip(chunk, bits.tolist(), votes.tolist()):
+            prediction = LabelVector(tuple(row_bits))
+            selection = select_templates(prediction, registry, tuple(row_votes))
+            summaries.append(render_summary(selection, record, trend_tolerance))
+    return summaries
+
+
 def feedback_for_record(
     model: TrainedModel,
     record: StudentRecord,
@@ -136,17 +164,7 @@ def feedback_for_record(
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
 ) -> Summary:
     """Predict, resolve conflicts, render: one summary for one student."""
-    x = extract_features(record, model.feature_mode)
-    gold = None
-    if model.strategy == "chain-real":
-        if record.expert_labels is None:
-            raise ValidationError(
-                f"record {record.student_id}: chain-real prediction needs expert labels"
-            )
-        gold = labelset_to_vector(record.expert_labels, registry)
-    prediction, votes = predict_votes(model, x, gold)
-    selection = select_templates(prediction, registry, votes)
-    return render_summary(selection, record, trend_tolerance)
+    return feedback_for_records(model, [record], registry, trend_tolerance)[0]
 
 
 def render_text(summary: Summary) -> str:

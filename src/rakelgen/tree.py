@@ -295,17 +295,35 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
     return DecisionTree(root=root, n_features=X.shape[1], config=config)
 
 
+def predict_rows(tree: DecisionTree, X) -> np.ndarray:
+    """Leaf labels of the rows of X, as an int array.
+
+    The rows are partitioned down the tree: a split sends the rows with
+    ``x[feature] <= threshold`` left and the rest right, as a per-record
+    descent would, and a subtree no row reaches is not visited.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != tree.n_features:
+        raise ValidationError(
+            f"feature rows {X.shape} do not match the tree's {tree.n_features} features"
+        )
+    labels = np.empty(len(X), dtype=int)
+    pending = [(tree.root, np.arange(len(X)))]
+    while pending:
+        node, rows = pending.pop()
+        if isinstance(node, Leaf):
+            labels[rows] = node.label
+            continue
+        go_left = X[rows, node.feature] <= node.threshold
+        for child, part in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
+            if part.size:
+                pending.append((child, part))
+    return labels
+
+
 def predict_tree(tree: DecisionTree, x) -> int:
     """Deterministic root-to-leaf descent; returns the leaf's majority label."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != tree.n_features:
-        raise ValidationError(
-            f"feature vector has length {x.size}, tree expects {tree.n_features}"
-        )
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+    return int(predict_rows(tree, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def tree_stats(tree: DecisionTree) -> dict:

@@ -1,0 +1,230 @@
+"""Differential tests of the batch read path against per-record references.
+
+``feature_matrix`` must equal the per-record feature code bit for bit, and
+``predict_batch`` must equal a root-to-leaf walk per tree and record, for
+every strategy.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from _builders import marks_dataset, marks_record, tiny_registry
+from _reference_features import reference_features
+from _reference_predict import reference_descent, reference_predict_votes
+from rakelgen.domain import FactorId, LabelVector, StudentRecord
+from rakelgen.errors import LabelCoverageWarning, ValidationError
+from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix
+from rakelgen.mlc import (
+    RakelConfig,
+    gold_matrix,
+    predict_batch,
+    predict_record,
+    predict_votes,
+    train_binary_relevance,
+    train_chain,
+    train_lp,
+    train_majority,
+    train_rakel,
+)
+from rakelgen.tree import TreeConfig, predict_rows, train_tree
+
+
+def _bits(a) -> np.ndarray:
+    """Float values as their IEEE bit patterns, so -0.0 != 0.0 and every ulp counts."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+series_values = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3]),
+)
+
+
+@st.composite
+def cohorts(draw):
+    weeks = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=1, max_value=2))
+    series = st.lists(series_values, min_size=weeks, max_size=weeks).map(tuple)
+    return [
+        StudentRecord(f"s{i}", weeks, {f: draw(series) for f in FactorId})
+        for i in range(n)
+    ]
+
+
+class TestFeatureMatrix:
+    @given(cohorts(), st.sampled_from(FEATURE_MODES))
+    def test_equals_reference_bitwise(self, records, mode):
+        X = feature_matrix(records, mode)
+        expected = [reference_features(r, mode) for r in records]
+        assert X.shape == (len(records), len(expected[0]))
+        assert (_bits(X) == _bits(expected)).all()
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_single_week(self, mode):
+        records = [
+            StudentRecord("a", 1, {f: (float(f) - 4.5,) for f in FactorId}),
+            StudentRecord("b", 1, {f: (-0.0,) for f in FactorId}),
+        ]
+        X = feature_matrix(records, mode)
+        assert (_bits(X) == _bits([reference_features(r, mode) for r in records])).all()
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_signed_zeros(self, mode):
+        # builtin min/max keep the first of equal values and sum() starts
+        # from +0, so (0.0, -0.0) and (-0.0, 0.0) differ in min, max and slope
+        records = [
+            StudentRecord("a", 2, {f: (0.0, -0.0) for f in FactorId}),
+            StudentRecord("b", 2, {f: (-0.0, 0.0) for f in FactorId}),
+            StudentRecord("c", 3, {f: (-0.0, -0.0, 0.0) for f in FactorId}),
+        ]
+        for record in records:
+            X = feature_matrix([record], mode)
+            assert (_bits(X[0]) == _bits(reference_features(record, mode))).all()
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_synthetic_cohorts(self, mode, ds37, ds100):
+        for ds in (ds37, ds100):
+            X = feature_matrix(ds.records, mode)
+            expected = [reference_features(r, mode) for r in ds.records]
+            assert (_bits(X) == _bits(expected)).all()
+
+    def test_extract_features_is_the_one_row_case(self, ds37):
+        for record in ds37.records[:5]:
+            fv = extract_features(record, "both")
+            assert (_bits(fv.values) == _bits(reference_features(record))).all()
+            assert all(type(v) is float for v in fv.values)
+
+    def test_week_counts_must_agree(self):
+        records = [
+            StudentRecord("a", 2, {f: (1.0, 2.0) for f in FactorId}),
+            StudentRecord("b", 3, {f: (1.0, 2.0, 3.0) for f in FactorId}),
+        ]
+        with pytest.raises(ValidationError, match="week count"):
+            feature_matrix(records)
+
+    def test_unknown_mode(self, ds37):
+        with pytest.raises(ValidationError, match="feature mode"):
+            feature_matrix(ds37.records, "weekly")
+
+
+@st.composite
+def tree_data(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    d = draw(st.integers(min_value=1, max_value=4))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+    X = np.array(draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return X, y
+
+
+class TestTreeRows:
+    @given(tree_data(), st.sampled_from([None, 1, 3]))
+    def test_equals_per_row_descent(self, data, max_depth):
+        X, y = data
+        tree = train_tree(X, y, TreeConfig(max_depth=max_depth))
+        # query rows on, between and beyond the training values
+        queries = np.vstack([X, X + 0.125, X - 0.125, -X])
+        expected = [reference_descent(tree, row) for row in queries]
+        assert predict_rows(tree, queries).tolist() == expected
+
+    def test_width_checked(self):
+        tree = train_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        with pytest.raises(ValidationError, match="features"):
+            predict_rows(tree, np.zeros((3, 3)))
+
+    def test_no_rows(self):
+        tree = train_tree([[0.0], [1.0]], [0, 1])
+        assert predict_rows(tree, np.zeros((0, 1))).shape == (0,)
+
+
+def _quiet(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LabelCoverageWarning)
+        return fn(*args)
+
+
+TRAINERS = {
+    "br": lambda ds: train_binary_relevance(ds, TreeConfig(max_depth=5)),
+    "chain-predicted": lambda ds: train_chain(ds, history="predicted"),
+    "chain-real": lambda ds: train_chain(ds, order=tuple(range(28, -1, -1)), history="real"),
+    "majority-per-label": lambda ds: train_majority(ds, "per-label"),
+    "majority-labelset": lambda ds: train_majority(ds, "labelset"),
+    "lp": lambda ds: train_lp(ds, TreeConfig(split_criterion="entropy")),
+    "rakel": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=3, m=20, seed=4)),
+    "rakel-threshold-0": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=2, m=12, threshold=0.0)),
+    "rakel-threshold-1": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=4, m=12, threshold=1.0)),
+}
+
+
+class TestPredictBatch:
+    @pytest.fixture(params=["ds37", "ds100"])
+    def ds(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("name", TRAINERS)
+    def test_equals_per_record_reference(self, name, ds, ds37, ds100):
+        model = TRAINERS[name](ds)
+        records = ds37.records + ds100.records
+        X = feature_matrix(records, model.feature_mode)
+        gold = gold_matrix(model, records, ds.registry)
+        bits, votes = predict_batch(model, X, gold)
+        assert bits.shape == votes.shape == (len(records), model.n_labels)
+        for i, row in enumerate(X):
+            history = None if gold is None else tuple(gold[i].tolist())
+            ref_bits, ref_votes = reference_predict_votes(model, row, history)
+            assert tuple(bits[i].tolist()) == ref_bits
+            assert (_bits(votes[i]) == _bits(ref_votes)).all()
+        for i in (0, len(records) - 1):
+            assert predict_record(model, records[i], ds.registry).bits == tuple(bits[i].tolist())
+            one_gold = None if gold is None else LabelVector(tuple(gold[i].tolist()))
+            vector, one_votes = predict_votes(model, X[i], one_gold)
+            assert vector.bits == tuple(bits[i].tolist())
+            assert one_votes == tuple(votes[i].tolist())
+
+    @pytest.mark.parametrize("history", ["real", "predicted"])
+    def test_chain_reads_its_history_columns(self, history):
+        # label 1 is not a function of the features, label 2 copies it: the
+        # second chain position can only split on the history column
+        registry = tiny_registry(3)
+        rows = [(1.0, [1, 2]), (1.0, []), (1.0, [1, 2]), (1.0, []), (1.0, [1, 2]),
+                (5.0, [1, 2, 3]), (5.0, [3]), (9.0, [])]
+        model = train_chain(marks_dataset(registry, rows), history=history)
+        records = [marks_record(f"p{i}", v, [1, 2, 3][: i % 4])
+                   for i, v in enumerate((1.0, 1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 5.0))]
+        X = feature_matrix(records)
+        gold = gold_matrix(model, records, registry)
+        bits, _ = predict_batch(model, X, gold)
+        for i, row in enumerate(X):
+            history_bits = None if gold is None else tuple(gold[i].tolist())
+            assert tuple(bits[i].tolist()) == reference_predict_votes(model, row, history_bits)[0]
+        if history == "real":
+            assert bits[0].tolist() != bits[1].tolist()  # same x, other gold
+
+    def test_real_history_is_the_gold_matrix(self, ds37):
+        model = train_chain(ds37, history="real")
+        gold = gold_matrix(model, ds37.records, ds37.registry)
+        assert gold.tolist() == [
+            [int(ds37.registry.template_at(j).id in r.expert_labels) for j in range(29)]
+            for r in ds37.records
+        ]
+
+    def test_gold_only_for_chain_real(self, ds37):
+        X = feature_matrix(ds37.records[:3])
+        gold = np.zeros((3, 29), dtype=int)
+        for name in ("br", "chain-predicted", "majority-per-label", "lp"):
+            model = TRAINERS[name](ds37)
+            assert gold_matrix(model, ds37.records, ds37.registry) is None
+            with pytest.raises(ValidationError, match="gold"):
+                predict_batch(model, X, gold)
+        real = TRAINERS["chain-real"](ds37)
+        with pytest.raises(ValidationError, match="gold"):
+            predict_batch(real, X)
+        with pytest.raises(ValidationError, match="gold matrix shape"):
+            predict_batch(real, X, gold[:2])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rakelgen
+from rakelgen import nlg
 from rakelgen.cli import main
 from rakelgen.domain import default_registry, load_dataset
 from rakelgen.model_io import load_model
@@ -444,6 +445,61 @@ class TestFeedback:
         )
         assert code == 2
         assert "label" in stderr
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda a: a["payload"]["members"][0].__setitem__("scope", [99, 1, 2]), "must hold distinct label indices"),
+            (lambda a: a["payload"]["members"][0].__setitem__("scope", [1, 1, 1]), "must hold distinct label indices"),
+            (lambda a: a.__setitem__("n_labels", 5), "'n_labels' 5"),
+            (
+                lambda a: [m.__setitem__("classes", [[99]] * len(m["classes"]))
+                           for m in a["payload"]["members"]],
+                "'classes' entry [99]",
+            ),
+        ],
+        ids=["scope-out-of-range", "scope-repeated", "n-labels", "classes-out-of-scope"],
+    )
+    def test_corrupted_label_axis_exit_2(
+        self, data_path, model_path, mutate, message, capsys
+    ):
+        artifact = json.loads(model_path.read_text(encoding="utf-8"))
+        mutate(artifact)
+        model_path.write_text(json.dumps(artifact), encoding="utf-8")
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert message in stderr
+
+    @pytest.mark.parametrize("method", ["rakel", "chain-real"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_chunked_output_matches_one_record_path(self, method, fmt, tmp_path, capsys):
+        """A cohort one record longer than a prediction chunk renders exactly as
+        record-by-record feedback does."""
+        train = tmp_path / "train.jsonl"
+        data = tmp_path / "cohort.jsonl"
+        model = tmp_path / "model.json"
+        out = tmp_path / "feedback.out"
+        count = str(nlg._CHUNK_ROWS + 1)
+        assert main(["generate", "--out", str(train), "--count", "40", "--seed", "2"]) == 0
+        assert main(["generate", "--out", str(data), "--count", count, "--seed", "3"]) == 0
+        assert main(["train", "--data", str(train), "--method", method, "--out", str(model),
+                     "--seed", "1"]) == 0
+        code, _, _ = _run(["feedback", "--data", str(data), "--model", str(model),
+                           "--format", fmt, "--out", str(out)], capsys)
+        assert code == 0
+        registry = default_registry()
+        trained = load_model(model, registry)
+        summaries = [
+            nlg.feedback_for_record(trained, record, registry)
+            for record in load_dataset(data, registry).records
+        ]
+        if fmt == "json":
+            text = json.dumps([nlg.summary_to_json(s) for s in summaries], indent=2)
+        else:
+            text = "\n\n".join(nlg.render_text(s) for s in summaries)
+        assert out.read_text(encoding="utf-8") == text + "\n"
 
 
 class TestInspectFeatures:

@@ -219,3 +219,78 @@ class TestCorruptedArtifacts:
         node["label"] = label
         with pytest.raises(ValidationError, match=f"'label' {label} does not index"):
             model_from_dict(data, registry)
+
+
+class TestLabelAxis:
+    """Label indices and per-label fields must agree with ``n_labels`` and the
+    registry; prediction indexes its label columns by them."""
+
+    @pytest.mark.parametrize(
+        "method, body_of",
+        [("lp", lambda body: body), ("rakel", lambda body: body["members"][0])],
+    )
+    @pytest.mark.parametrize(
+        "scope_of",
+        [
+            lambda scope: [99, *scope[1:]],
+            lambda scope: [-1, *scope[1:]],
+            lambda scope: [scope[1]] * len(scope),
+        ],
+        ids=["beyond-n-labels", "negative", "repeated"],
+    )
+    def test_bad_scope(self, method, body_of, scope_of, ds37, registry):
+        data = model_to_dict(_train(method, ds37), registry)
+        lp = body_of(data["payload"])
+        lp["scope"] = scope_of(lp["scope"])
+        with pytest.raises(ValidationError, match="'scope' .* must hold distinct label indices"):
+            model_from_dict(data, registry)
+
+    @pytest.mark.parametrize(
+        "method, body_of",
+        [("lp", lambda body: body), ("rakel", lambda body: body["members"][0])],
+    )
+    def test_class_outside_scope(self, method, body_of, ds37, registry):
+        data = model_to_dict(_train(method, ds37), registry)
+        lp = body_of(data["payload"])
+        lp["classes"][-1] = [99]
+        with pytest.raises(ValidationError, match="'classes' entry \\[99\\]"):
+            model_from_dict(data, registry)
+
+    def test_rakel_class_outside_its_member_scope(self, ds37, registry):
+        data = model_to_dict(_train("rakel", ds37), registry)
+        member = data["payload"]["members"][0]
+        outside = min(set(range(len(registry))) - set(member["scope"]))
+        member["classes"][0] = [outside]
+        with pytest.raises(ValidationError, match="not a subset of 'scope'"):
+            model_from_dict(data, registry)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_n_labels_must_match_registry(self, method, ds37, registry):
+        data = model_to_dict(_train(method, ds37), registry)
+        data["n_labels"] = 5
+        with pytest.raises(ValidationError, match="'n_labels' 5 does not match"):
+            model_from_dict(data, registry)
+
+    @pytest.mark.parametrize(
+        "method, mutate, message",
+        [
+            ("br", lambda d: d["payload"]["trees"].pop(), "'trees' for 29 labels"),
+            ("chain-real", lambda d: d["payload"]["trees"].pop(), "'trees' for 29 labels"),
+            ("majority", lambda d: d["payload"]["bits"].append(0), "'bits' for 29 labels"),
+            (
+                "chain-predicted",
+                lambda d: d["strategy_config"]["order"].__setitem__(0, 1),
+                "'order' must be a permutation",
+            ),
+            (
+                "chain-real",
+                lambda d: d["strategy_config"].__setitem__("history", "predicted"),
+                "'history' 'predicted' does not match",
+            ),
+        ],
+    )
+    def test_per_label_fields(self, method, mutate, message, ds37, registry):
+        data = model_to_dict(_train(method, ds37), registry)
+        mutate(data)
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(data, registry)
