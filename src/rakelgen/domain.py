@@ -44,9 +44,13 @@ class FactorId(IntEnum):
     @classmethod
     def from_key(cls, key: str) -> "FactorId":
         try:
-            return cls[key.upper()]
+            return _FACTOR_BY_NAME[key.upper()]
         except KeyError:
             raise ValidationError(f"unknown factor name: {key!r}") from None
+
+
+_FACTOR_BY_NAME = {factor.name: factor for factor in FactorId}
+_ALL_FACTORS = frozenset(FactorId)
 
 
 class ReferenceType(Enum):
@@ -101,16 +105,20 @@ class Template:
     factor: FactorId
     reference: ReferenceType
     surface_text: str
+    _slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for slot in self.slots():
+        slots = tuple(_SLOT_RE.findall(self.surface_text))
+        for slot in slots:
             if slot not in SLOT_NAMES:
                 raise ValidationError(
                     f"template {self.id}: unknown slot {{{slot}}} in surface text"
                 )
+        object.__setattr__(self, "_slots", slots)
 
     def slots(self) -> tuple[str, ...]:
-        return tuple(_SLOT_RE.findall(self.surface_text))
+        """The slot names in the surface text, in order (found once, at construction)."""
+        return self._slots
 
 
 @dataclass(frozen=True)
@@ -181,16 +189,17 @@ class StudentRecord:
     def __post_init__(self):
         if self.weeks < 1:
             raise ValidationError(f"record {self.student_id}: weeks must be >= 1")
-        missing = set(FactorId) - set(self.series)
-        if missing:
-            names = ", ".join(sorted(f.key for f in missing))
-            raise ValidationError(f"record {self.student_id}: missing factors: {names}")
-        extra = set(self.series) - set(FactorId)
-        if extra:
-            raise ValidationError(f"record {self.student_id}: unknown series keys: {extra}")
+        if self.series.keys() != _ALL_FACTORS:
+            missing = _ALL_FACTORS - set(self.series)
+            if missing:
+                names = ", ".join(sorted(f.key for f in missing))
+                raise ValidationError(f"record {self.student_id}: missing factors: {names}")
+            extra = set(self.series) - _ALL_FACTORS
+            if extra:
+                raise ValidationError(f"record {self.student_id}: unknown series keys: {extra}")
         normalized = {}
         for factor, values in self.series.items():
-            values = tuple(float(v) for v in values)
+            values = tuple(map(float, values))
             if len(values) != self.weeks:
                 raise ValidationError(
                     f"record {self.student_id}: series {factor.key} has "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,16 +41,22 @@ class FeatureVector:
         return len(self.values)
 
 
+@lru_cache(maxsize=64)
+def _week_offsets(weeks: int) -> tuple[tuple[float, ...], float]:
+    """Week indices 1..W minus their mean, and the sum of their squares."""
+    x_mean = (weeks + 1) / 2.0
+    offsets = tuple(i + 1 - x_mean for i in range(weeks))
+    return offsets, sum(offset**2 for offset in offsets)
+
+
 def ols_slope(values) -> float:
     """Least-squares slope of values against week index 1..W (0.0 for W == 1)."""
     n = len(values)
     if n == 1:
         return 0.0
-    x_mean = (n + 1) / 2.0
+    offsets, den = _week_offsets(n)
     y_mean = sum(values) / n
-    num = sum((i + 1 - x_mean) * (v - y_mean) for i, v in enumerate(values))
-    den = sum((i + 1 - x_mean) ** 2 for i in range(n))
-    return num / den
+    return sum(offset * (v - y_mean) for offset, v in zip(offsets, values)) / den
 
 
 def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str], ...]:
@@ -100,11 +107,10 @@ def _ols_slopes(S: np.ndarray, mean: np.ndarray) -> np.ndarray:
     W = S.shape[-1]
     if W == 1:
         return np.zeros(S.shape[:-1])
-    x_mean = (W + 1) / 2.0
-    num = (1 - x_mean) * (S[..., 0] - mean) + 0.0
+    offsets, den = _week_offsets(W)
+    num = offsets[0] * (S[..., 0] - mean) + 0.0
     for i in range(1, W):
-        num = num + (i + 1 - x_mean) * (S[..., i] - mean)
-    den = sum((i + 1 - x_mean) ** 2 for i in range(W))
+        num = num + offsets[i] * (S[..., i] - mean)
     return num / den
 
 

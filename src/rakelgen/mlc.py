@@ -23,7 +23,7 @@ import math
 import random
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry
 from .errors import LabelCoverageWarning, ValidationError
 from .features import FeatureVector, feature_matrix
-from .tree import DecisionTree, TreeConfig, predict_rows, train_tree
+from .tree import DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_tree
 
 STRATEGIES = ("br", "chain-predicted", "chain-real", "majority", "lp", "rakel")
 
@@ -66,6 +66,10 @@ class RakelConfig:
 @dataclass(frozen=True)
 class BrPayload:
     trees: tuple[DecisionTree, ...]
+    _stack: TreeStack = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_stack", stack_trees(self.trees))
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,24 @@ class LpPayload:
 
 @dataclass(frozen=True)
 class RakelPayload:
+    """Members and config, plus what prediction reads, built once: the members'
+    stacked trees, each stacked node's 0/1 vote per label (``_votes``), and
+    the number of members covering each label (``_coverage``). Both tables
+    stop at the highest label index in any scope."""
+
     members: tuple[LpPayload, ...]
     config: RakelConfig
+    _stack: TreeStack = field(init=False, repr=False, compare=False)
+    _votes: np.ndarray = field(init=False, repr=False, compare=False)
+    _coverage: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scopes = [j for member in self.members for j in member.scope]
+        width = max(scopes, default=-1) + 1
+        votes = [_labelset_table(m, width)[m.tree.label] for m in self.members]
+        object.__setattr__(self, "_stack", stack_trees([m.tree for m in self.members]))
+        object.__setattr__(self, "_votes", np.concatenate(votes))
+        object.__setattr__(self, "_coverage", np.bincount(scopes, minlength=width))
 
 
 @dataclass(frozen=True)
@@ -410,10 +430,10 @@ def predict_record(
 
 
 def _labelset_table(payload: LpPayload, n_labels: int) -> np.ndarray:
-    """(n_classes, n_labels) 0/1 rows: the labels in scope that each class sets."""
-    table = np.zeros((len(payload.classes), n_labels))
+    """(n_classes, n_labels) int8 0/1 rows: the labels in scope that each class sets."""
+    table = np.zeros((len(payload.classes), n_labels), dtype=np.int8)
     for class_id, labelset in enumerate(payload.classes):
-        table[class_id, [j for j in payload.scope if j in labelset]] = 1.0
+        table[class_id, [j for j in payload.scope if j in labelset]] = 1
     return table
 
 
@@ -441,14 +461,16 @@ def predict_batch(
             f"gold matrix shape {np.shape(gold)} does not match ({n}, {n_labels})"
         )
     if isinstance(payload, RakelPayload):
+        leaves = descend(payload._stack, X)  # (n, members)
+        width = len(payload._coverage)
         votes = np.zeros((n, n_labels))
-        counts = np.zeros(n_labels)
-        for member in payload.members:
-            table = _labelset_table(member, n_labels)
-            votes += table[predict_rows(member.tree, X)]
-            counts[list(member.scope)] += 1
         # vote sums and counts are small integers, so each mean is one rounding
-        np.divide(votes, counts, out=votes, where=counts > 0)
+        np.divide(
+            payload._votes[leaves].sum(axis=1),
+            payload._coverage,
+            out=votes[:, :width],
+            where=payload._coverage > 0,
+        )
         return (votes > payload.config.threshold).astype(int), votes
     bits = np.zeros((n, n_labels), dtype=int)
     if isinstance(payload, ChainPayload):
@@ -460,8 +482,7 @@ def predict_batch(
             bits[:, label] = predict_rows(tree, Xh[:, : X.shape[1] + p])
             Xh[:, X.shape[1] + p] = gold[:, label] if real_history else bits[:, label]
     elif isinstance(payload, BrPayload):
-        for j, tree in enumerate(payload.trees):
-            bits[:, j] = predict_rows(tree, X)
+        bits = payload._stack.label[descend(payload._stack, X)]
     elif isinstance(payload, MajorityPayload):
         bits[:] = payload.bits
     elif isinstance(payload, LpPayload):

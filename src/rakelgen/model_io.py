@@ -23,9 +23,11 @@ from .mlc import (
     RakelPayload,
     TrainedModel,
 )
-from .tree import Split, TreeConfig, tree_from_dict, tree_to_dict
+from .tree import DecisionTree, TreeConfig, tree_from_dict, tree_to_dict
 
-FORMAT_VERSION = "1"
+#: Version 2 stores each tree as flat node arrays (``tree.tree_to_dict``);
+#: version 1 artifacts, with nested nodes, are rejected.
+FORMAT_VERSION = "2"
 
 
 def registry_hash(registry: TemplateRegistry) -> str:
@@ -79,17 +81,15 @@ def _lp_from_dict(data: dict, cfg: TreeConfig, n_labels: int) -> LpPayload:
             raise ValidationError(
                 f"lp 'classes' entry {sorted(labelset)} is not a subset of 'scope' {list(scope)}"
             )
-    nodes = [tree.root]
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, Split):
-            nodes += [node.left, node.right]
-        elif not 0 <= node.label < len(classes):
-            raise ValidationError(
-                f"lp leaf 'label' {node.label} does not index the "
-                f"{len(classes)} entries of 'classes'"
-            )
+    _check_labels(tree, len(classes), "lp", "entries of 'classes'")
     return LpPayload(tree=tree, classes=classes, scope=scope)
+
+
+def _check_labels(tree: DecisionTree, n_classes: int, kind: str, what: str) -> None:
+    """Every node label of the tree must lie in 0..n_classes-1."""
+    bad = tree.label[(tree.label < 0) | (tree.label >= n_classes)]
+    if bad.size:
+        raise ValidationError(f"{kind} 'label' {bad[0]} does not index the {n_classes} {what}")
 
 
 def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
@@ -139,8 +139,11 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
 def _check_label_axis(payload, strategy: str, n_labels: int) -> None:
     """Per-label payload fields must have one entry per label: prediction
     indexes its label columns by them."""
-    if isinstance(payload, (BrPayload, ChainPayload)) and len(payload.trees) != n_labels:
-        raise ValidationError(f"model has {len(payload.trees)} 'trees' for {n_labels} labels")
+    if isinstance(payload, (BrPayload, ChainPayload)):
+        if len(payload.trees) != n_labels:
+            raise ValidationError(f"model has {len(payload.trees)} 'trees' for {n_labels} labels")
+        for tree in payload.trees:
+            _check_labels(tree, 2, "per-label tree", "bit values")
     if isinstance(payload, MajorityPayload) and len(payload.bits) != n_labels:
         raise ValidationError(f"model has {len(payload.bits)} 'bits' for {n_labels} labels")
     if isinstance(payload, ChainPayload):
@@ -223,7 +226,7 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model artifact: {exc}") from None
 
 

@@ -22,9 +22,7 @@ leaves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -55,28 +53,37 @@ class TreeConfig:
             raise ValidationError(f"split_criterion must be one of {CRITERIA}")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: int
-    distribution: tuple[tuple[int, int], ...]  # (class label, count), sorted by label
+#: Node arrays of a tree, in the order ``tree_to_dict`` writes them.
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "label", "count")
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: "TreeNode"  # values <= threshold
-    right: "TreeNode"
-
-
-TreeNode = Union[Leaf, Split]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    root: TreeNode
+    """A binary tree as parallel read-only arrays indexed by node, in preorder.
+
+    Node 0 is the root. A split node i sends a row with ``x[feature[i]] <=
+    threshold[i]`` to ``left[i]`` and every other row to ``right[i]``; a
+    child's index is always greater than its parent's. A leaf has ``feature``,
+    ``left`` and ``right`` -1 and ``threshold`` 0. ``label`` is the majority
+    class of the training rows reaching a node (ties to the smallest class) and
+    ``count`` their number.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    count: np.ndarray
     n_features: int
     config: TreeConfig
+
+    def __post_init__(self):
+        for name in NODE_ARRAYS:
+            dtype = float if name == "threshold" else np.int64
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def impurity(labels, criterion: str = "gini") -> float:
@@ -113,17 +120,6 @@ def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
         return 1.0 - (p * p).sum(axis=-1)
     logp = np.log2(np.where(p > 0, p, 1.0))
     return -(p * logp).sum(axis=-1)
-
-
-def _leaf(codes: np.ndarray, classes: np.ndarray) -> Leaf:
-    counts = np.bincount(codes, minlength=len(classes))
-    # argmax returns the first maximum; classes are sorted, so ties go to the
-    # smallest class label
-    label = int(classes[int(np.argmax(counts))])
-    dist = tuple(
-        (int(classes[c]), int(counts[c])) for c in range(len(classes)) if counts[c] > 0
-    )
-    return Leaf(label=label, distribution=dist)
 
 
 # Stage 2 re-scores near-tied cuts in chunks of at most this many cells, where
@@ -253,26 +249,41 @@ def _best_split(X: np.ndarray, codes: np.ndarray, n_classes: int, cfg: TreeConfi
     return feature, float(threshold)
 
 
-def _grow(X: np.ndarray, codes: np.ndarray, classes: np.ndarray, depth: int, cfg: TreeConfig) -> TreeNode:
-    n = len(codes)
-    counts = np.bincount(codes, minlength=len(classes))
-    if counts.max() == n:
-        return _leaf(codes, classes)
-    if cfg.max_depth is not None and depth >= cfg.max_depth:
-        return _leaf(codes, classes)
-    if n < 2 * cfg.min_samples_leaf:
-        return _leaf(codes, classes)
-    best = _best_split(X, codes, len(classes), cfg)
-    if best is None:
-        return _leaf(codes, classes)
-    feature, threshold = best
-    mask = X[:, feature] <= threshold
-    return Split(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X[mask], codes[mask], classes, depth + 1, cfg),
-        right=_grow(X[~mask], codes[~mask], classes, depth + 1, cfg),
-    )
+def _grow(X: np.ndarray, codes: np.ndarray, classes: np.ndarray, cfg: TreeConfig) -> dict:
+    """Node arrays of the tree grown on (X, codes), built in preorder from an
+    explicit stack, so the depth of the tree is not bounded by Python's."""
+    nodes: dict[str, list] = {name: [] for name in NODE_ARRAYS}
+    # (rows, depth, parent, side): the left child is pushed last, so it is
+    # taken first and a subtree's nodes are numbered before its right sibling
+    pending = [(np.arange(len(codes)), 0, -1, "")]
+    while pending:
+        rows, depth, parent, side = pending.pop()
+        node = len(nodes["label"])
+        if parent >= 0:
+            nodes[side][parent] = node
+        sub = codes[rows]
+        counts = np.bincount(sub, minlength=len(classes))
+        # argmax returns the first maximum; classes are sorted, so ties go to
+        # the smallest class label
+        nodes["label"].append(int(classes[int(np.argmax(counts))]))
+        nodes["count"].append(len(rows))
+        best = None
+        if (
+            counts.max() < len(rows)
+            and (cfg.max_depth is None or depth < cfg.max_depth)
+            and len(rows) >= 2 * cfg.min_samples_leaf
+        ):
+            best = _best_split(X[rows], sub, len(classes), cfg)
+        feature, threshold = (-1, 0.0) if best is None else best
+        nodes["feature"].append(feature)
+        nodes["threshold"].append(threshold)
+        nodes["left"].append(-1)
+        nodes["right"].append(-1)
+        if best is not None:
+            go_left = X[rows, feature] <= threshold
+            pending.append((rows[~go_left], depth + 1, node, "right"))
+            pending.append((rows[go_left], depth + 1, node, "left"))
+    return nodes
 
 
 def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
@@ -291,34 +302,76 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
     if not np.isfinite(X).all():
         raise ValidationError("feature matrix has non-finite values")
     classes, codes = np.unique(y, return_inverse=True)
-    root = _grow(X, codes, classes, 0, config)
-    return DecisionTree(root=root, n_features=X.shape[1], config=config)
+    return DecisionTree(**_grow(X, codes, classes, config), n_features=X.shape[1], config=config)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeStack:
+    """The node arrays of several trees end to end, child indices shifted to
+    match; tree t starts at node ``roots[t]``."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
+    n_features: int
+
+
+def stack_trees(trees) -> TreeStack:
+    """One ``TreeStack`` of trees that share a feature width."""
+    widths = {tree.n_features for tree in trees}
+    if len(widths) != 1:
+        raise ValidationError(f"cannot stack trees of feature widths {sorted(widths)}")
+    sizes = [len(tree.label) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)
+
+    def joined(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    left, right = joined("left"), joined("right")
+    split = left >= 0
+    return TreeStack(
+        feature=joined("feature"),
+        threshold=joined("threshold"),
+        left=np.where(split, left + offset, -1),
+        right=np.where(split, right + offset, -1),
+        label=joined("label"),
+        roots=roots,
+        n_features=widths.pop(),
+    )
+
+
+def descend(stack: TreeStack, X) -> np.ndarray:
+    """Leaf reached by each row of X in each tree of the stack, as an (n, trees)
+    array of node indices into the stack.
+
+    All (row, tree) pairs move down one level per step, and a pair leaves the
+    working set when it reaches a leaf, so a step costs the pairs still
+    descending and the number of steps is the depth of the deepest path taken.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != stack.n_features:
+        raise ValidationError(
+            f"feature rows {X.shape} do not match the tree's {stack.n_features} features"
+        )
+    n, n_trees = len(X), len(stack.roots)
+    node = np.tile(stack.roots, n)  # pair p is row p // n_trees, tree p % n_trees
+    live = np.flatnonzero(stack.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[live // n_trees, stack.feature[at]] <= stack.threshold[at]
+        node[live] = np.where(go_left, stack.left[at], stack.right[at])
+        live = live[stack.feature[node[live]] >= 0]
+    return node.reshape(n, n_trees)
 
 
 def predict_rows(tree: DecisionTree, X) -> np.ndarray:
-    """Leaf labels of the rows of X, as an int array.
-
-    The rows are partitioned down the tree: a split sends the rows with
-    ``x[feature] <= threshold`` left and the rest right, as a per-record
-    descent would, and a subtree no row reaches is not visited.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != tree.n_features:
-        raise ValidationError(
-            f"feature rows {X.shape} do not match the tree's {tree.n_features} features"
-        )
-    labels = np.empty(len(X), dtype=int)
-    pending = [(tree.root, np.arange(len(X)))]
-    while pending:
-        node, rows = pending.pop()
-        if isinstance(node, Leaf):
-            labels[rows] = node.label
-            continue
-        go_left = X[rows, node.feature] <= node.threshold
-        for child, part in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
-            if part.size:
-                pending.append((child, part))
-    return labels
+    """Leaf labels of the rows of X, as an int array: ``descend`` of one tree."""
+    stack = stack_trees([tree])
+    return stack.label[descend(stack, X)[:, 0]]
 
 
 def predict_tree(tree: DecisionTree, x) -> int:
@@ -328,64 +381,68 @@ def predict_tree(tree: DecisionTree, x) -> int:
 
 def tree_stats(tree: DecisionTree) -> dict:
     """Node/leaf counts and depth, for training summaries."""
-
-    def walk(node, depth):
-        if isinstance(node, Leaf):
-            return 1, 1, depth
-        ln, ll, ld = walk(node.left, depth + 1)
-        rn, rl, rd = walk(node.right, depth + 1)
-        return ln + rn + 1, ll + rl, max(ld, rd)
-
-    nodes, leaves, depth = walk(tree.root, 0)
-    return {"nodes": nodes, "leaves": leaves, "depth": depth}
-
-
-def node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {
-            "kind": "leaf",
-            "label": node.label,
-            "dist": [list(pair) for pair in node.distribution],
-        }
-    return {
-        "kind": "split",
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": node_to_dict(node.left),
-        "right": node_to_dict(node.right),
-    }
-
-
-def node_from_dict(data: dict, n_features: int) -> TreeNode:
-    if data["kind"] == "leaf":
-        return Leaf(
-            label=int(data["label"]),
-            distribution=tuple((int(c), int(n)) for c, n in data["dist"]),
-        )
-    feature = int(data["feature"])
-    if not 0 <= feature < n_features:
-        raise ValidationError(
-            f"tree split 'feature' {feature} is out of range for {n_features} features"
-        )
-    threshold = float(data["threshold"])
-    if not math.isfinite(threshold):
-        raise ValidationError(f"tree split 'threshold' {threshold} is not finite")
-    return Split(
-        feature=feature,
-        threshold=threshold,
-        left=node_from_dict(data["left"], n_features),
-        right=node_from_dict(data["right"], n_features),
-    )
+    left, right = tree.left.tolist(), tree.right.tolist()
+    depth = [0] * len(left)
+    for node, child in enumerate(left):  # parents come before their children
+        if child >= 0:
+            depth[child] = depth[right[node]] = depth[node] + 1
+    return {"nodes": len(left), "leaves": left.count(-1), "depth": max(depth)}
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
-    return {"n_features": tree.n_features, "root": node_to_dict(tree.root)}
+    return {"n_features": tree.n_features} | {
+        name: getattr(tree, name).tolist() for name in NODE_ARRAYS
+    }
+
+
+def _reject_first(bad: np.ndarray, message) -> None:
+    """Raise ``message(node)`` for the first node flagged in ``bad``."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        raise ValidationError(message(int(flagged[0])))
 
 
 def tree_from_dict(data: dict, config: TreeConfig) -> DecisionTree:
+    """Rebuild a tree from ``tree_to_dict`` output, checking that its arrays
+    form one tree, so a descent ends at a leaf after at most ``n_nodes`` steps
+    and never indexes outside the arrays or the feature row."""
     n_features = int(data["n_features"])
-    return DecisionTree(
-        root=node_from_dict(data["root"], n_features),
-        n_features=n_features,
-        config=config,
+    tree = DecisionTree(
+        **{name: data[name] for name in NODE_ARRAYS}, n_features=n_features, config=config
     )
+    n_nodes = tree.label.size
+    shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}
+    if n_nodes == 0 or set(shapes.values()) != {(n_nodes,)}:
+        raise ValidationError(f"tree node arrays must be non-empty lists of one length: {shapes}")
+    for name in ("feature", "left", "right", "label", "count"):
+        # the int64 conversion truncates 1.5 to 1
+        if not np.array_equal(getattr(tree, name), np.array(data[name], dtype=float)):
+            raise ValidationError(f"tree '{name}' must hold integers")
+    feature, left, right = tree.feature, tree.left, tree.right
+    split = left != -1
+    _reject_first(
+        split & ((feature < 0) | (feature >= n_features)),
+        lambda i: f"tree node {i} split 'feature' {feature[i]} is out of range "
+        f"for {n_features} features",
+    )
+    _reject_first(
+        ~split & ((feature != -1) | (right != -1)),
+        lambda i: f"tree node {i} has 'left' -1, so its 'feature' and 'right' must be -1",
+    )
+    _reject_first(
+        ~np.isfinite(tree.threshold),
+        lambda i: f"tree node {i} 'threshold' {tree.threshold[i]} is not finite",
+    )
+    for side, child in (("left", left), ("right", right)):
+        _reject_first(
+            split & ((child <= np.arange(n_nodes)) | (child >= n_nodes)),
+            lambda i: f"tree node {i} '{side}' {child[i]} must lie between the "
+            f"node's index and {n_nodes}",
+        )
+    # children lie after their parents, so the root is no node's child
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n_nodes)
+    _reject_first(
+        parents[1:] != 1,
+        lambda i: f"tree node {i + 1} is the child of {parents[i + 1]} nodes, not 1",
+    )
+    return tree

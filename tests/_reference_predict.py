@@ -1,6 +1,6 @@
 """Reference prediction: the per-record code `mlc.predict_batch` replaced.
 
-One root-to-leaf walk per tree and record over the `Leaf`/`Split` nodes, and
+One root-to-leaf walk per tree and record over the tree's node arrays, and
 RAkEL votes counted member by member. It stays here as the oracle that the
 differential tests compare the batch path against.
 """
@@ -17,14 +17,15 @@ from rakelgen.mlc import (
     RakelPayload,
     TrainedModel,
 )
-from rakelgen.tree import DecisionTree, Split
+from rakelgen.tree import DecisionTree
 
 
 def reference_descent(tree: DecisionTree, x: np.ndarray) -> int:
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(tree.label[node])
 
 
 def _lp_labelset(payload: LpPayload, x: np.ndarray) -> frozenset[int]:

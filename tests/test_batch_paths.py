@@ -15,11 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _builders import marks_dataset, marks_record, tiny_registry
-from _reference_features import reference_features
+from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
 from rakelgen.domain import FactorId, LabelVector, StudentRecord
 from rakelgen.errors import LabelCoverageWarning, ValidationError
-from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix
+from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix, ols_slope
 from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
@@ -112,6 +112,20 @@ class TestFeatureMatrix:
     def test_unknown_mode(self, ds37):
         with pytest.raises(ValidationError, match="feature mode"):
             feature_matrix(ds37.records, "weekly")
+
+
+class TestOlsSlope:
+    """``ols_slope`` (which renders the trend slot) with its week offsets cached
+    per week count equals the per-call arithmetic bit for bit."""
+
+    @given(st.integers(1, 29).flatmap(lambda w: st.lists(series_values, min_size=w, max_size=w)))
+    def test_equals_reference_bitwise(self, values):
+        assert _bits(ols_slope(values)) == _bits(reference_ols_slope(values))
+
+    def test_synthetic_cohorts(self, ds37, ds100):
+        for record in ds37.records + ds100.records:
+            for series in record.series.values():
+                assert _bits(ols_slope(series)) == _bits(reference_ols_slope(series))
 
 
 @st.composite

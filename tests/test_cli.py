@@ -387,7 +387,7 @@ class TestFeedback:
         model_path = tmp_path / "lp.json"
         main(["train", "--data", str(data_path), "--method", "lp", "--out", str(model_path)])
         artifact = json.loads(model_path.read_text(encoding="utf-8"))
-        artifact["payload"]["tree"]["root"]["feature"] = 9999
+        artifact["payload"]["tree"]["feature"][0] = 9999  # the root split
         model_path.write_text(json.dumps(artifact), encoding="utf-8")
         capsys.readouterr()
         code, _, stderr = _run(

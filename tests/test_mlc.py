@@ -33,7 +33,7 @@ from rakelgen.mlc import (
     train_majority,
     train_rakel,
 )
-from rakelgen.tree import Leaf, DecisionTree, TreeConfig, predict_tree, tree_to_dict
+from rakelgen.tree import DecisionTree, TreeConfig, predict_tree, tree_to_dict
 
 # Flat marks value below 4.5 carries labels {1, 2}; above it, no labels.
 TWO_LABEL_ROWS = [
@@ -65,8 +65,8 @@ class TestBinaryRelevance:
         model = train_binary_relevance(ds)
         assert isinstance(model.payload, BrPayload)
         tree_for_label_0 = model.payload.trees[0]
-        assert isinstance(tree_for_label_0.root, Leaf)
-        assert tree_for_label_0.root.label == 1
+        assert tree_for_label_0.feature.tolist() == [-1]  # the root is a leaf
+        assert tree_for_label_0.label.tolist() == [1]
 
     def test_one_tree_per_label(self, ds37):
         model = train_binary_relevance(ds37)
@@ -356,7 +356,7 @@ class TestSampleLabelsets:
 
 def _stub_member(n_features: int, labelset: frozenset[int], scope: tuple[int, ...]):
     tree = DecisionTree(
-        root=Leaf(label=0, distribution=((0, 1),)),
+        feature=[-1], threshold=[0.0], left=[-1], right=[-1], label=[0], count=[1],
         n_features=n_features,
         config=TreeConfig(),
     )

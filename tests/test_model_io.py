@@ -194,9 +194,9 @@ class TestCorruptedArtifacts:
         self, method, tree_of, field, value, message, ds37, registry, tmp_path
     ):
         data = model_to_dict(_train(method, ds37), registry)
-        root = tree_of(data["payload"])["root"]
-        assert root["kind"] == "split"
-        root[field] = value
+        tree = tree_of(data["payload"])
+        assert tree["feature"][0] >= 0  # the root is a split
+        tree[field][0] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValidationError, match=message):
@@ -213,10 +213,11 @@ class TestCorruptedArtifacts:
         data = model_to_dict(_train(method, ds37), registry)
         lp = body_of(data["payload"])
         label = label_of(lp["classes"])
-        node = lp["tree"]["root"]
-        while node["kind"] == "split":
-            node = node["right"]
-        node["label"] = label
+        tree = lp["tree"]
+        node = 0
+        while tree["feature"][node] >= 0:
+            node = tree["right"][node]
+        tree["label"][node] = label
         with pytest.raises(ValidationError, match=f"'label' {label} does not index"):
             model_from_dict(data, registry)
 

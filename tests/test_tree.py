@@ -7,9 +7,6 @@ import pytest
 
 from rakelgen.errors import ValidationError
 from rakelgen.tree import (
-    DecisionTree,
-    Leaf,
-    Split,
     TreeConfig,
     impurity,
     predict_tree,
@@ -59,8 +56,8 @@ class TestImpurity:
 class TestTraining:
     def test_constant_labels_single_leaf(self):
         tree = train_tree([[1.0], [2.0], [3.0]], [7, 7, 7])
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.label == 7
+        assert tree.feature.tolist() == [-1]
+        assert tree.label.tolist() == [7]
         stats = tree_stats(tree)
         assert stats == {"nodes": 1, "leaves": 1, "depth": 0}
 
@@ -89,8 +86,8 @@ class TestTraining:
     def test_left_branch_takes_equal_values(self):
         # Split threshold is a midpoint; values at or below it go left.
         tree = train_tree([[0.0], [2.0]], [0, 1])
-        assert isinstance(tree.root, Split)
-        assert tree.root.threshold == pytest.approx(1.0)
+        assert tree.feature[0] >= 0  # the root is a split
+        assert tree.threshold[0] == pytest.approx(1.0)
         assert predict_tree(tree, [1.0]) == 0
         assert predict_tree(tree, [1.0 + 1e-9]) == 1
 
@@ -98,25 +95,24 @@ class TestTraining:
         # Both columns separate the classes perfectly; column 0 must win.
         X = [[0.0, 0.0], [1.0, 1.0]]
         tree = train_tree(X, [0, 1])
-        assert isinstance(tree.root, Split)
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_threshold_tie_breaks_to_lowest(self):
         # Candidates 0.5 and 1.5 give equal gain on y = (0, 1, 0).
         tree = train_tree([[0.0], [1.0], [2.0]], [0, 1, 0])
-        assert isinstance(tree.root, Split)
-        assert tree.root.threshold == pytest.approx(0.5)
+        assert tree.feature[0] >= 0
+        assert tree.threshold[0] == pytest.approx(0.5)
 
     def test_tied_leaf_takes_smallest_label(self):
         # Identical rows with conflicting labels cannot be separated.
         tree = train_tree([[1.0], [1.0]], [4, 2])
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.label == 2
+        assert tree.feature.tolist() == [-1]
+        assert tree.label.tolist() == [2]
 
     def test_majority_leaf_label(self):
         tree = train_tree([[1.0], [1.0], [1.0]], [5, 5, 9])
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.label == 5
+        assert tree.feature.tolist() == [-1]
+        assert tree.label.tolist() == [5]
 
     def test_deterministic_without_seed_variation(self):
         X, y = _random_consistent_data(99)
@@ -129,7 +125,7 @@ class TestTraining:
         X, y = _random_consistent_data(5)
         a = tree_to_dict(train_tree(X, y, TreeConfig(seed=0)))
         b = tree_to_dict(train_tree(X, y, TreeConfig(seed=123)))
-        assert a["root"] == b["root"]
+        assert a == b
 
     def test_monotone_transform_preserves_predictions(self):
         X, y = _random_consistent_data(3)
@@ -158,15 +154,9 @@ class TestConstraints:
     def test_min_samples_leaf_respected(self):
         X, y = _random_consistent_data(2, n=40)
         tree = train_tree(X, y, TreeConfig(min_samples_leaf=5))
-
-        def leaf_sizes(node):
-            if isinstance(node, Leaf):
-                yield sum(count for _, count in node.distribution)
-            else:
-                yield from leaf_sizes(node.left)
-                yield from leaf_sizes(node.right)
-
-        assert all(size >= 5 for size in leaf_sizes(tree.root))
+        leaf_sizes = tree.count[tree.feature == -1]
+        assert leaf_sizes.sum() == len(y)
+        assert (leaf_sizes >= 5).all()
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -223,6 +213,7 @@ class TestSerialization:
     )
     def test_corrupt_split_rejected(self, field, value, message):
         data = tree_to_dict(train_tree(XOR_X, XOR_Y))
-        data["root"]["left"][field] = value
+        assert data["left"][0] == 1 and data["feature"][1] >= 0  # root's left child is a split
+        data[field][1] = value
         with pytest.raises(ValidationError, match=message):
             tree_from_dict(data, TreeConfig())
