@@ -38,7 +38,6 @@ from .mlc import (
     predict,
     predict_batch,
     predict_record,
-    predict_votes,
     train_binary_relevance,
     train_chain,
     train_lp,
@@ -90,7 +89,6 @@ __all__ = [
     "predict_batch",
     "predict_record",
     "predict_tree",
-    "predict_votes",
     "render_summary",
     "render_table",
     "render_text",

@@ -37,16 +37,7 @@ from .evaluation import (
     train_method,
 )
 from .features import FEATURE_MODES, extract_features
-from .mlc import (
-    MAJORITY_MODES,
-    ChainPayload,
-    BrPayload,
-    LpPayload,
-    MajorityPayload,
-    RakelConfig,
-    RakelPayload,
-    STRATEGIES,
-)
+from .mlc import MAJORITY_MODES, STRATEGIES, RakelConfig
 from .model_io import load_model, save_model
 from .nlg import feedback_for_records, render_text, summary_to_json
 from .synth import (
@@ -55,7 +46,7 @@ from .synth import (
     generate_dataset,
     load_synth_config,
 )
-from .tree import CRITERIA, TreeConfig, tree_stats
+from .tree import CRITERIA, TreeConfig
 
 SEED_ENV_VAR = "RAKELGEN_SEED"
 
@@ -108,17 +99,23 @@ def _parse_chain_order(text: str | None) -> tuple[int, ...] | None:
         ) from None
 
 
-def _tree_config(args, seed: int) -> TreeConfig:
-    return TreeConfig(
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        split_criterion=args.criterion,
+def _eval_options(args, **extra) -> EvalOptions:
+    """The training options that ``evaluate`` and ``train`` share, plus ``extra``."""
+    seed = resolve_seed(args.seed)
+    return EvalOptions(
         seed=seed,
+        feature_mode=args.feature_mode,
+        tree_config=TreeConfig(
+            max_depth=args.max_depth,
+            min_samples_leaf=args.min_samples_leaf,
+            split_criterion=args.criterion,
+        ),
+        rakel_config=RakelConfig(k=args.k, m=args.m, threshold=args.threshold, seed=seed),
+        chain_order=_parse_chain_order(args.chain_order),
+        majority_mode=args.majority_mode,
+        n_jobs=args.n_jobs,
+        **extra,
     )
-
-
-def _rakel_config(args, seed: int) -> RakelConfig:
-    return RakelConfig(k=args.k, m=args.m, threshold=args.threshold, seed=seed)
 
 
 def _add_registry_arg(parser):
@@ -291,18 +288,7 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     registry = _load_registry_arg(args)
     ds = _load_data(args, registry)
-    seed = resolve_seed(args.seed)
-    opts = EvalOptions(
-        n_folds=args.folds,
-        seed=seed,
-        feature_mode=args.feature_mode,
-        aggregate=args.aggregate,
-        tree_config=_tree_config(args, seed),
-        rakel_config=_rakel_config(args, seed),
-        chain_order=_parse_chain_order(args.chain_order),
-        majority_mode=args.majority_mode,
-        n_jobs=args.n_jobs,
-    )
+    opts = _eval_options(args, n_folds=args.folds, aggregate=args.aggregate)
     report = comparison_report(ds, _parse_methods(args.methods), args.reference, opts)
     print(render_table(report))
     if args.json is not None:
@@ -314,39 +300,14 @@ def cmd_evaluate(args) -> int:
 def cmd_train(args) -> int:
     registry = _load_registry_arg(args)
     ds = _load_data(args, registry)
-    seed = resolve_seed(args.seed)
-    opts = EvalOptions(
-        seed=seed,
-        feature_mode=args.feature_mode,
-        tree_config=_tree_config(args, seed),
-        rakel_config=_rakel_config(args, seed),
-        chain_order=_parse_chain_order(args.chain_order),
-        majority_mode=args.majority_mode,
-        n_jobs=args.n_jobs,
-    )
-    model = train_method(args.method, ds, opts)
+    model = train_method(args.method, ds, _eval_options(args))
     save_model(model, registry, args.out)
     print(f"strategy: {model.strategy}")
     print(f"records: {len(ds)}")
     print(f"labels: {model.n_labels}")
     print(f"weeks: {model.weeks}")
-    payload = model.payload
-    if isinstance(payload, (BrPayload, ChainPayload)):
-        stats = [tree_stats(t) for t in payload.trees]
-        print(f"trees: {len(stats)}")
-        print(f"total nodes: {sum(s['nodes'] for s in stats)}")
-        print(f"max depth: {max(s['depth'] for s in stats)}")
-    elif isinstance(payload, LpPayload):
-        stats = tree_stats(payload.tree)
-        print(f"classes: {len(payload.classes)}")
-        print(f"nodes: {stats['nodes']}")
-        print(f"depth: {stats['depth']}")
-    elif isinstance(payload, RakelPayload):
-        print(f"members: {len(payload.members)}")
-        print(f"k: {payload.config.k}")
-        print(f"threshold: {payload.config.threshold}")
-    elif isinstance(payload, MajorityPayload):
-        print(f"set bits: {sum(payload.bits)}")
+    for key, value in model.payload.summary().items():
+        print(f"{key}: {value}")
     print(f"saved: {args.out}")
     return 0
 
@@ -360,15 +321,28 @@ def cmd_feedback(args) -> int:
             f"model was trained on {model.weeks}-week series, dataset has {ds.weeks}"
         )
     summaries = feedback_for_records(model, ds.records, registry, args.trend_tolerance)
-    if args.format == "json":
-        text = json.dumps([summary_to_json(s) for s in summaries], indent=2) + "\n"
-    else:
-        text = "\n\n".join(render_text(s) for s in summaries) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        _write_feedback(sys.stdout, summaries, args.format)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            _write_feedback(handle, summaries, args.format)
     return 0
+
+
+def _write_feedback(handle, summaries, fmt: str) -> None:
+    """Write each summary as it is rendered. The bytes are those of
+    ``json.dumps(list, indent=2)``, or of the text blocks joined by blank
+    lines, plus a newline; the dataset is never empty."""
+    if fmt == "json":
+        head, between, tail = "[\n  ", ",\n  ", "\n]\n"
+
+        def render(summary):  # one list item, its lines one level deeper
+            return json.dumps(summary_to_json(summary), indent=2).replace("\n", "\n  ")
+    else:
+        head, between, tail, render = "", "\n\n", "\n", render_text
+    for index, summary in enumerate(summaries):
+        handle.write((between if index else head) + render(summary))
+    handle.write(tail)
 
 
 def cmd_inspect_features(args) -> int:

@@ -163,8 +163,8 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
     """Train one strategy on ``ds`` with the options' relevant knobs."""
     if method == "br":
         return train_binary_relevance(ds, opts.tree_config, opts.feature_mode, opts.n_jobs)
-    if method in ("chain-predicted", "chain-real"):
-        history = "real" if method == "chain-real" else "predicted"
+    if method in CHAIN_METHODS:
+        history = method.removeprefix("chain-")
         return train_chain(ds, opts.tree_config, opts.chain_order, history, opts.feature_mode)
     if method == "majority":
         return train_majority(ds, opts.majority_mode)
@@ -236,8 +236,7 @@ def cross_validate(
 
 def _with_history(chain: TrainedModel, method: str) -> TrainedModel:
     """The trained chain as a model of the given chain method."""
-    history = "real" if method == "chain-real" else "predicted"
-    return replace(chain, strategy=method, payload=replace(chain.payload, history=history))
+    return replace(chain, payload=replace(chain.payload, history=method.removeprefix("chain-")))
 
 
 def _mean(values) -> float:

@@ -122,8 +122,8 @@ def extract_features(record: StudentRecord, mode: str = "both") -> FeatureVector
 
 def trend_word(slope: float, tolerance: float = DEFAULT_TREND_TOLERANCE) -> str:
     """Map a slope to "increased" / "decreased" / "remained stable"."""
-    if tolerance < 0:
-        raise ValidationError("trend tolerance must be >= 0")
+    if not tolerance >= 0:  # NaN fails this too
+        raise ValidationError(f"trend tolerance must be >= 0, got {tolerance}")
     if abs(slope) <= tolerance:
         return "remained stable"
     return "increased" if slope > 0 else "decreased"

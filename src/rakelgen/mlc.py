@@ -23,7 +23,7 @@ import math
 import random
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -31,9 +31,10 @@ import numpy as np
 from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry
 from .errors import LabelCoverageWarning, ValidationError
 from .features import FeatureVector, feature_matrix
-from .tree import DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_tree
-
-STRATEGIES = ("br", "chain-predicted", "chain-real", "majority", "lp", "rakel")
+from .tree import (
+    DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_tree,
+    tree_from_dict, tree_stats, tree_to_dict,
+)
 
 MAJORITY_MODES = ("per-label", "labelset")
 
@@ -63,13 +64,36 @@ class RakelConfig:
             raise ValidationError("threshold must be in [0, 1]")
 
 
+# Each payload holds one strategy's trained state and owns its behaviour:
+# ``strategy`` (its name), ``predict(X, n_labels, gold) -> (bits, votes)``,
+# ``to_dict() -> (strategy_config, body)`` and ``from_dict``, which checks an
+# artifact's body against ``n_labels``, and ``summary()``, the facts that
+# ``rakelgen train`` prints. Votes are the bits themselves except for RAkEL.
+
+
 @dataclass(frozen=True)
 class BrPayload:
     trees: tuple[DecisionTree, ...]
     _stack: TreeStack = field(init=False, repr=False, compare=False)
 
+    strategy = "br"
+
     def __post_init__(self):
         object.__setattr__(self, "_stack", stack_trees(self.trees))
+
+    def predict(self, X, n_labels, gold):
+        bits = self._stack.label[descend(self._stack, X)]
+        return bits, bits.astype(float)
+
+    def to_dict(self):
+        return {}, {"trees": [tree_to_dict(t) for t in self.trees]}
+
+    @classmethod
+    def from_dict(cls, strategy, strategy_config, body, n_labels):
+        return cls(trees=_bit_trees(body["trees"], n_labels))
+
+    def summary(self):
+        return _trees_summary(self.trees)
 
 
 @dataclass(frozen=True)
@@ -78,11 +102,63 @@ class ChainPayload:
     order: tuple[int, ...]  # permutation of label indices
     history: str  # "predicted" | "real"
 
+    @property
+    def strategy(self):
+        return f"chain-{self.history}"
+
+    def predict(self, X, n_labels, gold):
+        """Position by position over all rows; ``gold`` holds a chain-real
+        model's history bits, else each position reads the earlier outputs."""
+        n, d = X.shape
+        bits = np.zeros((n, n_labels), dtype=int)
+        # columns after the features hold the history bits, in chain order
+        Xh = np.empty((n, d + n_labels))
+        Xh[:, :d] = X
+        for p, tree in enumerate(self.trees):
+            label = self.order[p]
+            bits[:, label] = predict_rows(tree, Xh[:, : d + p])
+            Xh[:, d + p] = bits[:, label] if gold is None else gold[:, label]
+        return bits, bits.astype(float)
+
+    def to_dict(self):
+        return {"order": list(self.order)}, {"trees": [tree_to_dict(t) for t in self.trees]}
+
+    @classmethod
+    def from_dict(cls, strategy, strategy_config, body, n_labels):
+        order = tuple(int(j) for j in strategy_config["order"])
+        if sorted(order) != list(range(n_labels)):
+            raise ValidationError(f"chain 'order' must be a permutation of 0..{n_labels - 1}")
+        trees = _bit_trees(body["trees"], n_labels)
+        return cls(trees=trees, order=order, history=strategy.removeprefix("chain-"))
+
+    def summary(self):
+        return _trees_summary(self.trees)
+
 
 @dataclass(frozen=True)
 class MajorityPayload:
     bits: tuple[int, ...]
     mode: str = "per-label"
+
+    strategy = "majority"
+
+    def predict(self, X, n_labels, gold):
+        bits = np.zeros((len(X), n_labels), dtype=int)
+        bits[:] = self.bits
+        return bits, bits.astype(float)
+
+    def to_dict(self):
+        return {"mode": self.mode}, {"bits": list(self.bits)}
+
+    @classmethod
+    def from_dict(cls, strategy, strategy_config, body, n_labels):
+        bits = tuple(int(b) for b in body["bits"])
+        if len(bits) != n_labels:
+            raise ValidationError(f"model has {len(bits)} 'bits' for {n_labels} labels")
+        return cls(bits=bits, mode=str(strategy_config["mode"]))
+
+    def summary(self):
+        return {"set bits": sum(self.bits)}
 
 
 @dataclass(frozen=True)
@@ -90,6 +166,40 @@ class LpPayload:
     tree: DecisionTree
     classes: tuple[frozenset[int], ...]  # class id -> set of label indices
     scope: tuple[int, ...]  # label indices this model decides
+
+    strategy = "lp"
+
+    def predict(self, X, n_labels, gold):
+        bits = _labelset_table(self, n_labels).astype(int)[predict_rows(self.tree, X)]
+        return bits, bits.astype(float)
+
+    def to_dict(self):
+        return {}, {
+            "tree": tree_to_dict(self.tree),
+            "classes": [sorted(c) for c in self.classes],
+            "scope": list(self.scope),
+        }
+
+    @classmethod
+    def from_dict(cls, strategy, strategy_config, body, n_labels):
+        tree = tree_from_dict(body["tree"])
+        scope = tuple(int(j) for j in body["scope"])
+        if len(set(scope)) != len(scope) or not all(0 <= j < n_labels for j in scope):
+            raise ValidationError(
+                f"lp 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
+            )
+        classes = tuple(frozenset(int(j) for j in c) for c in body["classes"])
+        for labelset in classes:
+            if not labelset <= set(scope):
+                raise ValidationError(
+                    f"lp 'classes' entry {sorted(labelset)} is not a subset of 'scope' {list(scope)}"
+                )
+        _check_labels(tree, len(classes), "lp", "entries of 'classes'")
+        return cls(tree=tree, classes=classes, scope=scope)
+
+    def summary(self):
+        stats = tree_stats(self.tree)
+        return {"classes": len(self.classes), "nodes": stats["nodes"], "depth": stats["depth"]}
 
 
 @dataclass(frozen=True)
@@ -105,6 +215,8 @@ class RakelPayload:
     _votes: np.ndarray = field(init=False, repr=False, compare=False)
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
 
+    strategy = "rakel"
+
     def __post_init__(self):
         scopes = [j for member in self.members for j in member.scope]
         width = max(scopes, default=-1) + 1
@@ -113,16 +225,101 @@ class RakelPayload:
         object.__setattr__(self, "_votes", np.concatenate(votes))
         object.__setattr__(self, "_coverage", np.bincount(scopes, minlength=width))
 
+    def predict(self, X, n_labels, gold):
+        """Bit j is 1 iff the mean vote of the members covering label j is
+        strictly above the threshold; labels covered by no member stay 0."""
+        leaves = descend(self._stack, X)  # (n, members)
+        width = len(self._coverage)
+        votes = np.zeros((len(X), n_labels))
+        # vote sums and counts are small integers, so each mean is one rounding
+        np.divide(
+            self._votes[leaves].sum(axis=1),
+            self._coverage,
+            out=votes[:, :width],
+            where=self._coverage > 0,
+        )
+        return (votes > self.config.threshold).astype(int), votes
+
+    def to_dict(self):
+        return asdict(self.config), {"members": [m.to_dict()[1] for m in self.members]}
+
+    @classmethod
+    def from_dict(cls, strategy, strategy_config, body, n_labels):
+        members = tuple(LpPayload.from_dict("lp", {}, m, n_labels) for m in body["members"])
+        config = RakelConfig(
+            k=int(strategy_config["k"]),
+            m=int(strategy_config["m"]),
+            threshold=float(strategy_config["threshold"]),
+            seed=int(strategy_config["seed"]),
+        )
+        return cls(members=members, config=config)
+
+    def summary(self):
+        return {"members": len(self.members), "k": self.config.k, "threshold": self.config.threshold}
+
+
+#: Strategy name -> payload class; the chain strategies share one class.
+PAYLOADS = {
+    "br": BrPayload,
+    "chain-predicted": ChainPayload,
+    "chain-real": ChainPayload,
+    "majority": MajorityPayload,
+    "lp": LpPayload,
+    "rakel": RakelPayload,
+}
+
+STRATEGIES = tuple(PAYLOADS)
+
+
+def _bit_trees(data, n_labels: int) -> tuple[DecisionTree, ...]:
+    """Per-label trees from an artifact: one per label, each predicting 0 or 1."""
+    trees = tuple(tree_from_dict(t) for t in data)
+    if len(trees) != n_labels:
+        raise ValidationError(f"model has {len(trees)} 'trees' for {n_labels} labels")
+    for tree in trees:
+        _check_labels(tree, 2, "per-label tree", "bit values")
+    return trees
+
+
+def _check_labels(tree: DecisionTree, n_classes: int, kind: str, what: str) -> None:
+    """Every node label of the tree must lie in 0..n_classes-1."""
+    bad = tree.label[(tree.label < 0) | (tree.label >= n_classes)]
+    if bad.size:
+        raise ValidationError(f"{kind} 'label' {bad[0]} does not index the {n_classes} {what}")
+
+
+def _trees_summary(trees) -> dict:
+    stats = [tree_stats(t) for t in trees]
+    return {
+        "trees": len(stats),
+        "total nodes": sum(s["nodes"] for s in stats),
+        "max depth": max(s["depth"] for s in stats),
+    }
+
 
 @dataclass(frozen=True)
 class TrainedModel:
-    strategy: str
     registry_version: str
     n_labels: int
     weeks: int
     feature_mode: str
     tree_config: TreeConfig | None
     payload: BrPayload | ChainPayload | MajorityPayload | LpPayload | RakelPayload
+
+    @property
+    def strategy(self) -> str:
+        return self.payload.strategy
+
+
+def _model(ds: Dataset, feature_mode: str, cfg: TreeConfig | None, payload) -> TrainedModel:
+    return TrainedModel(
+        registry_version=ds.registry.version,
+        n_labels=len(ds.registry),
+        weeks=ds.weeks,
+        feature_mode=feature_mode,
+        tree_config=cfg,
+        payload=payload,
+    )
 
 
 def _label_matrix(records, registry: TemplateRegistry) -> np.ndarray:
@@ -158,12 +355,6 @@ def _training_arrays(ds: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return feature_matrix(ds.records, mode), _label_matrix(ds.records, ds.registry)
 
 
-def _as_row(x: FeatureVector | np.ndarray) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(x, dtype=float).ravel()
-
-
 def train_binary_relevance(
     ds: Dataset, cfg: TreeConfig = TreeConfig(), feature_mode: str = "both", n_jobs: int = 1
 ) -> TrainedModel:
@@ -172,15 +363,7 @@ def train_binary_relevance(
     trees = _map_maybe_parallel(
         lambda j: train_tree(X, Y[:, j], cfg), range(Y.shape[1]), n_jobs
     )
-    return TrainedModel(
-        strategy="br",
-        registry_version=ds.registry.version,
-        n_labels=Y.shape[1],
-        weeks=ds.weeks,
-        feature_mode=feature_mode,
-        tree_config=cfg,
-        payload=BrPayload(trees=tuple(trees)),
-    )
+    return _model(ds, feature_mode, cfg, BrPayload(trees=tuple(trees)))
 
 
 def train_chain(
@@ -208,24 +391,8 @@ def train_chain(
         history_cols = Y[:, list(order[:p])].astype(float)
         Xp = np.hstack([X, history_cols]) if p else X
         trees.append(train_tree(Xp, Y[:, order[p]], cfg))
-    return TrainedModel(
-        strategy="chain-real" if history == "real" else "chain-predicted",
-        registry_version=ds.registry.version,
-        n_labels=n_labels,
-        weeks=ds.weeks,
-        feature_mode=feature_mode,
-        tree_config=cfg,
-        payload=ChainPayload(trees=tuple(trees), order=order, history=history),
-    )
-
-
-def predict_chain(
-    model: TrainedModel, x: FeatureVector | np.ndarray, gold: LabelVector | None = None
-) -> LabelVector:
-    """Sequential prediction; history bits come from own outputs or from gold."""
-    if not isinstance(model.payload, ChainPayload):
-        raise ValidationError(f"model strategy is {model.strategy}, not a chain")
-    return predict(model, x, gold)
+    payload = ChainPayload(trees=tuple(trees), order=order, history=history)
+    return _model(ds, feature_mode, cfg, payload)
 
 
 def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
@@ -250,15 +417,7 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
             key = tuple(int(b) for b in row)
             seen[key] = seen.get(key, 0) + 1
         bits = max(seen, key=seen.get)  # max keeps the first (earliest-seen) winner
-    return TrainedModel(
-        strategy="majority",
-        registry_version=ds.registry.version,
-        n_labels=Y.shape[1],
-        weeks=ds.weeks,
-        feature_mode="both",
-        tree_config=None,
-        payload=MajorityPayload(bits=bits, mode=mode),
-    )
+    return _model(ds, "both", None, MajorityPayload(bits=bits, mode=mode))
 
 
 def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
@@ -300,23 +459,7 @@ def train_lp(
 ) -> TrainedModel:
     """One multi-class tree over the distinct observed label combinations."""
     X, Y = _training_arrays(ds, feature_mode)
-    payload = _train_lp_payload(X, Y, tuple(range(Y.shape[1])), cfg)
-    return TrainedModel(
-        strategy="lp",
-        registry_version=ds.registry.version,
-        n_labels=Y.shape[1],
-        weeks=ds.weeks,
-        feature_mode=feature_mode,
-        tree_config=cfg,
-        payload=payload,
-    )
-
-
-def predict_lp(model: TrainedModel, x: FeatureVector | np.ndarray) -> LabelVector:
-    """Decode the predicted class back to its label set (always an observed one)."""
-    if not isinstance(model.payload, LpPayload):
-        raise ValidationError(f"model strategy is {model.strategy}, not lp")
-    return predict(model, x)
+    return _model(ds, feature_mode, cfg, _train_lp_payload(X, Y, tuple(range(Y.shape[1])), cfg))
 
 
 def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
@@ -376,48 +519,17 @@ def train_rakel(
     members = _map_maybe_parallel(
         lambda s: _train_lp_payload(X, Y, s, tcfg), subsets, n_jobs
     )
-    return TrainedModel(
-        strategy="rakel",
-        registry_version=ds.registry.version,
-        n_labels=n_labels,
-        weeks=ds.weeks,
-        feature_mode=feature_mode,
-        tree_config=tcfg,
-        payload=RakelPayload(members=tuple(members), config=resolved),
-    )
-
-
-def predict_rakel(
-    model: TrainedModel, x: FeatureVector | np.ndarray, threshold: float | None = None
-) -> LabelVector:
-    """Average member votes per label; bit j is 1 iff the mean strictly exceeds the
-    threshold. Labels covered by no member stay 0."""
-    payload = model.payload
-    if not isinstance(payload, RakelPayload):
-        raise ValidationError(f"model strategy is {model.strategy}, not rakel")
-    t = payload.config.threshold if threshold is None else threshold
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError("threshold must be in [0, 1]")
-    _, means = predict_votes(model, x)
-    return LabelVector(tuple(int(v > t) for v in means))
+    return _model(ds, feature_mode, tcfg, RakelPayload(members=tuple(members), config=resolved))
 
 
 def predict(
     model: TrainedModel, x: FeatureVector | np.ndarray, gold: LabelVector | None = None
 ) -> LabelVector:
-    """Strategy dispatch. ``gold`` is required by (and only by) chain-real models."""
-    vector, _ = predict_votes(model, x, gold)
-    return vector
-
-
-def predict_votes(
-    model: TrainedModel, x: FeatureVector | np.ndarray, gold: LabelVector | None = None
-) -> tuple[LabelVector, tuple[float, ...]]:
-    """Prediction plus per-label vote strengths (vote means for rakel, the bit
-    itself for strategies without a vote notion)."""
-    gold_row = None if gold is None else np.array([gold.bits])
-    bits, votes = predict_batch(model, _as_row(x)[None, :], gold_row)
-    return LabelVector(tuple(bits[0].tolist())), tuple(votes[0].tolist())
+    """``predict_batch`` of one feature row. ``gold`` is required by (and only
+    by) chain-real models."""
+    row = np.asarray(getattr(x, "values", x), dtype=float).reshape(1, -1)
+    bits, _ = predict_batch(model, row, None if gold is None else np.array([gold.bits]))
+    return LabelVector(tuple(bits[0].tolist()))
 
 
 def predict_record(
@@ -446,10 +558,9 @@ def predict_batch(
     other strategies. ``gold`` (n, L) holds the history bits of a chain-real
     model (see ``gold_matrix``), and only such a model takes it.
     """
-    payload = model.payload
     X = np.asarray(X, dtype=float)
     n, n_labels = len(X), model.n_labels
-    real_history = isinstance(payload, ChainPayload) and payload.history == "real"
+    real_history = model.strategy == "chain-real"
     if real_history != (gold is not None):
         raise ValidationError(
             "real-history chain prediction requires a gold label vector"
@@ -460,36 +571,7 @@ def predict_batch(
         raise ValidationError(
             f"gold matrix shape {np.shape(gold)} does not match ({n}, {n_labels})"
         )
-    if isinstance(payload, RakelPayload):
-        leaves = descend(payload._stack, X)  # (n, members)
-        width = len(payload._coverage)
-        votes = np.zeros((n, n_labels))
-        # vote sums and counts are small integers, so each mean is one rounding
-        np.divide(
-            payload._votes[leaves].sum(axis=1),
-            payload._coverage,
-            out=votes[:, :width],
-            where=payload._coverage > 0,
-        )
-        return (votes > payload.config.threshold).astype(int), votes
-    bits = np.zeros((n, n_labels), dtype=int)
-    if isinstance(payload, ChainPayload):
-        # columns after the features hold the history bits, in chain order
-        Xh = np.empty((n, X.shape[1] + n_labels))
-        Xh[:, : X.shape[1]] = X
-        for p, tree in enumerate(payload.trees):
-            label = payload.order[p]
-            bits[:, label] = predict_rows(tree, Xh[:, : X.shape[1] + p])
-            Xh[:, X.shape[1] + p] = gold[:, label] if real_history else bits[:, label]
-    elif isinstance(payload, BrPayload):
-        bits = payload._stack.label[descend(payload._stack, X)]
-    elif isinstance(payload, MajorityPayload):
-        bits[:] = payload.bits
-    elif isinstance(payload, LpPayload):
-        bits = _labelset_table(payload, n_labels).astype(int)[predict_rows(payload.tree, X)]
-    else:
-        raise ValidationError(f"unknown payload type {type(payload).__name__}")
-    return bits, bits.astype(float)
+    return model.payload.predict(X, n_labels, gold)
 
 
 def _map_maybe_parallel(fn, items, n_jobs: int) -> list:

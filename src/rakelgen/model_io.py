@@ -4,30 +4,26 @@ The artifact pins the registry it was trained against by content hash, so a
 model can never silently be applied to a registry with reordered, changed, or
 missing templates. Serialization is canonical (sorted keys, fixed layout):
 saving, loading, and saving again yields byte-identical files.
+
+This module writes and checks the envelope; each payload class in ``mlc``
+writes and checks its own ``strategy_config`` and ``payload`` body.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .domain import TemplateRegistry, registry_to_dict
 from .errors import ValidationError
-from .mlc import (
-    BrPayload,
-    ChainPayload,
-    LpPayload,
-    MajorityPayload,
-    RakelConfig,
-    RakelPayload,
-    TrainedModel,
-)
-from .tree import DecisionTree, TreeConfig, tree_from_dict, tree_to_dict
+from .mlc import PAYLOADS, TrainedModel
+from .tree import TreeConfig
 
-#: Version 2 stores each tree as flat node arrays (``tree.tree_to_dict``);
-#: version 1 artifacts, with nested nodes, are rejected.
-FORMAT_VERSION = "2"
+#: Version 3 drops ``tree_config.seed`` and chain ``strategy_config.history``
+#: (the strategy name carries it); version 2 and 1 artifacts are rejected.
+FORMAT_VERSION = "3"
 
 
 def registry_hash(registry: TemplateRegistry) -> str:
@@ -38,17 +34,6 @@ def registry_hash(registry: TemplateRegistry) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _tree_config_to_dict(cfg: TreeConfig | None) -> dict | None:
-    if cfg is None:
-        return None
-    return {
-        "max_depth": cfg.max_depth,
-        "min_samples_leaf": cfg.min_samples_leaf,
-        "split_criterion": cfg.split_criterion,
-        "seed": cfg.seed,
-    }
-
-
 def _tree_config_from_dict(data: dict | None) -> TreeConfig | None:
     if data is None:
         return None
@@ -56,40 +41,7 @@ def _tree_config_from_dict(data: dict | None) -> TreeConfig | None:
         max_depth=data["max_depth"],
         min_samples_leaf=int(data["min_samples_leaf"]),
         split_criterion=str(data["split_criterion"]),
-        seed=int(data["seed"]),
     )
-
-
-def _lp_to_dict(payload: LpPayload) -> dict:
-    return {
-        "tree": tree_to_dict(payload.tree),
-        "classes": [sorted(c) for c in payload.classes],
-        "scope": list(payload.scope),
-    }
-
-
-def _lp_from_dict(data: dict, cfg: TreeConfig, n_labels: int) -> LpPayload:
-    tree = tree_from_dict(data["tree"], cfg)
-    scope = tuple(int(j) for j in data["scope"])
-    if len(set(scope)) != len(scope) or not all(0 <= j < n_labels for j in scope):
-        raise ValidationError(
-            f"lp 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
-        )
-    classes = tuple(frozenset(int(j) for j in c) for c in data["classes"])
-    for labelset in classes:
-        if not labelset <= set(scope):
-            raise ValidationError(
-                f"lp 'classes' entry {sorted(labelset)} is not a subset of 'scope' {list(scope)}"
-            )
-    _check_labels(tree, len(classes), "lp", "entries of 'classes'")
-    return LpPayload(tree=tree, classes=classes, scope=scope)
-
-
-def _check_labels(tree: DecisionTree, n_classes: int, kind: str, what: str) -> None:
-    """Every node label of the tree must lie in 0..n_classes-1."""
-    bad = tree.label[(tree.label < 0) | (tree.label >= n_classes)]
-    if bad.size:
-        raise ValidationError(f"{kind} 'label' {bad[0]} does not index the {n_classes} {what}")
 
 
 def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
@@ -98,30 +50,7 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
             f"registry version {registry.version!r} does not match the model's "
             f"{model.registry_version!r}"
         )
-    payload = model.payload
-    if isinstance(payload, BrPayload):
-        strategy_config: dict = {}
-        body = {"trees": [tree_to_dict(t) for t in payload.trees]}
-    elif isinstance(payload, ChainPayload):
-        strategy_config = {"order": list(payload.order), "history": payload.history}
-        body = {"trees": [tree_to_dict(t) for t in payload.trees]}
-    elif isinstance(payload, MajorityPayload):
-        strategy_config = {"mode": payload.mode}
-        body = {"bits": list(payload.bits)}
-    elif isinstance(payload, LpPayload):
-        strategy_config = {}
-        body = _lp_to_dict(payload)
-    elif isinstance(payload, RakelPayload):
-        cfg = payload.config
-        strategy_config = {
-            "k": cfg.k,
-            "m": cfg.m,
-            "threshold": cfg.threshold,
-            "seed": cfg.seed,
-        }
-        body = {"members": [_lp_to_dict(member) for member in payload.members]}
-    else:
-        raise ValidationError(f"unknown payload type {type(payload).__name__}")
+    strategy_config, body = model.payload.to_dict()
     return {
         "format_version": FORMAT_VERSION,
         "strategy": model.strategy,
@@ -130,31 +59,10 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
         "n_labels": model.n_labels,
         "weeks": model.weeks,
         "feature_mode": model.feature_mode,
-        "tree_config": _tree_config_to_dict(model.tree_config),
+        "tree_config": None if model.tree_config is None else asdict(model.tree_config),
         "strategy_config": strategy_config,
         "payload": body,
     }
-
-
-def _check_label_axis(payload, strategy: str, n_labels: int) -> None:
-    """Per-label payload fields must have one entry per label: prediction
-    indexes its label columns by them."""
-    if isinstance(payload, (BrPayload, ChainPayload)):
-        if len(payload.trees) != n_labels:
-            raise ValidationError(f"model has {len(payload.trees)} 'trees' for {n_labels} labels")
-        for tree in payload.trees:
-            _check_labels(tree, 2, "per-label tree", "bit values")
-    if isinstance(payload, MajorityPayload) and len(payload.bits) != n_labels:
-        raise ValidationError(f"model has {len(payload.bits)} 'bits' for {n_labels} labels")
-    if isinstance(payload, ChainPayload):
-        if sorted(payload.order) != list(range(n_labels)):
-            raise ValidationError(
-                f"chain 'order' must be a permutation of 0..{n_labels - 1}"
-            )
-        if f"chain-{payload.history}" != strategy:
-            raise ValidationError(
-                f"chain 'history' {payload.history!r} does not match strategy {strategy!r}"
-            )
 
 
 def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
@@ -181,42 +89,12 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
                 f"{len(registry)} templates"
             )
         tree_config = _tree_config_from_dict(data["tree_config"])
-        strategy_config = data["strategy_config"]
-        body = data["payload"]
-        if strategy == "br":
-            payload = BrPayload(
-                trees=tuple(tree_from_dict(t, tree_config) for t in body["trees"])
-            )
-        elif strategy in ("chain-predicted", "chain-real"):
-            payload = ChainPayload(
-                trees=tuple(tree_from_dict(t, tree_config) for t in body["trees"]),
-                order=tuple(int(j) for j in strategy_config["order"]),
-                history=str(strategy_config["history"]),
-            )
-        elif strategy == "majority":
-            payload = MajorityPayload(
-                bits=tuple(int(b) for b in body["bits"]),
-                mode=str(strategy_config["mode"]),
-            )
-        elif strategy == "lp":
-            payload = _lp_from_dict(body, tree_config, n_labels)
-        elif strategy == "rakel":
-            payload = RakelPayload(
-                members=tuple(
-                    _lp_from_dict(m, tree_config, n_labels) for m in body["members"]
-                ),
-                config=RakelConfig(
-                    k=int(strategy_config["k"]),
-                    m=int(strategy_config["m"]),
-                    threshold=float(strategy_config["threshold"]),
-                    seed=int(strategy_config["seed"]),
-                ),
-            )
-        else:
+        if strategy not in PAYLOADS:
             raise ValidationError(f"unknown strategy {strategy!r} in model artifact")
-        _check_label_axis(payload, strategy, n_labels)
+        payload = PAYLOADS[strategy].from_dict(
+            strategy, data["strategy_config"], data["payload"], n_labels
+        )
         return TrainedModel(
-            strategy=strategy,
             registry_version=str(data["registry_version"]),
             n_labels=n_labels,
             weeks=int(data["weeks"]),

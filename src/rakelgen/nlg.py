@@ -8,6 +8,7 @@ rendered in factor code order, with slots filled from the student's series.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .domain import (
@@ -140,21 +141,29 @@ def feedback_for_records(
     records,
     registry: TemplateRegistry,
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
-) -> list[Summary]:
+) -> Iterator[Summary]:
     """Predict, resolve conflicts, render: one summary per student, in order.
 
-    Records are predicted ``_CHUNK_ROWS`` at a time, one feature matrix each.
+    The tolerance and the gold labels a chain-real model needs are checked
+    here; the summaries are then yielded as they are rendered. Records are
+    predicted ``_CHUNK_ROWS`` at a time, one feature matrix each.
     """
-    summaries = []
+    if not trend_tolerance >= 0:  # NaN fails this too
+        raise ValidationError(f"trend tolerance must be >= 0, got {trend_tolerance}")
+    gold = gold_matrix(model, records, registry)
+    return _summaries(model, records, registry, gold, trend_tolerance)
+
+
+def _summaries(model, records, registry, gold, trend_tolerance) -> Iterator[Summary]:
     for head in range(0, len(records), _CHUNK_ROWS):
         chunk = records[head : head + _CHUNK_ROWS]
         X = feature_matrix(chunk, model.feature_mode)
-        bits, votes = predict_batch(model, X, gold_matrix(model, chunk, registry))
+        chunk_gold = None if gold is None else gold[head : head + _CHUNK_ROWS]
+        bits, votes = predict_batch(model, X, chunk_gold)
         for record, row_bits, row_votes in zip(chunk, bits.tolist(), votes.tolist()):
             prediction = LabelVector(tuple(row_bits))
             selection = select_templates(prediction, registry, tuple(row_votes))
-            summaries.append(render_summary(selection, record, trend_tolerance))
-    return summaries
+            yield render_summary(selection, record, trend_tolerance)
 
 
 def feedback_for_record(
@@ -164,7 +173,7 @@ def feedback_for_record(
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
 ) -> Summary:
     """Predict, resolve conflicts, render: one summary for one student."""
-    return feedback_for_records(model, [record], registry, trend_tolerance)[0]
+    return next(feedback_for_records(model, [record], registry, trend_tolerance))
 
 
 def render_text(summary: Summary) -> str:

@@ -17,8 +17,9 @@ uniformly, emulating disagreeing annotators.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -114,6 +115,13 @@ class SynthConfig:
         missing = [f.key for f in FactorId if f not in self.policy]
         if missing:
             raise ValidationError(f"missing policy thresholds for: {missing}")
+        for section, entries in (("factors", self.factors), ("policy", self.policy)):
+            for factor, params in entries.items():
+                for name, value in asdict(params).items():
+                    if not math.isfinite(value):
+                        raise ValidationError(
+                            f"{section} {factor.key}: {name} must be finite, got {value}"
+                        )
 
 
 def build_correlation_matrix(

@@ -33,16 +33,11 @@ CRITERIA = ("gini", "entropy")
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Hyperparameters for tree induction.
-
-    ``seed`` is carried for reproducibility bookkeeping; the learner itself is
-    deterministic and does not consume it.
-    """
+    """Hyperparameters for tree induction."""
 
     max_depth: int | None = None
     min_samples_leaf: int = 1
     split_criterion: str = "gini"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
@@ -76,7 +71,6 @@ class DecisionTree:
     label: np.ndarray
     count: np.ndarray
     n_features: int
-    config: TreeConfig
 
     def __post_init__(self):
         for name in NODE_ARRAYS:
@@ -84,27 +78,6 @@ class DecisionTree:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-
-def impurity(labels, criterion: str = "gini") -> float:
-    """Gini or entropy impurity of a label multiset."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0.0
-    _, counts = np.unique(labels, return_counts=True)
-    return float(_impurity_from_counts(counts[None, :], criterion)[0])
-
-
-def split_gain(left_labels, right_labels, criterion: str = "gini") -> float:
-    """Impurity decrease of splitting the pooled labels into the two given halves."""
-    left = np.asarray(left_labels)
-    right = np.asarray(right_labels)
-    parent = np.concatenate([left, right])
-    n = parent.size
-    weighted = (
-        left.size * impurity(left, criterion) + right.size * impurity(right, criterion)
-    ) / n
-    return impurity(parent, criterion) - weighted
 
 
 def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -302,7 +275,7 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
     if not np.isfinite(X).all():
         raise ValidationError("feature matrix has non-finite values")
     classes, codes = np.unique(y, return_inverse=True)
-    return DecisionTree(**_grow(X, codes, classes, config), n_features=X.shape[1], config=config)
+    return DecisionTree(**_grow(X, codes, classes, config), n_features=X.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,14 +375,12 @@ def _reject_first(bad: np.ndarray, message) -> None:
         raise ValidationError(message(int(flagged[0])))
 
 
-def tree_from_dict(data: dict, config: TreeConfig) -> DecisionTree:
+def tree_from_dict(data: dict) -> DecisionTree:
     """Rebuild a tree from ``tree_to_dict`` output, checking that its arrays
     form one tree, so a descent ends at a leaf after at most ``n_nodes`` steps
     and never indexes outside the arrays or the feature row."""
     n_features = int(data["n_features"])
-    tree = DecisionTree(
-        **{name: data[name] for name in NODE_ARRAYS}, n_features=n_features, config=config
-    )
+    tree = DecisionTree(**{name: data[name] for name in NODE_ARRAYS}, n_features=n_features)
     n_nodes = tree.label.size
     shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}
     if n_nodes == 0 or set(shapes.values()) != {(n_nodes,)}:

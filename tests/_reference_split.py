@@ -3,7 +3,8 @@
 It scores every cut from an (n, d, C) cumulative class-count array, so its time
 and memory grow with the class count. It stays here as the oracle that the
 differential tests compare the production splitter against, tie choices
-included.
+included. ``impurity`` and ``split_gain`` score one label multiset and one
+split by hand, for tests of the impurity formulas.
 """
 
 from __future__ import annotations
@@ -11,6 +12,27 @@ from __future__ import annotations
 import numpy as np
 
 from rakelgen.tree import TreeConfig, _impurity_from_counts
+
+
+def impurity(labels, criterion: str = "gini") -> float:
+    """Gini or entropy impurity of a label multiset."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        return 0.0
+    _, counts = np.unique(labels, return_counts=True)
+    return float(_impurity_from_counts(counts[None, :], criterion)[0])
+
+
+def split_gain(left_labels, right_labels, criterion: str = "gini") -> float:
+    """Impurity decrease of splitting the pooled labels into the two given halves."""
+    left = np.asarray(left_labels)
+    right = np.asarray(right_labels)
+    parent = np.concatenate([left, right])
+    n = parent.size
+    weighted = (
+        left.size * impurity(left, criterion) + right.size * impurity(right, criterion)
+    ) / n
+    return impurity(parent, criterion) - weighted
 
 
 def reference_best_split(X: np.ndarray, codes: np.ndarray, n_classes: int, cfg: TreeConfig):

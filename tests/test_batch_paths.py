@@ -24,8 +24,8 @@ from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
     predict_batch,
+    predict,
     predict_record,
-    predict_votes,
     train_binary_relevance,
     train_chain,
     train_lp,
@@ -198,9 +198,11 @@ class TestPredictBatch:
         for i in (0, len(records) - 1):
             assert predict_record(model, records[i], ds.registry).bits == tuple(bits[i].tolist())
             one_gold = None if gold is None else LabelVector(tuple(gold[i].tolist()))
-            vector, one_votes = predict_votes(model, X[i], one_gold)
-            assert vector.bits == tuple(bits[i].tolist())
-            assert one_votes == tuple(votes[i].tolist())
+            assert predict(model, X[i], one_gold).bits == tuple(bits[i].tolist())
+            gold_row = None if gold is None else gold[i : i + 1]
+            one_bits, one_votes = predict_batch(model, X[i : i + 1], gold_row)
+            assert one_bits.tolist() == [bits[i].tolist()]
+            assert (_bits(one_votes[0]) == _bits(votes[i])).all()
 
     @pytest.mark.parametrize("history", ["real", "predicted"])
     def test_chain_reads_its_history_columns(self, history):

@@ -116,6 +116,18 @@ class TestGenerate:
         assert code == 2
         assert "positive definite" in stderr
 
+    def test_non_finite_config_field_exit_2(self, tmp_path, capsys):
+        data = config_to_dict(default_synth_config(n_students=5))
+        data["factors"]["marks"]["noise_std"] = float("nan")
+        config_path = tmp_path / "nan.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, stderr = _run(
+            ["generate", "--out", str(tmp_path / "x.jsonl"), "--config", str(config_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "factors marks: noise_std must be finite, got nan" in stderr
+
     def test_unwritable_output_is_internal_error(self, tmp_path, capsys):
         code, _, stderr = _run(
             ["generate", "--out", str(tmp_path), "--count", "5"], capsys
@@ -289,6 +301,30 @@ class TestTrain:
         model = load_model(model_path, default_registry())
         assert len(model.payload.bits) == 29
 
+    SUMMARIES = {
+        "br": "trees: 29\ntotal nodes: 105\nmax depth: 3\n",
+        "chain-predicted": "trees: 29\ntotal nodes: 105\nmax depth: 3\n",
+        "chain-real": "trees: 29\ntotal nodes: 105\nmax depth: 3\n",
+        "majority": "set bits: 1\n",
+        "lp": "classes: 14\nnodes: 27\ndepth: 9\n",
+        "rakel": "members: 58\nk: 3\nthreshold: 0.5\n",
+    }
+
+    @pytest.mark.parametrize("method", SUMMARIES)
+    def test_full_stdout(self, method, data_path, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code, stdout, _ = _run(
+            ["train", "--data", str(data_path), "--method", method,
+             "--out", str(model_path), "--seed", "0"],
+            capsys,
+        )
+        assert code == 0
+        assert stdout == (
+            f"strategy: {method}\nrecords: 14\nlabels: 29\nweeks: 10\n"
+            + self.SUMMARIES[method]
+            + f"saved: {model_path}\n"
+        )
+
     def test_artifacts_deterministic_across_jobs(self, data_path, tmp_path, capsys):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -382,6 +418,18 @@ class TestFeedback:
                 for item in entry["feedback"]
             ]
             assert len(factors) == len(set(factors))
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-0.5"])
+    def test_bad_trend_tolerance_exit_2(self, data_path, model_path, tolerance, tmp_path, capsys):
+        out = tmp_path / "feedback.txt"
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path),
+             "--trend-tolerance", tolerance, "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert f"trend tolerance must be >= 0, got {float(tolerance)}" in stderr
+        assert not out.exists()
 
     def test_corrupted_artifact_exit_2(self, data_path, tmp_path, capsys):
         model_path = tmp_path / "lp.json"

@@ -77,6 +77,10 @@ class TestTrendWord:
         with pytest.raises(ValidationError):
             trend_word(0.1, tolerance=-0.5)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="got nan"):
+            trend_word(0.0, tolerance=float("nan"))
+
 
 class TestSchema:
     def test_lengths_by_mode(self):

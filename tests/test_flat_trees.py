@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import sys
 import warnings
@@ -155,7 +156,7 @@ def _chain_tree(depth: int, n_features: int) -> DecisionTree:
     label = np.arange(2 * depth + 1) // 2 % 2
     count = np.ones(2 * depth + 1, dtype=int)
     count[2 * k] = depth - k + 1
-    return DecisionTree(feature, threshold, left, right, label, count, n_features, TreeConfig())
+    return DecisionTree(feature, threshold, left, right, label, count, n_features)
 
 
 class TestDeepTrees:
@@ -167,7 +168,7 @@ class TestDeepTrees:
             classes=(frozenset(), frozenset({0, 28})),
             scope=tuple(range(29)),
         )
-        model = TrainedModel("lp", registry.version, 29, 10, "both", TreeConfig(), payload)
+        model = TrainedModel(registry.version, 29, 10, "both", TreeConfig(), payload)
         path = tmp_path / "deep.json"
         save_model(model, registry, path)
         loaded = load_model(path, registry)
@@ -213,17 +214,23 @@ def _frames() -> list:
 
 
 class TestArtifactChecks:
-    def test_v1_artifact_rejected(self, ds37, registry, tmp_path):
+    def _rejects_version(self, version, ds37, registry, tmp_path):
         path = tmp_path / "model.json"
         save_model(train_majority(ds37), registry, path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        data["format_version"] = "1"
+        data["format_version"] = version
         path.write_text(json.dumps(data), encoding="utf-8")
         data_path = tmp_path / "data.jsonl"
         save_dataset(ds37, data_path)
         code, stderr = _feedback(data_path, path)
         assert code == 2
-        assert "format version '1'; expected '2'" in stderr
+        assert f"format version '{version}'; expected '3'" in stderr
+
+    def test_v1_artifact_rejected(self, ds37, registry, tmp_path):
+        self._rejects_version("1", ds37, registry, tmp_path)
+
+    def test_v2_artifact_rejected(self, ds37, registry, tmp_path):
+        self._rejects_version("2", ds37, registry, tmp_path)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -241,7 +248,7 @@ class TestArtifactChecks:
         data = tree_to_dict(train_tree([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1]))
         mutate(data)
         with pytest.raises(ValidationError, match=message):
-            tree_from_dict(data, TreeConfig())
+            tree_from_dict(data)
 
     def test_per_label_tree_labels_are_bits(self, ds37, registry):
         data = model_to_dict(train_binary_relevance(ds37), registry)
@@ -332,3 +339,79 @@ def test_fuzzed_artifacts_exit_2(fuzz_base):
         assert "validation error" in stderr
 
     check()
+
+
+CHAINS = {"chain-predicted", "chain-real"}
+
+#: Values that replace an envelope field: wrong types, out-of-range numbers, NaN.
+RETYPES = ["abc", 7, 7.5, -1, 2**70, float("nan"), True, None, [], [[0]], {}]
+
+
+@pytest.fixture(scope="module")
+def envelope_base(registry, tmp_path_factory):
+    """A 12-student labeled cohort and the v3 artifacts of all six strategies."""
+    work = tmp_path_factory.mktemp("envelope")
+    ds = generate_dataset(default_synth_config(n_students=12, weeks=4, seed=3), registry)
+    save_dataset(ds, work / "data.jsonl")
+    cfg = TreeConfig(max_depth=3)
+    models = {
+        "br": train_binary_relevance(ds, cfg),
+        "chain-predicted": train_chain(ds, cfg, history="predicted"),
+        "chain-real": train_chain(ds, cfg, history="real"),
+        "majority": train_majority(ds),
+        "lp": train_lp(ds, cfg),
+        "rakel": _quiet(train_rakel, ds, RakelConfig(k=3, m=4, seed=0), cfg),
+    }
+    return work, {name: model_to_dict(model, registry) for name, model in models.items()}
+
+
+@st.composite
+def envelope_mutations(draw, artifacts):
+    """A copy of one artifact with its strategy relabelled, or one key of the
+    top level, ``strategy_config`` or ``payload`` deleted or retyped; the
+    description, and whether the relabel makes another valid artifact."""
+    strategy = draw(st.sampled_from(sorted(artifacts)))
+    data = copy.deepcopy(artifacts[strategy])
+    kind = draw(st.sampled_from(["relabel", "delete", "retype"]))
+    if kind == "relabel":
+        other = draw(st.sampled_from(sorted(set(artifacts) - {strategy})))
+        data["strategy"] = other
+        return data, f"{strategy} relabelled {other}", {strategy, other} == CHAINS
+    levels = [level for level in (data, data["strategy_config"], data["payload"]) if level]
+    level = draw(st.sampled_from(levels))
+    key = draw(st.sampled_from(sorted(level)))
+    if kind == "delete":
+        del level[key]
+        return data, f"{strategy} without {key}", None
+    level[key] = draw(st.sampled_from(RETYPES))
+    return data, f"{strategy} {key} = {level[key]!r}", None
+
+
+def test_fuzzed_envelopes_never_exit_1(envelope_base):
+    work, artifacts = envelope_base
+
+    @given(envelope_mutations(artifacts))
+    def check(mutation):
+        data, what, valid_relabel = mutation
+        path = work / "mutated.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, stderr = _feedback(work / "data.jsonl", path)
+        assert code in (0, 2), (what, stderr)
+        if code == 2:
+            assert "validation error" in stderr, (what, stderr)
+        if valid_relabel is not None:
+            assert code == (0 if valid_relabel else 2), (what, stderr)
+
+    check()
+
+
+def test_relabelled_envelopes_exit_2_except_chains(envelope_base):
+    """Every strategy relabelled as every other: only the two chain strategies,
+    which share a payload, load as each other."""
+    work, artifacts = envelope_base
+    path = work / "relabelled.json"
+    for strategy, other in itertools.permutations(sorted(artifacts), 2):
+        data = dict(artifacts[strategy], strategy=other)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, stderr = _feedback(work / "data.jsonl", path)
+        assert code == (0 if {strategy, other} == CHAINS else 2), (strategy, other, stderr)

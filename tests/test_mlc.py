@@ -21,11 +21,8 @@ from rakelgen.mlc import (
     TrainedModel,
     lp_transform,
     predict,
-    predict_chain,
-    predict_lp,
-    predict_rakel,
+    predict_batch,
     predict_record,
-    predict_votes,
     sample_labelsets,
     train_binary_relevance,
     train_chain,
@@ -145,23 +142,23 @@ class TestChain:
         model = train_chain(ds, history="real")
         x = _flat_marks_input(3.0)
         with pytest.raises(ValidationError, match="gold"):
-            predict_chain(model, x)
+            predict(model, x)
         gold = LabelVector((1, 1))
-        assert len(predict_chain(model, x, gold)) == 2
+        assert len(predict(model, x, gold)) == 2
 
     def test_predicted_history_rejects_gold(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_chain(ds, history="predicted")
         with pytest.raises(ValidationError):
-            predict_chain(model, _flat_marks_input(3.0), LabelVector((1, 1)))
+            predict(model, _flat_marks_input(3.0), LabelVector((1, 1)))
 
     def test_gold_length_checked(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_chain(ds, history="real")
         with pytest.raises(ValidationError):
-            predict_chain(model, _flat_marks_input(3.0), LabelVector((1, 1, 0)))
+            predict(model, _flat_marks_input(3.0), LabelVector((1, 1, 0)))
 
     def test_later_gold_bits_cannot_affect_earlier_positions(self):
         registry = tiny_registry(3)
@@ -176,8 +173,8 @@ class TestChain:
         ds = marks_dataset(registry, rows)
         model = train_chain(ds, history="real")
         x = _flat_marks_input(4.2)
-        base = predict_chain(model, x, LabelVector((1, 1, 0))).bits
-        flipped = predict_chain(model, x, LabelVector((1, 1, 1))).bits
+        base = predict(model, x, LabelVector((1, 1, 0))).bits
+        flipped = predict(model, x, LabelVector((1, 1, 1))).bits
         assert base[:2] == flipped[:2]
 
     def test_custom_order_round_trip(self):
@@ -358,7 +355,6 @@ def _stub_member(n_features: int, labelset: frozenset[int], scope: tuple[int, ..
     tree = DecisionTree(
         feature=[-1], threshold=[0.0], left=[-1], right=[-1], label=[0], count=[1],
         n_features=n_features,
-        config=TreeConfig(),
     )
     return LpPayload(tree=tree, classes=(labelset,), scope=scope)
 
@@ -366,7 +362,6 @@ def _stub_member(n_features: int, labelset: frozenset[int], scope: tuple[int, ..
 def _stub_rakel(members, n_labels: int, threshold: float = 0.5):
     n_features = members[0].tree.n_features
     return TrainedModel(
-        strategy="rakel",
         registry_version="stub",
         n_labels=n_labels,
         weeks=4,
@@ -392,7 +387,7 @@ class TestRakelVoting:
             _stub_member(self.N_FEATURES, frozenset(), (0,)),
         ]
         model = _stub_rakel(members, n_labels=1)
-        assert predict_rakel(model, self._x()).bits == (1,)
+        assert predict(model, self._x()).bits == (1,)
 
     def test_exact_threshold_clears_bit(self):
         members = [
@@ -400,19 +395,19 @@ class TestRakelVoting:
             _stub_member(self.N_FEATURES, frozenset(), (0,)),
         ]
         model = _stub_rakel(members, n_labels=1, threshold=0.5)
-        assert predict_rakel(model, self._x()).bits == (0,)
+        assert predict(model, self._x()).bits == (0,)
 
     def test_uncovered_label_stays_clear(self):
         members = [_stub_member(self.N_FEATURES, frozenset({0}), (0,))]
         model = _stub_rakel(members, n_labels=2)
-        vector, votes = predict_votes(model, self._x())
-        assert vector.bits == (1, 0)
-        assert votes == (1.0, 0.0)
+        bits, votes = predict_batch(model, self._x()[None, :])
+        assert bits.tolist() == [[1, 0]]
+        assert votes.tolist() == [[1.0, 0.0]]
 
     def test_zero_threshold_still_strict(self):
         members = [_stub_member(self.N_FEATURES, frozenset(), (0,))]
         model = _stub_rakel(members, n_labels=1, threshold=0.0)
-        assert predict_rakel(model, self._x()).bits == (0,)
+        assert predict(model, self._x()).bits == (0,)
 
 
 class TestRakelTraining:
@@ -462,8 +457,9 @@ class TestRakelTraining:
             model = train_rakel(ds37, RakelConfig(k=3, m=12, seed=3))
         record = ds37.records[0]
         x = extract_features(record, "both")
-        vector, votes = predict_votes(model, x)
         row = np.asarray(x.values)
+        bits, votes = predict_batch(model, row[None, :])
+        bits, votes = bits[0].tolist(), votes[0].tolist()
         for j in range(model.n_labels):
             covering = [m for m in model.payload.members if j in m.scope]
             if not covering:
@@ -474,7 +470,7 @@ class TestRakelTraining:
                 for m in covering
             ]
             assert votes[j] == pytest.approx(sum(hits) / len(hits))
-            assert vector.bits[j] == (1 if votes[j] > 0.5 else 0)
+            assert bits[j] == (1 if votes[j] > 0.5 else 0)
 
 
 class TestConfigAndDispatch:

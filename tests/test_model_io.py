@@ -96,6 +96,24 @@ class TestRoundTrip:
             "payload",
         }
 
+    @pytest.mark.parametrize("method", ["chain-predicted", "chain-real"])
+    def test_v3_stores_no_seed_or_history(self, method, ds37, registry):
+        data = model_to_dict(_train(method, ds37), registry)
+        assert data["format_version"] == "3"
+        assert data["strategy"] == method
+        assert data["tree_config"] == {
+            "max_depth": None, "min_samples_leaf": 1, "split_criterion": "gini"
+        }
+        assert data["strategy_config"] == {"order": list(range(29))}
+
+    def test_chain_relabel_loads_as_the_other_chain(self, ds37, registry):
+        data = model_to_dict(_train("chain-predicted", ds37), registry)
+        data["strategy"] = "chain-real"
+        loaded = model_from_dict(data, registry)
+        assert loaded.strategy == "chain-real"
+        assert loaded.payload.history == "real"
+        assert model_to_dict(loaded, registry) == data
+
 
 class TestRegistryBinding:
     def test_load_with_modified_registry_fails(self, ds37, registry, tmp_path):
@@ -282,11 +300,6 @@ class TestLabelAxis:
                 "chain-predicted",
                 lambda d: d["strategy_config"]["order"].__setitem__(0, 1),
                 "'order' must be a permutation",
-            ),
-            (
-                "chain-real",
-                lambda d: d["strategy_config"].__setitem__("history", "predicted"),
-                "'history' 'predicted' does not match",
             ),
         ],
     )

@@ -96,6 +96,35 @@ class TestConfig:
                 other_low=0.0, other_high=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            ("factors", "mean"),
+            ("factors", "std"),
+            ("factors", "noise_std"),
+            ("factors", "trend_std"),
+            ("policy", "slope"),
+            ("policy", "spread"),
+            ("policy", "avg_high"),
+            ("policy", "other_high"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_names_its_field(self, section, name, value):
+        # each of these passes the field's own sign and ordering checks
+        data = config_to_dict(default_synth_config())
+        data[section]["revision"][name] = value
+        with pytest.raises(ValidationError) as caught:
+            config_from_dict(data)
+        assert str(caught.value) == f"{section} revision: {name} must be finite, got {value}"
+
+    def test_nan_slope_no_longer_disables_the_trend_rule(self):
+        base = default_synth_config()
+        policy = dict(base.policy)
+        policy[FactorId.MARKS] = dataclasses.replace(policy[FactorId.MARKS], slope=math.nan)
+        with pytest.raises(ValidationError, match="policy marks: slope must be finite"):
+            dataclasses.replace(base, policy=policy)
+
     def test_round_trip_dict(self):
         config = default_synth_config(n_students=12)
         assert config_from_dict(config_to_dict(config)) == config

