@@ -47,7 +47,7 @@ from .mlc import (
 from .model_io import load_model, save_model
 from .nlg import feedback_for_record, feedback_for_records, render_summary, render_text, select_templates
 from .synth import SynthConfig, default_synth_config, generate_dataset, load_synth_config
-from .tree import DecisionTree, TreeConfig, predict_tree, train_tree
+from .tree import DecisionTree, TreeConfig, predict_tree, train_tree, train_trees
 
 __version__ = "0.1.0"
 
@@ -103,6 +103,7 @@ __all__ = [
     "train_majority",
     "train_rakel",
     "train_tree",
+    "train_trees",
     "trend_word",
     "__version__",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
@@ -32,7 +31,7 @@ from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry
 from .errors import LabelCoverageWarning, ValidationError
 from .features import FeatureVector, feature_matrix
 from .tree import (
-    DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_tree,
+    DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_trees,
     tree_from_dict, tree_stats, tree_to_dict,
 )
 
@@ -152,10 +151,16 @@ class MajorityPayload:
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
-        bits = tuple(int(b) for b in body["bits"])
+        mode = strategy_config["mode"]
+        if mode not in MAJORITY_MODES:
+            raise ValidationError(f"majority 'mode' {mode!r} must be one of {MAJORITY_MODES}")
+        bits = list(body["bits"])
         if len(bits) != n_labels:
             raise ValidationError(f"model has {len(bits)} 'bits' for {n_labels} labels")
-        return cls(bits=bits, mode=str(strategy_config["mode"]))
+        bad = [b for b in bits if b not in (0, 1)]
+        if bad:
+            raise ValidationError(f"majority 'bits' must be 0 or 1, got {bad[0]!r}")
+        return cls(bits=tuple(int(b) for b in bits), mode=mode)
 
     def summary(self):
         return {"set bits": sum(self.bits)}
@@ -360,9 +365,7 @@ def train_binary_relevance(
 ) -> TrainedModel:
     """One independent binary tree per label."""
     X, Y = _training_arrays(ds, feature_mode)
-    trees = _map_maybe_parallel(
-        lambda j: train_tree(X, Y[:, j], cfg), range(Y.shape[1]), n_jobs
-    )
+    trees = train_trees(X, Y.T, cfg, n_jobs=n_jobs)
     return _model(ds, feature_mode, cfg, BrPayload(trees=tuple(trees)))
 
 
@@ -386,11 +389,10 @@ def train_chain(
             raise ValidationError(
                 f"chain order must be a permutation of 0..{n_labels - 1}"
             )
-    trees = []
-    for p in range(n_labels):
-        history_cols = Y[:, list(order[:p])].astype(float)
-        Xp = np.hstack([X, history_cols]) if p else X
-        trees.append(train_tree(Xp, Y[:, order[p]], cfg))
+    # position p sees the features and the gold bits of positions 0..p-1
+    gold = Y[:, list(order)]
+    d = X.shape[1]
+    trees = train_trees(np.hstack([X, gold]), gold.T, cfg, widths=range(d, d + n_labels))
     payload = ChainPayload(trees=tuple(trees), order=order, history=history)
     return _model(ds, feature_mode, cfg, payload)
 
@@ -446,20 +448,15 @@ def _lp_encode(
     return classes, tuple(table)
 
 
-def _train_lp_payload(
-    X: np.ndarray, Y: np.ndarray, scope: tuple[int, ...], cfg: TreeConfig
-) -> LpPayload:
-    classes, table = _lp_encode(Y, scope)
-    tree = train_tree(X, classes, cfg)
-    return LpPayload(tree=tree, classes=table, scope=scope)
-
-
 def train_lp(
     ds: Dataset, cfg: TreeConfig = TreeConfig(), feature_mode: str = "both"
 ) -> TrainedModel:
     """One multi-class tree over the distinct observed label combinations."""
     X, Y = _training_arrays(ds, feature_mode)
-    return _model(ds, feature_mode, cfg, _train_lp_payload(X, Y, tuple(range(Y.shape[1])), cfg))
+    scope = tuple(range(Y.shape[1]))
+    classes, table = _lp_encode(Y, scope)
+    (tree,) = train_trees(X, [classes], cfg)
+    return _model(ds, feature_mode, cfg, LpPayload(tree=tree, classes=table, scope=scope))
 
 
 def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
@@ -516,9 +513,12 @@ def train_rakel(
             LabelCoverageWarning,
         )
     subsets = sample_labelsets(n_labels, resolved.k, m, resolved.seed)
-    members = _map_maybe_parallel(
-        lambda s: _train_lp_payload(X, Y, s, tcfg), subsets, n_jobs
-    )
+    encoded = [_lp_encode(Y, scope) for scope in subsets]
+    trees = train_trees(X, [classes for classes, _ in encoded], tcfg, n_jobs=n_jobs)
+    members = [
+        LpPayload(tree=tree, classes=table, scope=scope)
+        for tree, (_, table), scope in zip(trees, encoded, subsets)
+    ]
     return _model(ds, feature_mode, tcfg, RakelPayload(members=tuple(members), config=resolved))
 
 
@@ -572,16 +572,3 @@ def predict_batch(
             f"gold matrix shape {np.shape(gold)} does not match ({n}, {n_labels})"
         )
     return model.payload.predict(X, n_labels, gold)
-
-
-def _map_maybe_parallel(fn, items, n_jobs: int) -> list:
-    """Order-preserving map; with n_jobs > 1 work runs on a thread pool.
-
-    Each task is a pure function of its item, so results are identical to the
-    sequential run by construction.
-    """
-    items = list(items)
-    if n_jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, items))

@@ -1,10 +1,29 @@
 """From-scratch CART-style binary decision trees.
 
 Greedy top-down induction: at each node every (feature, midpoint-threshold)
-candidate is scored by impurity decrease, vectorized across all features at
-once. Cuts are ranked from per-column prefix statistics with no class axis;
-only cuts within float error of the best are scored again from class counts,
-in chunks of bounded size (see ``_best_split``).
+candidate is scored by impurity decrease. ``train_trees`` grows many trees on
+one feature matrix together (``train_tree`` is its one-tree case):
+
+* **One presort.** X is argsorted once per call, column by column. Each node
+  carries its rows in every column's sorted order, and a child takes a stable
+  partition of its parent's, so no node sorts X again (as CART and SLIQ do,
+  Mehta, Agrawal & Rissanen 1996).
+* **Blocks of nodes.** Split search takes pending nodes from any of the
+  call's trees in blocks of bounded size and ranks the cuts of all of them in
+  one pass: each (node, feature) column is one row of a padded array, and
+  prefix sums run along the rows. Stage 1 ranks every cut by a key built from
+  those prefix sums, with no class axis; stage 2 scores the cuts within float
+  error of a node's best key again from class counts, per class count C and
+  in chunks of bounded size.
+
+The trees are identical to those grown one node at a time, each node sorting
+its own rows (``tests/_reference_tree.py``), for three reasons. A node's rows
+stay in increasing row order, so filtering the global stable order to them
+gives the node's own stable argsort, ties included. Gini's stage-1 sums are
+integers, exact in any order, and entropy's float running sum is taken along
+each node's own column alone, so every key is the same float. Stage 2 scores
+each node's cuts with the same dense formula on (k, C) counts of that node's
+C, unpadded, so every gain rounds the same way.
 
 Training is fully deterministic. Among cuts whose gains are equal as floats,
 the lowest feature index wins, then the lowest threshold. Gains that are equal
@@ -22,6 +41,7 @@ leaves.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +115,81 @@ def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
     return -(p * logp).sum(axis=-1)
 
 
+# Split search takes pending nodes in blocks of at most this many cells. A node
+# of n rows and w features is w sorted columns of n cells, and a block lays the
+# columns of its nodes out as the rows of one array, padded to its largest node.
+_BLOCK_CELLS = 24_576
 # Stage 2 re-scores near-tied cuts in chunks of at most this many cells, where
 # a chunk of k cuts holds (k, C) class counts and gathers up to k * n rows.
 _CHUNK_CELLS = 1 << 15
+
+
+def _class_ranks(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """(occ, same): occ[r, q] counts the cells before cell q in row r of the
+    same class as cell q, and same[r, q] all of that class in row r.
+
+    Row r is column ``feat[r]`` of node ``node[r]``, so it holds that node's
+    class counts ``counts[node[r]]``, padding counted as the last class. A
+    stable sort of all cells by class lists each class's cells in row order;
+    a cell's place there, less the cells of lower classes and those of its
+    class in earlier rows, is its rank within its row.
+    """
+    cls, counts = block.cls, block.counts
+    occ = np.empty(cls.size, dtype=np.intp)
+    occ[np.argsort(cls.ravel(), kind="stable")] = np.arange(cls.size)
+    occ = occ.reshape(cls.shape)
+    per_node = counts * block.widths[:, None]
+    lower = np.cumsum(per_node.sum(axis=0)) - per_node.sum(axis=0)
+    earlier = np.cumsum(per_node, axis=0) - per_node
+    at = (block.node * counts.shape[1])[:, None] + cls
+    same = counts.ravel().take(at)
+    occ -= (lower + earlier).ravel().take(at)
+    occ -= np.multiply(same, block.feat[:, None], out=at)
+    return occ, same
+
+
+def _cut_keys(block: _Block, criterion: str, xlogx: np.ndarray) -> np.ndarray:
+    """Stage 1: the key of the cut after cell q of row r, for q < m - 1, as a
+    float array. Within a node, keys grow with the cut's impurity decrease.
+
+    Each key comes from exact prefix sums along its row, as the per-node
+    search computed it, so it is equal to the bit. Gini's sums are integers,
+    so their running total is exact whatever the order; entropy's are floats,
+    so each row's cumulative sum runs along that row alone.
+    """
+    counts, node = block.counts, block.node
+    occ, same = _class_ranks(block)
+    m = occ.shape[1]
+    n_left = np.arange(1, m)
+    n_right = (m - counts[:, -1])[node][:, None] - n_left  # padding is the last class
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if criterion == "gini":
+            # n * (1 - weighted Gini) = sum L_c^2 / n_l + sum R_c^2 / n_r; a row
+            # of class c moving left adds 2 L_c + 1 to sum L^2 and 1 - 2 R_c to
+            # sum R^2, which starts at sum T^2 (computed in place of occ, same)
+            step_l = occ
+            step_l *= 2
+            step_l += 1
+            step_r = same
+            step_r *= -2
+            step_r += step_l
+            step_r[:, 0] += (counts[:, :-1] ** 2).sum(axis=1)[node]
+            key = np.cumsum(step_l, axis=1, out=step_l)[:, :-1] / n_left
+            key += np.cumsum(step_r, axis=1, out=step_r)[:, :-1] / n_right
+            return key
+        # -n * weighted entropy = sum L_c log L_c + sum R_c log R_c
+        #                         - n_l log n_l - n_r log n_r
+        rest = same - occ
+        steps = xlogx[occ + 1] - xlogx[occ] + xlogx[rest - 1] - xlogx[rest]
+        # each node's sum over its own C classes, as the per-node search summed it
+        totals = np.array(
+            [xlogx[row[:c]].sum() for row, c in zip(counts, block.n_classes.tolist())]
+        )
+        key = np.cumsum(steps, axis=1)[:, :-1]
+        key += totals[node][:, None]
+        key -= xlogx[n_left]
+        key -= xlogx[np.maximum(n_right, 0)]
+        return key
 
 
 def _left_counts(
@@ -125,144 +217,262 @@ def _left_counts(
     return counts - np.repeat(before, np.diff(np.append(heads, k)), axis=0)
 
 
-def _best_split(X: np.ndarray, codes: np.ndarray, n_classes: int, cfg: TreeConfig):
-    """Best (feature, threshold) over all candidates, or None when no valid cut exists.
+@dataclass(slots=True)
+class _Pending:
+    """A node that may split: its index in its tree, its depth and class
+    counts, and ``cells``, a (width, n) array whose row j lists the node's
+    rows sorted by (x[j], row)."""
 
-    Stage 1 ranks every cut in O(n*d), with no class axis, by a key that grows
-    with the impurity decrease and is built from prefix statistics of each
-    sorted column. Stage 2 scores the cuts whose key lies within float error of
-    the best with the dense count formula (``_impurity_from_counts``); that
-    formula's rounding decides among exactly tied gains, and the first maximum
-    in feature-major order wins.
+    node: int
+    tree: int
+    depth: int
+    cells: np.ndarray
+    counts: np.ndarray
+
+
+class _Block:
+    """Pending nodes laid out for split search.
+
+    Row r of ``rows`` is column ``feat[r]`` of node ``node[r]``: the node's
+    rows sorted by that feature, then padding up to the block's largest node.
+    ``cls`` holds their class codes, and ``counts`` each node's class counts
+    with the padding counted as the last class.
     """
-    n, d = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = codes[order]  # (n, d) class codes in each column's sorted order
-    totals = np.bincount(codes, minlength=n_classes)
 
-    # occ[r, j]: rows above r in column j of the same class as row r; a stable
-    # sort of the column's codes lists each class's rows in order from its
-    # start offset
-    by_class = np.argsort(ys, axis=0, kind="stable")
-    starts = np.cumsum(totals) - totals
-    occ = np.empty_like(ys)
-    np.put_along_axis(
-        occ,
-        by_class,
-        np.arange(n)[:, None] - starts[np.take_along_axis(ys, by_class, axis=0)],
-        axis=0,
-    )
-    rest = totals[ys] - occ  # rows at or below r of the same class
+    def __init__(self, forest: _Forest, items: list[_Pending]):
+        stride, pad = forest.XT.shape[1], forest.pad
+        self.items = items
+        self.widths = np.array([len(item.cells) for item in items])
+        self.sizes = np.array([item.cells.shape[1] for item in items])
+        trees = np.array([item.tree for item in items])
+        self.n_classes = forest.n_classes[trees]
+        m = int(self.sizes.max())
+        self.first = np.cumsum(self.widths) - self.widths  # each node's first row
+        self.rows = np.full((int(self.widths.sum()), m), stride - 1, dtype=np.int32)
+        for item, r in zip(items, self.first.tolist()):
+            self.rows[r : r + len(item.cells), : item.cells.shape[1]] = item.cells
+        self.node = np.repeat(np.arange(len(items)), self.widths)
+        self.feat = np.arange(len(self.node)) - self.first[self.node]
+        self.cls = forest.codes.ravel().take(self.rows + (trees * stride)[self.node][:, None])
+        self.counts = np.zeros((len(items), pad + 1), dtype=np.int64)
+        self.counts[:, :pad] = [item.counts for item in items]
+        self.counts[:, pad] = m - self.sizes
 
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    if cfg.split_criterion == "gini":
-        # n * (1 - weighted Gini) = sum L_c^2 / n_l + sum R_c^2 / n_r; a row of
-        # class c moving left adds 2 L_c + 1 to sum L^2 and 1 - 2 R_c to sum R^2
-        sum_l2 = np.cumsum(2 * occ + 1, axis=0)[:-1]
-        sum_r2 = totals @ totals + np.cumsum(1 - 2 * rest, axis=0)[:-1]
-        key = sum_l2 / n_left + sum_r2 / n_right
-    else:
-        # -n * weighted entropy = sum L_c log L_c + sum R_c log R_c
-        #                         - n_l log n_l - n_r log n_r
+
+class _Forest:
+    """The trees of one ``train_trees`` call, grown together.
+
+    ``XT`` is X transposed with a NaN column appended, and ``codes`` holds each
+    tree's class codes, in the smallest unsigned dtype, with the padding class
+    C (the largest class count) appended. A block's padding cells point at
+    that last column, so they rank after every real cell, add nothing to a
+    real cell's prefix sums and go to neither child.
+    """
+
+    def __init__(self, XT, order, encoded, widths, cfg: TreeConfig):
+        self.XT, self.order, self.widths, self.cfg = XT, order, widths, cfg
+        self.classes = [classes for classes, _ in encoded]
+        self.n_classes = np.array([len(classes) for classes in self.classes])
+        self.pad = int(self.n_classes.max())
+        n = order.shape[1]
+        self.codes = np.full((len(encoded), n + 1), self.pad, dtype=np.min_scalar_type(self.pad))
+        for t, (_, codes) in enumerate(encoded):
+            self.codes[t, :n] = codes
         size = np.arange(n + 1, dtype=float)
-        xlogx = size * np.log2(np.maximum(size, 1.0))
-        steps = xlogx[occ + 1] - xlogx[occ] + xlogx[rest - 1] - xlogx[rest]
-        key = (
-            xlogx[totals].sum()
-            + np.cumsum(steps, axis=0)[:-1]
-            - xlogx[n_left]
-            - xlogx[n_right]
-        )
+        self.xlogx = size * np.log2(np.maximum(size, 1.0))
+        self.nodes = [{name: [] for name in NODE_ARRAYS} for _ in encoded]  # per tree
 
-    valid = xs[:-1] != xs[1:]
-    msl = cfg.min_samples_leaf
-    if msl > 1:
-        valid = valid & (n_left >= msl) & (n_right >= msl)
-    key = np.where(valid, key, -np.inf)
-    top = key.max(initial=-np.inf)
-    if top == -np.inf:
-        return None
+    def grow(self) -> list[DecisionTree]:
+        """Split pending nodes wave by wave, each wave largest first, in blocks
+        of at most ``_BLOCK_CELLS`` cells; a node larger than that is a block.
 
-    # Window width. Keys are n times the gain plus a per-node constant. With
-    # u = 2^-53 and L = log2(n) + 2, the dense formula's gain is off by less
-    # than 2 (C + 6) L u (a rounded p = c / t, its square or log, a C-term sum,
-    # then a few operations on values below L), which is below 2 n (C + 6) L u
-    # in key units. The key is off by less than 2 n u for Gini (exact integer
-    # sums, two divisions and an add) and by less than 16 n^2 L u for entropy
-    # (table entries below n log2 n, and a running sum of n steps each below
-    # 2 L). The cut the dense formula ranks first therefore trails the top key
-    # by less than twice their sum, 2^-48 n (n + C + 6) L; the window is 2^10
-    # times wider.
-    tol = 2.0**-38 * n * (n + n_classes + 6) * (np.log2(n) + 2)
-    feats, cuts = np.nonzero(key.T >= top - tol)  # feature-major order
+        A wave starts new trees while it holds fewer than 16 blocks of cells,
+        so blocks stay full while the cells held at once stay bounded.
+        """
+        n = self.order.shape[1]
+        waiting = list(range(len(self.codes)))[::-1]
+        pending: list[_Pending] = []
+        while pending or waiting:
+            held = sum(item.cells.size for item in pending)
+            while waiting and held < 16 * _BLOCK_CELLS:
+                t = waiting.pop()
+                counts = np.bincount(self.codes[t, :n], minlength=self.pad)
+                top = int(np.argmax(counts))
+                cells = self.order[: self.widths[t]]
+                self._add(t, 0, cells, counts, top, int(counts[top]), pending)
+                held += cells.size
+            # largest last, and taken from the end, so that a node's cells are
+            # freed once it is split
+            wave, pending = sorted(pending, key=lambda p: p.cells.shape[1]), []
+            while wave:
+                block = [wave.pop()]
+                m, width = block[0].cells.shape[1], len(block[0].cells)
+                while wave and m * (width + len(wave[-1].cells)) <= _BLOCK_CELLS:
+                    block.append(wave.pop())
+                    width += len(block[-1].cells)
+                self._split(block, pending)
+        return [self._tree(t) for t in range(len(self.codes))]
 
-    parent = float(_impurity_from_counts(totals[None, :], cfg.split_criterion)[0])
-    left_sizes = np.arange(1, n, dtype=float)
-    step = max(1, _CHUNK_CELLS // max(n, n_classes))
-    best_gain, best = -np.inf, 0
-    for head in range(0, len(feats), step):
-        f, c = feats[head : head + step], cuts[head : head + step]
-        left = _left_counts(ys, f, c, n_classes)
-        nl = left_sizes[c]
-        weighted = (
-            nl * _impurity_from_counts(left, cfg.split_criterion)
-            + (n - nl) * _impurity_from_counts(totals - left, cfg.split_criterion)
-        ) / n
-        gains = parent - weighted
-        pos = int(np.argmax(gains))
-        if gains[pos] > best_gain:
-            best_gain, best = gains[pos], head + pos
-    feature, cut = int(feats[best]), int(cuts[best])
-    lo, hi = xs[cut, feature], xs[cut + 1, feature]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # midpoint collapsed onto the upper value
-        threshold = lo
-    return feature, float(threshold)
-
-
-def _grow(X: np.ndarray, codes: np.ndarray, classes: np.ndarray, cfg: TreeConfig) -> dict:
-    """Node arrays of the tree grown on (X, codes), built in preorder from an
-    explicit stack, so the depth of the tree is not bounded by Python's."""
-    nodes: dict[str, list] = {name: [] for name in NODE_ARRAYS}
-    # (rows, depth, parent, side): the left child is pushed last, so it is
-    # taken first and a subtree's nodes are numbered before its right sibling
-    pending = [(np.arange(len(codes)), 0, -1, "")]
-    while pending:
-        rows, depth, parent, side = pending.pop()
+    def _add(self, tree, depth, cells, counts, top, top_count, pending) -> int:
+        """Record a leaf of tree ``tree`` whose majority class code is ``top``
+        (the first maximum of ``counts``, so ties go to the smallest class),
+        and queue it for split search if it may split."""
+        nodes = self.nodes[tree]
         node = len(nodes["label"])
-        if parent >= 0:
-            nodes[side][parent] = node
-        sub = codes[rows]
-        counts = np.bincount(sub, minlength=len(classes))
-        # argmax returns the first maximum; classes are sorted, so ties go to
-        # the smallest class label
-        nodes["label"].append(int(classes[int(np.argmax(counts))]))
-        nodes["count"].append(len(rows))
-        best = None
+        n = cells.shape[1]
+        for name in ("feature", "left", "right"):
+            nodes[name].append(-1)
+        nodes["threshold"].append(0.0)
+        nodes["label"].append(int(self.classes[tree][top]))
+        nodes["count"].append(n)
+        cfg = self.cfg
         if (
-            counts.max() < len(rows)
+            top_count < n
             and (cfg.max_depth is None or depth < cfg.max_depth)
-            and len(rows) >= 2 * cfg.min_samples_leaf
+            and n >= 2 * cfg.min_samples_leaf
+            and len(cells)
         ):
-            best = _best_split(X[rows], sub, len(classes), cfg)
-        feature, threshold = (-1, 0.0) if best is None else best
-        nodes["feature"].append(feature)
-        nodes["threshold"].append(threshold)
-        nodes["left"].append(-1)
-        nodes["right"].append(-1)
-        if best is not None:
-            go_left = X[rows, feature] <= threshold
-            pending.append((rows[~go_left], depth + 1, node, "right"))
-            pending.append((rows[go_left], depth + 1, node, "left"))
-    return nodes
+            pending.append(_Pending(node, tree, depth, cells, counts))
+        return node
+
+    def _tree(self, tree: int) -> DecisionTree:
+        """Tree ``tree`` with its nodes numbered in preorder."""
+        nodes = self.nodes[tree]
+        left, right = nodes["left"], nodes["right"]
+        order, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if left[node] >= 0:
+                stack += (right[node], left[node])
+        index = {node: i for i, node in enumerate(order)}
+        arrays = {name: [nodes[name][node] for node in order] for name in NODE_ARRAYS}
+        for name in ("left", "right"):
+            arrays[name] = [index.get(child, -1) for child in arrays[name]]
+        return DecisionTree(**arrays, n_features=self.widths[tree])
+
+    def _split(self, items: list[_Pending], pending: list[_Pending]) -> None:
+        """Find the best cut of every node in the block and split the nodes
+        that have one; their children join ``pending``."""
+        block = _Block(self, items)
+        cut_row, cut = self._window(block)
+        if cut.size:
+            self._partition(block, *self._best_cuts(block, cut_row, cut), pending)
+
+    def _window(self, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1: the cuts whose key lies within float error of their node's
+        best, as (row, cut) arrays in node, feature, cut order. A cut must
+        separate two values, so none lies in padding."""
+        cfg, rows, node, sizes = self.cfg, block.rows, block.node, block.sizes
+        m = rows.shape[1]
+        xs = self.XT.ravel().take(rows + (block.feat * self.XT.shape[1])[:, None])
+        valid = xs[:, :-1] < xs[:, 1:]  # rows are sorted; NaN padding compares false
+        del xs  # freed before the keys are built
+        msl = cfg.min_samples_leaf
+        if msl > 1:
+            n_left = np.arange(1, m)
+            valid &= (n_left >= msl) & (sizes[node][:, None] - n_left >= msl)
+        key = np.where(valid, _cut_keys(block, cfg.split_criterion, self.xlogx), -np.inf)
+        top = np.maximum.reduceat(key.max(axis=1), block.first)
+        # Window width. Keys are n times the gain plus a per-node constant. With
+        # u = 2^-53 and L = log2(n) + 2, the dense formula's gain is off by less
+        # than 2 (C + 6) L u (a rounded p = c / t, its square or log, a C-term sum,
+        # then a few operations on values below L), which is below 2 n (C + 6) L u
+        # in key units. The key is off by less than 2 n u for Gini (exact integer
+        # sums, two divisions and an add) and by less than 16 n^2 L u for entropy
+        # (table entries below n log2 n, and a running sum of n steps each below
+        # 2 L). The cut the dense formula ranks first therefore trails the top key
+        # by less than twice their sum, 2^-48 n (n + C + 6) L; the window is 2^10
+        # times wider.
+        n_classes = block.n_classes
+        tol = 2.0**-38 * sizes * (sizes + n_classes + 6) * (np.log2(sizes) + 2)
+        floor = np.where(top > -np.inf, top - tol, np.inf)
+        return np.divmod(np.flatnonzero(key >= floor[node][:, None]), m - 1)
+
+    def _best_cuts(self, block: _Block, cut_row, cut):
+        """Stage 2: (node, feature, threshold) of each node's best cut. A node
+        with two or more cuts in its window scores them by the dense gain, per
+        class count C, and its first maximum wins."""
+        cfg, counts, sizes, n_classes = self.cfg, block.counts, block.sizes, block.n_classes
+        m = block.rows.shape[1]
+        cut_node = block.node[cut_row]
+        gains = np.zeros(cut.size)  # a window of one cut needs no score: it wins
+        score = np.flatnonzero((np.bincount(cut_node) > 1)[cut_node])
+        for c in np.flatnonzero(np.bincount(n_classes[cut_node[score]])).tolist():
+            parent = _impurity_from_counts(counts[:, :c], cfg.split_criterion)
+            pick = score[n_classes[cut_node[score]] == c]
+            step = max(1, _CHUNK_CELLS // max(m, c))
+            for head in range(0, pick.size, step):
+                at = pick[head : head + step]
+                owner = cut_node[at]
+                left = _left_counts(block.cls.T, cut_row[at], cut[at], c)
+                right = counts[owner, :c]
+                right -= left
+                nl, n = cut[at] + 1.0, sizes[owner].astype(float)
+                weighted = (
+                    nl * _impurity_from_counts(left, cfg.split_criterion)
+                    + (n - nl) * _impurity_from_counts(right, cfg.split_criterion)
+                ) / n
+                gains[at] = parent[owner] - weighted
+        starts = np.flatnonzero(np.concatenate(([True], cut_node[1:] != cut_node[:-1])))
+        best = np.maximum.reduceat(gains, starts)
+        hit = np.flatnonzero(gains == np.repeat(best, np.diff(np.append(starts, cut.size))))
+        win = hit[np.concatenate(([True], cut_node[hit[1:]] != cut_node[hit[:-1]]))]
+        r, q = cut_row[win], cut[win]
+        feature = block.feat[r]
+        x, at = self.XT.ravel(), feature * self.XT.shape[1]
+        lo, hi = x[at + block.rows[r, q]], x[at + block.rows[r, q + 1]]
+        threshold = (lo + hi) / 2.0
+        threshold = np.where(threshold >= hi, lo, threshold)  # midpoint collapsed onto hi
+        return cut_node[win], feature, threshold
+
+    def _partition(self, block: _Block, split, feature, threshold, pending) -> None:
+        """Give each split node its cut and two children; a child's rows in
+        each column are a stable partition of its parent's by the cut."""
+        C, stride, items = self.pad, self.XT.shape[1], block.items
+        for b, f, t in zip(split.tolist(), feature.tolist(), threshold.tolist()):
+            nodes = self.nodes[items[b].tree]
+            nodes["feature"][items[b].node] = f
+            nodes["threshold"][items[b].node] = t
+        w = block.widths[split]
+        keep = np.zeros(len(items), dtype=bool)
+        keep[split] = True
+        sub = block.rows[keep[block.node]]
+        x = self.XT.ravel().take(sub + np.repeat(feature * stride, w)[:, None])
+        bound = np.repeat(threshold, w)[:, None]
+        heads = np.cumsum(w) - w  # each split node's first row in sub
+        head_codes = (np.arange(split.size) * C)[:, None] + block.cls[block.first[split]]
+        for side, goes in (("left", x <= bound), ("right", x > bound)):  # NaN padding: neither
+            counts = np.bincount(head_codes[goes[heads]], minlength=split.size * C).reshape(-1, C)
+            sizes = goes[heads].sum(axis=1)
+            tops = counts.argmax(axis=1)
+            kept = np.compress(goes.ravel(), sub.ravel())  # row-major, so stable per row
+            ends = np.cumsum(w * sizes)
+            for i, (b, end, size, top) in enumerate(
+                zip(split.tolist(), ends.tolist(), sizes.tolist(), tops.tolist())
+            ):
+                item = items[b]
+                # a copy, so that a pending child holds no sibling's cells
+                cells = kept[end - len(item.cells) * size : end].reshape(-1, size).copy()
+                self.nodes[item.tree][side][item.node] = self._add(
+                    item.tree, item.depth + 1, cells, counts[i], top, int(counts[i, top]), pending
+                )
 
 
-def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
-    """Induce a tree from feature rows X and integer class labels y."""
-    y = np.asarray(y, dtype=int)
-    if y.size == 0:
+def train_trees(
+    X, ys, cfg: TreeConfig = TreeConfig(), widths=None, n_jobs: int = 1
+) -> list[DecisionTree]:
+    """One tree per integer label array in ``ys``, all grown on the feature rows
+    X; tree t sees the first ``widths[t]`` columns (all by default).
+
+    X is argsorted once. Each tree's nodes carry their rows in every column's
+    sorted order, and a child's come from a stable partition of its parent's,
+    so no node sorts X again. Split search runs over blocks of pending nodes
+    from any of the trees (see ``_Forest``). With ``n_jobs`` > 1 the trees are
+    grown in that many groups on a thread pool, sharing the one presort.
+    """
+    labels = [np.asarray(y, dtype=int) for y in ys]
+    if any(y.size == 0 for y in labels):
         raise ValidationError("empty training set")
     try:
         X = np.asarray(X, dtype=float)
@@ -270,12 +480,36 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
         raise ValidationError("inconsistent feature vector lengths") from None
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValidationError(f"feature rows {X.shape} do not match {y.size} labels")
+    for y in labels:
+        if X.ndim != 2 or y.shape != (X.shape[0],):
+            raise ValidationError(f"feature rows {X.shape} do not match {y.size} labels")
     if not np.isfinite(X).all():
         raise ValidationError("feature matrix has non-finite values")
-    classes, codes = np.unique(y, return_inverse=True)
-    return DecisionTree(**_grow(X, codes, classes, config), n_features=X.shape[1])
+    n, d = X.shape
+    widths = [d] * len(labels) if widths is None else [int(w) for w in widths]
+    if len(widths) != len(labels) or not all(0 <= w <= d for w in widths):
+        raise ValidationError(f"tree widths {widths} must be one per tree, each 0..{d}")
+    XT = np.full((d, n + 1), np.nan)
+    XT[:, :n] = X.T
+    # row j: the rows sorted by (x[j], row); a node's rows are in increasing
+    # order, so their filtered order equals a stable argsort of the node alone
+    order = np.argsort(XT[:, :n], axis=1, kind="stable").astype(np.int32)
+    encoded = [np.unique(y, return_inverse=True) for y in labels]
+
+    def grow(group):
+        trees = [encoded[t] for t in group]
+        return _Forest(XT, order, trees, [widths[t] for t in group], cfg).grow()
+
+    groups = [g for g in np.array_split(np.arange(len(labels)), max(1, n_jobs)) if g.size]
+    if len(groups) <= 1:
+        return [tree for group in groups for tree in grow(group)]
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        return [tree for trees in pool.map(grow, groups) for tree in trees]
+
+
+def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
+    """Induce a tree from feature rows X and integer class labels y."""
+    return train_trees(X, [y], config)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,30 +1,34 @@
-"""Reference tree growth: the recursive `_grow` that the explicit-stack one replaced.
+"""Reference tree growth: one node at a time, recursively, as the original learner grew.
 
-It builds nested nodes one call per level, as the original learner did, and
-`flatten` numbers them in preorder into the node arrays of
-`rakelgen.tree.tree_to_dict`. It calls the production `_best_split`, so the
-differential tests that use it check growth alone: node order, child links,
-stopping rules, leaf labels and counts.
+It builds nested nodes one call per level and `flatten` numbers them in
+preorder into the node arrays of `rakelgen.tree.tree_to_dict`. Each node's cut
+comes from a per-node splitter of `_reference_split` (by default
+`node_best_split`, which sorts the node's own columns), so the differential
+tests that use it check all of `rakelgen.tree.train_trees`: the shared presort
+and its partition down the nodes, split search over blocks of nodes, node
+order, child links, stopping rules, leaf labels and counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rakelgen.tree import TreeConfig, _best_split
+from _reference_split import node_best_split
+from rakelgen.tree import TreeConfig
 
 
-def reference_grow(X, y, cfg: TreeConfig = TreeConfig()) -> dict:
-    """Node arrays of the tree grown on (X, y), as lists keyed like ``tree_to_dict``."""
+def reference_grow(X, y, cfg: TreeConfig = TreeConfig(), best_split=node_best_split) -> dict:
+    """Node arrays of the tree grown on (X, y) with ``best_split`` at each node,
+    as lists keyed like ``tree_to_dict``."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     classes, codes = np.unique(np.asarray(y, dtype=int), return_inverse=True)
-    root = _grow(X, codes, classes, 0, cfg)
+    root = _grow(X, codes, classes, 0, cfg, best_split)
     return {"n_features": X.shape[1]} | flatten(root)
 
 
-def _grow(X, codes, classes, depth, cfg):
+def _grow(X, codes, classes, depth, cfg, best_split):
     n = len(codes)
     counts = np.bincount(codes, minlength=len(classes))
     leaf = {"label": int(classes[int(np.argmax(counts))]), "count": n}
@@ -34,7 +38,7 @@ def _grow(X, codes, classes, depth, cfg):
         return leaf
     if n < 2 * cfg.min_samples_leaf:
         return leaf
-    best = _best_split(X, codes, len(classes), cfg)
+    best = best_split(X, codes, len(classes), cfg)
     if best is None:
         return leaf
     feature, threshold = best
@@ -42,8 +46,8 @@ def _grow(X, codes, classes, depth, cfg):
     return leaf | {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow(X[mask], codes[mask], classes, depth + 1, cfg),
-        "right": _grow(X[~mask], codes[~mask], classes, depth + 1, cfg),
+        "left": _grow(X[mask], codes[mask], classes, depth + 1, cfg, best_split),
+        "right": _grow(X[~mask], codes[~mask], classes, depth + 1, cfg, best_split),
     }
 
 
@@ -66,3 +70,22 @@ def flatten(root: dict) -> dict:
 
     visit(root)
     return arrays
+
+
+def record_fits(monkeypatch) -> list:
+    """Record each tree that ``rakelgen.mlc`` grows, from now on, as
+    ``(X, y, cfg, tree)``: the feature columns and labels it was grown on."""
+    from rakelgen import mlc
+
+    fits = []
+    train_trees = mlc.train_trees
+
+    def recording(X, ys, cfg=TreeConfig(), widths=None, n_jobs=1):
+        trees = train_trees(X, ys, cfg, widths, n_jobs)
+        X = np.asarray(X, dtype=float)
+        widths = [X.shape[1]] * len(trees) if widths is None else list(widths)
+        fits.extend((X[:, :w], y, cfg, t) for y, w, t in zip(ys, widths, trees))
+        return trees
+
+    monkeypatch.setattr(mlc, "train_trees", recording)
+    return fits

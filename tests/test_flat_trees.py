@@ -17,8 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _reference_predict import reference_descent
-from _reference_tree import reference_grow
-from rakelgen import mlc
+from _reference_tree import record_fits, reference_grow
 from rakelgen.cli import main
 from rakelgen.domain import save_dataset
 from rakelgen.errors import LabelCoverageWarning, ValidationError
@@ -88,14 +87,7 @@ class TestGrowthAgainstReference:
         """Each tree that BR, the chain, LP and the RAkEL members train equals
         the recursive reference grown on the same inputs."""
         ds = request.getfixturevalue(name)
-        fits = []
-
-        def recording(X, y, config=TreeConfig()):
-            tree = train_tree(X, y, config)
-            fits.append((X, y, config, tree))
-            return tree
-
-        monkeypatch.setattr(mlc, "train_tree", recording)
+        fits = record_fits(monkeypatch)
         train_binary_relevance(ds, TreeConfig(split_criterion="entropy"))
         train_chain(ds, TreeConfig(min_samples_leaf=2))
         train_lp(ds)

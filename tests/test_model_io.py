@@ -9,7 +9,8 @@ import warnings
 import pytest
 
 from _builders import tiny_registry
-from rakelgen.domain import Template, TemplateRegistry
+from rakelgen.cli import main
+from rakelgen.domain import Template, TemplateRegistry, save_dataset
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import extract_features
 from rakelgen.mlc import (
@@ -308,3 +309,23 @@ class TestLabelAxis:
         mutate(data)
         with pytest.raises(ValidationError, match=message):
             model_from_dict(data, registry)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["payload"]["bits"].__setitem__(0, 5), "majority 'bits' must be 0 or 1, got 5"),
+            (lambda d: d["strategy_config"].__setitem__("mode", "median"), "majority 'mode' 'median'"),
+        ],
+        ids=["bit-5", "unknown-mode"],
+    )
+    def test_majority_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
+        data = model_to_dict(_train("majority", ds37), registry)
+        mutate(data)
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(data, registry)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data), encoding="utf-8")
+        records = tmp_path / "data.jsonl"
+        save_dataset(ds37, records)
+        assert main(["feedback", "--data", str(records), "--model", str(model)]) == 2
+        assert message in capsys.readouterr().err

@@ -1,4 +1,8 @@
-"""Split search against the dense reference splitter: same cut, same tie choice, less memory."""
+"""Split search against the dense reference splitter: same cut, same tie choice, less memory.
+
+The per-node splitter ``node_best_split`` is checked against the dense one
+node by node; whole trees of ``rakelgen.tree`` are checked against trees grown
+node by node with the dense splitter."""
 
 from __future__ import annotations
 
@@ -10,11 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _reference_split import reference_best_split
-from rakelgen import tree as tree_module
+from _reference_split import node_best_split, reference_best_split
+from _reference_tree import record_fits, reference_grow
 from rakelgen.errors import LabelCoverageWarning
 from rakelgen.mlc import RakelConfig, train_lp, train_rakel
-from rakelgen.tree import TreeConfig, _best_split, tree_to_dict
+from rakelgen.tree import TreeConfig, train_tree, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
 
@@ -22,7 +26,7 @@ CRITERIA = ("gini", "entropy")
 def _assert_same_split(X, codes, n_classes, cfg):
     X = np.asarray(X, dtype=float)
     codes = np.asarray(codes, dtype=np.intp)
-    assert _best_split(X, codes, n_classes, cfg) == reference_best_split(
+    assert node_best_split(X, codes, n_classes, cfg) == reference_best_split(
         X, codes, n_classes, cfg
     )
 
@@ -78,7 +82,7 @@ class TestAgainstReference:
     def test_constant_columns(self, criterion):
         cfg = TreeConfig(split_criterion=criterion)
         X = np.ones((6, 3))
-        assert _best_split(X, np.array([0, 1, 0, 1, 0, 1]), 2, cfg) is None
+        assert node_best_split(X, np.array([0, 1, 0, 1, 0, 1]), 2, cfg) is None
         X[:, 2] = [3, 1, 2, 2, 1, 3]
         _assert_same_split(X, [0, 1, 0, 1, 0, 1], 2, cfg)
 
@@ -118,18 +122,14 @@ class TestWholeTrees:
         ],
     )
     def test_lp_tree_and_rakel_members(self, ds, cfg, monkeypatch):
-        def grow():
-            lp = train_lp(ds, cfg).payload.tree
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LabelCoverageWarning)
-                rakel = train_rakel(ds, RakelConfig(k=3, m=4, seed=1), cfg)
-            return [tree_to_dict(lp)] + [
-                tree_to_dict(member.tree) for member in rakel.payload.members
-            ]
-
-        fast = grow()
-        monkeypatch.setattr(tree_module, "_best_split", reference_best_split)
-        assert grow() == fast
+        fits = record_fits(monkeypatch)
+        train_lp(ds, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LabelCoverageWarning)
+            train_rakel(ds, RakelConfig(k=3, m=4, seed=1), cfg)
+        assert len(fits) == 1 + 4
+        for X, y, config, tree in fits:
+            assert tree_to_dict(tree) == reference_grow(X, y, config, reference_best_split)
 
 
 def test_memory_does_not_grow_with_class_count():
@@ -141,7 +141,7 @@ def test_memory_does_not_grow_with_class_count():
     codes = rng.permutation(n)
     tracemalloc.start()
     try:
-        _best_split(X, codes, n_classes, TreeConfig())
+        train_tree(X, codes, TreeConfig(max_depth=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
