@@ -1,8 +1,9 @@
 """Split search against the dense reference splitter: same cut, same tie choice, less memory.
 
-The per-node splitter ``node_best_split`` is checked against the dense one
-node by node; whole trees of ``rakelgen.tree`` are checked against trees grown
-node by node with the dense splitter."""
+The per-node splitter ``node_best_split`` and the root split of
+``rakelgen.tree.train_tree`` are checked against the dense one node by node;
+whole trees of ``rakelgen.tree`` are checked against trees grown node by node
+with the dense splitter."""
 
 from __future__ import annotations
 
@@ -24,11 +25,29 @@ CRITERIA = ("gini", "entropy")
 
 
 def _assert_same_split(X, codes, n_classes, cfg):
+    """The per-node splitter and the production search (the root of a
+    one-split ``train_tree``) both pick the dense splitter's cut."""
     X = np.asarray(X, dtype=float)
     codes = np.asarray(codes, dtype=np.intp)
     assert node_best_split(X, codes, n_classes, cfg) == reference_best_split(
         X, codes, n_classes, cfg
     )
+    # train_tree encodes only the classes present, and a pure node is a leaf
+    present, compact = np.unique(codes, return_inverse=True)
+    expected = None
+    if len(present) > 1:
+        expected = reference_best_split(X, compact, len(present), cfg)
+    tree = train_tree(
+        X,
+        codes,
+        TreeConfig(
+            max_depth=1,
+            min_samples_leaf=cfg.min_samples_leaf,
+            split_criterion=cfg.split_criterion,
+        ),
+    )
+    root = None if tree.feature[0] < 0 else (int(tree.feature[0]), float(tree.threshold[0]))
+    assert root == expected
 
 
 @st.composite
@@ -82,7 +101,9 @@ class TestAgainstReference:
     def test_constant_columns(self, criterion):
         cfg = TreeConfig(split_criterion=criterion)
         X = np.ones((6, 3))
-        assert node_best_split(X, np.array([0, 1, 0, 1, 0, 1]), 2, cfg) is None
+        codes = np.array([0, 1, 0, 1, 0, 1])
+        assert node_best_split(X, codes, 2, cfg) is None
+        _assert_same_split(X, codes, 2, cfg)
         X[:, 2] = [3, 1, 2, 2, 1, 3]
         _assert_same_split(X, [0, 1, 0, 1, 0, 1], 2, cfg)
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _reference_tree import record_fits, reference_grow
@@ -65,12 +65,19 @@ class TestAgainstReference:
         X, ys, widths, cfg = forest
         _assert_each_tree_is_the_reference(X, ys, widths, cfg, train_trees(X, ys, cfg, widths))
 
-    @given(forests(), st.sampled_from([1, 64, 10**9]), st.sampled_from([1, 50, 1 << 15]))
-    def test_any_block_and_chunk_size(self, forest, block_cells, chunk_cells):
+    @given(
+        forests(),
+        st.sampled_from([1, 64, 10**9]),
+        st.sampled_from([1, 16]),
+        st.sampled_from([1, 50, 1 << 15]),
+    )
+    def test_any_block_wave_and_chunk_size(self, forest, block_cells, wave_blocks, chunk_cells):
         # 1: every node is a block of its own, larger than the cap; 10**9: all
-        # pending nodes share one block; small chunks split stage 2 up
+        # pending nodes share one block; a wave of 1 block starts a tree only
+        # when fewer cells than a block are pending; small chunks split stage 2 up
         X, ys, widths, cfg = forest
         with mock.patch.object(tree_module, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(tree_module, "_WAVE_BLOCKS", wave_blocks), \
                 mock.patch.object(tree_module, "_CHUNK_CELLS", chunk_cells):
             trees = train_trees(X, ys, cfg, widths)
         _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
@@ -101,7 +108,6 @@ class TestAgainstReference:
         cfg = TreeConfig(min_samples_leaf=2)
         trees = train_trees(Xh, gold.T, cfg, widths)
         _assert_each_tree_is_the_reference(Xh, list(gold.T), widths, cfg, trees)
-
 
     @pytest.mark.parametrize("criterion", CRITERIA)
     def test_rakel_members_of_120_students(self, criterion, registry, monkeypatch):
@@ -147,8 +153,16 @@ class TestBlocks:
         _assert_each_tree_is_the_reference(X, ys, None, TreeConfig(), trees)
 
 
+def _hundred_rows_seven_trees():
+    rng = np.random.default_rng(2)
+    X = np.round(rng.normal(size=(100, 12)), 1)
+    ys = [rng.integers(0, 4, size=100) for _ in range(7)]
+    return X, ys, None, TreeConfig()
+
+
 class TestSameTreeAnywhere:
     @given(forests(), st.integers(2, 4))
+    @example(_hundred_rows_seven_trees(), 3)
     def test_alone_in_a_batch_or_on_threads(self, forest, n_jobs):
         X, ys, widths, cfg = forest
         widths = [X.shape[1]] * len(ys) if widths is None else widths
@@ -156,14 +170,6 @@ class TestSameTreeAnywhere:
         threaded = [tree_to_dict(t) for t in train_trees(X, ys, cfg, widths, n_jobs=n_jobs)]
         alone = [tree_to_dict(train_tree(X[:, :w], y, cfg)) for y, w in zip(ys, widths)]
         assert batch == threaded == alone
-
-    def test_n_jobs_1_and_3(self):
-        rng = np.random.default_rng(2)
-        X = np.round(rng.normal(size=(100, 12)), 1)
-        ys = [rng.integers(0, 4, size=100) for _ in range(7)]
-        one = [tree_to_dict(t) for t in train_trees(X, ys, n_jobs=1)]
-        three = [tree_to_dict(t) for t in train_trees(X, ys, n_jobs=3)]
-        assert one == three
 
 
 class TestInputs:
