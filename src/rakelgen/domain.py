@@ -238,9 +238,6 @@ class LabelVector:
     def __iter__(self):
         return iter(self.bits)
 
-    def weight(self) -> int:
-        return sum(self.bits)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -286,17 +283,6 @@ def labelset_to_vector(ids, registry: TemplateRegistry) -> LabelVector:
     for template_id in ids:
         bits[registry.label_index(template_id)] = 1
     return LabelVector(tuple(bits))
-
-
-def vector_to_labelset(vector: LabelVector, registry: TemplateRegistry) -> frozenset[int]:
-    """Decode a binary vector back to the template ids of its set bits."""
-    if len(vector) != len(registry):
-        raise ValidationError(
-            f"label vector length {len(vector)} != registry size {len(registry)}"
-        )
-    return frozenset(
-        registry.template_at(j).id for j, bit in enumerate(vector.bits) if bit
-    )
 
 
 def _parse_registry(data: dict, source: str) -> TemplateRegistry:

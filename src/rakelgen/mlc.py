@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -137,7 +137,6 @@ class ChainPayload:
 @dataclass(frozen=True)
 class MajorityPayload:
     bits: tuple[int, ...]
-    mode: str = "per-label"
 
     strategy = "majority"
 
@@ -147,20 +146,17 @@ class MajorityPayload:
         return bits, bits.astype(float)
 
     def to_dict(self):
-        return {"mode": self.mode}, {"bits": list(self.bits)}
+        return {}, {"bits": list(self.bits)}
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
-        mode = strategy_config["mode"]
-        if mode not in MAJORITY_MODES:
-            raise ValidationError(f"majority 'mode' {mode!r} must be one of {MAJORITY_MODES}")
         bits = list(body["bits"])
         if len(bits) != n_labels:
             raise ValidationError(f"model has {len(bits)} 'bits' for {n_labels} labels")
         bad = [b for b in bits if b not in (0, 1)]
         if bad:
             raise ValidationError(f"majority 'bits' must be 0 or 1, got {bad[0]!r}")
-        return cls(bits=tuple(int(b) for b in bits), mode=mode)
+        return cls(bits=tuple(int(b) for b in bits))
 
     def summary(self):
         return {"set bits": sum(self.bits)}
@@ -209,13 +205,14 @@ class LpPayload:
 
 @dataclass(frozen=True)
 class RakelPayload:
-    """Members and config, plus what prediction reads, built once: the members'
-    stacked trees, each stacked node's 0/1 vote per label (``_votes``), and
-    the number of members covering each label (``_coverage``). Both tables
-    stop at the highest label index in any scope."""
+    """Members and vote threshold, plus what prediction reads, built once: the
+    members' stacked trees, each stacked node's 0/1 vote per label
+    (``_votes``), and the number of members covering each label
+    (``_coverage``). Both tables stop at the highest label index in any scope.
+    The member count m and subset size k are the members' own."""
 
     members: tuple[LpPayload, ...]
-    config: RakelConfig
+    threshold: float
     _stack: TreeStack = field(init=False, repr=False, compare=False)
     _votes: np.ndarray = field(init=False, repr=False, compare=False)
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
@@ -243,24 +240,24 @@ class RakelPayload:
             out=votes[:, :width],
             where=self._coverage > 0,
         )
-        return (votes > self.config.threshold).astype(int), votes
+        return (votes > self.threshold).astype(int), votes
 
     def to_dict(self):
-        return asdict(self.config), {"members": [m.to_dict()[1] for m in self.members]}
+        return {"threshold": self.threshold}, {"members": [m.to_dict()[1] for m in self.members]}
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
+        threshold = float(strategy_config["threshold"])
+        if not 0.0 <= threshold <= 1.0:  # NaN fails this too
+            raise ValidationError(f"rakel 'threshold' {threshold} must be in [0, 1]")
         members = tuple(LpPayload.from_dict("lp", {}, m, n_labels) for m in body["members"])
-        config = RakelConfig(
-            k=int(strategy_config["k"]),
-            m=int(strategy_config["m"]),
-            threshold=float(strategy_config["threshold"]),
-            seed=int(strategy_config["seed"]),
-        )
-        return cls(members=members, config=config)
+        if not members:
+            raise ValidationError("rakel 'members' must not be empty")
+        return cls(members=members, threshold=threshold)
 
     def summary(self):
-        return {"members": len(self.members), "k": self.config.k, "threshold": self.config.threshold}
+        k = len(self.members[0].scope)
+        return {"members": len(self.members), "k": k, "threshold": self.threshold}
 
 
 #: Strategy name -> payload class; the chain strategies share one class.
@@ -308,7 +305,6 @@ class TrainedModel:
     n_labels: int
     weeks: int
     feature_mode: str
-    tree_config: TreeConfig | None
     payload: BrPayload | ChainPayload | MajorityPayload | LpPayload | RakelPayload
 
     @property
@@ -316,13 +312,12 @@ class TrainedModel:
         return self.payload.strategy
 
 
-def _model(ds: Dataset, feature_mode: str, cfg: TreeConfig | None, payload) -> TrainedModel:
+def _model(ds: Dataset, feature_mode: str, payload) -> TrainedModel:
     return TrainedModel(
         registry_version=ds.registry.version,
         n_labels=len(ds.registry),
         weeks=ds.weeks,
         feature_mode=feature_mode,
-        tree_config=cfg,
         payload=payload,
     )
 
@@ -366,7 +361,7 @@ def train_binary_relevance(
     """One independent binary tree per label."""
     X, Y = _training_arrays(ds, feature_mode)
     trees = train_trees(X, Y.T, cfg, n_jobs=n_jobs)
-    return _model(ds, feature_mode, cfg, BrPayload(trees=tuple(trees)))
+    return _model(ds, feature_mode, BrPayload(trees=tuple(trees)))
 
 
 def train_chain(
@@ -394,7 +389,7 @@ def train_chain(
     d = X.shape[1]
     trees = train_trees(np.hstack([X, gold]), gold.T, cfg, widths=range(d, d + n_labels))
     payload = ChainPayload(trees=tuple(trees), order=order, history=history)
-    return _model(ds, feature_mode, cfg, payload)
+    return _model(ds, feature_mode, payload)
 
 
 def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
@@ -419,7 +414,7 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
             key = tuple(int(b) for b in row)
             seen[key] = seen.get(key, 0) + 1
         bits = max(seen, key=seen.get)  # max keeps the first (earliest-seen) winner
-    return _model(ds, "both", None, MajorityPayload(bits=bits, mode=mode))
+    return _model(ds, "both", MajorityPayload(bits=bits))
 
 
 def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
@@ -456,7 +451,7 @@ def train_lp(
     scope = tuple(range(Y.shape[1]))
     classes, table = _lp_encode(Y, scope)
     (tree,) = train_trees(X, [classes], cfg)
-    return _model(ds, feature_mode, cfg, LpPayload(tree=tree, classes=table, scope=scope))
+    return _model(ds, feature_mode, LpPayload(tree=tree, classes=table, scope=scope))
 
 
 def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
@@ -504,22 +499,21 @@ def train_rakel(
 ) -> TrainedModel:
     """LP ensemble over random k-subsets of the labels."""
     X, Y = _training_arrays(ds, feature_mode)
-    n_labels = Y.shape[1]
+    n_labels, k = Y.shape[1], rcfg.k
     m = rcfg.m if rcfg.m is not None else 2 * n_labels
-    resolved = RakelConfig(k=rcfg.k, m=m, threshold=rcfg.threshold, seed=rcfg.seed)
-    if resolved.k < n_labels and m * resolved.k < n_labels:
+    if k < n_labels and m * k < n_labels:
         warnings.warn(
-            f"m*k = {m * resolved.k} < {n_labels} labels: full coverage is impossible",
+            f"m*k = {m * k} < {n_labels} labels: full coverage is impossible",
             LabelCoverageWarning,
         )
-    subsets = sample_labelsets(n_labels, resolved.k, m, resolved.seed)
+    subsets = sample_labelsets(n_labels, k, m, rcfg.seed)
     encoded = [_lp_encode(Y, scope) for scope in subsets]
     trees = train_trees(X, [classes for classes, _ in encoded], tcfg, n_jobs=n_jobs)
     members = [
         LpPayload(tree=tree, classes=table, scope=scope)
         for tree, (_, table), scope in zip(trees, encoded, subsets)
     ]
-    return _model(ds, feature_mode, tcfg, RakelPayload(members=tuple(members), config=resolved))
+    return _model(ds, feature_mode, RakelPayload(members=tuple(members), threshold=rcfg.threshold))
 
 
 def predict(

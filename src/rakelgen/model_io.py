@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 from .domain import TemplateRegistry, registry_to_dict
 from .errors import ValidationError
 from .mlc import PAYLOADS, TrainedModel
-from .tree import TreeConfig
 
-#: Version 3 drops ``tree_config.seed`` and chain ``strategy_config.history``
-#: (the strategy name carries it); version 2 and 1 artifacts are rejected.
-FORMAT_VERSION = "3"
+#: Version 4 holds only what prediction reads (the README's "File formats"
+#: lists what each version dropped); artifacts of earlier versions are rejected.
+FORMAT_VERSION = "4"
 
 
 def registry_hash(registry: TemplateRegistry) -> str:
@@ -32,16 +30,6 @@ def registry_hash(registry: TemplateRegistry) -> str:
         registry_to_dict(registry), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _tree_config_from_dict(data: dict | None) -> TreeConfig | None:
-    if data is None:
-        return None
-    return TreeConfig(
-        max_depth=data["max_depth"],
-        min_samples_leaf=int(data["min_samples_leaf"]),
-        split_criterion=str(data["split_criterion"]),
-    )
 
 
 def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
@@ -59,7 +47,6 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
         "n_labels": model.n_labels,
         "weeks": model.weeks,
         "feature_mode": model.feature_mode,
-        "tree_config": None if model.tree_config is None else asdict(model.tree_config),
         "strategy_config": strategy_config,
         "payload": body,
     }
@@ -88,7 +75,6 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
                 f"model 'n_labels' {n_labels} does not match the registry's "
                 f"{len(registry)} templates"
             )
-        tree_config = _tree_config_from_dict(data["tree_config"])
         if strategy not in PAYLOADS:
             raise ValidationError(f"unknown strategy {strategy!r} in model artifact")
         payload = PAYLOADS[strategy].from_dict(
@@ -99,7 +85,6 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
             n_labels=n_labels,
             weeks=int(data["weeks"]),
             feature_mode=str(data["feature_mode"]),
-            tree_config=tree_config,
             payload=payload,
         )
     except ValidationError:

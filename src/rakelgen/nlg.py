@@ -8,12 +8,11 @@ rendered in factor code order, with slots filled from the student's series.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .domain import (
     FactorId,
-    LabelVector,
     ReferenceType,
     StudentRecord,
     Template,
@@ -54,27 +53,28 @@ class Summary:
 
 
 def select_templates(
-    prediction: LabelVector,
+    prediction: Sequence[int],
     registry: TemplateRegistry,
-    votes: tuple[float, ...] | None = None,
+    votes: Sequence[float] | None = None,
 ) -> SelectionResult:
     """Resolve per-factor conflicts among the predicted templates.
 
-    Without explicit votes every set bit counts 1.0, so ties fall to the
-    reference-type priority.
+    ``prediction`` holds one 0/1 bit per registry template, as a sequence or a
+    ``LabelVector``. Without explicit votes every set bit counts 1.0, so ties
+    fall to the reference-type priority.
     """
     if len(prediction) != len(registry):
         raise ValidationError(
             f"prediction length {len(prediction)} != registry size {len(registry)}"
         )
     if votes is None:
-        votes = tuple(float(b) for b in prediction.bits)
+        votes = [float(b) for b in prediction]
     elif len(votes) != len(registry):
         raise ValidationError(
             f"votes length {len(votes)} != registry size {len(registry)}"
         )
     by_factor: dict[FactorId, list[tuple[Template, float]]] = {}
-    for index, bit in enumerate(prediction.bits):
+    for index, bit in enumerate(prediction):
         if not bit:
             continue
         template = registry.template_at(index)
@@ -161,8 +161,7 @@ def _summaries(model, records, registry, gold, trend_tolerance) -> Iterator[Summ
         chunk_gold = None if gold is None else gold[head : head + _CHUNK_ROWS]
         bits, votes = predict_batch(model, X, chunk_gold)
         for record, row_bits, row_votes in zip(chunk, bits.tolist(), votes.tolist()):
-            prediction = LabelVector(tuple(row_bits))
-            selection = select_templates(prediction, registry, tuple(row_votes))
+            selection = select_templates(row_bits, registry, row_votes)
             yield render_summary(selection, record, trend_tolerance)
 
 

@@ -69,7 +69,7 @@ class TreeConfig:
 
 
 #: Node arrays of a tree, in the order ``tree_to_dict`` writes them.
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "label", "count")
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "label")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +80,7 @@ class DecisionTree:
     threshold[i]`` to ``left[i]`` and every other row to ``right[i]``; a
     child's index is always greater than its parent's. A leaf has ``feature``,
     ``left`` and ``right`` -1 and ``threshold`` 0. ``label`` is the majority
-    class of the training rows reaching a node (ties to the smallest class) and
-    ``count`` their number.
+    class of the training rows reaching a node (ties to the smallest class).
     """
 
     feature: np.ndarray
@@ -89,7 +88,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     label: np.ndarray
-    count: np.ndarray
     n_features: int
 
     def __post_init__(self):
@@ -330,7 +328,6 @@ class _Forest:
             nodes[name].append(-1)
         nodes["threshold"].append(0.0)
         nodes["label"].append(int(self.classes[tree][top]))
-        nodes["count"].append(n)
         cfg = self.cfg
         if (
             top_count < n
@@ -625,7 +622,7 @@ def tree_from_dict(data: dict) -> DecisionTree:
     shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}
     if n_nodes == 0 or set(shapes.values()) != {(n_nodes,)}:
         raise ValidationError(f"tree node arrays must be non-empty lists of one length: {shapes}")
-    for name in ("feature", "left", "right", "label", "count"):
+    for name in ("feature", "left", "right", "label"):
         # the int64 conversion truncates 1.5 to 1
         if not np.array_equal(getattr(tree, name), np.array(data[name], dtype=float)):
             raise ValidationError(f"tree '{name}' must hold integers")

@@ -51,7 +51,7 @@ def reference_predict_votes(
     payload = model.payload
     if isinstance(payload, RakelPayload):
         means = _rakel_votes(payload, x, model.n_labels)
-        t = payload.config.threshold
+        t = payload.threshold
         return tuple(int(v > t) for v in means), tuple(means)
     if isinstance(payload, ChainPayload):
         bits = [0] * model.n_labels

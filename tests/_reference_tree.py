@@ -6,7 +6,7 @@ comes from a per-node splitter of `_reference_split` (by default
 `node_best_split`, which sorts the node's own columns), so the differential
 tests that use it check all of `rakelgen.tree.train_trees`: the shared presort
 and its partition down the nodes, split search over blocks of nodes, node
-order, child links, stopping rules, leaf labels and counts.
+order, child links, stopping rules and node labels.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def reference_grow(X, y, cfg: TreeConfig = TreeConfig(), best_split=node_best_sp
 def _grow(X, codes, classes, depth, cfg, best_split):
     n = len(codes)
     counts = np.bincount(codes, minlength=len(classes))
-    leaf = {"label": int(classes[int(np.argmax(counts))]), "count": n}
+    leaf = {"label": int(classes[int(np.argmax(counts))])}
     if counts.max() == n:
         return leaf
     if cfg.max_depth is not None and depth >= cfg.max_depth:
@@ -53,12 +53,11 @@ def _grow(X, codes, classes, depth, cfg, best_split):
 
 def flatten(root: dict) -> dict:
     """Preorder node arrays of a nested tree: a node, its left subtree, then its right."""
-    arrays = {name: [] for name in ("feature", "threshold", "left", "right", "label", "count")}
+    arrays = {name: [] for name in ("feature", "threshold", "left", "right", "label")}
 
     def visit(node) -> int:
         index = len(arrays["label"])
         arrays["label"].append(node["label"])
-        arrays["count"].append(node["count"])
         arrays["feature"].append(node.get("feature", -1))
         arrays["threshold"].append(node.get("threshold", 0.0))
         arrays["left"].append(-1)

@@ -97,8 +97,9 @@ class TestGrowthAgainstReference:
             assert tree_to_dict(tree) == reference_grow(X, y, config)
 
     def test_node_counts_and_labels(self):
-        tree = train_tree([[0.0], [1.0], [2.0], [3.0]], [4, 4, 9, 9])
-        assert tree.count.tolist() == [4, 2, 2]
+        X = [[0.0], [1.0], [2.0], [3.0]]
+        tree = train_tree(X, [4, 4, 9, 9])
+        assert np.bincount(descend(stack_trees([tree]), X)[:, 0]).tolist() == [0, 2, 2]
         assert tree.label.tolist() == [4, 4, 9]  # the root's label is its majority, ties low
         assert tree.left.tolist() == [1, -1, -1]
         assert tree.right.tolist() == [2, -1, -1]
@@ -146,9 +147,7 @@ def _chain_tree(depth: int, n_features: int) -> DecisionTree:
     right = np.full(2 * depth + 1, -1)
     right[2 * k] = 2 * k + 2
     label = np.arange(2 * depth + 1) // 2 % 2
-    count = np.ones(2 * depth + 1, dtype=int)
-    count[2 * k] = depth - k + 1
-    return DecisionTree(feature, threshold, left, right, label, count, n_features)
+    return DecisionTree(feature, threshold, left, right, label, n_features)
 
 
 class TestDeepTrees:
@@ -160,7 +159,7 @@ class TestDeepTrees:
             classes=(frozenset(), frozenset({0, 28})),
             scope=tuple(range(29)),
         )
-        model = TrainedModel(registry.version, 29, 10, "both", TreeConfig(), payload)
+        model = TrainedModel(registry.version, 29, 10, "both", payload)
         path = tmp_path / "deep.json"
         save_model(model, registry, path)
         loaded = load_model(path, registry)
@@ -216,13 +215,16 @@ class TestArtifactChecks:
         save_dataset(ds37, data_path)
         code, stderr = _feedback(data_path, path)
         assert code == 2
-        assert f"format version '{version}'; expected '3'" in stderr
+        assert f"unsupported model format version '{version}'; expected '4'" in stderr
 
     def test_v1_artifact_rejected(self, ds37, registry, tmp_path):
         self._rejects_version("1", ds37, registry, tmp_path)
 
     def test_v2_artifact_rejected(self, ds37, registry, tmp_path):
         self._rejects_version("2", ds37, registry, tmp_path)
+
+    def test_v3_artifact_rejected(self, ds37, registry, tmp_path):
+        self._rejects_version("3", ds37, registry, tmp_path)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -258,7 +260,7 @@ def _feedback(data_path, model_path) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def fuzz_base(registry, tmp_path_factory):
-    """A 12-student cohort and the v2 artifacts of a small RAkEL and a BR model."""
+    """A 12-student cohort and the artifacts of a small RAkEL and a BR model."""
     work = tmp_path_factory.mktemp("fuzz")
     ds = generate_dataset(default_synth_config(n_students=12, weeks=4, seed=3), registry)
     save_dataset(ds, work / "data.jsonl")
@@ -292,7 +294,7 @@ def mutations(draw, artifacts):
         if value == tree[name][node]:
             value = n_nodes
     elif kind == "length":
-        name = draw(st.sampled_from(["feature", "threshold", "left", "right", "label", "count"]))
+        name = draw(st.sampled_from(["feature", "threshold", "left", "right", "label"]))
         if draw(st.booleans()):
             tree[name].append(tree[name][-1])
         else:
@@ -341,7 +343,7 @@ RETYPES = ["abc", 7, 7.5, -1, 2**70, float("nan"), True, None, [], [[0]], {}]
 
 @pytest.fixture(scope="module")
 def envelope_base(registry, tmp_path_factory):
-    """A 12-student labeled cohort and the v3 artifacts of all six strategies."""
+    """A 12-student labeled cohort and the artifacts of all six strategies."""
     work = tmp_path_factory.mktemp("envelope")
     ds = generate_dataset(default_synth_config(n_students=12, weeks=4, seed=3), registry)
     save_dataset(ds, work / "data.jsonl")

@@ -30,7 +30,7 @@ from rakelgen.mlc import (
     train_majority,
     train_rakel,
 )
-from rakelgen.tree import DecisionTree, TreeConfig, predict_tree, tree_to_dict
+from rakelgen.tree import DecisionTree, predict_tree, tree_to_dict
 
 # Flat marks value below 4.5 carries labels {1, 2}; above it, no labels.
 TWO_LABEL_ROWS = [
@@ -353,8 +353,7 @@ class TestSampleLabelsets:
 
 def _stub_member(n_features: int, labelset: frozenset[int], scope: tuple[int, ...]):
     tree = DecisionTree(
-        feature=[-1], threshold=[0.0], left=[-1], right=[-1], label=[0], count=[1],
-        n_features=n_features,
+        feature=[-1], threshold=[0.0], left=[-1], right=[-1], label=[0], n_features=n_features,
     )
     return LpPayload(tree=tree, classes=(labelset,), scope=scope)
 
@@ -366,11 +365,7 @@ def _stub_rakel(members, n_labels: int, threshold: float = 0.5):
         n_labels=n_labels,
         weeks=4,
         feature_mode="both",
-        tree_config=TreeConfig(),
-        payload=RakelPayload(
-            members=tuple(members),
-            config=RakelConfig(k=1, m=len(members), threshold=threshold, seed=0),
-        ),
+        payload=RakelPayload(members=tuple(members), threshold=threshold),
     )
 
 

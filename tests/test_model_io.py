@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import warnings
 
 import pytest
@@ -90,22 +91,36 @@ class TestRoundTrip:
         assert data["registry_sha256"] == registry_hash(registry)
         assert data["n_labels"] == 29
         assert data["weeks"] == 10
-        assert set(data) >= {
+        assert set(data) == {
+            "format_version",
+            "strategy",
+            "registry_version",
+            "registry_sha256",
+            "n_labels",
+            "weeks",
             "feature_mode",
-            "tree_config",
             "strategy_config",
             "payload",
         }
 
-    @pytest.mark.parametrize("method", ["chain-predicted", "chain-real"])
-    def test_v3_stores_no_seed_or_history(self, method, ds37, registry):
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_strategy_config_holds_only_what_prediction_reads(self, method, ds37, registry):
         data = model_to_dict(_train(method, ds37), registry)
-        assert data["format_version"] == "3"
+        assert data["format_version"] == "4"
         assert data["strategy"] == method
-        assert data["tree_config"] == {
-            "max_depth": None, "min_samples_leaf": 1, "split_criterion": "gini"
+        expected = {
+            "chain-predicted": {"order": list(range(29))},
+            "chain-real": {"order": list(range(29))},
+            "rakel": {"threshold": 0.5},
         }
-        assert data["strategy_config"] == {"order": list(range(29))}
+        assert data["strategy_config"] == expected.get(method, {})
+
+    @pytest.mark.parametrize("method", ["br", "chain-real", "lp", "rakel"])
+    def test_trees_store_five_node_arrays(self, method, ds37, registry):
+        body = model_to_dict(_train(method, ds37), registry)["payload"]
+        trees = body.get("trees") or [lp["tree"] for lp in body.get("members", [body])]
+        keys = {"n_features", "feature", "threshold", "left", "right", "label"}
+        assert all(set(tree) == keys for tree in trees)
 
     def test_chain_relabel_loads_as_the_other_chain(self, ds37, registry):
         data = model_to_dict(_train("chain-predicted", ds37), registry)
@@ -314,14 +329,36 @@ class TestLabelAxis:
         "mutate, message",
         [
             (lambda d: d["payload"]["bits"].__setitem__(0, 5), "majority 'bits' must be 0 or 1, got 5"),
-            (lambda d: d["strategy_config"].__setitem__("mode", "median"), "majority 'mode' 'median'"),
         ],
-        ids=["bit-5", "unknown-mode"],
+        ids=["bit-5"],
     )
     def test_majority_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
-        data = model_to_dict(_train("majority", ds37), registry)
+        self._exits_2("majority", mutate, message, ds37, registry, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["payload"].__setitem__("members", []), "rakel 'members' must not be empty"),
+            (
+                lambda d: d["strategy_config"].__setitem__("threshold", 1.5),
+                "rakel 'threshold' 1.5 must be in [0, 1]",
+            ),
+            (
+                lambda d: d["strategy_config"].__setitem__("threshold", float("nan")),
+                "rakel 'threshold' nan must be in [0, 1]",
+            ),
+        ],
+        ids=["no-members", "threshold-1.5", "threshold-nan"],
+    )
+    def test_rakel_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
+        self._exits_2("rakel", mutate, message, ds37, registry, tmp_path, capsys)
+
+    @staticmethod
+    def _exits_2(method, mutate, message, ds37, registry, tmp_path, capsys):
+        """The mutated artifact fails to load, and ``feedback`` exits 2 with ``message``."""
+        data = model_to_dict(_train(method, ds37), registry)
         mutate(data)
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             model_from_dict(data, registry)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(data), encoding="utf-8")

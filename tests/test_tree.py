@@ -9,7 +9,9 @@ from _reference_split import impurity, split_gain
 from rakelgen.errors import ValidationError
 from rakelgen.tree import (
     TreeConfig,
+    descend,
     predict_tree,
+    stack_trees,
     train_tree,
     tree_from_dict,
     tree_stats,
@@ -146,7 +148,8 @@ class TestConstraints:
     def test_min_samples_leaf_respected(self):
         X, y = _random_consistent_data(2, n=40)
         tree = train_tree(X, y, TreeConfig(min_samples_leaf=5))
-        leaf_sizes = tree.count[tree.feature == -1]
+        leaves = descend(stack_trees([tree]), X)[:, 0]
+        leaf_sizes = np.bincount(leaves)[tree.feature == -1]
         assert leaf_sizes.sum() == len(y)
         assert (leaf_sizes >= 5).all()
 
