@@ -6,48 +6,53 @@ registered feedback templates apply, and a small realizer fills the chosen
 templates' slots from the student's numbers.
 """
 
-from .domain import (
-    Dataset,
-    FactorId,
-    LabelVector,
-    ReferenceType,
-    StudentRecord,
-    Template,
-    TemplateRegistry,
-    default_registry,
-    load_dataset,
-    load_registry,
-    save_dataset,
-    save_registry,
-)
-from .errors import LabelCoverageWarning, ValidationError
-from .evaluation import (
-    EvalOptions,
-    comparison_report,
-    compute_metrics,
-    cross_validate,
-    paired_t_test,
-    render_table,
-    report_to_json,
-)
-from .features import extract_features, feature_matrix, feature_schema, ols_slope, trend_word
-from .mlc import (
-    RakelConfig,
-    TrainedModel,
-    gold_matrix,
-    predict,
-    predict_batch,
-    predict_record,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
-)
-from .model_io import load_model, save_model
-from .nlg import feedback_for_record, feedback_for_records, render_summary, render_text, select_templates
-from .synth import SynthConfig, default_synth_config, generate_dataset, load_synth_config
-from .tree import DecisionTree, TreeConfig, predict_tree, train_tree, train_trees
+import importlib
+
+#: Where each re-exported name lives. A name's module is imported when the
+#: name is first read (PEP 562), so ``import rakelgen`` imports no submodule
+#: and a command pays only for the modules it uses.
+_EXPORTS = {
+    "domain": (
+        "Dataset", "FactorId", "LabelVector", "ReferenceType", "StudentRecord", "Template",
+        "TemplateRegistry", "default_registry", "load_dataset", "load_registry",
+        "save_dataset", "save_registry",
+    ),
+    "errors": ("LabelCoverageWarning", "ValidationError"),
+    "evaluation": (
+        "EvalOptions", "comparison_report", "compute_metrics", "cross_validate",
+        "paired_t_test", "render_table", "report_to_json",
+    ),
+    "features": ("extract_features", "feature_matrix", "feature_schema", "ols_slope", "trend_word"),
+    "mlc": (
+        "RakelConfig", "TrainedModel", "gold_matrix", "predict", "predict_batch",
+        "predict_record", "train_binary_relevance", "train_chain", "train_lp",
+        "train_majority", "train_rakel",
+    ),
+    "model_io": ("load_model", "save_model"),
+    "nlg": (
+        "feedback_for_record", "feedback_for_records", "render_summary", "render_text",
+        "select_templates",
+    ),
+    "synth": ("SynthConfig", "default_synth_config", "generate_dataset", "load_synth_config"),
+    "tree": ("DecisionTree", "TreeConfig", "predict_tree", "train_tree", "train_trees"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as ``rakelgen.synth``
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"
 

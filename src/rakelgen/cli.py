@@ -28,29 +28,22 @@ from .domain import (
     save_dataset,
 )
 from .errors import ValidationError
-from .evaluation import (
-    AGGREGATES,
-    EvalOptions,
-    comparison_report,
-    render_table,
-    report_to_json,
-    train_method,
-)
-from .features import FEATURE_MODES, extract_features
+from .features import FEATURE_MODES, feature_matrix, feature_schema
 from .mlc import MAJORITY_MODES, STRATEGIES, RakelConfig
 from .model_io import load_model, save_model
 from .nlg import feedback_for_records, render_text, summary_to_json
-from .synth import (
-    achieved_correlations,
-    default_synth_config,
-    generate_dataset,
-    load_synth_config,
-)
 from .tree import CRITERIA, TreeConfig
+
+# ``evaluation`` and ``synth`` are imported inside the subcommands that use
+# them, so ``feedback`` and ``inspect-features`` neither import nor compile them.
 
 SEED_ENV_VAR = "RAKELGEN_SEED"
 
 DEFAULT_METHODS = "br,chain-predicted,majority,rakel,chain-real"
+
+#: ``evaluation.AGGREGATES``, repeated here so that building the parser does
+#: not import ``evaluation``.
+AGGREGATES = ("pooled", "fold-mean")
 
 
 def resolve_seed(value: int | None) -> int:
@@ -99,8 +92,10 @@ def _parse_chain_order(text: str | None) -> tuple[int, ...] | None:
         ) from None
 
 
-def _eval_options(args, **extra) -> EvalOptions:
+def _eval_options(args, **extra):
     """The training options that ``evaluate`` and ``train`` share, plus ``extra``."""
+    from .evaluation import EvalOptions
+
     seed = resolve_seed(args.seed)
     return EvalOptions(
         seed=seed,
@@ -259,6 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    from .synth import (
+        achieved_correlations,
+        default_synth_config,
+        generate_dataset,
+        load_synth_config,
+    )
+
     registry = _load_registry_arg(args)
     if args.config is None:
         config = default_synth_config()
@@ -286,6 +288,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import comparison_report, render_table, report_to_json
+
     registry = _load_registry_arg(args)
     ds = _load_data(args, registry)
     opts = _eval_options(args, n_folds=args.folds, aggregate=args.aggregate)
@@ -298,6 +302,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .evaluation import train_method
+
     registry = _load_registry_arg(args)
     ds = _load_data(args, registry)
     model = train_method(args.method, ds, _eval_options(args))
@@ -320,7 +326,7 @@ def cmd_feedback(args) -> int:
         raise ValidationError(
             f"model was trained on {model.weeks}-week series, dataset has {ds.weeks}"
         )
-    summaries = feedback_for_records(model, ds.records, registry, args.trend_tolerance)
+    summaries = feedback_for_records(model, ds, args.trend_tolerance)
     if args.out is None:
         _write_feedback(sys.stdout, summaries, args.format)
     else:
@@ -348,15 +354,16 @@ def _write_feedback(handle, summaries, fmt: str) -> None:
 def cmd_inspect_features(args) -> int:
     registry = _load_registry_arg(args)
     ds = _load_data(args, registry)
-    records = ds.records
+    rows = range(len(ds))
     if args.student is not None:
-        records = tuple(r for r in records if r.student_id == args.student)
-        if not records:
+        rows = [i for i in rows if ds.student_ids[i] == args.student]
+        if not rows:
             raise ValidationError(f"no record with student id {args.student!r}")
-    for record in records:
-        fv = extract_features(record, args.mode)
-        print(f"{record.student_id}:")
-        for (factor, name), value in zip(fv.schema, fv.values):
+    X = feature_matrix(ds.series[rows], args.mode)
+    schema = feature_schema(ds.weeks, args.mode)
+    for i, values in zip(rows, X.tolist()):
+        print(f"{ds.student_ids[i]}:")
+        for (factor, name), value in zip(schema, values):
             print(f"  {factor.key}.{name} = {value:g}")
     return 0
 

@@ -8,10 +8,15 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from importlib import resources
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -239,42 +244,126 @@ class LabelVector:
         return iter(self.bits)
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A registry plus the student records labeled against it."""
+    """A registry plus the student records labeled against it.
 
-    registry: TemplateRegistry
-    records: tuple[StudentRecord, ...]
+    ``series`` is the records' values as one read-only (n, 9, W) float64
+    stack, factors in code order. A dataset read by ``load_dataset`` keeps
+    only that stack and makes its ``records`` when they are first read; one
+    built from records makes the stack each time ``series`` is read, so
+    neither holds the values twice. Attributes are not to be reassigned.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        weeks = {r.weeks for r in self.records}
+    def __init__(self, registry: TemplateRegistry, records: Iterable[StudentRecord]):
+        self._records = tuple(records)
+        self._series = None
+        weeks = {r.weeks for r in self._records}
         if len(weeks) > 1:
             raise ValidationError(f"records disagree on week count: {sorted(weeks)}")
-        valid_ids = set(self.registry.ids())
-        for record in self.records:
-            if record.expert_labels is None:
+        self._init(
+            registry,
+            tuple(r.student_id for r in self._records),
+            tuple(r.expert_labels for r in self._records),
+        )
+
+    @classmethod
+    def from_series(
+        cls,
+        registry: TemplateRegistry,
+        student_ids: Sequence[str],
+        series: np.ndarray,
+        expert_labels: Sequence[frozenset[int] | None],
+    ) -> "Dataset":
+        """A dataset over an (n, 9, W) float64 stack, which it makes read-only."""
+        series.flags.writeable = False
+        ds = cls.__new__(cls)
+        ds._records = None
+        ds._series = series
+        ds._init(registry, tuple(student_ids), tuple(expert_labels))
+        return ds
+
+    def _init(self, registry, student_ids, expert_labels) -> None:
+        self.registry = registry
+        self.student_ids = student_ids
+        self.expert_labels = expert_labels
+        valid_ids = set(registry.ids())
+        for student_id, labels in zip(student_ids, expert_labels):
+            if labels is None:
                 continue
-            unknown = record.expert_labels - valid_ids
+            unknown = labels - valid_ids
             if unknown:
                 raise ValidationError(
-                    f"record {record.student_id}: expert labels {sorted(unknown)} "
-                    f"not in registry"
+                    f"record {student_id}: expert labels {sorted(unknown)} not in registry"
                 )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.student_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.registry == other.registry
+            and self.student_ids == other.student_ids
+            and self.expert_labels == other.expert_labels
+            and np.array_equal(self.series, other.series)
+        )
+
+    __hash__ = None
+
+    @property
+    def records(self) -> tuple[StudentRecord, ...]:
+        if self._records is None:
+            self._records = tuple(
+                StudentRecord(student_id, self.weeks, dict(zip(FactorId, map(tuple, rows))), labels)
+                for student_id, rows, labels in zip(
+                    self.student_ids, self._series.tolist(), self.expert_labels
+                )
+            )
+        return self._records
+
+    @property
+    def series(self) -> np.ndarray:
+        if self._series is None:
+            return series_stack(self._records)
+        return self._series
 
     @property
     def weeks(self) -> int:
-        if not self.records:
+        if not len(self):
             raise ValidationError("dataset has no records")
-        return self.records[0].weeks
+        if self._series is None:
+            return self._records[0].weeks
+        return self._series.shape[2]
+
+    def take(self, rows: Sequence[int]) -> "Dataset":
+        """The dataset of the given row indices, in that order."""
+        return Dataset.from_series(
+            self.registry,
+            [self.student_ids[i] for i in rows],
+            self.series[list(rows)],
+            [self.expert_labels[i] for i in rows],
+        )
 
     def require_labeled(self) -> None:
-        unlabeled = [r.student_id for r in self.records if not r.labeled]
+        unlabeled = [
+            student_id
+            for student_id, labels in zip(self.student_ids, self.expert_labels)
+            if labels is None
+        ]
         if unlabeled:
             raise ValidationError(f"records without expert labels: {unlabeled[:5]}")
+
+
+def series_stack(records: Sequence[StudentRecord]) -> np.ndarray:
+    """The series of records with a common week count as an (n, 9, W) float64
+    array, factors in code order."""
+    weeks = {record.weeks for record in records}
+    if len(weeks) > 1:
+        raise ValidationError(f"records disagree on week count: {sorted(weeks)}")
+    return np.array(
+        [[record.series[factor] for factor in FactorId] for record in records], dtype=float
+    ).reshape(len(records), len(FactorId), weeks.pop() if weeks else 0)
 
 
 def labelset_to_vector(ids, registry: TemplateRegistry) -> LabelVector:
@@ -358,31 +447,169 @@ def record_to_dict(record: StudentRecord) -> dict:
 
 
 def record_from_dict(data: dict, source: str = "record") -> StudentRecord:
+    """One record object of a dataset file, checked as a record and against
+    the file format's type rules (see ``_type_error``)."""
     try:
         series = {
             FactorId.from_key(name): tuple(values)
             for name, values in data["series"].items()
         }
         labels = data.get("expert_labels")
-        return StudentRecord(
+        record = StudentRecord(
             student_id=str(data["student_id"]),
             weeks=int(data["weeks"]),
             series=series,
             expert_labels=None if labels is None else frozenset(labels),
         )
+    except ValidationError:
+        raise
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{source}: malformed record: {exc}") from None
+    except (ValueError, AttributeError, OverflowError):
+        record = None  # a value of the wrong type; _type_error names it
+    problem = _type_error(data)
+    if problem is not None:
+        raise ValidationError(f"{source}: malformed record: {problem}")
+    return record
+
+
+def _type_error(data: dict) -> str | None:
+    """The first field of a record object that breaks the type rules: series
+    values are JSON numbers (not booleans) that fit a float, ``weeks`` and
+    expert labels are integers, ``student_id`` is a string.
+
+    ``record_from_dict`` applies these rules after the record's own checks,
+    so a record that those checks reject keeps the message they give.
+    """
+    series = data["series"]
+    if type(series) is not dict:
+        return f"series must be an object, got {_shown(series)}"
+    for name, values in series.items():
+        if type(values) is not list:
+            return f"series {name} must be an array, got {_shown(values)}"
+        for week, value in enumerate(values):
+            if not _is_number(value):
+                return f"series {name}[{week}] must be a number, got {_shown(value)}"
+    if type(data["student_id"]) is not str:
+        return f"student_id must be a string, got {_shown(data['student_id'])}"
+    if type(data["weeks"]) is not int:
+        return f"weeks must be an integer, got {_shown(data['weeks'])}"
+    labels = data.get("expert_labels")
+    if labels is not None:
+        if type(labels) is not list:
+            return f"expert_labels must be an array, got {_shown(labels)}"
+        for position, label in enumerate(labels):
+            if type(label) is not int:
+                return f"expert_labels[{position}] must be an integer, got {_shown(label)}"
+    return None
+
+
+def _is_number(value) -> bool:
+    if type(value) is not int:
+        return type(value) is float
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _shown(value) -> str:
+    """A bad value as an error message shows it: JSON text, or the kind of container."""
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, dict):
+        return "an object"
+    return json.dumps(value)
+
+
+def _open(path: Path):
+    try:
+        return path.open(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
-    """Read a JSON Lines dataset (one StudentRecord object per line)."""
+    """Read a JSON Lines dataset (one record object per line).
+
+    The lines are checked in bulk and their series go into one (n, 9, W)
+    stack. Only if a bulk check fails is the file read again record by record
+    (``record_from_dict``), which raises the first bad line's error in file
+    order; the rare inputs that the bulk checks refuse but the record checks
+    accept (factor keys in upper case, say) load from that second reading.
+    """
     path = Path(path)
-    records = []
-    try:
-        handle = path.open(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    with handle:
+    dataset = _load_series(path, registry)
+    if dataset is None:
+        dataset = Dataset(registry, _read_records(path))
+    return dataset
+
+
+_FACTOR_KEYS = tuple(factor.key for factor in FactorId)
+_FACTOR_KEY_SET = frozenset(_FACTOR_KEYS)
+_factor_lists = itemgetter(*_FACTOR_KEYS)
+
+#: ``_load_series`` moves the values of this many lines at a time from JSON
+#: lists into an array, so the file's values are never all held twice.
+_BLOCK_LINES = 512
+
+
+def _load_series(path: Path, registry: TemplateRegistry) -> Dataset | None:
+    """The dataset of a file whose records all pass the bulk checks, else None."""
+    student_ids, weeks, labels, blocks = [], [], [], []
+    with _open(path) as handle:
+        lines = filter(None, map(str.strip, handle))
+        while block := list(islice(lines, _BLOCK_LINES)):
+            rows = []
+            for line in block:
+                try:
+                    data = json.loads(line)
+                    series = data["series"]
+                    if series.keys() != _FACTOR_KEY_SET:
+                        return None
+                    rows.append(_factor_lists(series))
+                    student_ids.append(data["student_id"])
+                    weeks.append(data["weeks"])
+                    labels.append(data.get("expert_labels"))
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    return None
+            values = _as_floats(rows)
+            if values is None:
+                return None
+            blocks.append(values)
+    if not blocks or {*map(type, student_ids)} != {str} or {*map(type, weeks)} != {int}:
+        return None
+    shape = (len(_FACTOR_KEYS), weeks[0])
+    if weeks[0] < 1 or weeks.count(weeks[0]) != len(weeks):
+        return None
+    if any(values.shape[1:] != shape for values in blocks):
+        return None
+    stack = np.concatenate(blocks)
+    if not np.isfinite(stack).all():
+        return None
+    if not all(entry is None or type(entry) is list for entry in labels):
+        return None
+    if not {*map(type, chain.from_iterable(filter(None, labels)))} <= {int}:
+        return None
+    expert_labels = [None if entry is None else frozenset(entry) for entry in labels]
+    return Dataset.from_series(registry, student_ids, stack, expert_labels)
+
+
+def _as_floats(rows: list) -> np.ndarray | None:
+    """Lists of value lists as a float array, or None unless every value is a
+    JSON number (not a boolean) and the lists are of one length."""
+    try:  # iterating the value lists also checks that they are lists
+        if not {*map(type, chain.from_iterable(chain.from_iterable(rows)))} <= {float, int}:
+            return None
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _read_records(path: Path):
+    """The file's records, read one line at a time; raises the first bad line's error."""
+    with _open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -391,8 +618,7 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            records.append(record_from_dict(data, f"{path}:{lineno}"))
-    return Dataset(registry=registry, records=tuple(records))
+            yield record_from_dict(data, f"{path}:{lineno}")
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -194,29 +194,22 @@ def cross_validate(
     of both methods trains each fold's chain once.
     """
     ds.require_labeled()
-    plan = make_fold_plan(len(ds.records), opts.n_folds, opts.seed)
+    plan = make_fold_plan(len(ds), opts.n_folds, opts.seed)
     all_gold: list[LabelVector] = []
     all_pred: list[LabelVector] = []
     fold_metrics: list[MetricSet] = []
     for fold in range(opts.n_folds):
-        train_records = tuple(
-            r for r, f in zip(ds.records, plan) if f != fold
-        )
-        test_records = tuple(r for r, f in zip(ds.records, plan) if f == fold)
+        test = ds.take([i for i, f in enumerate(plan) if f == fold])
         shared = chains is not None and method in CHAIN_METHODS
         if shared and fold in chains:
             model = _with_history(chains[fold], method)
         else:
-            model = train_method(method, Dataset(ds.registry, train_records), opts)
+            model = train_method(method, ds.take([i for i, f in enumerate(plan) if f != fold]), opts)
             if shared:
                 chains[fold] = model
-        fold_gold = [
-            labelset_to_vector(r.expert_labels, ds.registry) for r in test_records
-        ]
+        fold_gold = [labelset_to_vector(labels, ds.registry) for labels in test.expert_labels]
         bits, _ = predict_batch(
-            model,
-            feature_matrix(test_records, model.feature_mode),
-            gold_matrix(model, test_records, ds.registry),
+            model, feature_matrix(test.series, model.feature_mode), gold_matrix(model, test)
         )
         fold_pred = [LabelVector(tuple(row)) for row in bits.tolist()]
         fold_metrics.append(compute_metrics(fold_gold, fold_pred))

@@ -4,25 +4,24 @@ Per factor the derived features are (mean, slope, min, max, last), followed by
 the raw weekly values when raw mode is enabled. Factors appear in code order,
 so the schema is fully determined by the week count and the mode.
 
-``feature_matrix`` computes the features of many records at once, one week
-column at a time. Sums run left to right in week order, starting from the
-first week, as a plain Python ``sum`` over the series does (Python 3.11 adds
-floats one by one). That order is part of the output: a pairwise or
-compensated sum (``np.sum``, or ``sum`` from Python 3.12 on) can round the
-mean and the slope differently in the last bit, and a tree threshold can fall
-between the two. ``min`` and ``max`` keep the first of equal values, as the
-builtins do.
+``feature_matrix`` computes the features of a whole (n, 9, W) series stack at
+once, one week column at a time. Sums run left to right in week order,
+starting from the first week, as a plain Python ``sum`` over the series does
+(Python 3.11 adds floats one by one). That order is part of the output: a
+pairwise or compensated sum (``np.sum``, or ``sum`` from Python 3.12 on) can
+round the mean and the slope differently in the last bit, and a tree threshold
+can fall between the two. ``min`` and ``max`` keep the first of equal values,
+as the builtins do.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .domain import FactorId, StudentRecord
+from .domain import FactorId, StudentRecord, series_stack
 from .errors import ValidationError
 
 DERIVED_FEATURES = ("mean", "slope", "min", "max", "last")
@@ -72,51 +71,51 @@ def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str]
     return tuple(schema)
 
 
-def feature_matrix(records: Sequence[StudentRecord], mode: str = "both") -> np.ndarray:
-    """Feature rows of records with a common week count, as an (n, d) array.
+def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
+    """Feature rows of an (n, 9, W) series stack (``Dataset.series``), as an
+    (n, d) array.
 
-    Row i equals ``extract_features(records[i], mode).values`` bit for bit.
+    Row i equals ``extract_features(record, mode).values`` of the record
+    whose series are ``series[i]``, bit for bit.
     """
     if mode not in FEATURE_MODES:
         raise ValidationError(f"unknown feature mode {mode!r}; expected one of {FEATURE_MODES}")
-    if not records:
+    S = series
+    if not len(S):
         return np.empty((0, 0))
-    weeks = {record.weeks for record in records}
-    if len(weeks) > 1:
-        raise ValidationError(f"records disagree on week count: {sorted(weeks)}")
-    # (n, factor, week); week columns are taken one at a time below
-    S = np.array([[record.series[factor] for factor in FactorId] for record in records])
-    W = S.shape[-1]
     blocks = []
     if mode in ("derived", "both"):
-        total = S[..., 0] + 0.0  # sum() starts from 0, so -0.0 becomes 0.0
         low, high = S[..., 0], S[..., 0]
-        for w in range(1, W):
-            total = total + S[..., w]
+        for w in range(1, S.shape[-1]):
             low = np.where(S[..., w] < low, S[..., w], low)
             high = np.where(S[..., w] > high, S[..., w], high)
-        mean = total / W
-        blocks.append(np.stack([mean, _ols_slopes(S, mean), low, high, S[..., -1]], axis=-1))
+        mean, slope = mean_and_slope(S)
+        blocks.append(np.stack([mean, slope, low, high, S[..., -1]], axis=-1))
     if mode in ("raw", "both"):
         blocks.append(S)
-    return np.concatenate(blocks, axis=-1).reshape(len(records), -1)
+    return np.concatenate(blocks, axis=-1).reshape(len(S), -1)
 
 
-def _ols_slopes(S: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``ols_slope`` of every series in S (n, factor, week), same operations in the same order."""
+def mean_and_slope(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ``ols_slope`` of every series in S (..., W), each with the
+    operations of the per-series code in the same order, so bit for bit."""
     W = S.shape[-1]
+    total = S[..., 0] + 0.0  # sum() starts from 0, so -0.0 becomes 0.0
+    for w in range(1, W):
+        total = total + S[..., w]
+    mean = total / W
     if W == 1:
-        return np.zeros(S.shape[:-1])
+        return mean, np.zeros(S.shape[:-1])
     offsets, den = _week_offsets(W)
     num = offsets[0] * (S[..., 0] - mean) + 0.0
     for i in range(1, W):
         num = num + offsets[i] * (S[..., i] - mean)
-    return num / den
+    return mean, num / den
 
 
 def extract_features(record: StudentRecord, mode: str = "both") -> FeatureVector:
     """Deterministic feature vector for a record; pure in its inputs."""
-    values = feature_matrix([record], mode)[0]
+    values = feature_matrix(series_stack([record]), mode)[0]
     return FeatureVector(tuple(values.tolist()), feature_schema(record.weeks, mode))
 
 

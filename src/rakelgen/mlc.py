@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry
+from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry, series_stack
 from .errors import LabelCoverageWarning, ValidationError
 from .features import FeatureVector, feature_matrix
 from .tree import (
@@ -322,37 +322,33 @@ def _model(ds: Dataset, feature_mode: str, payload) -> TrainedModel:
     )
 
 
-def _label_matrix(records, registry: TemplateRegistry) -> np.ndarray:
+def _label_matrix(ds: Dataset) -> np.ndarray:
     """Expert labels as an (n_records, n_labels) 0/1 array, in registry order."""
-    Y = np.zeros((len(records), len(registry)), dtype=int)
-    for i, record in enumerate(records):
-        for template_id in record.expert_labels:
-            Y[i, registry.label_index(template_id)] = 1
+    Y = np.zeros((len(ds), len(ds.registry)), dtype=int)
+    for i, labels in enumerate(ds.expert_labels):
+        for template_id in labels:
+            Y[i, ds.registry.label_index(template_id)] = 1
     return Y
 
 
-def gold_matrix(
-    model: TrainedModel, records, registry: TemplateRegistry | None
-) -> np.ndarray | None:
-    """The ``gold`` argument of ``predict_batch`` for these records: their
-    expert labels for a chain-real model, None for every other strategy."""
+def gold_matrix(model: TrainedModel, ds: Dataset) -> np.ndarray | None:
+    """The ``gold`` argument of ``predict_batch`` for the dataset's records:
+    their expert labels for a chain-real model, None for every other strategy."""
     if model.strategy != "chain-real":
         return None
-    for record in records:
-        if record.expert_labels is None:
+    for student_id, labels in zip(ds.student_ids, ds.expert_labels):
+        if labels is None:
             raise ValidationError(
-                f"record {record.student_id}: chain-real prediction needs expert labels"
+                f"record {student_id}: chain-real prediction needs expert labels"
             )
-    if registry is None:
-        raise ValidationError("chain-real prediction needs the registry to encode gold labels")
-    return _label_matrix(records, registry)
+    return _label_matrix(ds)
 
 
 def _training_arrays(ds: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    if len(ds.records) == 0:
+    if len(ds) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    return feature_matrix(ds.records, mode), _label_matrix(ds.records, ds.registry)
+    return feature_matrix(ds.series, mode), _label_matrix(ds)
 
 
 def train_binary_relevance(
@@ -401,10 +397,10 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
     """
     if mode not in MAJORITY_MODES:
         raise ValidationError(f"majority mode must be one of {MAJORITY_MODES}")
-    if len(ds.records) == 0:
+    if len(ds) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    Y = _label_matrix(ds.records, ds.registry)
+    Y = _label_matrix(ds)
     n = Y.shape[0]
     if mode == "per-label":
         bits = tuple(int(c * 2 > n) for c in Y.sum(axis=0))
@@ -424,7 +420,7 @@ def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
     returned table is a bijection between class ids and observed sets.
     """
     ds.require_labeled()
-    Y = _label_matrix(ds.records, ds.registry)
+    Y = _label_matrix(ds)
     return _lp_encode(Y, scope=tuple(range(Y.shape[1])))
 
 
@@ -527,11 +523,17 @@ def predict(
 
 
 def predict_record(
-    model: TrainedModel, record: StudentRecord, registry=None
+    model: TrainedModel, record: StudentRecord, registry: TemplateRegistry | None = None
 ) -> LabelVector:
-    """Convenience wrapper: extract features with the model's mode, then predict."""
-    gold = gold_matrix(model, [record], registry)
-    bits, _ = predict_batch(model, feature_matrix([record], model.feature_mode), gold)
+    """Convenience wrapper: extract features with the model's mode, then predict.
+    A chain-real model needs the registry, to encode the record's gold labels."""
+    gold = None
+    if model.strategy == "chain-real":
+        if registry is None:
+            raise ValidationError("chain-real prediction needs the registry to encode gold labels")
+        gold = gold_matrix(model, Dataset(registry, (record,)))
+    X = feature_matrix(series_stack([record]), model.feature_mode)
+    bits, _ = predict_batch(model, X, gold)
     return LabelVector(tuple(bits[0].tolist()))
 
 

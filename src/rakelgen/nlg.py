@@ -4,6 +4,10 @@ A predicted label vector may set several templates for the same factor; a
 summary keeps at most one per factor (highest vote, ties broken by reference
 type: trend, then weeks, then average, then the fallback). Kept templates are
 rendered in factor code order, with slots filled from the student's series.
+
+``feedback_for_records`` selects and renders a chunk of records at a time:
+``choose`` picks every row's winners at once, and the slots read the chunk's
+per-factor means and slopes. ``select_templates`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -11,15 +15,19 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import (
+    Dataset,
     FactorId,
     ReferenceType,
     StudentRecord,
     Template,
     TemplateRegistry,
+    series_stack,
 )
 from .errors import ValidationError
-from .features import DEFAULT_TREND_TOLERANCE, feature_matrix, ols_slope, trend_word
+from .features import DEFAULT_TREND_TOLERANCE, feature_matrix, mean_and_slope, trend_word
 from .mlc import TrainedModel, gold_matrix, predict_batch
 
 REFERENCE_PRIORITY = {
@@ -34,6 +42,9 @@ DROP_REASON_CONFLICT = "factor-conflict"
 #: ``feedback_for_records`` predicts this many records at a time, so it never
 #: holds the feature or vote rows of more than one chunk.
 _CHUNK_ROWS = 256
+
+#: A factor's position on the factor axis of a series stack.
+_FACTOR_AXIS = {factor: axis for axis, factor in enumerate(FactorId)}
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,35 @@ class Summary:
     template_ids: tuple[int, ...]
 
 
+def factor_columns(registry: TemplateRegistry) -> np.ndarray:
+    """(9, P) label indices of each factor's templates, factors in code order
+    and each factor's templates in reference priority order, padded with
+    ``len(registry)``, a column that ``choose`` never sets."""
+    columns = [
+        sorted(
+            (i for i, t in enumerate(registry.templates) if t.factor == factor),
+            key=lambda i: REFERENCE_PRIORITY[registry.templates[i].reference],
+        )
+        for factor in FactorId
+    ]
+    width = max(map(len, columns))
+    return np.array([c + [len(registry)] * (width - len(c)) for c in columns])
+
+
+def choose(bits: np.ndarray, votes: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The label index each factor keeps in each row of bits and votes
+    (rows, L), as (rows, 9); -1 where the factor has no set bit.
+
+    The winner is the first argmax of the factor's votes, set bits only,
+    over its ``factor_columns`` in priority order. Votes must be finite.
+    """
+    pad = ((0, 0), (0, 1))  # the padding column: never set
+    is_set = np.pad(bits != 0, pad)[:, columns]  # (rows, 9, P)
+    ranked = np.where(is_set, np.pad(votes, pad)[:, columns], -np.inf)
+    winners = columns[np.arange(len(columns)), ranked.argmax(axis=-1)]
+    return np.where(is_set.any(axis=-1), winners, -1)
+
+
 def select_templates(
     prediction: Sequence[int],
     registry: TemplateRegistry,
@@ -63,37 +103,28 @@ def select_templates(
     ``LabelVector``. Without explicit votes every set bit counts 1.0, so ties
     fall to the reference-type priority.
     """
-    if len(prediction) != len(registry):
-        raise ValidationError(
-            f"prediction length {len(prediction)} != registry size {len(registry)}"
-        )
+    bits = [bool(b) for b in prediction]
+    if len(bits) != len(registry):
+        raise ValidationError(f"prediction length {len(bits)} != registry size {len(registry)}")
     if votes is None:
-        votes = [float(b) for b in prediction]
+        votes = [float(b) for b in bits]
     elif len(votes) != len(registry):
         raise ValidationError(
             f"votes length {len(votes)} != registry size {len(registry)}"
         )
-    by_factor: dict[FactorId, list[tuple[Template, float]]] = {}
-    for index, bit in enumerate(prediction):
-        if not bit:
-            continue
-        template = registry.template_at(index)
-        by_factor.setdefault(template.factor, []).append((template, votes[index]))
-    chosen = []
-    dropped = []
-    for factor in FactorId:
-        candidates = by_factor.get(factor)
-        if not candidates:
-            continue
-        winner = min(
-            candidates,
-            key=lambda pair: (-pair[1], REFERENCE_PRIORITY[pair[0].reference]),
-        )
-        chosen.append(winner)
-        for template, _ in candidates:
-            if template is not winner[0]:
-                dropped.append((template, DROP_REASON_CONFLICT))
-    return SelectionResult(chosen=tuple(chosen), dropped=tuple(dropped))
+    row_votes = np.array([votes], dtype=float)
+    if not np.isfinite(row_votes).all():
+        raise ValidationError("votes must be finite")
+    winners = choose(np.array([bits]), row_votes, factor_columns(registry))[0].tolist()
+    at = registry.template_at
+    dropped = sorted(
+        (j for j, bit in enumerate(bits) if bit and j not in winners),
+        key=lambda j: (at(j).factor, j),
+    )
+    return SelectionResult(
+        chosen=tuple((at(j), votes[j]) for j in winners if j >= 0),
+        dropped=tuple((at(j), DROP_REASON_CONFLICT) for j in dropped),
+    )
 
 
 def format_number(value: float) -> str:
@@ -101,20 +132,31 @@ def format_number(value: float) -> str:
     return f"{value:.1f}"
 
 
+#: Slot text from one factor's weekly values (an array), mean, slope and the
+#: trend tolerance.
 _SLOT_FORMATTERS = {
-    "average": lambda series, tolerance: format_number(sum(series) / len(series)),
-    "trend_word": lambda series, tolerance: trend_word(ols_slope(series), tolerance),
-    "first_week_value": lambda series, tolerance: format_number(series[0]),
-    "last_week_value": lambda series, tolerance: format_number(series[-1]),
-    "per_week_list": lambda series, tolerance: ", ".join(format_number(v) for v in series),
+    "average": lambda values, mean, slope, tolerance: format_number(mean),
+    "trend_word": lambda values, mean, slope, tolerance: trend_word(slope, tolerance),
+    "first_week_value": lambda values, mean, slope, tolerance: format_number(float(values[0])),
+    "last_week_value": lambda values, mean, slope, tolerance: format_number(float(values[-1])),
+    "per_week_list": lambda values, mean, slope, tolerance: ", ".join(
+        map("{:.1f}".format, values.tolist())  # format_number of each value
+    ),
 }
 
 
-def _slot_values(
-    template: Template, series: tuple[float, ...], tolerance: float
-) -> dict[str, str]:
-    """The text of each slot the template uses."""
-    return {slot: _SLOT_FORMATTERS[slot](series, tolerance) for slot in template.slots()}
+def _render(student_id, templates, series, means, slopes, tolerance) -> Summary:
+    """One record's summary: its series (9, W) and its per-factor means and
+    slopes, all in factor code order, fill the slots of ``templates``."""
+    sentences = []
+    for template in templates:
+        axis = _FACTOR_AXIS[template.factor]
+        values = {
+            slot: _SLOT_FORMATTERS[slot](series[axis], means[axis], slopes[axis], tolerance)
+            for slot in template.slots()
+        }
+        sentences.append(template.surface_text.format(**values))
+    return Summary(student_id, tuple(sentences), tuple(t.id for t in templates))
 
 
 def render_summary(
@@ -123,46 +165,60 @@ def render_summary(
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
 ) -> Summary:
     """Fill each chosen template's slots from the record's series."""
-    sentences = []
-    template_ids = []
-    for template, _ in selection.chosen:
-        values = _slot_values(template, record.series[template.factor], trend_tolerance)
-        sentences.append(template.surface_text.format(**values))
-        template_ids.append(template.id)
-    return Summary(
-        student_id=record.student_id,
-        sentences=tuple(sentences),
-        template_ids=tuple(template_ids),
+    S = series_stack([record])
+    means, slopes = mean_and_slope(S)
+    templates = [template for template, _ in selection.chosen]
+    return _render(
+        record.student_id, templates, S[0], means[0].tolist(), slopes[0].tolist(), trend_tolerance
     )
 
 
 def feedback_for_records(
     model: TrainedModel,
-    records,
-    registry: TemplateRegistry,
+    ds: Dataset,
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
 ) -> Iterator[Summary]:
     """Predict, resolve conflicts, render: one summary per student, in order.
 
     The tolerance and the gold labels a chain-real model needs are checked
     here; the summaries are then yielded as they are rendered. Records are
-    predicted ``_CHUNK_ROWS`` at a time, one feature matrix each.
+    handled ``_CHUNK_ROWS`` at a time, one feature matrix each.
     """
     if not trend_tolerance >= 0:  # NaN fails this too
         raise ValidationError(f"trend tolerance must be >= 0, got {trend_tolerance}")
-    gold = gold_matrix(model, records, registry)
-    return _summaries(model, records, registry, gold, trend_tolerance)
+    gold = gold_matrix(model, ds)
+    return _summaries(model, ds, gold, trend_tolerance)
 
 
-def _summaries(model, records, registry, gold, trend_tolerance) -> Iterator[Summary]:
-    for head in range(0, len(records), _CHUNK_ROWS):
-        chunk = records[head : head + _CHUNK_ROWS]
-        X = feature_matrix(chunk, model.feature_mode)
-        chunk_gold = None if gold is None else gold[head : head + _CHUNK_ROWS]
-        bits, votes = predict_batch(model, X, chunk_gold)
-        for record, row_bits, row_votes in zip(chunk, bits.tolist(), votes.tolist()):
-            selection = select_templates(row_bits, registry, row_votes)
-            yield render_summary(selection, record, trend_tolerance)
+def _summaries(model, ds, gold, trend_tolerance) -> Iterator[Summary]:
+    for head in range(0, len(ds), _CHUNK_ROWS):
+        rows = slice(head, head + _CHUNK_ROWS)
+        S = ds.series[rows]
+        X = feature_matrix(S, model.feature_mode)
+        bits, votes = predict_batch(model, X, None if gold is None else gold[rows])
+        yield from chunk_summaries(
+            ds.student_ids[rows], S, bits, votes, ds.registry, trend_tolerance
+        )
+
+
+def chunk_summaries(
+    student_ids: Sequence[str],
+    series: np.ndarray,
+    bits: np.ndarray,
+    votes: np.ndarray,
+    registry: TemplateRegistry,
+    trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
+) -> Iterator[Summary]:
+    """The summaries of a chunk of records: their series (rows, 9, W) and
+    their predicted bits and finite votes (rows, L)."""
+    templates = registry.templates
+    winners = choose(bits, votes, factor_columns(registry))
+    means, slopes = mean_and_slope(series)
+    for student_id, row_winners, *row in zip(
+        student_ids, winners.tolist(), series, means.tolist(), slopes.tolist()
+    ):
+        chosen = [templates[j] for j in row_winners if j >= 0]
+        yield _render(student_id, chosen, *row, trend_tolerance)
 
 
 def feedback_for_record(
@@ -172,7 +228,7 @@ def feedback_for_record(
     trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
 ) -> Summary:
     """Predict, resolve conflicts, render: one summary for one student."""
-    return next(feedback_for_records(model, [record], registry, trend_tolerance))
+    return next(feedback_for_records(model, Dataset(registry, (record,)), trend_tolerance))
 
 
 def render_text(summary: Summary) -> str:

@@ -41,7 +41,6 @@ leaves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -506,6 +505,8 @@ def train_trees(
     groups = [g for g in np.array_split(np.arange(len(labels)), max(1, n_jobs)) if g.size]
     if len(groups) <= 1:
         return [tree for group in groups for tree in grow(group)]
+    from concurrent.futures import ThreadPoolExecutor  # only here: prediction never needs it
+
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         return [tree for trees in pool.map(grow, groups) for tree in trees]
 

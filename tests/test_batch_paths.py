@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from _builders import marks_dataset, marks_record, tiny_registry
 from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
-from rakelgen.domain import FactorId, LabelVector, StudentRecord
+from rakelgen.domain import Dataset, FactorId, LabelVector, StudentRecord, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix, ols_slope
 from rakelgen.mlc import (
@@ -61,7 +61,7 @@ def cohorts(draw):
 class TestFeatureMatrix:
     @given(cohorts(), st.sampled_from(FEATURE_MODES))
     def test_equals_reference_bitwise(self, records, mode):
-        X = feature_matrix(records, mode)
+        X = feature_matrix(series_stack(records), mode)
         expected = [reference_features(r, mode) for r in records]
         assert X.shape == (len(records), len(expected[0]))
         assert (_bits(X) == _bits(expected)).all()
@@ -72,7 +72,7 @@ class TestFeatureMatrix:
             StudentRecord("a", 1, {f: (float(f) - 4.5,) for f in FactorId}),
             StudentRecord("b", 1, {f: (-0.0,) for f in FactorId}),
         ]
-        X = feature_matrix(records, mode)
+        X = feature_matrix(series_stack(records), mode)
         assert (_bits(X) == _bits([reference_features(r, mode) for r in records])).all()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
@@ -85,13 +85,13 @@ class TestFeatureMatrix:
             StudentRecord("c", 3, {f: (-0.0, -0.0, 0.0) for f in FactorId}),
         ]
         for record in records:
-            X = feature_matrix([record], mode)
+            X = feature_matrix(series_stack([record]), mode)
             assert (_bits(X[0]) == _bits(reference_features(record, mode))).all()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_synthetic_cohorts(self, mode, ds37, ds100):
         for ds in (ds37, ds100):
-            X = feature_matrix(ds.records, mode)
+            X = feature_matrix(ds.series, mode)
             expected = [reference_features(r, mode) for r in ds.records]
             assert (_bits(X) == _bits(expected)).all()
 
@@ -107,11 +107,11 @@ class TestFeatureMatrix:
             StudentRecord("b", 3, {f: (1.0, 2.0, 3.0) for f in FactorId}),
         ]
         with pytest.raises(ValidationError, match="week count"):
-            feature_matrix(records)
+            series_stack(records)
 
     def test_unknown_mode(self, ds37):
         with pytest.raises(ValidationError, match="feature mode"):
-            feature_matrix(ds37.records, "weekly")
+            feature_matrix(ds37.series, "weekly")
 
 
 class TestOlsSlope:
@@ -186,8 +186,8 @@ class TestPredictBatch:
     def test_equals_per_record_reference(self, name, ds, ds37, ds100):
         model = TRAINERS[name](ds)
         records = ds37.records + ds100.records
-        X = feature_matrix(records, model.feature_mode)
-        gold = gold_matrix(model, records, ds.registry)
+        X = feature_matrix(series_stack(records), model.feature_mode)
+        gold = gold_matrix(model, Dataset(ds.registry, records))
         bits, votes = predict_batch(model, X, gold)
         assert bits.shape == votes.shape == (len(records), model.n_labels)
         for i, row in enumerate(X):
@@ -214,8 +214,8 @@ class TestPredictBatch:
         model = train_chain(marks_dataset(registry, rows), history=history)
         records = [marks_record(f"p{i}", v, [1, 2, 3][: i % 4])
                    for i, v in enumerate((1.0, 1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 5.0))]
-        X = feature_matrix(records)
-        gold = gold_matrix(model, records, registry)
+        X = feature_matrix(series_stack(records))
+        gold = gold_matrix(model, Dataset(registry, records))
         bits, _ = predict_batch(model, X, gold)
         for i, row in enumerate(X):
             history_bits = None if gold is None else tuple(gold[i].tolist())
@@ -225,18 +225,18 @@ class TestPredictBatch:
 
     def test_real_history_is_the_gold_matrix(self, ds37):
         model = train_chain(ds37, history="real")
-        gold = gold_matrix(model, ds37.records, ds37.registry)
+        gold = gold_matrix(model, ds37)
         assert gold.tolist() == [
             [int(ds37.registry.template_at(j).id in r.expert_labels) for j in range(29)]
             for r in ds37.records
         ]
 
     def test_gold_only_for_chain_real(self, ds37):
-        X = feature_matrix(ds37.records[:3])
+        X = feature_matrix(ds37.series[:3])
         gold = np.zeros((3, 29), dtype=int)
         for name in ("br", "chain-predicted", "majority-per-label", "lp"):
             model = TRAINERS[name](ds37)
-            assert gold_matrix(model, ds37.records, ds37.registry) is None
+            assert gold_matrix(model, ds37) is None
             with pytest.raises(ValidationError, match="gold"):
                 predict_batch(model, X, gold)
         real = TRAINERS["chain-real"](ds37)

@@ -14,6 +14,7 @@ import rakelgen
 from rakelgen import nlg
 from rakelgen.cli import main
 from rakelgen.domain import default_registry, load_dataset
+from rakelgen.features import extract_features
 from rakelgen.model_io import load_model
 from rakelgen.synth import config_to_dict, default_synth_config
 
@@ -550,6 +551,12 @@ class TestFeedback:
         assert out.read_text(encoding="utf-8") == text + "\n"
 
 
+def test_parser_aggregates_are_evaluations():
+    from rakelgen import cli, evaluation
+
+    assert cli.AGGREGATES == evaluation.AGGREGATES
+
+
 class TestInspectFeatures:
     def test_lists_factor_statistics(self, data_path, capsys):
         code, stdout, _ = _run(
@@ -581,6 +588,20 @@ class TestInspectFeatures:
         assert code == 2
         assert "s9999" in stderr
 
+    @pytest.mark.parametrize("mode", ["derived", "raw", "both"])
+    def test_prints_each_records_feature_vector(self, data_path, capsys, mode):
+        """One feature matrix for all records prints what one
+        ``extract_features`` call per record prints."""
+        code, stdout, _ = _run(["inspect-features", "--data", str(data_path), "--mode", mode],
+                               capsys)
+        expected = []
+        for record in load_dataset(data_path, default_registry()).records:
+            fv = extract_features(record, mode)
+            expected.append(f"{record.student_id}:")
+            expected.extend(f"  {factor.key}.{name} = {value:g}"
+                            for (factor, name), value in zip(fv.schema, fv.values))
+        assert (code, stdout) == (0, "\n".join(expected) + "\n")
+
 
 def _read_pyproject():
     if sys.version_info >= (3, 11):
@@ -603,6 +624,26 @@ def _checkout_env():
 
 
 class TestEntryPoint:
+    def test_feedback_imports_no_evaluation_or_synthesis(self, data_path, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data_path), "--method", "rakel",
+                     "--out", str(model)]) == 0
+        argv = ["feedback", "--data", str(data_path), "--model", str(model),
+                "--out", str(tmp_path / "feedback.txt")]
+        script = (
+            "import json, sys\n"
+            "from rakelgen.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=_checkout_env())
+        code, modules = json.loads(result.stdout)
+        assert code == 0, result.stderr
+        assert "rakelgen.nlg" in modules
+        assert "rakelgen.evaluation" not in modules
+        assert "rakelgen.synth" not in modules
+
     def test_console_script_version(self, tmp_path):
         project = _read_pyproject()["project"]
         module, _, attr = project["scripts"]["rakelgen"].partition(":")

@@ -1,0 +1,199 @@
+"""What ``load_dataset`` reports for a bad file, word for word.
+
+``load_dataset`` checks a file in bulk and reads it again record by record
+only after a bulk check fails. ``PINNED`` holds the messages of the
+record-by-record reader that the bulk loader replaced, so the search must
+find the same first bad line and say the same thing about it. ``TYPE_RULES``
+holds the field type rules: inputs that used to fail with an internal error,
+or to load as something else, and now fail naming the line and the field.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from _builders import make_record
+from rakelgen.cli import main
+from rakelgen.domain import FactorId, default_registry, load_dataset, record_to_dict
+from rakelgen.errors import ValidationError
+
+
+def _record(student_id="s1", length=3, **changes) -> dict:
+    """A record object with ``length`` weeks and its fields or series replaced."""
+    data = record_to_dict(make_record(student_id, weeks=length, labels=[1, 9]))
+    for key, value in changes.items():
+        if key in data["series"]:
+            data["series"][key] = value
+        else:
+            data[key] = value
+    return data
+
+
+def _without(key, data=None) -> dict:
+    data = dict(data or _record())
+    data.pop(key)
+    return data
+
+
+def _series(**changes) -> dict:
+    series = dict(_record()["series"])
+    series.update(changes)
+    return {key: value for key, value in series.items() if value is not None}
+
+
+GOOD = json.dumps(_record("s0"))
+
+#: (case, file lines, message with the file's path as {path})
+PINNED = [
+    ("missing factor", [json.dumps(_record(series=_series(revision=None)))],
+     "record s1: missing factors: revision"),
+    ("unknown factor", [json.dumps(_record(series=_series(attendance=[1, 2, 3])))],
+     "unknown factor name: 'attendance'"),
+    ("wrong length", [GOOD, json.dumps(_record("s2", marks=[1.0, 2.0, 3.0, 4.0]))],
+     "record s2: series marks has 4 values, expected 3"),
+    ("nan", ['{"student_id": "s1", "weeks": 2, "series": {'
+             + ", ".join(f'"{f.key}": [1.0, NaN]' for f in FactorId) + "}}"],
+     "record s1: series marks has a non-finite value: [1.0, nan]"),
+    ("inf", [json.dumps(_record(hours_studied=[1.0, float("inf"), 2.0]))],
+     "record s1: series hours_studied has a non-finite value: [1.0, inf, 2.0]"),
+    ("array line", [GOOD, "[1, 2]"],
+     "{path}:2: malformed record: list indices must be integers or slices, not str"),
+    ("string line", ['"abc"'], "{path}:1: malformed record: string indices must be integers, not 'str'"),
+    ("number line", ["42"], "{path}:1: malformed record: 'int' object is not subscriptable"),
+    ("null line", ["null"], "{path}:1: malformed record: 'NoneType' object is not subscriptable"),
+    ("bad json", [GOOD, "{oops"],
+     "{path}:2: not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("blank lines count", ["", GOOD, "   ", "{oops"],
+     "{path}:4: not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("bad record before bad json",
+     [GOOD, json.dumps(_record(series=_series(revision=None))), "{oops"],
+     "record s1: missing factors: revision"),
+    ("bad json before bad record",
+     [GOOD, "{oops", json.dumps(_record(series=_series(revision=None)))],
+     "{path}:2: not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("no student_id", [json.dumps(_without("student_id"))], "{path}:1: malformed record: 'student_id'"),
+    ("no weeks", [json.dumps(_without("weeks"))], "{path}:1: malformed record: 'weeks'"),
+    ("no series", [json.dumps(_without("series"))], "{path}:1: malformed record: 'series'"),
+    ("zero weeks", [json.dumps(_record(weeks=0))], "record s1: weeks must be >= 1"),
+    ("null value", [json.dumps(_record(marks=[1.0, None, 2.0]))],
+     "{path}:1: malformed record: float() argument must be a string or a real number, "
+     "not 'NoneType'"),
+    ("number as series", [json.dumps(_record(marks=5))],
+     "{path}:1: malformed record: 'int' object is not iterable"),
+    ("null label", [json.dumps(_record(expert_labels=[None]))],
+     "{path}:1: malformed record: int() argument must be a string, a bytes-like object "
+     "or a real number, not 'NoneType'"),
+    ("number as labels", [json.dumps(_record(expert_labels=5))],
+     "{path}:1: malformed record: 'int' object is not iterable"),
+    ("label not in registry", [GOOD, json.dumps(_record(expert_labels=[999]))],
+     "record s1: expert labels [999] not in registry"),
+    ("weeks disagree", [GOOD, json.dumps(_record("s2", length=4))],
+     "records disagree on week count: [3, 4]"),
+]
+
+#: The same table for inputs that the record reader did not report as bad data.
+TYPE_RULES = [
+    ("series array", [GOOD, json.dumps(_record(series=[1, 2]))],
+     "{path}:2: malformed record: series must be an object, got an array"),
+    ("series string", [json.dumps(_record(marks="123"))],
+     '{path}:1: malformed record: series marks must be an array, got "123"'),
+    ("string value", [json.dumps(_record(marks=[1.0, "abc", 2.0]))],
+     '{path}:1: malformed record: series marks[1] must be a number, got "abc"'),
+    ("numeric string value", [json.dumps(_record(marks=[1.0, "1.5", 2.0]))],
+     '{path}:1: malformed record: series marks[1] must be a number, got "1.5"'),
+    ("boolean value", [json.dumps(_record(revision=[True, 1.0, 2.0]))],
+     "{path}:1: malformed record: series revision[0] must be a number, got true"),
+    ("string weeks", [json.dumps(_record(weeks="abc"))],
+     '{path}:1: malformed record: weeks must be an integer, got "abc"'),
+    ("numeric string weeks", [json.dumps(_record(weeks="3"))],
+     '{path}:1: malformed record: weeks must be an integer, got "3"'),
+    ("fractional weeks", [json.dumps(_record(weeks=3.7))],
+     "{path}:1: malformed record: weeks must be an integer, got 3.7"),
+    ("infinite weeks", [json.dumps(_record(weeks=float("inf")))],
+     "{path}:1: malformed record: weeks must be an integer, got Infinity"),
+    ("boolean weeks", [json.dumps(_record(length=1, weeks=True))],
+     "{path}:1: malformed record: weeks must be an integer, got true"),
+    ("string label", [json.dumps(_record(expert_labels=["a"]))],
+     '{path}:1: malformed record: expert_labels[0] must be an integer, got "a"'),
+    ("fractional label", [json.dumps(_record(expert_labels=[1.7]))],
+     "{path}:1: malformed record: expert_labels[0] must be an integer, got 1.7"),
+    ("boolean label", [json.dumps(_record(expert_labels=[2, True]))],
+     "{path}:1: malformed record: expert_labels[1] must be an integer, got true"),
+    ("string labels", [json.dumps(_record(expert_labels="12"))],
+     '{path}:1: malformed record: expert_labels must be an array, got "12"'),
+    ("null student_id", [json.dumps(_record(student_id=None))],
+     "{path}:1: malformed record: student_id must be a string, got null"),
+    ("number student_id", [GOOD, json.dumps(_record(student_id=7))],
+     "{path}:2: malformed record: student_id must be a string, got 7"),
+    ("type rule before bad json", [GOOD, json.dumps(_record(weeks=3.0)), "{oops"],
+     "{path}:2: malformed record: weeks must be an integer, got 3.0"),
+]
+
+
+def _write(tmp_path, lines) -> str:
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _message(tmp_path, lines) -> str:
+    path = _write(tmp_path, lines)
+    with pytest.raises(ValidationError) as caught:
+        load_dataset(path, default_registry())
+    return str(caught.value).replace(path, "{path}")
+
+
+@pytest.mark.parametrize("lines, expected", [c[1:] for c in PINNED], ids=[c[0] for c in PINNED])
+def test_record_errors_are_worded_as_before(tmp_path, lines, expected):
+    assert _message(tmp_path, lines) == expected
+
+
+@pytest.mark.parametrize("lines, expected", [c[1:] for c in TYPE_RULES], ids=[c[0] for c in TYPE_RULES])
+def test_type_rules_name_the_line_and_the_field(tmp_path, lines, expected):
+    assert _message(tmp_path, lines) == expected
+
+
+def test_integer_too_large_for_a_float(tmp_path):
+    line = json.dumps(_record(marks=[1.0, 2.0, 10**400]))
+    assert _message(tmp_path, [line]).startswith(
+        "{path}:1: malformed record: series marks[2] must be a number, got 1000"
+    )
+
+
+@pytest.mark.parametrize("case", ["string weeks", "boolean value", "null student_id"])
+def test_cli_exits_2_on_a_type_rule(tmp_path, capsys, case):
+    lines, expected = next(c[1:] for c in TYPE_RULES if c[0] == case)
+    path = _write(tmp_path, lines)
+    assert main(["inspect-features", "--data", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rakelgen: validation error: {expected.replace('{path}', path)}\n"
+
+
+def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
+    """Factor keys in upper case pass the record checks but not the bulk ones;
+    such a file loads through the record reader, with the same values."""
+    upper = _record()
+    upper["series"] = {key.upper(): values for key, values in upper["series"].items()}
+    plain = load_dataset(_write(tmp_path, [GOOD, json.dumps(_record())]), default_registry())
+    loaded = load_dataset(_write(tmp_path, [GOOD, json.dumps(upper)]), default_registry())
+    assert loaded == plain
+    assert loaded.records == plain.records
+
+
+def test_loaded_series_are_one_read_only_stack(tmp_path):
+    ds = load_dataset(_write(tmp_path, [GOOD, json.dumps(_record("s2", marks=[4, 5.5, -0.0]))]),
+                      default_registry())
+    assert ds.series.shape == (2, 9, 3) and ds.series.dtype == np.float64
+    assert not ds.series.flags.writeable
+    assert ds.series[1, 0].tolist() == [4.0, 5.5, -0.0]
+    assert np.signbit(ds.series[1, 0, 2])
+    assert ds.records[1].series[FactorId.MARKS] == (4.0, 5.5, -0.0)
+    assert ds.student_ids == ("s0", "s2")
+    assert ds.expert_labels == (frozenset({1, 9}),) * 2

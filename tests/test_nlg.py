@@ -99,6 +99,11 @@ class TestSelection:
         with pytest.raises(ValidationError):
             select_templates(LabelVector((0,) * 29), registry, votes=(0.5,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_votes_must_be_finite(self, registry, bad):
+        with pytest.raises(ValidationError, match="votes must be finite"):
+            select_templates(LabelVector((1,) * 29), registry, votes=(bad,) + (0.5,) * 28)
+
     @given(st.lists(st.integers(0, 1), min_size=29, max_size=29))
     def test_at_most_one_template_per_factor(self, bits):
         registry = default_registry()
