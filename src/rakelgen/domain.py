@@ -396,16 +396,22 @@ def _parse_registry(data: dict, source: str) -> TemplateRegistry:
     return TemplateRegistry(templates=tuple(templates), version=version)
 
 
-def load_registry(path: str | Path) -> TemplateRegistry:
-    """Load and validate a template registry file; label indices follow file order."""
-    path = Path(path)
+def read_json(path: str | Path):
+    """The JSON value in a UTF-8 file; a file that cannot be read, is not
+    UTF-8 or is not JSON raises a ValidationError that names it."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    return _parse_registry(data, str(path))
+
+
+def load_registry(path: str | Path) -> TemplateRegistry:
+    """Load and validate a template registry file; label indices follow file order."""
+    return _parse_registry(read_json(path), str(path))
 
 
 def default_registry() -> TemplateRegistry:
@@ -523,9 +529,9 @@ def _shown(value) -> str:
     return json.dumps(value)
 
 
-def _open(path: Path):
+def _open(path: Path, errors: str = "strict"):
     try:
-        return path.open(encoding="utf-8")
+        return path.open(encoding="utf-8", errors=errors)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
@@ -540,7 +546,10 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
     accept (factor keys in upper case, say) load from that second reading.
     """
     path = Path(path)
-    dataset = _load_series(path, registry)
+    try:
+        dataset = _load_series(path, registry)
+    except UnicodeDecodeError:  # the record reader names the line
+        dataset = None
     if dataset is None:
         dataset = Dataset(registry, _read_records(path))
     return dataset
@@ -609,8 +618,13 @@ def _as_floats(rows: list) -> np.ndarray | None:
 
 def _read_records(path: Path):
     """The file's records, read one line at a time; raises the first bad line's error."""
-    with _open(path) as handle:
+    # bytes that are not UTF-8 read as lone surrogates, which only they encode to
+    with _open(path, errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.strip()
             if not line:
                 continue

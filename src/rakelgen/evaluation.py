@@ -79,6 +79,8 @@ class EvalOptions:
             raise ValidationError("n_folds must be >= 2")
         if self.aggregate not in AGGREGATES:
             raise ValidationError(f"aggregate must be one of {AGGREGATES}")
+        if self.n_jobs < 1:
+            raise ValidationError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)

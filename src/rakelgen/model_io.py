@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .domain import TemplateRegistry, registry_to_dict
+from .domain import TemplateRegistry, read_json, registry_to_dict
 from .errors import ValidationError
 from .mlc import PAYLOADS, TrainedModel
 
@@ -101,11 +101,4 @@ def save_model(model: TrainedModel, registry: TemplateRegistry, path: str | Path
 
 
 def load_model(path: str | Path, registry: TemplateRegistry) -> TrainedModel:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(data, registry)
+    return model_from_dict(read_json(path), registry)

@@ -32,6 +32,7 @@ from .domain import (
     ReferenceType,
     StudentRecord,
     TemplateRegistry,
+    read_json,
 )
 from .errors import ValidationError
 from .features import ols_slope
@@ -362,13 +363,7 @@ def config_from_dict(data: dict) -> SynthConfig:
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))
 
 
 def save_synth_config(config: SynthConfig, path: str | Path) -> None:

@@ -473,6 +473,8 @@ def train_trees(
     from any of the trees (see ``_Forest``). With ``n_jobs`` > 1 the trees are
     grown in that many groups on a thread pool, sharing the one presort.
     """
+    if n_jobs < 1:
+        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
     labels = [np.asarray(y, dtype=int) for y in ys]
     if any(y.size == 0 for y in labels):
         raise ValidationError("empty training set")
@@ -502,7 +504,7 @@ def train_trees(
         trees = [encoded[t] for t in group]
         return _Forest(XT, order, trees, [widths[t] for t in group], cfg).grow()
 
-    groups = [g for g in np.array_split(np.arange(len(labels)), max(1, n_jobs)) if g.size]
+    groups = [g for g in np.array_split(np.arange(len(labels)), n_jobs) if g.size]
     if len(groups) <= 1:
         return [tree for group in groups for tree in grow(group)]
     from concurrent.futures import ThreadPoolExecutor  # only here: prediction never needs it

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +255,14 @@ class TestEvaluate:
         )
         assert code == 2
         assert "cannot read" in stderr
+
+    @pytest.mark.parametrize("n_jobs", ["0", "-3"])
+    def test_n_jobs_below_one_exit_2(self, data_path, n_jobs, capsys):
+        code, stdout, stderr = _run(
+            ["evaluate", "--data", str(data_path), "--n-jobs", n_jobs], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert f"n_jobs must be >= 1, got {n_jobs}" in stderr
 
 
 class TestTrain:
@@ -621,6 +631,48 @@ def _checkout_env():
         filter(None, [source_root, env.get("PYTHONPATH")])
     )
     return env
+
+
+class TestFreedHeap:
+    """``main`` has glibc keep freed memory for reuse (``cli._keep_freed_heap``)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+    def test_second_evaluate_faults_few_pages(self, tmp_path):
+        """Without the malloc parameters, every block of split search faults its
+        scratch pages in again: about 40,000 minor faults on this cohort."""
+        data = tmp_path / "students.jsonl"
+        assert main(["generate", "--out", str(data), "--count", "40", "--seed", "0"]) == 0
+        argv = ["evaluate", "--data", str(data), "--folds", "3", "--methods", "br,rakel"]
+        script = (
+            "import contextlib, io, resource\n"
+            "from rakelgen.cli import main\n"
+            f"argv = {argv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(argv) == 0\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(argv) == 0\n"
+            "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(faults)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=_checkout_env())
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 2000
+
+    @pytest.mark.parametrize("missing", [OSError, TypeError, AttributeError])
+    def test_runs_without_mallopt(self, data_path, missing, monkeypatch, capsys):
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            if missing is AttributeError:
+                return object()
+            raise missing("no C library here")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        code, stdout, _ = _run(["inspect-features", "--data", str(data_path)], capsys)
+        assert (code, calls) == (0, [None])
+        assert stdout.startswith("s0000:")
 
 
 class TestEntryPoint:

@@ -327,6 +327,9 @@ class TestCrossValidation:
             EvalOptions(n_folds=1)
         with pytest.raises(ValidationError):
             EvalOptions(aggregate="median")
+        for n_jobs in (0, -3):
+            with pytest.raises(ValidationError, match=f"n_jobs must be >= 1, got {n_jobs}"):
+                EvalOptions(n_jobs=n_jobs)
 
 
 @pytest.fixture(scope="module")

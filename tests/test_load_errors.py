@@ -176,6 +176,39 @@ def test_cli_exits_2_on_a_type_rule(tmp_path, capsys, case):
     assert captured.err == f"rakelgen: validation error: {expected.replace('{path}', path)}\n"
 
 
+def test_dataset_not_utf8_names_the_line(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"x\xff\n")
+    assert main(["inspect-features", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"rakelgen: validation error: {path}:1: not valid UTF-8\n"
+    path.write_bytes(GOOD.encode() + b"\n" + GOOD.encode().replace(b"s0", b"s\xff") + b"\n")
+    with pytest.raises(ValidationError, match=r"data\.jsonl:2: not valid UTF-8$"):
+        load_dataset(path, default_registry())
+
+
+def test_non_utf8_line_after_a_bad_record_is_not_reached(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(json.dumps(_record(weeks="3")).encode() + b"\nx\xff\n")
+    with pytest.raises(ValidationError, match=r":1: malformed record: weeks"):
+        load_dataset(path, default_registry())
+
+
+@pytest.mark.parametrize("option", ["--registry", "--model", "--config"])
+def test_json_file_not_utf8_exits_2_naming_it(tmp_path, capsys, option):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": "\xff"}')
+    data = _write(tmp_path, [GOOD])
+    argv = {
+        "--registry": ["inspect-features", "--data", data, "--registry", str(bad)],
+        "--model": ["feedback", "--data", data, "--model", str(bad)],
+        "--config": ["generate", "--out", str(tmp_path / "out.jsonl"), "--config", str(bad)],
+    }[option]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rakelgen: validation error: {bad}: not valid UTF-8 at byte 7\n"
+
+
 def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
     """Factor keys in upper case pass the record checks but not the bulk ones;
     such a file loads through the record reader, with the same values."""

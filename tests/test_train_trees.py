@@ -184,3 +184,8 @@ class TestInputs:
     def test_every_label_array_matches_the_rows(self):
         with pytest.raises(ValidationError, match="do not match 3 labels"):
             train_trees([[0.0], [1.0]], [[0, 1], [0, 1, 1]])
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_n_jobs_below_one(self, n_jobs):
+        with pytest.raises(ValidationError, match=f"n_jobs must be >= 1, got {n_jobs}"):
+            train_trees([[0.0], [1.0]], [[0, 1]], n_jobs=n_jobs)
