@@ -56,59 +56,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "DecisionTree",
-    "EvalOptions",
-    "FactorId",
-    "LabelCoverageWarning",
-    "LabelVector",
-    "RakelConfig",
-    "ReferenceType",
-    "StudentRecord",
-    "SynthConfig",
-    "Template",
-    "TemplateRegistry",
-    "TrainedModel",
-    "TreeConfig",
-    "ValidationError",
-    "comparison_report",
-    "compute_metrics",
-    "cross_validate",
-    "default_registry",
-    "default_synth_config",
-    "extract_features",
-    "feature_matrix",
-    "feature_schema",
-    "feedback_for_record",
-    "feedback_for_records",
-    "generate_dataset",
-    "gold_matrix",
-    "load_dataset",
-    "load_model",
-    "load_registry",
-    "load_synth_config",
-    "ols_slope",
-    "paired_t_test",
-    "predict",
-    "predict_batch",
-    "predict_record",
-    "predict_tree",
-    "render_summary",
-    "render_table",
-    "render_text",
-    "report_to_json",
-    "save_dataset",
-    "save_model",
-    "save_registry",
-    "select_templates",
-    "train_binary_relevance",
-    "train_chain",
-    "train_lp",
-    "train_majority",
-    "train_rakel",
-    "train_tree",
-    "train_trees",
-    "trend_word",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

@@ -248,10 +248,10 @@ class Dataset:
     """A registry plus the student records labeled against it.
 
     ``series`` is the records' values as one read-only (n, 9, W) float64
-    stack, factors in code order. A dataset read by ``load_dataset`` keeps
-    only that stack and makes its ``records`` when they are first read; one
-    built from records makes the stack each time ``series`` is read, so
-    neither holds the values twice. Attributes are not to be reassigned.
+    stack, factors in code order. A dataset keeps the form it was made from,
+    the stack (``load_dataset``, ``take``) or the records (synthesis), and
+    builds the other once, when it is first read. Attributes are not to be
+    reassigned.
     """
 
     def __init__(self, registry: TemplateRegistry, records: Iterable[StudentRecord]):
@@ -325,7 +325,8 @@ class Dataset:
     @property
     def series(self) -> np.ndarray:
         if self._series is None:
-            return series_stack(self._records)
+            self._series = series_stack(self._records)
+            self._series.flags.writeable = False
         return self._series
 
     @property
@@ -344,6 +345,14 @@ class Dataset:
             self.series[list(rows)],
             [self.expert_labels[i] for i in rows],
         )
+
+    def label_matrix(self) -> np.ndarray:
+        """Expert labels as an (n, n_labels) 0/1 int array, in registry order."""
+        Y = np.zeros((len(self), len(self.registry)), dtype=int)
+        for i, labels in enumerate(self.expert_labels):
+            for template_id in labels:
+                Y[i, self.registry.label_index(template_id)] = 1
+        return Y
 
     def require_labeled(self) -> None:
         unlabeled = [
@@ -529,80 +538,88 @@ def _shown(value) -> str:
     return json.dumps(value)
 
 
-def _open(path: Path, errors: str = "strict"):
-    try:
-        return path.open(encoding="utf-8", errors=errors)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
 def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
     """Read a JSON Lines dataset (one record object per line).
 
-    The lines are checked in bulk and their series go into one (n, 9, W)
-    stack. Only if a bulk check fails is the file read again record by record
-    (``record_from_dict``), which raises the first bad line's error in file
-    order; the rare inputs that the bulk checks refuse but the record checks
-    accept (factor keys in upper case, say) load from that second reading.
+    The file is read once, ``_BLOCK_LINES`` lines at a time. A block whose
+    lines all pass the bulk checks goes into the (n, 9, W) series stack as
+    it is; any other block is checked again line by line
+    (``record_from_dict``), which raises the first bad line's error, and the
+    rare records that the bulk checks refuse but the record checks accept
+    (factor keys in upper case, say) load from there. The week counts and the
+    expert labels are checked across the file after its last line, so a bad
+    line anywhere wins over them.
     """
     path = Path(path)
-    try:
-        dataset = _load_series(path, registry)
-    except UnicodeDecodeError:  # the record reader names the line
-        dataset = None
-    if dataset is None:
-        dataset = Dataset(registry, _read_records(path))
-    return dataset
+    student_ids, weeks, labels, blocks = [], [], [], []
+    try:  # bytes that are not UTF-8 read as lone surrogates, which do not encode back
+        handle = path.open(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    with handle:
+        lineno = 1
+        while block := list(islice(handle, _BLOCK_LINES)):
+            ids, block_weeks, block_labels, values = _bulk_block(block) or _checked_block(
+                block, path, lineno
+            )
+            lineno += len(block)
+            student_ids += ids
+            weeks += block_weeks
+            labels += block_labels
+            if values is not None:
+                blocks.append(values)
+    if len(set(weeks)) > 1:
+        raise ValidationError(f"records disagree on week count: {sorted(set(weeks))}")
+    if not blocks:
+        return Dataset(registry, ())
+    return Dataset.from_series(registry, student_ids, np.concatenate(blocks), labels)
 
 
 _FACTOR_KEYS = tuple(factor.key for factor in FactorId)
 _FACTOR_KEY_SET = frozenset(_FACTOR_KEYS)
 _factor_lists = itemgetter(*_FACTOR_KEYS)
 
-#: ``_load_series`` moves the values of this many lines at a time from JSON
+#: ``load_dataset`` moves the values of this many lines at a time from JSON
 #: lists into an array, so the file's values are never all held twice.
 _BLOCK_LINES = 512
 
 
-def _load_series(path: Path, registry: TemplateRegistry) -> Dataset | None:
-    """The dataset of a file whose records all pass the bulk checks, else None."""
-    student_ids, weeks, labels, blocks = [], [], [], []
-    with _open(path) as handle:
-        lines = filter(None, map(str.strip, handle))
-        while block := list(islice(lines, _BLOCK_LINES)):
-            rows = []
-            for line in block:
-                try:
-                    data = json.loads(line)
-                    series = data["series"]
-                    if series.keys() != _FACTOR_KEY_SET:
-                        return None
-                    rows.append(_factor_lists(series))
-                    student_ids.append(data["student_id"])
-                    weeks.append(data["weeks"])
-                    labels.append(data.get("expert_labels"))
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    return None
-            values = _as_floats(rows)
-            if values is None:
-                return None
-            blocks.append(values)
-    if not blocks or {*map(type, student_ids)} != {str} or {*map(type, weeks)} != {int}:
+def _bulk_block(block: list[str]) -> tuple | None:
+    """The student ids, week counts, expert labels and (b, 9, W) values of a
+    block of lines that is valid UTF-8 and whose records all pass the bulk
+    checks, else None."""
+    try:
+        "".join(block).encode("utf-8")
+    except UnicodeEncodeError:
         return None
-    shape = (len(_FACTOR_KEYS), weeks[0])
+    student_ids, weeks, labels, rows = [], [], [], []
+    for line in filter(None, map(str.strip, block)):
+        try:
+            data = json.loads(line)
+            series = data["series"]
+            if series.keys() != _FACTOR_KEY_SET:
+                return None
+            rows.append(_factor_lists(series))
+            student_ids.append(data["student_id"])
+            weeks.append(data["weeks"])
+            labels.append(data.get("expert_labels"))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None
+    if {*map(type, student_ids)} != {str} or {*map(type, weeks)} != {int}:
+        return None
     if weeks[0] < 1 or weeks.count(weeks[0]) != len(weeks):
         return None
-    if any(values.shape[1:] != shape for values in blocks):
+    values = _as_floats(rows)
+    if values is None or values.shape[1:] != (len(_FACTOR_KEYS), weeks[0]):
         return None
-    stack = np.concatenate(blocks)
-    if not np.isfinite(stack).all():
+    if not np.isfinite(values).all():
         return None
     if not all(entry is None or type(entry) is list for entry in labels):
         return None
     if not {*map(type, chain.from_iterable(filter(None, labels)))} <= {int}:
         return None
-    expert_labels = [None if entry is None else frozenset(entry) for entry in labels]
-    return Dataset.from_series(registry, student_ids, stack, expert_labels)
+    labels = [None if entry is None else frozenset(entry) for entry in labels]
+    return student_ids, weeks, labels, values
 
 
 def _as_floats(rows: list) -> np.ndarray | None:
@@ -616,23 +633,31 @@ def _as_floats(rows: list) -> np.ndarray | None:
         return None
 
 
-def _read_records(path: Path):
-    """The file's records, read one line at a time; raises the first bad line's error."""
-    # bytes that are not UTF-8 read as lone surrogates, which only they encode to
-    with _open(path, errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            yield record_from_dict(data, f"{path}:{lineno}")
+def _checked_block(block: list[str], path: Path, first_lineno: int) -> tuple:
+    """``_bulk_block``'s fields for a block read one line at a time, raising
+    the first bad line's error. The values are None if the week counts differ,
+    which the file then fails on."""
+    records = []
+    for lineno, line in enumerate(block, start=first_lineno):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        records.append(record_from_dict(data, f"{path}:{lineno}"))
+    weeks = [record.weeks for record in records]
+    return (
+        [record.student_id for record in records],
+        weeks,
+        [record.expert_labels for record in records],
+        series_stack(records) if len(set(weeks)) == 1 else None,
+    )
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

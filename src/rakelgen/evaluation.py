@@ -19,14 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Dataset, LabelVector, labelset_to_vector
+from .domain import Dataset, LabelVector
 from .errors import ValidationError
 from .features import feature_matrix
 from .mlc import (
     RakelConfig,
     STRATEGIES,
     TrainedModel,
-    gold_matrix,
     predict_batch,
     train_binary_relevance,
     train_chain,
@@ -148,6 +147,11 @@ def compute_metrics(
     P = np.array([v.bits for v in pred], dtype=int)
     if G.shape != P.shape:
         raise ValidationError("gold and predicted label vectors differ in width")
+    return _matrix_metrics(G, P)
+
+
+def _matrix_metrics(G: np.ndarray, P: np.ndarray) -> MetricSet:
+    """``compute_metrics`` of gold and predicted 0/1 matrices of one shape."""
     tp = int(((G == 1) & (P == 1)).sum())
     fp = int(((G == 0) & (P == 1)).sum())
     fn = int(((G == 1) & (P == 0)).sum())
@@ -197,8 +201,8 @@ def cross_validate(
     """
     ds.require_labeled()
     plan = make_fold_plan(len(ds), opts.n_folds, opts.seed)
-    all_gold: list[LabelVector] = []
-    all_pred: list[LabelVector] = []
+    all_gold: list[np.ndarray] = []
+    all_pred: list[np.ndarray] = []
     fold_metrics: list[MetricSet] = []
     for fold in range(opts.n_folds):
         test = ds.take([i for i, f in enumerate(plan) if f == fold])
@@ -209,16 +213,17 @@ def cross_validate(
             model = train_method(method, ds.take([i for i, f in enumerate(plan) if f != fold]), opts)
             if shared:
                 chains[fold] = model
-        fold_gold = [labelset_to_vector(labels, ds.registry) for labels in test.expert_labels]
+        gold = test.label_matrix()
         bits, _ = predict_batch(
-            model, feature_matrix(test.series, model.feature_mode), gold_matrix(model, test)
+            model,
+            feature_matrix(test.series, model.feature_mode),
+            gold if model.strategy == "chain-real" else None,
         )
-        fold_pred = [LabelVector(tuple(row)) for row in bits.tolist()]
-        fold_metrics.append(compute_metrics(fold_gold, fold_pred))
-        all_gold.extend(fold_gold)
-        all_pred.extend(fold_pred)
+        fold_metrics.append(_matrix_metrics(gold, bits))
+        all_gold.append(gold)
+        all_pred.append(bits)
     if opts.aggregate == "pooled":
-        metrics = compute_metrics(all_gold, all_pred)
+        metrics = _matrix_metrics(np.concatenate(all_gold), np.concatenate(all_pred))
     else:
         metrics = MetricSet(
             accuracy=_mean(m.accuracy for m in fold_metrics),

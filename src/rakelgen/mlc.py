@@ -322,15 +322,6 @@ def _model(ds: Dataset, feature_mode: str, payload) -> TrainedModel:
     )
 
 
-def _label_matrix(ds: Dataset) -> np.ndarray:
-    """Expert labels as an (n_records, n_labels) 0/1 array, in registry order."""
-    Y = np.zeros((len(ds), len(ds.registry)), dtype=int)
-    for i, labels in enumerate(ds.expert_labels):
-        for template_id in labels:
-            Y[i, ds.registry.label_index(template_id)] = 1
-    return Y
-
-
 def gold_matrix(model: TrainedModel, ds: Dataset) -> np.ndarray | None:
     """The ``gold`` argument of ``predict_batch`` for the dataset's records:
     their expert labels for a chain-real model, None for every other strategy."""
@@ -341,14 +332,14 @@ def gold_matrix(model: TrainedModel, ds: Dataset) -> np.ndarray | None:
             raise ValidationError(
                 f"record {student_id}: chain-real prediction needs expert labels"
             )
-    return _label_matrix(ds)
+    return ds.label_matrix()
 
 
 def _training_arrays(ds: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
     if len(ds) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    return feature_matrix(ds.series, mode), _label_matrix(ds)
+    return feature_matrix(ds.series, mode), ds.label_matrix()
 
 
 def train_binary_relevance(
@@ -400,7 +391,7 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
     if len(ds) == 0:
         raise ValidationError("empty dataset")
     ds.require_labeled()
-    Y = _label_matrix(ds)
+    Y = ds.label_matrix()
     n = Y.shape[0]
     if mode == "per-label":
         bits = tuple(int(c * 2 > n) for c in Y.sum(axis=0))
@@ -420,7 +411,7 @@ def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
     returned table is a bijection between class ids and observed sets.
     """
     ds.require_labeled()
-    Y = _label_matrix(ds)
+    Y = ds.label_matrix()
     return _lp_encode(Y, scope=tuple(range(Y.shape[1])))
 
 

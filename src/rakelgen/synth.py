@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Set
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -104,6 +105,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_students < 1:
             raise ValidationError("n_students must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.weeks < 2:
             raise ValidationError("weeks must be >= 2")
         if not 0.0 <= self.expert_noise < 1.0:
@@ -168,7 +171,7 @@ def _quantize(values: np.ndarray, factor: FactorId) -> np.ndarray:
 def decide_reference(
     series: tuple[float, ...],
     thresholds: PolicyThresholds,
-    available: frozenset[ReferenceType],
+    available: Set[ReferenceType],
 ) -> ReferenceType | None:
     """First rule that fires and has a template available, else None."""
     slope = ols_slope(series)
@@ -190,17 +193,7 @@ def policy_labels(
     record: StudentRecord, registry: TemplateRegistry, config: SynthConfig
 ) -> frozenset[int]:
     """Noiseless annotation: the policy decision per factor, as template ids."""
-    chosen = []
-    for factor in FactorId:
-        available = frozenset(
-            t.reference for t in registry.templates if t.factor == factor
-        )
-        reference = decide_reference(
-            record.series[factor], config.policy[factor], available
-        )
-        if reference is not None:
-            chosen.append(registry.find(factor, reference).id)
-    return frozenset(chosen)
+    return _annotate(record.series, _factor_templates(registry), config)
 
 
 def label_record(
@@ -212,22 +205,35 @@ def label_record(
     """Annotation by expert ``record_index % expert_count``: the policy
     decision per factor, each independently redrawn uniformly (template or
     no-template) with probability ``expert_noise``."""
-    expert_index = record_index % config.expert_count
-    rng = random.Random(
-        config.seed * 1_000_003 + expert_index * 9973 + record_index
-    )
+    return _annotate(record.series, _factor_templates(registry), config, record_index)
+
+
+def _factor_templates(registry: TemplateRegistry) -> dict[FactorId, dict[ReferenceType, int]]:
+    """Per factor, its template ids by reference type, in registry order."""
+    return {
+        factor: {t.reference: t.id for t in registry.templates if t.factor == factor}
+        for factor in FactorId
+    }
+
+
+def _annotate(
+    series: dict[FactorId, tuple[float, ...]],
+    templates: dict[FactorId, dict[ReferenceType, int]],
+    config: SynthConfig,
+    record_index: int | None = None,
+) -> frozenset[int]:
+    """``label_record`` of a record's series, or ``policy_labels`` without a
+    record index; ``templates`` is ``_factor_templates`` of the registry."""
+    rng = None
+    if record_index is not None and config.expert_noise > 0.0:
+        expert_index = record_index % config.expert_count
+        rng = random.Random(config.seed * 1_000_003 + expert_index * 9973 + record_index)
     chosen = []
     for factor in FactorId:
-        factor_templates = [t for t in registry.templates if t.factor == factor]
-        available = frozenset(t.reference for t in factor_templates)
-        reference = decide_reference(
-            record.series[factor], config.policy[factor], available
-        )
-        pick = None if reference is None else registry.find(factor, reference).id
-        if config.expert_noise > 0.0 and rng.random() < config.expert_noise:
-            options: list[int | None] = [t.id for t in factor_templates]
-            options.append(None)
-            pick = rng.choice(options)
+        ids = templates[factor]
+        pick = ids.get(decide_reference(series[factor], config.policy[factor], ids.keys()))
+        if rng is not None and rng.random() < config.expert_noise:
+            pick = rng.choice([*ids.values(), None])
         if pick is not None:
             chosen.append(pick)
     return frozenset(chosen)
@@ -240,6 +246,7 @@ def generate_dataset(config: SynthConfig, registry: TemplateRegistry) -> Dataset
     rng = np.random.default_rng(config.seed)
     weeks = config.weeks
     offsets = np.arange(1, weeks + 1) - (weeks + 1) / 2.0
+    templates = _factor_templates(registry)
     records = []
     for i in range(config.n_students):
         latent = chol @ rng.standard_normal(N_FACTORS)
@@ -250,20 +257,10 @@ def generate_dataset(config: SynthConfig, registry: TemplateRegistry) -> Dataset
             slope = rng.normal(0.0, params.trend_std)
             noise = rng.normal(0.0, params.noise_std, weeks)
             values = _quantize(level + slope * offsets + noise, factor)
-            series[factor] = tuple(float(v) for v in values)
-        record = StudentRecord(
-            student_id=f"s{i:04d}", weeks=weeks, series=series, expert_labels=None
-        )
-        labels = label_record(record, i, registry, config)
-        records.append(
-            StudentRecord(
-                student_id=record.student_id,
-                weeks=weeks,
-                series=series,
-                expert_labels=labels,
-            )
-        )
-    return Dataset(registry=registry, records=tuple(records))
+            series[factor] = tuple(values.tolist())
+        labels = _annotate(series, templates, config, i)
+        records.append(StudentRecord(f"s{i:04d}", weeks, series, labels))
+    return Dataset(registry=registry, records=records)
 
 
 def pearson(xs, ys) -> float:

@@ -82,6 +82,36 @@ class TestGenerate:
         assert code == 2
         assert "RAKELGEN_SEED" in stderr
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch, source):
+        argv = ["generate", "--out", str(tmp_path / "x.jsonl")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("RAKELGEN_SEED", "-1")
+        else:
+            data = config_to_dict(default_synth_config(n_students=5))
+            data["seed"] = -1
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(data), encoding="utf-8")
+            argv += ["--config", str(config_path)]
+        code, stdout, stderr = _run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "rakelgen: validation error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_negative_seed_still_runs_evaluate_and_train(
+        self, data_path, tmp_path, capsys, monkeypatch
+    ):
+        evaluate = ["evaluate", "--data", str(data_path), "--methods", "majority,rakel",
+                    "--folds", "2", "--m", "4"]
+        assert main([*evaluate, "--seed", "-3"]) == 0
+        monkeypatch.setenv("RAKELGEN_SEED", "-5")
+        assert main(evaluate) == 0
+        assert main(["train", "--data", str(data_path), "--method", "rakel", "--m", "4",
+                     "--out", str(tmp_path / "model.json")]) == 0
+
     def test_custom_config_file(self, tmp_path, capsys):
         config = default_synth_config(n_students=6, weeks=4, seed=2)
         config_path = tmp_path / "config.json"
@@ -676,6 +706,24 @@ class TestFreedHeap:
 
 
 class TestEntryPoint:
+    def test_import_is_lazy_and_star_import_binds_all(self):
+        script = (
+            "import json, sys\n"
+            "import rakelgen\n"
+            "loaded = [name for name in sys.modules if name.startswith('rakelgen.')]\n"
+            "namespace = {}\n"
+            "exec('from rakelgen import *', namespace)\n"
+            "unbound = [name for name in rakelgen.__all__ if name not in namespace]\n"
+            "print(json.dumps([loaded, unbound, rakelgen.__all__]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=_checkout_env())
+        assert result.returncode == 0, result.stderr
+        loaded, unbound, names = json.loads(result.stdout)
+        assert loaded == []
+        assert unbound == []
+        assert "__version__" in names and "load_dataset" in names
+
     def test_feedback_imports_no_evaluation_or_synthesis(self, data_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert main(["train", "--data", str(data_path), "--method", "rakel",

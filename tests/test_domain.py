@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -289,6 +290,16 @@ class TestDatasets:
         record = make_record(labels=[1, 2])
         ds = Dataset(registry, (record,))
         assert len(ds) == 1
+
+    def test_each_form_is_built_once(self, registry, ds37):
+        ds = Dataset(registry, ds37.records)
+        series = ds.series
+        assert ds.series is series
+        assert not series.flags.writeable
+        assert np.array_equal(series, ds37.series)
+        subset = ds.take([2, 0])
+        assert subset.records is subset.records
+        assert subset.records == (ds.records[2], ds.records[0])
 
     def test_file_round_trip_byte_identical(self, registry, tmp_path, ds37):
         first = tmp_path / "a.jsonl"

@@ -1,16 +1,21 @@
 """What ``load_dataset`` reports for a bad file, word for word.
 
-``load_dataset`` checks a file in bulk and reads it again record by record
-only after a bulk check fails. ``PINNED`` holds the messages of the
-record-by-record reader that the bulk loader replaced, so the search must
-find the same first bad line and say the same thing about it. ``TYPE_RULES``
-holds the field type rules: inputs that used to fail with an internal error,
-or to load as something else, and now fail naming the line and the field.
+``load_dataset`` reads a file once, in blocks of lines; a block that fails a
+bulk check is checked again line by line. ``PINNED`` holds the messages of
+the record-by-record reader that the bulk loader replaced, so the line check
+must find the same first bad line and say the same thing about it.
+``TYPE_RULES`` holds the field type rules: inputs that used to fail with an
+internal error, or to load as something else, and now fail naming the line
+and the field. Each case also runs after ``LEAD`` good lines, so that its bad
+line falls in a later block than the first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +141,22 @@ TYPE_RULES = [
 ]
 
 
+#: Good lines put before each case's lines in its second run: more than one
+#: block of ``load_dataset``'s bulk reader.
+LEAD = 600
+
+
+def _cases(table) -> list:
+    """Each case of a table as it is, and after ``LEAD`` good lines."""
+    def shifted(expected):
+        return re.sub(r"\{path\}:(\d+):", lambda m: f"{{path}}:{int(m[1]) + LEAD}:", expected)
+
+    return [pytest.param(lines, expected, id=case) for case, lines, expected in table] + [
+        pytest.param([GOOD] * LEAD + lines, shifted(expected), id=f"{case} after {LEAD} lines")
+        for case, lines, expected in table
+    ]
+
+
 def _write(tmp_path, lines) -> str:
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -149,12 +170,12 @@ def _message(tmp_path, lines) -> str:
     return str(caught.value).replace(path, "{path}")
 
 
-@pytest.mark.parametrize("lines, expected", [c[1:] for c in PINNED], ids=[c[0] for c in PINNED])
+@pytest.mark.parametrize("lines, expected", _cases(PINNED))
 def test_record_errors_are_worded_as_before(tmp_path, lines, expected):
     assert _message(tmp_path, lines) == expected
 
 
-@pytest.mark.parametrize("lines, expected", [c[1:] for c in TYPE_RULES], ids=[c[0] for c in TYPE_RULES])
+@pytest.mark.parametrize("lines, expected", _cases(TYPE_RULES))
 def test_type_rules_name_the_line_and_the_field(tmp_path, lines, expected):
     assert _message(tmp_path, lines) == expected
 
@@ -181,8 +202,12 @@ def test_dataset_not_utf8_names_the_line(tmp_path, capsys):
     path.write_bytes(b"x\xff\n")
     assert main(["inspect-features", "--data", str(path)]) == 2
     assert capsys.readouterr().err == f"rakelgen: validation error: {path}:1: not valid UTF-8\n"
-    path.write_bytes(GOOD.encode() + b"\n" + GOOD.encode().replace(b"s0", b"s\xff") + b"\n")
+    bad = GOOD.encode().replace(b"s0", b"s\xff") + b"\n"
+    path.write_bytes(GOOD.encode() + b"\n" + bad)
     with pytest.raises(ValidationError, match=r"data\.jsonl:2: not valid UTF-8$"):
+        load_dataset(path, default_registry())
+    path.write_bytes((GOOD.encode() + b"\n") * 699 + bad)
+    with pytest.raises(ValidationError, match=r"data\.jsonl:700: not valid UTF-8$"):
         load_dataset(path, default_registry())
 
 
@@ -209,15 +234,51 @@ def test_json_file_not_utf8_exits_2_naming_it(tmp_path, capsys, option):
     assert captured.err == f"rakelgen: validation error: {bad}: not valid UTF-8 at byte 7\n"
 
 
-def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
-    """Factor keys in upper case pass the record checks but not the bulk ones;
-    such a file loads through the record reader, with the same values."""
+def _upper_case_keys() -> str:
+    """A record line that passes the record checks but not the bulk ones."""
     upper = _record()
     upper["series"] = {key.upper(): values for key, values in upper["series"].items()}
-    plain = load_dataset(_write(tmp_path, [GOOD, json.dumps(_record())]), default_registry())
-    loaded = load_dataset(_write(tmp_path, [GOOD, json.dumps(upper)]), default_registry())
-    assert loaded == plain
-    assert loaded.records == plain.records
+    return json.dumps(upper)
+
+
+def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
+    """Factor keys in upper case pass the record checks but not the bulk ones;
+    such a record loads through the line check, with the same values, in the
+    first block or a later one."""
+    for lead in ([GOOD], [GOOD] * LEAD):
+        plain = load_dataset(_write(tmp_path, lead + [json.dumps(_record())]), default_registry())
+        loaded = load_dataset(_write(tmp_path, lead + [_upper_case_keys()]), default_registry())
+        assert loaded == plain
+        assert loaded.records == plain.records
+
+
+def test_a_bad_line_in_a_later_block_wins_over_the_week_counts(tmp_path):
+    lines = [GOOD, json.dumps(_record("s2", length=4))] + [GOOD] * 597 + ["{oops"]
+    assert _message(tmp_path, lines) == (
+        "{path}:600: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "last, fails",
+    [(GOOD, False), (_upper_case_keys(), False), ("{oops", True)],
+    ids=["clean", "upper", "bad"],
+)
+def test_the_file_is_opened_once(tmp_path, monkeypatch, last, fails):
+    path = _write(tmp_path, [GOOD] * LEAD + [last])
+    registry = default_registry()
+    opened = []
+    path_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    with pytest.raises(ValidationError) if fails else contextlib.nullcontext():
+        load_dataset(path, registry)
+    assert opened == [path]
 
 
 def test_loaded_series_are_one_read_only_stack(tmp_path):

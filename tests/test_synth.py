@@ -70,6 +70,8 @@ class TestConfig:
             dataclasses.replace(base, expert_noise=-0.1)
         with pytest.raises(ValidationError):
             dataclasses.replace(base, expert_count=0)
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            dataclasses.replace(base, seed=-1)
 
     def test_missing_factor_rejected(self):
         base = default_synth_config()
