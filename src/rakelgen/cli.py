@@ -30,7 +30,7 @@ from .domain import (
 )
 from .errors import ValidationError
 from .features import FEATURE_MODES, feature_matrix, feature_schema
-from .mlc import MAJORITY_MODES, STRATEGIES, RakelConfig
+from .mlc import DEFAULT_METHODS, DEFAULT_REFERENCE, MAJORITY_MODES, STRATEGIES, RakelConfig
 from .model_io import load_model, save_model
 from .nlg import feedback_for_records, render_text, summary_to_json
 from .tree import CRITERIA, TreeConfig
@@ -39,8 +39,6 @@ from .tree import CRITERIA, TreeConfig
 # them, so ``feedback`` and ``inspect-features`` neither import nor compile them.
 
 SEED_ENV_VAR = "RAKELGEN_SEED"
-
-DEFAULT_METHODS = "br,chain-predicted,majority,rakel,chain-real"
 
 #: glibc's ``mallopt`` parameter numbers (``malloc.h``) and the values
 #: ``main`` gives them: blocks below glibc's 32 MiB ceiling for its dynamic
@@ -206,15 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compare strategies under cross-validation")
     p.add_argument("--data", required=True, metavar="PATH", help="labeled JSON Lines dataset")
+    methods = ",".join(DEFAULT_METHODS)
     p.add_argument(
         "--methods",
-        default=DEFAULT_METHODS,
+        default=methods,
         metavar="CSV",
-        help=f"strategies to compare (default: {DEFAULT_METHODS})",
+        help=f"strategies to compare (default: {methods})",
     )
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
     p.add_argument(
-        "--reference", default="rakel", help="strategy the others are tested against"
+        "--reference", default=DEFAULT_REFERENCE, help="strategy the others are tested against"
     )
     p.add_argument(
         "--aggregate", choices=AGGREGATES, default="pooled", help="metric aggregation"
@@ -275,15 +274,13 @@ def cmd_generate(args) -> int:
         config = default_synth_config()
     else:
         config = load_synth_config(args.config)
-    overrides = {}
-    if args.count is not None:
-        overrides["n_students"] = args.count
-    if args.weeks is not None:
-        overrides["weeks"] = args.weeks
-    if args.expert_noise is not None:
-        overrides["expert_noise"] = args.expert_noise
-    if args.experts is not None:
-        overrides["expert_count"] = args.experts
+    given = {
+        "n_students": args.count,
+        "weeks": args.weeks,
+        "expert_noise": args.expert_noise,
+        "expert_count": args.experts,
+    }
+    overrides = {name: value for name, value in given.items() if value is not None}
     if args.seed is not None or os.environ.get(SEED_ENV_VAR) is not None:
         overrides["seed"] = resolve_seed(args.seed)
     if overrides:

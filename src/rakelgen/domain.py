@@ -113,6 +113,8 @@ class Template:
     _slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_unicode(self.surface_text):
+            raise ValidationError(f"template {self.id}: surface text is not valid Unicode")
         slots = tuple(_SLOT_RE.findall(self.surface_text))
         for slot in slots:
             if slot not in SLOT_NAMES:
@@ -257,9 +259,7 @@ class Dataset:
     def __init__(self, registry: TemplateRegistry, records: Iterable[StudentRecord]):
         self._records = tuple(records)
         self._series = None
-        weeks = {r.weeks for r in self._records}
-        if len(weeks) > 1:
-            raise ValidationError(f"records disagree on week count: {sorted(weeks)}")
+        _common_weeks(r.weeks for r in self._records)
         self._init(
             registry,
             tuple(r.student_id for r in self._records),
@@ -367,12 +367,18 @@ class Dataset:
 def series_stack(records: Sequence[StudentRecord]) -> np.ndarray:
     """The series of records with a common week count as an (n, 9, W) float64
     array, factors in code order."""
-    weeks = {record.weeks for record in records}
-    if len(weeks) > 1:
-        raise ValidationError(f"records disagree on week count: {sorted(weeks)}")
+    weeks = _common_weeks(record.weeks for record in records)
     return np.array(
         [[record.series[factor] for factor in FactorId] for record in records], dtype=float
-    ).reshape(len(records), len(FactorId), weeks.pop() if weeks else 0)
+    ).reshape(len(records), len(FactorId), weeks or 0)
+
+
+def _common_weeks(weeks: Iterable[int]) -> int | None:
+    """The one week count of records with ``weeks``, None if there are none."""
+    distinct = set(weeks)
+    if len(distinct) > 1:
+        raise ValidationError(f"records disagree on week count: {sorted(distinct)}")
+    return distinct.pop() if distinct else None
 
 
 def labelset_to_vector(ids, registry: TemplateRegistry) -> LabelVector:
@@ -387,6 +393,8 @@ def _parse_registry(data: dict, source: str) -> TemplateRegistry:
     if not isinstance(data, dict) or "templates" not in data:
         raise ValidationError(f"{source}: expected an object with a 'templates' array")
     version = str(data.get("version", "custom"))
+    if not _is_unicode(version):
+        raise ValidationError(f"{source}: 'version' is not valid Unicode: {json.dumps(version)}")
     entries = data["templates"]
     if not isinstance(entries, list):
         raise ValidationError(f"{source}: 'templates' must be an array")
@@ -491,7 +499,8 @@ def record_from_dict(data: dict, source: str = "record") -> StudentRecord:
 def _type_error(data: dict) -> str | None:
     """The first field of a record object that breaks the type rules: series
     values are JSON numbers (not booleans) that fit a float, ``weeks`` and
-    expert labels are integers, ``student_id`` is a string.
+    expert labels are integers, ``student_id`` is a string without lone
+    surrogates.
 
     ``record_from_dict`` applies these rules after the record's own checks,
     so a record that those checks reject keeps the message they give.
@@ -507,6 +516,8 @@ def _type_error(data: dict) -> str | None:
                 return f"series {name}[{week}] must be a number, got {_shown(value)}"
     if type(data["student_id"]) is not str:
         return f"student_id must be a string, got {_shown(data['student_id'])}"
+    if not _is_unicode(data["student_id"]):
+        return f"student_id must be valid Unicode, got {_shown(data['student_id'])}"
     if type(data["weeks"]) is not int:
         return f"weeks must be an integer, got {_shown(data['weeks'])}"
     labels = data.get("expert_labels")
@@ -517,6 +528,16 @@ def _type_error(data: dict) -> str | None:
             if type(label) is not int:
                 return f"expert_labels[{position}] must be an integer, got {_shown(label)}"
     return None
+
+
+def _is_unicode(text: str) -> bool:
+    """Whether a string encodes as UTF-8: a JSON escape such as ``\\udc80``
+    reads as a lone surrogate, which no output can write."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_number(value) -> bool:
@@ -568,8 +589,7 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
             labels += block_labels
             if values is not None:
                 blocks.append(values)
-    if len(set(weeks)) > 1:
-        raise ValidationError(f"records disagree on week count: {sorted(set(weeks))}")
+    _common_weeks(weeks)
     if not blocks:
         return Dataset(registry, ())
     return Dataset.from_series(registry, student_ids, np.concatenate(blocks), labels)
@@ -588,9 +608,7 @@ def _bulk_block(block: list[str]) -> tuple | None:
     """The student ids, week counts, expert labels and (b, 9, W) values of a
     block of lines that is valid UTF-8 and whose records all pass the bulk
     checks, else None."""
-    try:
-        "".join(block).encode("utf-8")
-    except UnicodeEncodeError:
+    if not _is_unicode("".join(block)):
         return None
     student_ids, weeks, labels, rows = [], [], [], []
     for line in filter(None, map(str.strip, block)):
@@ -606,6 +624,8 @@ def _bulk_block(block: list[str]) -> tuple | None:
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
     if {*map(type, student_ids)} != {str} or {*map(type, weeks)} != {int}:
+        return None
+    if not _is_unicode("".join(student_ids)):
         return None
     if weeks[0] < 1 or weeks.count(weeks[0]) != len(weeks):
         return None
@@ -639,10 +659,8 @@ def _checked_block(block: list[str], path: Path, first_lineno: int) -> tuple:
     which the file then fails on."""
     records = []
     for lineno, line in enumerate(block, start=first_lineno):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+        if not _is_unicode(line):
+            raise ValidationError(f"{path}:{lineno}: not valid UTF-8")
         line = line.strip()
         if not line:
             continue

@@ -23,6 +23,8 @@ from .domain import Dataset, LabelVector
 from .errors import ValidationError
 from .features import feature_matrix
 from .mlc import (
+    DEFAULT_METHODS,
+    DEFAULT_REFERENCE,
     RakelConfig,
     STRATEGIES,
     TrainedModel,
@@ -345,8 +347,8 @@ def significance_mark(p_value: float | None) -> str:
 
 def comparison_report(
     ds: Dataset,
-    methods: Sequence[str] = ("br", "chain-predicted", "majority", "rakel", "chain-real"),
-    reference: str = "rakel",
+    methods: Sequence[str] = DEFAULT_METHODS,
+    reference: str = DEFAULT_REFERENCE,
     opts: EvalOptions = EvalOptions(),
 ) -> EvalReport:
     """Cross-validate each strategy on identical folds and test each one's

@@ -31,8 +31,8 @@ from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry, serie
 from .errors import LabelCoverageWarning, ValidationError
 from .features import FeatureVector, feature_matrix
 from .tree import (
-    DecisionTree, TreeConfig, TreeStack, descend, predict_rows, stack_trees, train_trees,
-    tree_from_dict, tree_stats, tree_to_dict,
+    DecisionTree, TreeConfig, descend, stack_trees, train_trees, tree_from_dict, tree_stats,
+    tree_to_dict,
 )
 
 MAJORITY_MODES = ("per-label", "labelset")
@@ -73,7 +73,7 @@ class RakelConfig:
 @dataclass(frozen=True)
 class BrPayload:
     trees: tuple[DecisionTree, ...]
-    _stack: TreeStack = field(init=False, repr=False, compare=False)
+    _stack: DecisionTree = field(init=False, repr=False, compare=False)
 
     strategy = "br"
 
@@ -115,7 +115,7 @@ class ChainPayload:
         Xh[:, :d] = X
         for p, tree in enumerate(self.trees):
             label = self.order[p]
-            bits[:, label] = predict_rows(tree, Xh[:, : d + p])
+            bits[:, label] = tree.label[descend(tree, Xh[:, : d + p])[:, 0]]
             Xh[:, d + p] = bits[:, label] if gold is None else gold[:, label]
         return bits, bits.astype(float)
 
@@ -171,7 +171,8 @@ class LpPayload:
     strategy = "lp"
 
     def predict(self, X, n_labels, gold):
-        bits = _labelset_table(self, n_labels).astype(int)[predict_rows(self.tree, X)]
+        leaves = descend(self.tree, X)[:, 0]
+        bits = _labelset_table(self, n_labels).astype(int)[self.tree.label[leaves]]
         return bits, bits.astype(float)
 
     def to_dict(self):
@@ -213,7 +214,7 @@ class RakelPayload:
 
     members: tuple[LpPayload, ...]
     threshold: float
-    _stack: TreeStack = field(init=False, repr=False, compare=False)
+    _stack: DecisionTree = field(init=False, repr=False, compare=False)
     _votes: np.ndarray = field(init=False, repr=False, compare=False)
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -271,6 +272,11 @@ PAYLOADS = {
 }
 
 STRATEGIES = tuple(PAYLOADS)
+
+#: The strategies a comparison runs by default, and the one the others are
+#: tested against.
+DEFAULT_METHODS = ("br", "chain-predicted", "majority", "rakel", "chain-real")
+DEFAULT_REFERENCE = "rakel"
 
 
 def _bit_trees(data, n_labels: int) -> tuple[DecisionTree, ...]:

@@ -128,6 +128,17 @@ class SynthConfig:
                         )
 
 
+#: The scalar fields of ``SynthConfig``, each with the type a config file's
+#: value is read as.
+SCALAR_FIELDS = {
+    "n_students": int,
+    "weeks": int,
+    "seed": int,
+    "expert_noise": float,
+    "expert_count": int,
+}
+
+
 def build_correlation_matrix(
     pairs: tuple[tuple[FactorId, FactorId, float], ...],
 ) -> np.ndarray:
@@ -295,39 +306,17 @@ def achieved_correlations(
 
 
 def config_to_dict(config: SynthConfig) -> dict:
-    return {
-        "n_students": config.n_students,
-        "weeks": config.weeks,
-        "seed": config.seed,
-        "expert_noise": config.expert_noise,
-        "expert_count": config.expert_count,
-        "correlation_pairs": [
-            [a.key, b.key, r] for a, b, r in config.correlation_pairs
-        ],
-        "factors": {
-            f.key: {
-                "mean": p.mean,
-                "std": p.std,
-                "noise_std": p.noise_std,
-                "trend_std": p.trend_std,
-            }
-            for f, p in config.factors.items()
-        },
-        "policy": {
-            f.key: {
-                "slope": t.slope,
-                "spread": t.spread,
-                "avg_low": t.avg_low,
-                "avg_high": t.avg_high,
-                "other_low": t.other_low,
-                "other_high": t.other_high,
-            }
-            for f, t in config.policy.items()
-        },
+    return {name: getattr(config, name) for name in SCALAR_FIELDS} | {
+        "correlation_pairs": [[a.key, b.key, r] for a, b, r in config.correlation_pairs],
+        "factors": {f.key: asdict(p) for f, p in config.factors.items()},
+        "policy": {f.key: asdict(t) for f, t in config.policy.items()},
     }
 
 
 def config_from_dict(data: dict) -> SynthConfig:
+    """A config from ``config_to_dict`` output; a missing field takes
+    ``SynthConfig``'s default. The pairs, factors and policy are read before
+    the scalar fields, so their errors win."""
     if not isinstance(data, dict):
         raise ValidationError("synth config must be a JSON object")
     try:
@@ -343,16 +332,8 @@ def config_from_dict(data: dict) -> SynthConfig:
             (FactorId.from_key(a), FactorId.from_key(b), float(r))
             for a, b, r in data.get("correlation_pairs", [])
         )
-        return SynthConfig(
-            n_students=int(data.get("n_students", 100)),
-            weeks=int(data.get("weeks", 10)),
-            seed=int(data.get("seed", 0)),
-            expert_noise=float(data.get("expert_noise", 0.0)),
-            expert_count=int(data.get("expert_count", 1)),
-            correlation_pairs=pairs,
-            factors=factors,
-            policy=policy,
-        )
+        scalars = {name: kind(data[name]) for name, kind in SCALAR_FIELDS.items() if name in data}
+        return SynthConfig(**scalars, correlation_pairs=pairs, factors=factors, policy=policy)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
@@ -370,15 +351,14 @@ def save_synth_config(config: SynthConfig, path: str | Path) -> None:
 
 def default_synth_config(**overrides) -> SynthConfig:
     """The packaged configuration, with keyword overrides for its scalar
-    fields (n_students, weeks, seed, expert_noise, expert_count)."""
+    fields (``SCALAR_FIELDS``)."""
     text = (
         resources.files("rakelgen.data")
         .joinpath("default_synth_config.json")
         .read_text(encoding="utf-8")
     )
     data = json.loads(text)
-    allowed = {"n_students", "weeks", "seed", "expert_noise", "expert_count"}
-    unknown = set(overrides) - allowed
+    unknown = set(overrides) - set(SCALAR_FIELDS)
     if unknown:
         raise ValidationError(f"unknown synth config overrides: {sorted(unknown)}")
     data.update(overrides)

@@ -73,13 +73,15 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "label")
 
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
-    """A binary tree as parallel read-only arrays indexed by node, in preorder.
+    """Binary trees as parallel read-only arrays indexed by node, in preorder.
 
-    Node 0 is the root. A split node i sends a row with ``x[feature[i]] <=
-    threshold[i]`` to ``left[i]`` and every other row to ``right[i]``; a
-    child's index is always greater than its parent's. A leaf has ``feature``,
-    ``left`` and ``right`` -1 and ``threshold`` 0. ``label`` is the majority
-    class of the training rows reaching a node (ties to the smallest class).
+    A split node i sends a row with ``x[feature[i]] <= threshold[i]`` to
+    ``left[i]`` and every other row to ``right[i]``; a child's index is always
+    greater than its parent's. A leaf has ``feature``, ``left`` and ``right``
+    -1 and ``threshold`` 0. ``label`` is the majority class of the training
+    rows reaching a node (ties to the smallest class). A trained tree is one
+    tree rooted at node 0; ``stack_trees`` joins several end to end, and tree
+    t then starts at node ``roots[t]``.
     """
 
     feature: np.ndarray
@@ -88,9 +90,10 @@ class DecisionTree:
     right: np.ndarray
     label: np.ndarray
     n_features: int
+    roots: np.ndarray = (0,)
 
     def __post_init__(self):
-        for name in NODE_ARRAYS:
+        for name in (*NODE_ARRAYS, "roots"):
             dtype = float if name == "threshold" else np.int64
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
@@ -518,22 +521,10 @@ def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
     return train_trees(X, [y], config)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class TreeStack:
-    """The node arrays of several trees end to end, child indices shifted to
-    match; tree t starts at node ``roots[t]``."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    label: np.ndarray
-    roots: np.ndarray
-    n_features: int
-
-
-def stack_trees(trees) -> TreeStack:
-    """One ``TreeStack`` of trees that share a feature width."""
+def stack_trees(trees) -> DecisionTree:
+    """The trees, which share a feature width, as one ``DecisionTree`` of their
+    nodes end to end, child indices shifted to match; ``roots`` lists each
+    tree's first node."""
     widths = {tree.n_features for tree in trees}
     if len(widths) != 1:
         raise ValidationError(f"cannot stack trees of feature widths {sorted(widths)}")
@@ -546,54 +537,49 @@ def stack_trees(trees) -> TreeStack:
 
     left, right = joined("left"), joined("right")
     split = left >= 0
-    return TreeStack(
+    return DecisionTree(
         feature=joined("feature"),
         threshold=joined("threshold"),
         left=np.where(split, left + offset, -1),
         right=np.where(split, right + offset, -1),
         label=joined("label"),
-        roots=roots,
         n_features=widths.pop(),
+        roots=roots,
     )
 
 
-def descend(stack: TreeStack, X) -> np.ndarray:
-    """Leaf reached by each row of X in each tree of the stack, as an (n, trees)
-    array of node indices into the stack.
+def descend(tree: DecisionTree, X) -> np.ndarray:
+    """Leaf reached by each row of X in each of the tree's roots, as an
+    (n, roots) array of node indices.
 
-    All (row, tree) pairs move down one level per step, and a pair leaves the
+    All (row, root) pairs move down one level per step, and a pair leaves the
     working set when it reaches a leaf, so a step costs the pairs still
     descending and the number of steps is the depth of the deepest path taken.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != stack.n_features:
+    if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValidationError(
-            f"feature rows {X.shape} do not match the tree's {stack.n_features} features"
+            f"feature rows {X.shape} do not match the tree's {tree.n_features} features"
         )
-    n, n_trees = len(X), len(stack.roots)
-    node = np.tile(stack.roots, n)  # pair p is row p // n_trees, tree p % n_trees
-    live = np.flatnonzero(stack.feature[node] >= 0)
+    n, n_trees = len(X), len(tree.roots)
+    node = np.tile(tree.roots, n)  # pair p is row p // n_trees, root p % n_trees
+    live = np.flatnonzero(tree.feature[node] >= 0)
     while live.size:
         at = node[live]
-        go_left = X[live // n_trees, stack.feature[at]] <= stack.threshold[at]
-        node[live] = np.where(go_left, stack.left[at], stack.right[at])
-        live = live[stack.feature[node[live]] >= 0]
+        go_left = X[live // n_trees, tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(go_left, tree.left[at], tree.right[at])
+        live = live[tree.feature[node[live]] >= 0]
     return node.reshape(n, n_trees)
 
 
-def predict_rows(tree: DecisionTree, X) -> np.ndarray:
-    """Leaf labels of the rows of X, as an int array: ``descend`` of one tree."""
-    stack = stack_trees([tree])
-    return stack.label[descend(stack, X)[:, 0]]
-
-
 def predict_tree(tree: DecisionTree, x) -> int:
-    """Deterministic root-to-leaf descent; returns the leaf's majority label."""
-    return int(predict_rows(tree, np.asarray(x, dtype=float).reshape(1, -1))[0])
+    """The leaf label of one feature row: ``descend`` of one row and one tree."""
+    return int(tree.label[descend(tree, np.asarray(x, dtype=float).reshape(1, -1))[0, 0]])
 
 
 def tree_stats(tree: DecisionTree) -> dict:
-    """Node/leaf counts and depth, for training summaries."""
+    """Node/leaf counts and depth of one tree rooted at node 0, for training
+    summaries."""
     left, right = tree.left.tolist(), tree.right.tolist()
     depth = [0] * len(left)
     for node, child in enumerate(left):  # parents come before their children
@@ -603,6 +589,7 @@ def tree_stats(tree: DecisionTree) -> dict:
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
+    """The arrays of one tree rooted at node 0, for an artifact."""
     return {"n_features": tree.n_features} | {
         name: getattr(tree, name).tolist() for name in NODE_ARRAYS
     }

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from _builders import marks_dataset, marks_record, tiny_registry
 from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
+from rakelgen import mlc, tree as tree_module
 from rakelgen.domain import Dataset, FactorId, LabelVector, StudentRecord, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix, ols_slope
@@ -32,7 +33,7 @@ from rakelgen.mlc import (
     train_majority,
     train_rakel,
 )
-from rakelgen.tree import TreeConfig, predict_rows, train_tree
+from rakelgen.tree import TreeConfig, descend, predict_tree, train_tree
 
 
 def _bits(a) -> np.ndarray:
@@ -146,16 +147,19 @@ class TestTreeRows:
         # query rows on, between and beyond the training values
         queries = np.vstack([X, X + 0.125, X - 0.125, -X])
         expected = [reference_descent(tree, row) for row in queries]
-        assert predict_rows(tree, queries).tolist() == expected
+        assert tree.label[descend(tree, queries)[:, 0]].tolist() == expected
+        assert [predict_tree(tree, row) for row in queries] == expected
 
     def test_width_checked(self):
         tree = train_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         with pytest.raises(ValidationError, match="features"):
-            predict_rows(tree, np.zeros((3, 3)))
+            descend(tree, np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match="features"):
+            predict_tree(tree, np.zeros(3))
 
     def test_no_rows(self):
         tree = train_tree([[0.0], [1.0]], [0, 1])
-        assert predict_rows(tree, np.zeros((0, 1))).shape == (0,)
+        assert descend(tree, np.zeros((0, 1))).shape == (0, 1)
 
 
 def _quiet(fn, *args):
@@ -203,6 +207,25 @@ class TestPredictBatch:
             one_bits, one_votes = predict_batch(model, X[i : i + 1], gold_row)
             assert one_bits.tolist() == [bits[i].tolist()]
             assert (_bits(one_votes[0]) == _bits(votes[i])).all()
+
+    @pytest.mark.parametrize("name", ["lp", "chain-predicted", "chain-real"])
+    def test_one_tree_per_position_models_stack_nothing(self, name, ds37, monkeypatch):
+        """LP and chain prediction descend the trees the model holds; only a
+        BR or RAkEL payload stacks its trees, once, when it is built."""
+        model = TRAINERS[name](ds37)
+        calls = []
+        stack_trees = tree_module.stack_trees
+
+        def counting(trees):
+            calls.append(len(trees))
+            return stack_trees(trees)
+
+        for module in (tree_module, mlc):
+            monkeypatch.setattr(module, "stack_trees", counting)
+        predict_batch(model, feature_matrix(ds37.series), gold_matrix(model, ds37))
+        assert calls == []
+        TRAINERS["br"](ds37)
+        assert calls == [29]
 
     @pytest.mark.parametrize("history", ["real", "predicted"])
     def test_chain_reads_its_history_columns(self, history):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -15,7 +16,7 @@ import pytest
 import rakelgen
 from rakelgen import nlg
 from rakelgen.cli import main
-from rakelgen.domain import default_registry, load_dataset
+from rakelgen.domain import default_registry, load_dataset, registry_to_dict
 from rakelgen.features import extract_features
 from rakelgen.model_io import load_model
 from rakelgen.synth import config_to_dict, default_synth_config
@@ -506,6 +507,55 @@ class TestFeedback:
         )
         assert code == 2
         assert "week" in stderr
+
+    def test_lone_surrogate_id_exit_2_before_output(self, data_path, model_path, tmp_path, capsys):
+        # "\udc80" is valid JSON but no UTF-8 output can write it
+        lines = data_path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["student_id"] = "s\udc80"
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o.txt"
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(bad), "--model", str(model_path), "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"rakelgen: validation error: {bad}:4: malformed record: "
+            'student_id must be valid Unicode, got "s\\udc80"\n'
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["version", "surface_text"])
+    def test_lone_surrogate_in_registry_exit_2_before_output(
+        self, data_path, model_path, field, tmp_path, capsys
+    ):
+        data = registry_to_dict(default_registry())
+        template = data["templates"][3]
+        if field == "version":
+            data["version"] += "\udc80"
+            expected = f"'version' is not valid Unicode: {json.dumps(data['version'])}"
+        else:
+            template["surface_text"] += "\udc80"
+            expected = f"template {template['id']}: surface text is not valid Unicode"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(data), encoding="utf-8")
+        # stamp the artifact as trained against that registry
+        artifact = json.loads(model_path.read_text(encoding="utf-8"))
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        artifact["registry_version"] = data["version"]
+        artifact["registry_sha256"] = hashlib.sha256(canonical).hexdigest()
+        model_path.write_text(json.dumps(artifact), encoding="utf-8")
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path),
+             "--registry", str(registry)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("rakelgen: validation error: ")
+        assert stderr.endswith(expected + "\n")
 
     def test_chain_real_needs_labels_exit_2(self, data_path, tmp_path, capsys):
         model_path = tmp_path / "chain.json"

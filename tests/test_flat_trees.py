@@ -35,6 +35,7 @@ from rakelgen.mlc import (
 from rakelgen.model_io import load_model, model_from_dict, model_to_dict, save_model
 from rakelgen.synth import default_synth_config, generate_dataset
 from rakelgen.tree import (
+    NODE_ARRAYS,
     DecisionTree,
     TreeConfig,
     descend,
@@ -126,6 +127,17 @@ class TestStackedDescent:
         for t, tree in enumerate(trees):
             expected = [reference_descent(tree, row) for row in queries]
             assert stack.label[leaves[:, t]].tolist() == expected
+
+    def test_one_tree_stacks_to_itself(self):
+        tree = train_tree([[0.0, 2.0], [1.0, 0.0], [2.0, 1.0], [3.0, 3.0]], [0, 1, 2, 1])
+        stacked = stack_trees([tree])
+        assert stacked.roots.tolist() == tree.roots.tolist() == [0]
+        assert stacked.n_features == tree.n_features == 2
+        for name in (*NODE_ARRAYS, "roots"):
+            ours, theirs = getattr(stacked, name), getattr(tree, name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tolist() == theirs.tolist()
+            assert not ours.flags.writeable
 
     def test_mixed_widths_rejected(self):
         a = train_tree([[0.0], [1.0]], [0, 1])

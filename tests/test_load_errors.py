@@ -136,6 +136,8 @@ TYPE_RULES = [
      "{path}:1: malformed record: student_id must be a string, got null"),
     ("number student_id", [GOOD, json.dumps(_record(student_id=7))],
      "{path}:2: malformed record: student_id must be a string, got 7"),
+    ("lone surrogate student_id", [GOOD, json.dumps(_record(student_id="s\udc80"))],
+     '{path}:2: malformed record: student_id must be valid Unicode, got "s\\udc80"'),
     ("type rule before bad json", [GOOD, json.dumps(_record(weeks=3.0)), "{oops"],
      "{path}:2: malformed record: weeks must be an integer, got 3.0"),
 ]

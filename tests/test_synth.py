@@ -13,6 +13,7 @@ from rakelgen.errors import ValidationError
 from rakelgen.synth import (
     FactorParams,
     PolicyThresholds,
+    SCALAR_FIELDS,
     SynthConfig,
     achieved_correlations,
     build_correlation_matrix,
@@ -140,6 +141,22 @@ class TestConfig:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ValidationError, match="malformed"):
             config_from_dict({"n_students": "many"})
+
+    def test_bad_factor_key_wins_over_bad_scalar(self):
+        data = config_to_dict(default_synth_config())
+        data["n_students"] = "many"
+        data["factors"]["attendance"] = data["factors"].pop("marks")
+        with pytest.raises(ValidationError, match=r"^unknown factor name: 'attendance'$"):
+            config_from_dict(data)
+
+    def test_missing_scalars_take_the_config_defaults(self):
+        data = config_to_dict(default_synth_config(n_students=12, seed=3))
+        for name in SCALAR_FIELDS:
+            del data[name]
+        config = config_from_dict(data)
+        defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        for name in SCALAR_FIELDS:
+            assert getattr(config, name) == defaults[name]
 
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
