@@ -50,7 +50,7 @@ class FactorId(IntEnum):
     def from_key(cls, key: str) -> "FactorId":
         try:
             return _FACTOR_BY_NAME[key.upper()]
-        except KeyError:
+        except (KeyError, AttributeError):  # AttributeError: not a string
             raise ValidationError(f"unknown factor name: {key!r}") from None
 
 
@@ -407,7 +407,9 @@ def _parse_registry(data: dict, source: str) -> TemplateRegistry:
                 reference=ReferenceType.from_key(entry["reference"]),
                 surface_text=str(entry["surface_text"]),
             )
-        except (KeyError, TypeError) as exc:
+        except ValidationError as exc:
+            raise ValidationError(f"{source}: template entry {n}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{source}: template entry {n} is malformed: {exc}") from None
         templates.append(template)
     return TemplateRegistry(templates=tuple(templates), version=version)

@@ -11,7 +11,8 @@ starting from the first week, as a plain Python ``sum`` over the series does
 pairwise or compensated sum (``np.sum``, or ``sum`` from Python 3.12 on) can
 round the mean and the slope differently in the last bit, and a tree threshold
 can fall between the two. ``min`` and ``max`` keep the first of equal values,
-as the builtins do.
+as the builtins do. ``ols_slope`` and the synthetic labeling policy use
+``mean_and_slope`` too, so no mean or slope depends on the Python version.
 """
 
 from __future__ import annotations
@@ -42,20 +43,17 @@ class FeatureVector:
 
 @lru_cache(maxsize=64)
 def _week_offsets(weeks: int) -> tuple[tuple[float, ...], float]:
-    """Week indices 1..W minus their mean, and the sum of their squares."""
+    """Week indices 1..W minus their mean, and the sum of their squares
+    (multiples of 0.25, so the sum is exact in any order)."""
     x_mean = (weeks + 1) / 2.0
     offsets = tuple(i + 1 - x_mean for i in range(weeks))
     return offsets, sum(offset**2 for offset in offsets)
 
 
 def ols_slope(values) -> float:
-    """Least-squares slope of values against week index 1..W (0.0 for W == 1)."""
-    n = len(values)
-    if n == 1:
-        return 0.0
-    offsets, den = _week_offsets(n)
-    y_mean = sum(values) / n
-    return sum(offset * (v - y_mean) for offset, v in zip(offsets, values)) / den
+    """Least-squares slope of values against week index 1..W (0.0 for W == 1):
+    the one-series case of ``mean_and_slope``."""
+    return float(mean_and_slope(np.array([values], dtype=float))[1][0])
 
 
 def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str], ...]:
@@ -97,8 +95,8 @@ def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
 
 
 def mean_and_slope(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and ``ols_slope`` of every series in S (..., W), each with the
-    operations of the per-series code in the same order, so bit for bit."""
+    """Mean and least-squares slope against week index 1..W of every series
+    in S (..., W), each sum running left to right from the first week."""
     W = S.shape[-1]
     total = S[..., 0] + 0.0  # sum() starts from 0, so -0.0 becomes 0.0
     for w in range(1, W):

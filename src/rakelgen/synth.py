@@ -6,12 +6,22 @@ values add a per-student linear trend (centered, so it never shifts the
 weekly mean) and independent noise, then are clipped and quantized to the
 factor's units.
 
+The order of the standard normal draws is part of the output: per student, in
+id order, 9 latent normals (factors in code order, multiplied by the Cholesky
+factor one student at a time), then per factor in code order 1 trend-slope
+normal and W weekly noise normals, 9 * (W + 2) in all. A normal of std ``s``
+is ``0.0 + s * z`` of the standard draw ``z``, as ``Generator.normal`` forms
+it, so a zero std still consumes its draw. ``generate_dataset`` draws
+``CHUNK_STUDENTS`` students' normals in one call and works on the chunk with
+array arithmetic; the chunk size does not change the stream or any value.
+
 Labels come from a deterministic threshold policy applied per factor to the
 stored series, in fixed priority order: a strong trend first, then a wide
 week-to-week spread, then an extreme average, then a moderate deviation.
 Each rule is skipped when the registry has no template for that factor and
-reference type. An optional noise rate redraws individual factor decisions
-uniformly, emulating disagreeing annotators.
+reference type. Means and slopes are ``features.mean_and_slope``'s left to
+right sums, the same on every Python version. An optional noise rate redraws
+individual factor decisions uniformly, emulating disagreeing annotators.
 """
 
 from __future__ import annotations
@@ -34,11 +44,19 @@ from .domain import (
     StudentRecord,
     TemplateRegistry,
     read_json,
+    series_stack,
 )
 from .errors import ValidationError
-from .features import ols_slope
+from .features import mean_and_slope
 
-N_FACTORS = len(FactorId)
+#: The factors in code order (iterating the enum itself is slow in a hot loop).
+FACTORS = tuple(FactorId)
+N_FACTORS = len(FACTORS)
+
+#: Students synthesized per pass of ``generate_dataset``. A chunk's arrays
+#: take about 0.4 MB at 10 weeks, so they do not raise a caller's peak
+#: memory; 128 or 512 students per chunk run no faster.
+CHUNK_STUDENTS = 256
 
 #: Decision order of the annotation policy.
 RULE_ORDER = (
@@ -185,26 +203,35 @@ def decide_reference(
     available: Set[ReferenceType],
 ) -> ReferenceType | None:
     """First rule that fires and has a template available, else None."""
-    slope = ols_slope(series)
-    spread = max(series) - min(series)
-    mean = sum(series) / len(series)
-    fired = {
-        ReferenceType.TREND: abs(slope) > thresholds.slope,
-        ReferenceType.WEEKS: spread > thresholds.spread,
-        ReferenceType.AVERAGE: mean < thresholds.avg_low or mean > thresholds.avg_high,
-        ReferenceType.OTHER: mean < thresholds.other_low or mean > thresholds.other_high,
-    }
-    for reference in RULE_ORDER:
-        if fired[reference] and reference in available:
-            return reference
-    return None
+    pick = _rule_picks(np.array([series], dtype=float), thresholds, available)[0]
+    return RULE_ORDER[pick] if pick < len(RULE_ORDER) else None
+
+
+def _rule_picks(
+    S: np.ndarray, thresholds: PolicyThresholds, available: Set[ReferenceType]
+) -> np.ndarray:
+    """Per series of S (n, W), the position in ``RULE_ORDER`` of the first
+    rule that fires and has a template available, ``len(RULE_ORDER)`` if none."""
+    mean, slope = mean_and_slope(S)
+    spread = S.max(axis=-1) - S.min(axis=-1)
+    fired = (
+        np.abs(slope) > thresholds.slope,
+        spread > thresholds.spread,
+        (mean < thresholds.avg_low) | (mean > thresholds.avg_high),
+        (mean < thresholds.other_low) | (mean > thresholds.other_high),
+    )
+    picks = np.full(len(S), len(RULE_ORDER))
+    for position in reversed(range(len(RULE_ORDER))):
+        if RULE_ORDER[position] in available:
+            picks[fired[position]] = position
+    return picks
 
 
 def policy_labels(
     record: StudentRecord, registry: TemplateRegistry, config: SynthConfig
 ) -> frozenset[int]:
     """Noiseless annotation: the policy decision per factor, as template ids."""
-    return _annotate(record.series, _factor_templates(registry), config)
+    return _annotate(series_stack([record]), _factor_templates(registry), config)[0]
 
 
 def label_record(
@@ -216,7 +243,7 @@ def label_record(
     """Annotation by expert ``record_index % expert_count``: the policy
     decision per factor, each independently redrawn uniformly (template or
     no-template) with probability ``expert_noise``."""
-    return _annotate(record.series, _factor_templates(registry), config, record_index)
+    return _annotate(series_stack([record]), _factor_templates(registry), config, record_index)[0]
 
 
 def _factor_templates(registry: TemplateRegistry) -> dict[FactorId, dict[ReferenceType, int]]:
@@ -228,49 +255,70 @@ def _factor_templates(registry: TemplateRegistry) -> dict[FactorId, dict[Referen
 
 
 def _annotate(
-    series: dict[FactorId, tuple[float, ...]],
+    S: np.ndarray,
     templates: dict[FactorId, dict[ReferenceType, int]],
     config: SynthConfig,
-    record_index: int | None = None,
-) -> frozenset[int]:
-    """``label_record`` of a record's series, or ``policy_labels`` without a
-    record index; ``templates`` is ``_factor_templates`` of the registry."""
-    rng = None
-    if record_index is not None and config.expert_noise > 0.0:
-        expert_index = record_index % config.expert_count
-        rng = random.Random(config.seed * 1_000_003 + expert_index * 9973 + record_index)
-    chosen = []
-    for factor in FactorId:
+    first_index: int | None = None,
+) -> list[frozenset[int]]:
+    """Labels of the records whose series are the (n, 9, W) stack S:
+    ``label_record`` of row i as record ``first_index + i``, or
+    ``policy_labels`` without a first index. ``templates`` is
+    ``_factor_templates`` of the registry."""
+    columns = []
+    for j, factor in enumerate(FACTORS):
         ids = templates[factor]
-        pick = ids.get(decide_reference(series[factor], config.policy[factor], ids.keys()))
-        if rng is not None and rng.random() < config.expert_noise:
-            pick = rng.choice([*ids.values(), None])
-        if pick is not None:
-            chosen.append(pick)
-    return frozenset(chosen)
+        by_position = [ids.get(reference) for reference in RULE_ORDER] + [None]
+        picks = _rule_picks(S[:, j], config.policy[factor], ids.keys())
+        columns.append([by_position[pick] for pick in picks.tolist()])
+    noisy = first_index is not None and config.expert_noise > 0.0
+    redraws = [[*templates[factor].values(), None] for factor in FACTORS]
+    labels = []
+    for i, row in enumerate(zip(*columns), first_index or 0):
+        if noisy:
+            expert_index = i % config.expert_count
+            rng = random.Random(config.seed * 1_000_003 + expert_index * 9973 + i)
+            row = [
+                rng.choice(options) if rng.random() < config.expert_noise else pick
+                for options, pick in zip(redraws, row)
+            ]
+        labels.append(frozenset(pick for pick in row if pick is not None))
+    return labels
 
 
 def generate_dataset(config: SynthConfig, registry: TemplateRegistry) -> Dataset:
-    """Deterministic cohort for (config, registry): series then labels."""
+    """Deterministic cohort for (config, registry): series then labels,
+    ``CHUNK_STUDENTS`` students at a time."""
     matrix = build_correlation_matrix(config.correlation_pairs)
     chol = _cholesky_or_error(matrix, config.correlation_pairs)
     rng = np.random.default_rng(config.seed)
     weeks = config.weeks
     offsets = np.arange(1, weeks + 1) - (weeks + 1) / 2.0
+    params = [config.factors[factor] for factor in FACTORS]
+    mean = np.array([p.mean for p in params])
+    std = np.array([p.std for p in params])
+    trend_std = np.array([p.trend_std for p in params])
+    noise_std = np.array([[p.noise_std] for p in params])
     templates = _factor_templates(registry)
     records = []
-    for i in range(config.n_students):
-        latent = chol @ rng.standard_normal(N_FACTORS)
-        series = {}
-        for j, factor in enumerate(FactorId):
-            params = config.factors[factor]
-            level = params.mean + params.std * latent[j]
-            slope = rng.normal(0.0, params.trend_std)
-            noise = rng.normal(0.0, params.noise_std, weeks)
-            values = _quantize(level + slope * offsets + noise, factor)
-            series[factor] = tuple(values.tolist())
-        labels = _annotate(series, templates, config, i)
-        records.append(StudentRecord(f"s{i:04d}", weeks, series, labels))
+    for first in range(0, config.n_students, CHUNK_STUDENTS):
+        n = min(CHUNK_STUDENTS, config.n_students - first)
+        Z = rng.standard_normal((n, N_FACTORS * (weeks + 2)))
+        # One matrix-vector product per student, as when drawn one by one: a
+        # matrix product over the chunk may sum in another order.
+        latent = np.array([chol @ z for z in Z[:, :N_FACTORS]])
+        draws = Z[:, N_FACTORS:].reshape(n, N_FACTORS, weeks + 1)
+        level = mean + std * latent
+        slope = 0.0 + trend_std * draws[:, :, 0]
+        # Built in place and turned into lists row by row, so that a chunk
+        # holds one (n, 9, W) array beside its draws.
+        S = level[:, :, None] + slope[:, :, None] * offsets
+        S += 0.0 + noise_std * draws[:, :, 1:]
+        for j, factor in enumerate(FACTORS):
+            S[:, j] = _quantize(S[:, j], factor)
+        labels = _annotate(S, templates, config, first)
+        for i, (block, chosen) in enumerate(zip(S, labels), first):
+            series = dict(zip(FACTORS, map(tuple, block.tolist())))
+            records.append(StudentRecord(f"s{i:04d}", weeks, series, chosen))
     return Dataset(registry=registry, records=records)
 
 
@@ -295,13 +343,18 @@ def achieved_correlations(
     ds: Dataset, pairs: tuple[tuple[FactorId, FactorId, float], ...]
 ) -> list[tuple[str, str, float, float]]:
     """(factor_a, factor_b, target, achieved) per configured pair, where
-    achieved correlates the per-student series means across the cohort."""
-    means = {
-        factor: [sum(r.series[factor]) / r.weeks for r in ds.records]
-        for factor in FactorId
-    }
+    achieved correlates the per-student series means across the cohort.
+
+    The means are taken ``CHUNK_STUDENTS`` records at a time: a stack of the
+    whole cohort would stay on the dataset and add 14 MB to the peak memory
+    of ``generate --count 20000``."""
+    records = ds.records
+    means = np.concatenate([
+        mean_and_slope(series_stack(records[first : first + CHUNK_STUDENTS]))[0]
+        for first in range(0, len(records), CHUNK_STUDENTS)
+    ])
     return [
-        (a.key, b.key, r, pearson(means[a], means[b])) for a, b, r in pairs
+        (a.key, b.key, r, pearson(means[:, a - 1], means[:, b - 1])) for a, b, r in pairs
     ]
 
 

@@ -116,8 +116,8 @@ class TestFeatureMatrix:
 
 
 class TestOlsSlope:
-    """``ols_slope`` (which renders the trend slot) with its week offsets cached
-    per week count equals the per-call arithmetic bit for bit."""
+    """``ols_slope``, the one-series case of ``mean_and_slope``, equals the
+    per-call left-to-right arithmetic bit for bit."""
 
     @given(st.integers(1, 29).flatmap(lambda w: st.lists(series_values, min_size=w, max_size=w)))
     def test_equals_reference_bitwise(self, values):

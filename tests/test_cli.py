@@ -557,6 +557,37 @@ class TestFeedback:
         assert stderr.startswith("rakelgen: validation error: ")
         assert stderr.endswith(expected + "\n")
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("surface_text", "Your {nope} went up.",
+             "template {id}: unknown slot {{nope}} in surface text"),
+            ("factor", "attendance", "unknown factor name: 'attendance'"),
+            ("factor", 3, "unknown factor name: 3"),
+            ("reference", "weekly", "unknown reference type: 'weekly'"),
+            ("id", "four", "is malformed: invalid literal for int() with base 10: 'four'"),
+        ],
+    )
+    def test_registry_entry_error_names_file_exit_2(
+        self, data_path, model_path, field, value, problem, tmp_path, capsys
+    ):
+        data = registry_to_dict(default_registry())
+        template = data["templates"][4]
+        template[field] = value
+        registry = tmp_path / "r.json"
+        registry.write_text(json.dumps(data), encoding="utf-8")
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path),
+             "--registry", str(registry)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        separator = " " if field == "id" else ": "
+        assert stderr == (
+            f"rakelgen: validation error: {registry}: template entry 4{separator}"
+            + problem.format(id=template["id"]) + "\n"
+        )
+
     def test_chain_real_needs_labels_exit_2(self, data_path, tmp_path, capsys):
         model_path = tmp_path / "chain.json"
         main(
