@@ -13,7 +13,7 @@ import importlib
 #: and a command pays only for the modules it uses.
 _EXPORTS = {
     "domain": (
-        "Dataset", "FactorId", "LabelVector", "ReferenceType", "StudentRecord", "Template",
+        "Dataset", "FactorId", "ReferenceType", "StudentRecord", "Template",
         "TemplateRegistry", "default_registry", "load_dataset", "load_registry",
         "save_dataset", "save_registry",
     ),
@@ -22,19 +22,15 @@ _EXPORTS = {
         "EvalOptions", "comparison_report", "compute_metrics", "cross_validate",
         "paired_t_test", "render_table", "report_to_json",
     ),
-    "features": ("extract_features", "feature_matrix", "feature_schema", "ols_slope", "trend_word"),
+    "features": ("feature_matrix", "feature_schema", "trend_word"),
     "mlc": (
-        "RakelConfig", "TrainedModel", "gold_matrix", "predict", "predict_batch",
-        "predict_record", "train_binary_relevance", "train_chain", "train_lp",
-        "train_majority", "train_rakel",
+        "RakelConfig", "TrainedModel", "gold_matrix", "predict_batch", "train_binary_relevance",
+        "train_chain", "train_lp", "train_majority", "train_rakel",
     ),
     "model_io": ("load_model", "save_model"),
-    "nlg": (
-        "feedback_for_record", "feedback_for_records", "render_summary", "render_text",
-        "select_templates",
-    ),
+    "nlg": ("feedback_for_records", "render_text"),
     "synth": ("SynthConfig", "default_synth_config", "generate_dataset", "load_synth_config"),
-    "tree": ("DecisionTree", "TreeConfig", "predict_tree", "train_tree", "train_trees"),
+    "tree": ("DecisionTree", "TreeConfig", "descend", "train_trees"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

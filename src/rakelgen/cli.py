@@ -289,7 +289,8 @@ def cmd_generate(args) -> int:
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} records to {args.out}")
     for a, b, target, achieved in achieved_correlations(ds, config.correlation_pairs):
-        print(f"correlation {a}/{b}: target {target:g}, achieved {achieved:.3f}")
+        shown = "n/a" if achieved is None else f"{achieved:.3f}"
+        print(f"correlation {a}/{b}: target {target:g}, achieved {shown}")
     return 0
 
 

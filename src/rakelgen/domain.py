@@ -1,4 +1,4 @@
-"""Task vocabulary: learning factors, reference types, templates, records and label vectors.
+"""Task vocabulary: learning factors, reference types, templates, records and datasets.
 
 All types here are immutable after construction and safe to share across threads.
 """
@@ -227,25 +227,6 @@ class StudentRecord:
         return self.expert_labels is not None
 
 
-@dataclass(frozen=True)
-class LabelVector:
-    """Fixed-length binary decision vector, one bit per registry template."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValidationError("label vector bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-
 class Dataset:
     """A registry plus the student records labeled against it.
 
@@ -381,14 +362,6 @@ def _common_weeks(weeks: Iterable[int]) -> int | None:
     return distinct.pop() if distinct else None
 
 
-def labelset_to_vector(ids, registry: TemplateRegistry) -> LabelVector:
-    """Encode a set of template ids as a binary vector in registry order."""
-    bits = [0] * len(registry)
-    for template_id in ids:
-        bits[registry.label_index(template_id)] = 1
-    return LabelVector(tuple(bits))
-
-
 def _parse_registry(data: dict, source: str) -> TemplateRegistry:
     if not isinstance(data, dict) or "templates" not in data:
         raise ValidationError(f"{source}: expected an object with a 'templates' array")
@@ -402,7 +375,7 @@ def _parse_registry(data: dict, source: str) -> TemplateRegistry:
     for n, entry in enumerate(entries):
         try:
             template = Template(
-                id=int(entry["id"]),
+                id=json_int(entry["id"], "'id'"),
                 factor=FactorId.from_key(entry["factor"]),
                 reference=ReferenceType.from_key(entry["reference"]),
                 surface_text=str(entry["surface_text"]),
@@ -540,6 +513,14 @@ def _is_unicode(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else a ValidationError naming the
+    field ``name``: ``int()`` would truncate a float and accept a boolean."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
+    return value
 
 
 def _is_number(value) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Dataset, LabelVector
+from .domain import Dataset
 from .errors import ValidationError
 from .features import feature_matrix
 from .mlc import (
@@ -133,27 +133,18 @@ def make_fold_plan(n_records: int, n_folds: int, seed: int) -> list[int]:
     return plan
 
 
-def compute_metrics(
-    gold: Sequence[LabelVector], pred: Sequence[LabelVector]
-) -> MetricSet:
-    """Hamming accuracy over all label cells plus micro-averaged P/R/F.
+def compute_metrics(G: np.ndarray, P: np.ndarray) -> MetricSet:
+    """Hamming accuracy over all label cells of gold and predicted 0/1
+    matrices G and P (n, L), plus micro-averaged P/R/F.
 
     A precision or recall whose denominator is zero is taken as 1.0; the
     F-score is the harmonic mean, or 0.0 when both P and R are zero.
     """
-    if len(gold) != len(pred):
-        raise ValidationError("gold and predicted sequences differ in length")
-    if not gold:
-        raise ValidationError("cannot compute metrics over zero predictions")
-    G = np.array([v.bits for v in gold], dtype=int)
-    P = np.array([v.bits for v in pred], dtype=int)
+    G, P = np.asarray(G), np.asarray(P)
     if G.shape != P.shape:
-        raise ValidationError("gold and predicted label vectors differ in width")
-    return _matrix_metrics(G, P)
-
-
-def _matrix_metrics(G: np.ndarray, P: np.ndarray) -> MetricSet:
-    """``compute_metrics`` of gold and predicted 0/1 matrices of one shape."""
+        raise ValidationError(f"gold {G.shape} and predicted {P.shape} matrices differ in shape")
+    if not G.size:
+        raise ValidationError("cannot compute metrics over zero predictions")
     tp = int(((G == 1) & (P == 1)).sum())
     fp = int(((G == 0) & (P == 1)).sum())
     fn = int(((G == 1) & (P == 0)).sum())
@@ -221,11 +212,11 @@ def cross_validate(
             feature_matrix(test.series, model.feature_mode),
             gold if model.strategy == "chain-real" else None,
         )
-        fold_metrics.append(_matrix_metrics(gold, bits))
+        fold_metrics.append(compute_metrics(gold, bits))
         all_gold.append(gold)
         all_pred.append(bits)
     if opts.aggregate == "pooled":
-        metrics = _matrix_metrics(np.concatenate(all_gold), np.concatenate(all_pred))
+        metrics = compute_metrics(np.concatenate(all_gold), np.concatenate(all_pred))
     else:
         metrics = MetricSet(
             accuracy=_mean(m.accuracy for m in fold_metrics),

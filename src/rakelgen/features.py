@@ -11,18 +11,17 @@ starting from the first week, as a plain Python ``sum`` over the series does
 pairwise or compensated sum (``np.sum``, or ``sum`` from Python 3.12 on) can
 round the mean and the slope differently in the last bit, and a tree threshold
 can fall between the two. ``min`` and ``max`` keep the first of equal values,
-as the builtins do. ``ols_slope`` and the synthetic labeling policy use
+as the builtins do. Rendering and the synthetic labeling policy use
 ``mean_and_slope`` too, so no mean or slope depends on the Python version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .domain import FactorId, StudentRecord, series_stack
+from .domain import FactorId
 from .errors import ValidationError
 
 DERIVED_FEATURES = ("mean", "slope", "min", "max", "last")
@@ -32,15 +31,6 @@ FEATURE_MODES = ("raw", "derived", "both")
 DEFAULT_TREND_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-    schema: tuple[tuple[FactorId, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @lru_cache(maxsize=64)
 def _week_offsets(weeks: int) -> tuple[tuple[float, ...], float]:
     """Week indices 1..W minus their mean, and the sum of their squares
@@ -48,12 +38,6 @@ def _week_offsets(weeks: int) -> tuple[tuple[float, ...], float]:
     x_mean = (weeks + 1) / 2.0
     offsets = tuple(i + 1 - x_mean for i in range(weeks))
     return offsets, sum(offset**2 for offset in offsets)
-
-
-def ols_slope(values) -> float:
-    """Least-squares slope of values against week index 1..W (0.0 for W == 1):
-    the one-series case of ``mean_and_slope``."""
-    return float(mean_and_slope(np.array([values], dtype=float))[1][0])
 
 
 def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str], ...]:
@@ -71,10 +55,8 @@ def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str]
 
 def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
     """Feature rows of an (n, 9, W) series stack (``Dataset.series``), as an
-    (n, d) array.
-
-    Row i equals ``extract_features(record, mode).values`` of the record
-    whose series are ``series[i]``, bit for bit.
+    (n, d) array whose columns follow ``feature_schema(W, mode)``. Row i
+    depends on ``series[i]`` alone.
     """
     if mode not in FEATURE_MODES:
         raise ValidationError(f"unknown feature mode {mode!r}; expected one of {FEATURE_MODES}")
@@ -109,12 +91,6 @@ def mean_and_slope(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(1, W):
         num = num + offsets[i] * (S[..., i] - mean)
     return mean, num / den
-
-
-def extract_features(record: StudentRecord, mode: str = "both") -> FeatureVector:
-    """Deterministic feature vector for a record; pure in its inputs."""
-    values = feature_matrix(series_stack([record]), mode)[0]
-    return FeatureVector(tuple(values.tolist()), feature_schema(record.weeks, mode))
 
 
 def trend_word(slope: float, tolerance: float = DEFAULT_TREND_TOLERANCE) -> str:

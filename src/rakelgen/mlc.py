@@ -27,9 +27,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import Dataset, LabelVector, StudentRecord, TemplateRegistry, series_stack
+from .domain import Dataset, json_int
 from .errors import LabelCoverageWarning, ValidationError
-from .features import FeatureVector, feature_matrix
+from .features import feature_matrix
 from .tree import (
     DecisionTree, TreeConfig, descend, stack_trees, train_trees, tree_from_dict, tree_stats,
     tree_to_dict,
@@ -124,7 +124,7 @@ class ChainPayload:
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
-        order = tuple(int(j) for j in strategy_config["order"])
+        order = tuple(json_int(j, "chain 'order' entry") for j in strategy_config["order"])
         if sorted(order) != list(range(n_labels)):
             raise ValidationError(f"chain 'order' must be a permutation of 0..{n_labels - 1}")
         trees = _bit_trees(body["trees"], n_labels)
@@ -185,12 +185,14 @@ class LpPayload:
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
         tree = tree_from_dict(body["tree"])
-        scope = tuple(int(j) for j in body["scope"])
+        scope = tuple(json_int(j, "lp 'scope' entry") for j in body["scope"])
         if len(set(scope)) != len(scope) or not all(0 <= j < n_labels for j in scope):
             raise ValidationError(
                 f"lp 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
             )
-        classes = tuple(frozenset(int(j) for j in c) for c in body["classes"])
+        classes = tuple(
+            frozenset(json_int(j, "lp 'classes' label") for j in c) for c in body["classes"]
+        )
         for labelset in classes:
             if not labelset <= set(scope):
                 raise ValidationError(
@@ -410,20 +412,12 @@ def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
     return _model(ds, "both", MajorityPayload(bits=bits))
 
 
-def lp_transform(ds: Dataset) -> tuple[list[int], tuple[frozenset[int], ...]]:
-    """Map each record to a class id for its label-index set.
-
-    Distinct observed sets are enumerated in first-appearance order; the
-    returned table is a bijection between class ids and observed sets.
-    """
-    ds.require_labeled()
-    Y = ds.label_matrix()
-    return _lp_encode(Y, scope=tuple(range(Y.shape[1])))
-
-
 def _lp_encode(
     Y: np.ndarray, scope: tuple[int, ...]
 ) -> tuple[list[int], tuple[frozenset[int], ...]]:
+    """A class id per row of Y for its set of label indices in ``scope``, and
+    the table of those sets: distinct sets are numbered in order of first
+    appearance, so the table is a bijection between class ids and observed sets."""
     table: list[frozenset[int]] = []
     index: dict[frozenset[int], int] = {}
     classes = []
@@ -507,31 +501,6 @@ def train_rakel(
         for tree, (_, table), scope in zip(trees, encoded, subsets)
     ]
     return _model(ds, feature_mode, RakelPayload(members=tuple(members), threshold=rcfg.threshold))
-
-
-def predict(
-    model: TrainedModel, x: FeatureVector | np.ndarray, gold: LabelVector | None = None
-) -> LabelVector:
-    """``predict_batch`` of one feature row. ``gold`` is required by (and only
-    by) chain-real models."""
-    row = np.asarray(getattr(x, "values", x), dtype=float).reshape(1, -1)
-    bits, _ = predict_batch(model, row, None if gold is None else np.array([gold.bits]))
-    return LabelVector(tuple(bits[0].tolist()))
-
-
-def predict_record(
-    model: TrainedModel, record: StudentRecord, registry: TemplateRegistry | None = None
-) -> LabelVector:
-    """Convenience wrapper: extract features with the model's mode, then predict.
-    A chain-real model needs the registry, to encode the record's gold labels."""
-    gold = None
-    if model.strategy == "chain-real":
-        if registry is None:
-            raise ValidationError("chain-real prediction needs the registry to encode gold labels")
-        gold = gold_matrix(model, Dataset(registry, (record,)))
-    X = feature_matrix(series_stack([record]), model.feature_mode)
-    bits, _ = predict_batch(model, X, gold)
-    return LabelVector(tuple(bits[0].tolist()))
 
 
 def _labelset_table(payload: LpPayload, n_labels: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .domain import TemplateRegistry, read_json, registry_to_dict
+from .domain import TemplateRegistry, json_int, read_json, registry_to_dict
 from .errors import ValidationError
 from .mlc import PAYLOADS, TrainedModel
 
@@ -69,7 +69,7 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
         )
     try:
         strategy = data["strategy"]
-        n_labels = int(data["n_labels"])
+        n_labels = json_int(data["n_labels"], "model 'n_labels'")
         if n_labels != len(registry):
             raise ValidationError(
                 f"model 'n_labels' {n_labels} does not match the registry's "
@@ -83,7 +83,7 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
         return TrainedModel(
             registry_version=str(data["registry_version"]),
             n_labels=n_labels,
-            weeks=int(data["weeks"]),
+            weeks=json_int(data["weeks"], "model 'weeks'"),
             feature_mode=str(data["feature_mode"]),
             payload=payload,
         )

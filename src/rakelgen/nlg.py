@@ -7,7 +7,7 @@ rendered in factor code order, with slots filled from the student's series.
 
 ``feedback_for_records`` selects and renders a chunk of records at a time:
 ``choose`` picks every row's winners at once, and the slots read the chunk's
-per-factor means and slopes. ``select_templates`` is the one-row case.
+per-factor means and slopes.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    Dataset,
-    FactorId,
-    ReferenceType,
-    StudentRecord,
-    Template,
-    TemplateRegistry,
-    series_stack,
-)
+from .domain import Dataset, FactorId, ReferenceType, TemplateRegistry
 from .errors import ValidationError
 from .features import DEFAULT_TREND_TOLERANCE, feature_matrix, mean_and_slope, trend_word
 from .mlc import TrainedModel, gold_matrix, predict_batch
@@ -37,23 +29,12 @@ REFERENCE_PRIORITY = {
     ReferenceType.OTHER: 3,
 }
 
-DROP_REASON_CONFLICT = "factor-conflict"
-
 #: ``feedback_for_records`` predicts this many records at a time, so it never
 #: holds the feature or vote rows of more than one chunk.
 _CHUNK_ROWS = 256
 
 #: A factor's position on the factor axis of a series stack.
 _FACTOR_AXIS = {factor: axis for axis, factor in enumerate(FactorId)}
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Templates kept for rendering (with their vote strength) and templates
-    dropped with a reason, both in factor code order."""
-
-    chosen: tuple[tuple[Template, float], ...]
-    dropped: tuple[tuple[Template, str], ...]
 
 
 @dataclass(frozen=True)
@@ -92,41 +73,6 @@ def choose(bits: np.ndarray, votes: np.ndarray, columns: np.ndarray) -> np.ndarr
     return np.where(is_set.any(axis=-1), winners, -1)
 
 
-def select_templates(
-    prediction: Sequence[int],
-    registry: TemplateRegistry,
-    votes: Sequence[float] | None = None,
-) -> SelectionResult:
-    """Resolve per-factor conflicts among the predicted templates.
-
-    ``prediction`` holds one 0/1 bit per registry template, as a sequence or a
-    ``LabelVector``. Without explicit votes every set bit counts 1.0, so ties
-    fall to the reference-type priority.
-    """
-    bits = [bool(b) for b in prediction]
-    if len(bits) != len(registry):
-        raise ValidationError(f"prediction length {len(bits)} != registry size {len(registry)}")
-    if votes is None:
-        votes = [float(b) for b in bits]
-    elif len(votes) != len(registry):
-        raise ValidationError(
-            f"votes length {len(votes)} != registry size {len(registry)}"
-        )
-    row_votes = np.array([votes], dtype=float)
-    if not np.isfinite(row_votes).all():
-        raise ValidationError("votes must be finite")
-    winners = choose(np.array([bits]), row_votes, factor_columns(registry))[0].tolist()
-    at = registry.template_at
-    dropped = sorted(
-        (j for j, bit in enumerate(bits) if bit and j not in winners),
-        key=lambda j: (at(j).factor, j),
-    )
-    return SelectionResult(
-        chosen=tuple((at(j), votes[j]) for j in winners if j >= 0),
-        dropped=tuple((at(j), DROP_REASON_CONFLICT) for j in dropped),
-    )
-
-
 def format_number(value: float) -> str:
     """Slot numbers render with one decimal place (round-half-even)."""
     return f"{value:.1f}"
@@ -157,20 +103,6 @@ def _render(student_id, templates, series, means, slopes, tolerance) -> Summary:
         }
         sentences.append(template.surface_text.format(**values))
     return Summary(student_id, tuple(sentences), tuple(t.id for t in templates))
-
-
-def render_summary(
-    selection: SelectionResult,
-    record: StudentRecord,
-    trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
-) -> Summary:
-    """Fill each chosen template's slots from the record's series."""
-    S = series_stack([record])
-    means, slopes = mean_and_slope(S)
-    templates = [template for template, _ in selection.chosen]
-    return _render(
-        record.student_id, templates, S[0], means[0].tolist(), slopes[0].tolist(), trend_tolerance
-    )
 
 
 def feedback_for_records(
@@ -219,16 +151,6 @@ def chunk_summaries(
     ):
         chosen = [templates[j] for j in row_winners if j >= 0]
         yield _render(student_id, chosen, *row, trend_tolerance)
-
-
-def feedback_for_record(
-    model: TrainedModel,
-    record: StudentRecord,
-    registry: TemplateRegistry,
-    trend_tolerance: float = DEFAULT_TREND_TOLERANCE,
-) -> Summary:
-    """Predict, resolve conflicts, render: one summary for one student."""
-    return next(feedback_for_records(model, Dataset(registry, (record,)), trend_tolerance))
 
 
 def render_text(summary: Summary) -> str:

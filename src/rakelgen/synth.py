@@ -197,16 +197,6 @@ def _quantize(values: np.ndarray, factor: FactorId) -> np.ndarray:
     return np.round(values, 1)
 
 
-def decide_reference(
-    series: tuple[float, ...],
-    thresholds: PolicyThresholds,
-    available: Set[ReferenceType],
-) -> ReferenceType | None:
-    """First rule that fires and has a template available, else None."""
-    pick = _rule_picks(np.array([series], dtype=float), thresholds, available)[0]
-    return RULE_ORDER[pick] if pick < len(RULE_ORDER) else None
-
-
 def _rule_picks(
     S: np.ndarray, thresholds: PolicyThresholds, available: Set[ReferenceType]
 ) -> np.ndarray:
@@ -227,25 +217,6 @@ def _rule_picks(
     return picks
 
 
-def policy_labels(
-    record: StudentRecord, registry: TemplateRegistry, config: SynthConfig
-) -> frozenset[int]:
-    """Noiseless annotation: the policy decision per factor, as template ids."""
-    return _annotate(series_stack([record]), _factor_templates(registry), config)[0]
-
-
-def label_record(
-    record: StudentRecord,
-    record_index: int,
-    registry: TemplateRegistry,
-    config: SynthConfig,
-) -> frozenset[int]:
-    """Annotation by expert ``record_index % expert_count``: the policy
-    decision per factor, each independently redrawn uniformly (template or
-    no-template) with probability ``expert_noise``."""
-    return _annotate(series_stack([record]), _factor_templates(registry), config, record_index)[0]
-
-
 def _factor_templates(registry: TemplateRegistry) -> dict[FactorId, dict[ReferenceType, int]]:
     """Per factor, its template ids by reference type, in registry order."""
     return {
@@ -258,23 +229,23 @@ def _annotate(
     S: np.ndarray,
     templates: dict[FactorId, dict[ReferenceType, int]],
     config: SynthConfig,
-    first_index: int | None = None,
+    first_index: int,
 ) -> list[frozenset[int]]:
-    """Labels of the records whose series are the (n, 9, W) stack S:
-    ``label_record`` of row i as record ``first_index + i``, or
-    ``policy_labels`` without a first index. ``templates`` is
-    ``_factor_templates`` of the registry."""
+    """Labels of the records whose series are the (n, 9, W) stack S, row i
+    annotated as record ``first_index + i`` by expert ``(first_index + i) %
+    expert_count``: the policy decision per factor, each independently
+    redrawn uniformly (template or no template) with probability
+    ``expert_noise``. ``templates`` is ``_factor_templates`` of the registry."""
     columns = []
     for j, factor in enumerate(FACTORS):
         ids = templates[factor]
         by_position = [ids.get(reference) for reference in RULE_ORDER] + [None]
         picks = _rule_picks(S[:, j], config.policy[factor], ids.keys())
         columns.append([by_position[pick] for pick in picks.tolist()])
-    noisy = first_index is not None and config.expert_noise > 0.0
     redraws = [[*templates[factor].values(), None] for factor in FACTORS]
     labels = []
-    for i, row in enumerate(zip(*columns), first_index or 0):
-        if noisy:
+    for i, row in enumerate(zip(*columns), first_index):
+        if config.expert_noise > 0.0:
             expert_index = i % config.expert_count
             rng = random.Random(config.seed * 1_000_003 + expert_index * 9973 + i)
             row = [
@@ -341,9 +312,11 @@ def pearson(xs, ys) -> float:
 
 def achieved_correlations(
     ds: Dataset, pairs: tuple[tuple[FactorId, FactorId, float], ...]
-) -> list[tuple[str, str, float, float]]:
+) -> list[tuple[str, str, float, float | None]]:
     """(factor_a, factor_b, target, achieved) per configured pair, where
-    achieved correlates the per-student series means across the cohort.
+    achieved correlates the per-student series means across the cohort. It is
+    None where ``pearson`` finds it undefined: fewer than 2 students, or a
+    factor mean of zero variance.
 
     The means are taken ``CHUNK_STUDENTS`` records at a time: a stack of the
     whole cohort would stay on the dataset and add 14 MB to the peak memory
@@ -353,9 +326,14 @@ def achieved_correlations(
         mean_and_slope(series_stack(records[first : first + CHUNK_STUDENTS]))[0]
         for first in range(0, len(records), CHUNK_STUDENTS)
     ])
-    return [
-        (a.key, b.key, r, pearson(means[:, a - 1], means[:, b - 1])) for a, b, r in pairs
-    ]
+
+    def achieved(a: FactorId, b: FactorId) -> float | None:
+        try:
+            return pearson(means[:, a - 1], means[:, b - 1])
+        except ValidationError:
+            return None
+
+    return [(a.key, b.key, r, achieved(a, b)) for a, b, r in pairs]
 
 
 def config_to_dict(config: SynthConfig) -> dict:

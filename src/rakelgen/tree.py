@@ -2,7 +2,7 @@
 
 Greedy top-down induction: at each node every (feature, midpoint-threshold)
 candidate is scored by impurity decrease. ``train_trees`` grows many trees on
-one feature matrix together (``train_tree`` is its one-tree case):
+one feature matrix together:
 
 * **One presort.** X is argsorted once per call, column by column. Each node
   carries its rows in every column's sorted order, and a child takes a stable
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import json_int
 from .errors import ValidationError
 
 CRITERIA = ("gini", "entropy")
@@ -516,11 +517,6 @@ def train_trees(
         return [tree for trees in pool.map(grow, groups) for tree in trees]
 
 
-def train_tree(X, y, config: TreeConfig = TreeConfig()) -> DecisionTree:
-    """Induce a tree from feature rows X and integer class labels y."""
-    return train_trees(X, [y], config)[0]
-
-
 def stack_trees(trees) -> DecisionTree:
     """The trees, which share a feature width, as one ``DecisionTree`` of their
     nodes end to end, child indices shifted to match; ``roots`` lists each
@@ -572,11 +568,6 @@ def descend(tree: DecisionTree, X) -> np.ndarray:
     return node.reshape(n, n_trees)
 
 
-def predict_tree(tree: DecisionTree, x) -> int:
-    """The leaf label of one feature row: ``descend`` of one row and one tree."""
-    return int(tree.label[descend(tree, np.asarray(x, dtype=float).reshape(1, -1))[0, 0]])
-
-
 def tree_stats(tree: DecisionTree) -> dict:
     """Node/leaf counts and depth of one tree rooted at node 0, for training
     summaries."""
@@ -606,7 +597,7 @@ def tree_from_dict(data: dict) -> DecisionTree:
     """Rebuild a tree from ``tree_to_dict`` output, checking that its arrays
     form one tree, so a descent ends at a leaf after at most ``n_nodes`` steps
     and never indexes outside the arrays or the feature row."""
-    n_features = int(data["n_features"])
+    n_features = json_int(data["n_features"], "tree 'n_features'")
     tree = DecisionTree(**{name: data[name] for name in NODE_ARRAYS}, n_features=n_features)
     n_nodes = tree.label.size
     shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from rakelgen.domain import (
     Dataset,
     FactorId,
@@ -12,6 +14,7 @@ from rakelgen.domain import (
     Template,
     TemplateRegistry,
 )
+from rakelgen.tree import DecisionTree, TreeConfig, descend, train_trees
 
 # A constant baseline value that is legal for every factor's units
 # (marks 0..100, hours >= 0, Likert 1..5, counts >= 0).
@@ -86,3 +89,13 @@ def tiny_registry(n_labels: int, version: str = "tiny") -> TemplateRegistry:
             )
         )
     return TemplateRegistry(templates=tuple(templates), version=version)
+
+
+def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
+    """One tree grown on feature rows X and integer labels y."""
+    return train_trees(X, [y], cfg)[0]
+
+
+def leaf_label(tree: DecisionTree, x) -> int:
+    """The label of the leaf one feature row x reaches in a one-root tree."""
+    return int(tree.label[descend(tree, np.asarray(x, dtype=float)[None])[0, 0]])

@@ -11,19 +11,25 @@ differential tests compare the chunk path against.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from _reference_features import reference_ols_slope
 from rakelgen.domain import FactorId, StudentRecord, TemplateRegistry
 from rakelgen.features import trend_word
-from rakelgen.nlg import (
-    DROP_REASON_CONFLICT,
-    REFERENCE_PRIORITY,
-    SelectionResult,
-    Summary,
-    format_number,
-)
+from rakelgen.nlg import REFERENCE_PRIORITY, Summary, format_number
+
+DROP_REASON_CONFLICT = "factor-conflict"
 
 
-def reference_select(prediction, registry: TemplateRegistry, votes=None) -> SelectionResult:
+class Selection(NamedTuple):
+    """Templates kept for rendering, with their votes, and templates dropped
+    with a reason, both in factor code order."""
+
+    chosen: tuple
+    dropped: tuple
+
+
+def reference_select(prediction, registry: TemplateRegistry, votes=None) -> Selection:
     if votes is None:
         votes = [float(b) for b in prediction]
     by_factor = {}
@@ -46,7 +52,7 @@ def reference_select(prediction, registry: TemplateRegistry, votes=None) -> Sele
         for template, _ in candidates:
             if template is not winner[0]:
                 dropped.append((template, DROP_REASON_CONFLICT))
-    return SelectionResult(chosen=tuple(chosen), dropped=tuple(dropped))
+    return Selection(chosen=tuple(chosen), dropped=tuple(dropped))
 
 
 def _mean(series) -> float:
@@ -66,7 +72,7 @@ _SLOT_FORMATTERS = {
 
 
 def reference_render(
-    selection: SelectionResult, record: StudentRecord, trend_tolerance: float
+    selection: Selection, record: StudentRecord, trend_tolerance: float
 ) -> Summary:
     sentences = []
     template_ids = []

@@ -52,7 +52,8 @@ def _factor_templates(registry):
 
 
 def reference_annotate(series, registry, config, record_index=None):
-    """``label_record`` with a record index, ``policy_labels`` without."""
+    """The labels of one record's series as record ``record_index`` of a
+    cohort; without an index, the noiseless policy decision."""
     templates = _factor_templates(registry)
     rng = None
     if record_index is not None and config.expert_noise > 0.0:

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from _builders import marks_dataset, marks_record
+from _builders import fit_tree, leaf_label, marks_dataset, marks_record
+from _reference_features import reference_ols_slope
 from rakelgen.cli import main
-from rakelgen.domain import default_registry, labelset_to_vector, load_dataset
+from rakelgen.domain import default_registry, load_dataset, series_stack
 from rakelgen.errors import LabelCoverageWarning
 from rakelgen.evaluation import (
     EvalOptions,
@@ -30,25 +31,23 @@ from rakelgen.evaluation import (
     report_to_json,
     significance_mark,
 )
-from rakelgen.features import extract_features
+from rakelgen.features import feature_matrix
 from rakelgen.mlc import (
     RakelConfig,
-    predict,
-    predict_record,
+    gold_matrix,
+    predict_batch,
     train_binary_relevance,
     train_chain,
     train_lp,
     train_rakel,
 )
-from rakelgen.domain import LabelVector
 from rakelgen.nlg import format_number, trend_word
-from rakelgen.features import ols_slope
 from rakelgen.synth import (
     achieved_correlations,
     default_synth_config,
     generate_dataset,
 )
-from rakelgen.tree import train_tree, predict_tree, tree_stats
+from rakelgen.tree import tree_stats
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::rakelgen.errors.LabelCoverageWarning"
@@ -58,10 +57,10 @@ OBSERVED = "observed"
 
 
 def _predicted_ids(model, registry, value: float) -> frozenset[int]:
-    x = extract_features(marks_record("probe", value, None), "both")
-    vector = predict(model, x)
+    X = feature_matrix(series_stack([marks_record("probe", value, None)]))
+    bits, _ = predict_batch(model, X)
     return frozenset(
-        registry.template_at(j).id for j, bit in enumerate(vector.bits) if bit
+        registry.template_at(j).id for j, bit in enumerate(bits[0]) if bit
     )
 
 
@@ -95,11 +94,9 @@ def test_criterion_1_structural_report(ds37):
 def test_criterion_2_rakel_degenerates_to_lp(ds37, ds100, registry):
     lp = train_lp(ds37)
     rakel = train_rakel(ds37, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
-    checked = 0
-    for record in list(ds100.records) + list(ds37.records):
-        x = extract_features(record, "both")
-        assert predict(rakel, x).bits == predict(lp, x).bits
-        checked += 1
+    X = feature_matrix(series_stack(ds100.records + ds37.records))
+    assert predict_batch(rakel, X)[0].tolist() == predict_batch(lp, X)[0].tolist()
+    checked = len(X)
     assert checked >= 100
     print(
         "ACCEPTANCE PASS: RAkEL with k=|L|, m=1, t=0.5 is bit-identical to LP "
@@ -166,7 +163,7 @@ def test_criterion_4_metrics_against_counting_oracle():
     def oracle(gold, pred):
         tp = fp = fn = tn = 0
         for g, p in zip(gold, pred):
-            for gb, pb in zip(g.bits, p.bits):
+            for gb, pb in zip(g, p):
                 tp += gb and pb
                 fp += (not gb) and pb
                 fn += gb and (not pb)
@@ -181,9 +178,7 @@ def test_criterion_4_metrics_against_counting_oracle():
         )
         return (tp + tn) / total, precision, recall, f_score
 
-    worked = compute_metrics(
-        [LabelVector((1, 0, 1))], [LabelVector((1, 1, 1))]
-    )
+    worked = compute_metrics(np.array([[1, 0, 1]]), np.array([[1, 1, 1]]))
     assert worked.accuracy == 2 / 3
     assert worked.precision == 2 / 3
     assert worked.recall == 1.0
@@ -193,10 +188,10 @@ def test_criterion_4_metrics_against_counting_oracle():
     for _ in range(50):
         n = int(rng.integers(1, 15))
         width = int(rng.integers(1, 9))
-        gold = [LabelVector(tuple(row)) for row in rng.integers(0, 2, (n, width))]
-        pred = [LabelVector(tuple(row)) for row in rng.integers(0, 2, (n, width))]
+        gold = rng.integers(0, 2, (n, width))
+        pred = rng.integers(0, 2, (n, width))
         ours = compute_metrics(gold, pred)
-        acc, prec, rec, f1 = oracle(gold, pred)
+        acc, prec, rec, f1 = oracle(gold.tolist(), pred.tolist())
         assert ours.accuracy == acc
         assert ours.precision == prec
         assert ours.recall == rec
@@ -240,13 +235,13 @@ def test_criterion_6_tree_memorization():
         rng = np.random.default_rng(seed)
         X = np.unique(np.round(rng.uniform(0, 10, size=(26, 5)), 2), axis=0)
         y = rng.integers(0, 4, size=len(X))
-        tree = train_tree(X, y)
-        assert [predict_tree(tree, row) for row in X] == list(y)
+        tree = fit_tree(X, y)
+        assert [leaf_label(tree, row) for row in X] == list(y)
 
     xor_X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     xor_y = [0, 1, 1, 0]
-    xor_tree = train_tree(xor_X, xor_y)
-    assert [predict_tree(xor_tree, x) for x in xor_X] == xor_y
+    xor_tree = fit_tree(xor_X, xor_y)
+    assert [leaf_label(xor_tree, x) for x in xor_X] == xor_y
     assert tree_stats(xor_tree)["depth"] >= 2
     print(
         "ACCEPTANCE PASS: trees memorize 30 random consistent datasets and "
@@ -256,9 +251,9 @@ def test_criterion_6_tree_memorization():
 
 def test_criterion_7_chain_real_reproduces_training_gold(ds37, registry):
     model = train_chain(ds37, history="real")
-    for record in ds37.records:
-        gold = labelset_to_vector(record.expert_labels, registry)
-        assert predict_record(model, record, registry).bits == gold.bits
+    X = feature_matrix(ds37.series)
+    bits, _ = predict_batch(model, X, gold_matrix(model, ds37))
+    assert bits.tolist() == ds37.label_matrix().tolist()
     print(
         "ACCEPTANCE PASS: chain with real history reproduces every training "
         "label set exactly"
@@ -335,7 +330,7 @@ def test_criterion_9_end_to_end_feedback(tmp_path, registry, capsys):
             series = record.series[template.factor]
             slots = {
                 "average": format_number(sum(series) / len(series)),
-                "trend_word": trend_word(ols_slope(series)),
+                "trend_word": trend_word(reference_ols_slope(series)),
                 "first_week_value": format_number(series[0]),
                 "last_week_value": format_number(series[-1]),
                 "per_week_list": ", ".join(format_number(v) for v in series),

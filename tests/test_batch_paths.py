@@ -14,26 +14,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _builders import marks_dataset, marks_record, tiny_registry
+from _builders import fit_tree, leaf_label, marks_dataset, marks_record, tiny_registry
 from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
 from rakelgen import mlc, tree as tree_module
-from rakelgen.domain import Dataset, FactorId, LabelVector, StudentRecord, series_stack
+from rakelgen.domain import Dataset, FactorId, StudentRecord, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
-from rakelgen.features import FEATURE_MODES, extract_features, feature_matrix, ols_slope
+from rakelgen.features import FEATURE_MODES, feature_matrix, mean_and_slope
 from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
     predict_batch,
-    predict,
-    predict_record,
     train_binary_relevance,
     train_chain,
     train_lp,
     train_majority,
     train_rakel,
 )
-from rakelgen.tree import TreeConfig, descend, predict_tree, train_tree
+from rakelgen.tree import TreeConfig, descend
 
 
 def _bits(a) -> np.ndarray:
@@ -98,9 +96,9 @@ class TestFeatureMatrix:
 
     def test_extract_features_is_the_one_row_case(self, ds37):
         for record in ds37.records[:5]:
-            fv = extract_features(record, "both")
-            assert (_bits(fv.values) == _bits(reference_features(record))).all()
-            assert all(type(v) is float for v in fv.values)
+            values = feature_matrix(series_stack([record]))[0].tolist()
+            assert (_bits(values) == _bits(reference_features(record))).all()
+            assert all(type(v) is float for v in values)
 
     def test_week_counts_must_agree(self):
         records = [
@@ -116,17 +114,19 @@ class TestFeatureMatrix:
 
 
 class TestOlsSlope:
-    """``ols_slope``, the one-series case of ``mean_and_slope``, equals the
-    per-call left-to-right arithmetic bit for bit."""
+    """The slope ``mean_and_slope`` gives one series equals the per-call
+    left-to-right arithmetic bit for bit."""
 
     @given(st.integers(1, 29).flatmap(lambda w: st.lists(series_values, min_size=w, max_size=w)))
     def test_equals_reference_bitwise(self, values):
-        assert _bits(ols_slope(values)) == _bits(reference_ols_slope(values))
+        slope = mean_and_slope(np.array([values]))[1][0]
+        assert _bits(slope) == _bits(reference_ols_slope(values))
 
     def test_synthetic_cohorts(self, ds37, ds100):
         for record in ds37.records + ds100.records:
             for series in record.series.values():
-                assert _bits(ols_slope(series)) == _bits(reference_ols_slope(series))
+                slope = mean_and_slope(np.array([series]))[1][0]
+                assert _bits(slope) == _bits(reference_ols_slope(series))
 
 
 @st.composite
@@ -143,22 +143,22 @@ class TestTreeRows:
     @given(tree_data(), st.sampled_from([None, 1, 3]))
     def test_equals_per_row_descent(self, data, max_depth):
         X, y = data
-        tree = train_tree(X, y, TreeConfig(max_depth=max_depth))
+        tree = fit_tree(X, y, TreeConfig(max_depth=max_depth))
         # query rows on, between and beyond the training values
         queries = np.vstack([X, X + 0.125, X - 0.125, -X])
         expected = [reference_descent(tree, row) for row in queries]
         assert tree.label[descend(tree, queries)[:, 0]].tolist() == expected
-        assert [predict_tree(tree, row) for row in queries] == expected
+        assert [leaf_label(tree, row) for row in queries] == expected
 
     def test_width_checked(self):
-        tree = train_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        tree = fit_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         with pytest.raises(ValidationError, match="features"):
             descend(tree, np.zeros((3, 3)))
         with pytest.raises(ValidationError, match="features"):
-            predict_tree(tree, np.zeros(3))
+            leaf_label(tree, np.zeros(3))
 
     def test_no_rows(self):
-        tree = train_tree([[0.0], [1.0]], [0, 1])
+        tree = fit_tree([[0.0], [1.0]], [0, 1])
         assert descend(tree, np.zeros((0, 1))).shape == (0, 1)
 
 
@@ -199,12 +199,11 @@ class TestPredictBatch:
             ref_bits, ref_votes = reference_predict_votes(model, row, history)
             assert tuple(bits[i].tolist()) == ref_bits
             assert (_bits(votes[i]) == _bits(ref_votes)).all()
-        for i in (0, len(records) - 1):
-            assert predict_record(model, records[i], ds.registry).bits == tuple(bits[i].tolist())
-            one_gold = None if gold is None else LabelVector(tuple(gold[i].tolist()))
-            assert predict(model, X[i], one_gold).bits == tuple(bits[i].tolist())
-            gold_row = None if gold is None else gold[i : i + 1]
-            one_bits, one_votes = predict_batch(model, X[i : i + 1], gold_row)
+        for i in (0, len(records) - 1):  # a record alone
+            one = Dataset(ds.registry, records[i : i + 1])
+            one_bits, one_votes = predict_batch(
+                model, feature_matrix(one.series, model.feature_mode), gold_matrix(model, one)
+            )
             assert one_bits.tolist() == [bits[i].tolist()]
             assert (_bits(one_votes[0]) == _bits(votes[i])).all()
 

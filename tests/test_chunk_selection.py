@@ -13,7 +13,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _reference_select import reference_render, reference_select
+from _reference_select import (
+    DROP_REASON_CONFLICT, Selection, reference_render, reference_select,
+)
 from rakelgen.domain import (
     FactorId,
     ReferenceType,
@@ -23,7 +25,7 @@ from rakelgen.domain import (
     default_registry,
     series_stack,
 )
-from rakelgen.nlg import chunk_summaries, select_templates
+from rakelgen.nlg import choose, chunk_summaries, factor_columns
 
 SLOTS = ("{average}", "{trend_word}", "{first_week_value}", "{last_week_value}",
          "{per_week_list}")
@@ -84,6 +86,26 @@ def chunks(draw):
     return registry, records, bits, votes, tolerance
 
 
+def _selections(bits, votes, registry):
+    """Per row of bits and votes, the templates ``choose`` keeps and the set
+    ones it drops, in the form of ``reference_select``."""
+    at = registry.template_at
+    selections = []
+    for row_bits, row_votes, winners in zip(
+        bits.tolist(), votes.tolist(), choose(bits, votes, factor_columns(registry)).tolist()
+    ):
+        kept = [j for j in winners if j >= 0]
+        lost = sorted(
+            (j for j, bit in enumerate(row_bits) if bit and j not in kept),
+            key=lambda j: (at(j).factor, j),
+        )
+        selections.append(Selection(
+            chosen=tuple((at(j), row_votes[j]) for j in kept),
+            dropped=tuple((at(j), DROP_REASON_CONFLICT) for j in lost),
+        ))
+    return selections
+
+
 @given(chunks())
 def test_chunk_equals_per_record_reference(chunk):
     registry, records, bits, votes, tolerance = chunk
@@ -91,14 +113,16 @@ def test_chunk_equals_per_record_reference(chunk):
         [r.student_id for r in records], series_stack(records), bits, votes, registry, tolerance
     ))
     assert len(summaries) == len(records)
-    for record, row_bits, row_votes, summary in zip(records, bits.tolist(), votes.tolist(),
-                                                    summaries):
+    for record, row_bits, row_votes, summary, selection in zip(
+        records, bits.tolist(), votes.tolist(), summaries, _selections(bits, votes, registry)
+    ):
         expected = reference_select(row_bits, registry, row_votes)
         assert summary == reference_render(expected, record, tolerance)
-        assert select_templates(row_bits, registry, row_votes) == expected
+        assert selection == expected
 
 
 @given(REGISTRIES, st.data())
 def test_one_row_selection_without_votes(registry, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=len(registry), max_size=len(registry)))
-    assert select_templates(bits, registry) == reference_select(bits, registry)
+    row = np.array([bits])
+    assert _selections(row, row.astype(float), registry) == [reference_select(bits, registry)]

@@ -16,8 +16,8 @@ import pytest
 import rakelgen
 from rakelgen import nlg
 from rakelgen.cli import main
-from rakelgen.domain import default_registry, load_dataset, registry_to_dict
-from rakelgen.features import extract_features
+from rakelgen.domain import default_registry, load_dataset, registry_to_dict, series_stack
+from rakelgen.features import feature_matrix, feature_schema
 from rakelgen.model_io import load_model
 from rakelgen.synth import config_to_dict, default_synth_config
 
@@ -54,6 +54,28 @@ class TestGenerate:
         assert f"wrote 9 records to {out}" in stdout
         assert "correlation lectures_attended/understandability" in stdout
         assert len(out.read_text(encoding="utf-8").splitlines()) == 9
+
+    def test_one_student_has_no_achieved_correlation(self, tmp_path, capsys):
+        out = tmp_path / "one.jsonl"
+        code, stdout, stderr = _run(["generate", "--out", str(out), "--count", "1"], capsys)
+        assert (code, stderr) == (0, "")
+        assert stdout == (
+            f"wrote 1 records to {out}\n"
+            "correlation lectures_attended/understandability: target 0.6, achieved n/a\n"
+        )
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_constant_factor_mean_has_no_achieved_correlation(self, tmp_path, capsys):
+        data = config_to_dict(default_synth_config(n_students=6))
+        data["factors"]["understandability"]["mean"] = 100.0  # every value clips to 5
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        code, stdout, _ = _run(
+            ["generate", "--out", str(tmp_path / "x.jsonl"), "--config", str(config_path)],
+            capsys,
+        )
+        assert code == 0
+        assert stdout.endswith("target 0.6, achieved n/a\n")
 
     def test_deterministic_for_same_seed(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
@@ -565,7 +587,7 @@ class TestFeedback:
             ("factor", "attendance", "unknown factor name: 'attendance'"),
             ("factor", 3, "unknown factor name: 3"),
             ("reference", "weekly", "unknown reference type: 'weekly'"),
-            ("id", "four", "is malformed: invalid literal for int() with base 10: 'four'"),
+            ("id", "four", "'id' must be an integer, got \"four\""),
         ],
     )
     def test_registry_entry_error_names_file_exit_2(
@@ -582,9 +604,8 @@ class TestFeedback:
             capsys,
         )
         assert (code, stdout) == (2, "")
-        separator = " " if field == "id" else ": "
         assert stderr == (
-            f"rakelgen: validation error: {registry}: template entry 4{separator}"
+            f"rakelgen: validation error: {registry}: template entry 4: "
             + problem.format(id=template["id"]) + "\n"
         )
 
@@ -661,10 +682,8 @@ class TestFeedback:
         assert code == 0
         registry = default_registry()
         trained = load_model(model, registry)
-        summaries = [
-            nlg.feedback_for_record(trained, record, registry)
-            for record in load_dataset(data, registry).records
-        ]
+        ds = load_dataset(data, registry)
+        summaries = [next(nlg.feedback_for_records(trained, ds.take([i]))) for i in range(len(ds))]
         if fmt == "json":
             text = json.dumps([nlg.summary_to_json(s) for s in summaries], indent=2)
         else:
@@ -711,16 +730,16 @@ class TestInspectFeatures:
 
     @pytest.mark.parametrize("mode", ["derived", "raw", "both"])
     def test_prints_each_records_feature_vector(self, data_path, capsys, mode):
-        """One feature matrix for all records prints what one
-        ``extract_features`` call per record prints."""
+        """One feature matrix for all records prints what one feature row
+        per record prints."""
         code, stdout, _ = _run(["inspect-features", "--data", str(data_path), "--mode", mode],
                                capsys)
         expected = []
         for record in load_dataset(data_path, default_registry()).records:
-            fv = extract_features(record, mode)
+            values = feature_matrix(series_stack([record]), mode)[0].tolist()
             expected.append(f"{record.student_id}:")
-            expected.extend(f"  {factor.key}.{name} = {value:g}"
-                            for (factor, name), value in zip(fv.schema, fv.values))
+            expected.extend(f"  {factor.key}.{name} = {value:g}" for (factor, name), value
+                            in zip(feature_schema(record.weeks, mode), values))
         assert (code, stdout) == (0, "\n".join(expected) + "\n")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,16 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _builders import make_record, tiny_registry
+from rakelgen.cli import main
 from rakelgen.domain import (
     Dataset,
     FactorId,
-    LabelVector,
     ReferenceType,
     StudentRecord,
     Template,
     TemplateRegistry,
     default_registry,
-    labelset_to_vector,
     load_dataset,
     load_registry,
     record_from_dict,
@@ -183,35 +183,50 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="cannot read"):
             load_registry(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("bad", [1.5, True], ids=["float", "boolean"])
+    def test_template_id_must_be_an_integer(self, registry, tmp_path, capsys, bad):
+        # int() would read either as template id 1
+        data = registry_to_dict(registry)
+        data["templates"][0]["id"] = bad
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        message = f"template entry 0: 'id' must be an integer, got {json.dumps(bad)}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_registry(path)
+        argv = ["generate", "--registry", str(path), "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
-def _set_ids(vector: LabelVector, registry) -> frozenset[int]:
-    """The template ids of the vector's set bits."""
-    return frozenset(registry.template_at(j).id for j, bit in enumerate(vector) if bit)
+
+def _label_row(ids, registry):
+    """The ``label_matrix`` row of one record labeled with the template ids."""
+    return Dataset(registry, (make_record(labels=ids),)).label_matrix()[0]
+
+
+def _set_ids(row, registry) -> frozenset[int]:
+    """The template ids of the row's set bits."""
+    return frozenset(registry.template_at(j).id for j, bit in enumerate(row) if bit)
 
 
 class TestLabelVectors:
     def test_round_trip_fixed(self, registry):
         ids = frozenset({1, 5, 29})
-        vector = labelset_to_vector(ids, registry)
-        assert len(vector) == 29
-        assert sum(vector.bits) == 3
-        assert _set_ids(vector, registry) == ids
+        row = _label_row(ids, registry)
+        assert len(row) == 29
+        assert row.sum() == 3
+        assert _set_ids(row, registry) == ids
 
     @given(
         st.sets(st.integers(min_value=1, max_value=29), max_size=29)
     )
     def test_round_trip_property(self, ids):
         registry = default_registry()
-        vector = labelset_to_vector(frozenset(ids), registry)
-        assert _set_ids(vector, registry) == frozenset(ids)
+        row = _label_row(frozenset(ids), registry)
+        assert _set_ids(row, registry) == frozenset(ids)
 
     def test_unknown_id_rejected(self, registry):
-        with pytest.raises(ValidationError):
-            labelset_to_vector({1, 999}, registry)
-
-    def test_bits_must_be_binary(self):
-        with pytest.raises(ValidationError):
-            LabelVector(bits=(0, 2, 1))
+        with pytest.raises(ValidationError, match="999"):
+            _label_row({1, 999}, registry)
 
 
 class TestRecords:

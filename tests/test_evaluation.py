@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _builders import marks_dataset, tiny_registry
-from rakelgen.domain import LabelVector
 from rakelgen.errors import ValidationError
 from rakelgen.mlc import RakelConfig
 from rakelgen.evaluation import (
@@ -32,15 +31,15 @@ from rakelgen.evaluation import (
 from rakelgen.tree import TreeConfig
 
 
-def _vectors(rows):
-    return [LabelVector(tuple(bits)) for bits in rows]
+def _matrix(rows):
+    return np.array(rows, dtype=int)
 
 
 def _brute_force_metrics(gold, pred):
     """Independent oracle: count the four confusion cells with plain loops."""
     tp = fp = fn = tn = 0
     for g, p in zip(gold, pred):
-        for gb, pb in zip(g.bits, p.bits):
+        for gb, pb in zip(g, p):
             if gb and pb:
                 tp += 1
             elif not gb and pb:
@@ -62,8 +61,8 @@ def _brute_force_metrics(gold, pred):
 
 class TestMetrics:
     def test_worked_example(self):
-        gold = _vectors([(1, 0, 1)])
-        pred = _vectors([(1, 1, 1)])
+        gold = _matrix([(1, 0, 1)])
+        pred = _matrix([(1, 1, 1)])
         m = compute_metrics(gold, pred)
         assert m.accuracy == pytest.approx(2 / 3)
         assert m.precision == pytest.approx(2 / 3)
@@ -71,18 +70,18 @@ class TestMetrics:
         assert m.f_score == pytest.approx(0.8)
 
     def test_perfect_prediction(self):
-        gold = _vectors([(1, 0), (0, 1), (1, 1)])
+        gold = _matrix([(1, 0), (0, 1), (1, 1)])
         m = compute_metrics(gold, gold)
         assert (m.accuracy, m.precision, m.recall, m.f_score) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_zero_empty_denominators(self):
-        gold = _vectors([(0, 0, 0)])
+        gold = _matrix([(0, 0, 0)])
         m = compute_metrics(gold, gold)
         assert (m.accuracy, m.precision, m.recall, m.f_score) == (1.0, 1.0, 1.0, 1.0)
 
     def test_zero_precision_and_recall(self):
-        gold = _vectors([(1, 0)])
-        pred = _vectors([(0, 1)])
+        gold = _matrix([(1, 0)])
+        pred = _matrix([(0, 1)])
         m = compute_metrics(gold, pred)
         assert m.accuracy == 0.0
         assert m.precision == 0.0
@@ -94,8 +93,8 @@ class TestMetrics:
         for _ in range(50):
             n = int(rng.integers(1, 12))
             width = int(rng.integers(1, 8))
-            gold = _vectors(rng.integers(0, 2, size=(n, width)).tolist())
-            pred = _vectors(rng.integers(0, 2, size=(n, width)).tolist())
+            gold = _matrix(rng.integers(0, 2, size=(n, width)).tolist())
+            pred = _matrix(rng.integers(0, 2, size=(n, width)).tolist())
             m = compute_metrics(gold, pred)
             acc, prec, rec, f1 = _brute_force_metrics(gold, pred)
             assert m.accuracy == pytest.approx(acc, abs=1e-12)
@@ -107,7 +106,7 @@ class TestMetrics:
         rng = np.random.default_rng(7)
         G = rng.integers(0, 2, size=(9, 5))
         P = rng.integers(0, 2, size=(9, 5))
-        m = compute_metrics(_vectors(G.tolist()), _vectors(P.tolist()))
+        m = compute_metrics(G, P)
         assert m.accuracy == pytest.approx(1.0 - np.abs(G - P).mean())
 
     @given(
@@ -117,17 +116,17 @@ class TestMetrics:
         rng = np.random.default_rng(seed)
         G = rng.integers(0, 2, size=(6, 4))
         P = rng.integers(0, 2, size=(6, 4))
-        m = compute_metrics(_vectors(G.tolist()), _vectors(P.tolist()))
+        m = compute_metrics(G, P)
         assert min(m.precision, m.recall) - 1e-12 <= m.f_score
         assert m.f_score <= max(m.precision, m.recall) + 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            compute_metrics(_vectors([(1, 0)]), _vectors([(1, 0), (0, 1)]))
+            compute_metrics(_matrix([(1, 0)]), _matrix([(1, 0), (0, 1)]))
         with pytest.raises(ValidationError):
-            compute_metrics(_vectors([(1, 0)]), _vectors([(1, 0, 1)]))
+            compute_metrics(_matrix([(1, 0)]), _matrix([(1, 0, 1)]))
         with pytest.raises(ValidationError):
-            compute_metrics([], [])
+            compute_metrics(np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int))
 
 
 class TestFoldPlan:

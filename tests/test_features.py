@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _builders import make_record
-from rakelgen.domain import FactorId
+from rakelgen.domain import FactorId, series_stack
 from rakelgen.errors import ValidationError
 from rakelgen.features import (
     DEFAULT_TREND_TOLERANCE,
     DERIVED_FEATURES,
-    extract_features,
+    feature_matrix,
     feature_schema,
-    ols_slope,
+    mean_and_slope,
     trend_word,
 )
 
@@ -25,31 +26,42 @@ finite_values = st.floats(
 )
 
 
+def _slope(values) -> float:
+    """The slope ``mean_and_slope`` gives one series."""
+    return float(mean_and_slope(np.array([values], dtype=float))[1][0])
+
+
+def _features(record, mode):
+    """(schema entry, value) pairs of one record's ``feature_matrix`` row."""
+    row = feature_matrix(series_stack([record]), mode)[0].tolist()
+    return list(zip(feature_schema(record.weeks, mode), row, strict=True))
+
+
 class TestSlope:
     def test_straight_line(self):
-        assert ols_slope([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.0)
+        assert _slope([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.0)
 
     def test_constant_series(self):
-        assert ols_slope([5.0, 5.0, 5.0, 5.0]) == 0.0
+        assert _slope([5.0, 5.0, 5.0, 5.0]) == 0.0
 
     def test_hand_computed_value(self):
         # Independently: x = 1..4, y = (2, 1, 4, 3); slope = cov/var = 3/5.
-        assert ols_slope([2.0, 1.0, 4.0, 3.0]) == pytest.approx(0.6, abs=1e-12)
+        assert _slope([2.0, 1.0, 4.0, 3.0]) == pytest.approx(0.6, abs=1e-12)
 
     def test_single_week_is_flat(self):
-        assert ols_slope([7.0]) == 0.0
+        assert _slope([7.0]) == 0.0
 
     @given(st.lists(finite_values, min_size=2, max_size=12))
     def test_reversal_negates(self, values):
-        forward = ols_slope(values)
-        backward = ols_slope(list(reversed(values)))
+        forward = _slope(values)
+        backward = _slope(list(reversed(values)))
         assert backward == pytest.approx(-forward, abs=1e-6 * (1 + abs(forward)))
 
     @given(st.lists(finite_values, min_size=2, max_size=12), finite_values)
     def test_shift_invariant(self, values, offset):
         shifted = [v + offset for v in values]
-        assert ols_slope(shifted) == pytest.approx(
-            ols_slope(values), abs=1e-4 * (1 + abs(offset))
+        assert _slope(shifted) == pytest.approx(
+            _slope(values), abs=1e-4 * (1 + abs(offset))
         )
 
 
@@ -115,45 +127,38 @@ class TestExtraction:
     def test_matches_schema_length(self):
         record = make_record(weeks=5)
         for mode in ("derived", "raw", "both"):
-            fv = extract_features(record, mode)
-            assert len(fv) == len(feature_schema(5, mode))
-            assert len(fv.values) == len(fv.schema)
+            row = feature_matrix(series_stack([record]), mode)[0]
+            assert len(row) == len(feature_schema(5, mode))
 
     def test_derived_statistics_match_brute_force(self):
         marks = [52.0, 61.5, 48.0, 70.0]
         record = make_record(series={FactorId.MARKS: marks})
-        fv = extract_features(record, "derived")
         block = {
             name: value
-            for (factor, name), value in zip(fv.schema, fv.values)
+            for (factor, name), value in _features(record, "derived")
             if factor is FactorId.MARKS
         }
         assert block["mean"] == pytest.approx(sum(marks) / len(marks))
         assert block["min"] == min(marks)
         assert block["max"] == max(marks)
         assert block["last"] == marks[-1]
-        assert block["slope"] == pytest.approx(ols_slope(marks))
+        assert block["slope"] == pytest.approx(_slope(marks))
 
     def test_raw_mode_reproduces_series(self):
         marks = [52.0, 61.5, 48.0, 70.0]
         record = make_record(series={FactorId.MARKS: marks})
-        fv = extract_features(record, "raw")
         block = [
             value
-            for (factor, _), value in zip(fv.schema, fv.values)
+            for (factor, _), value in _features(record, "raw")
             if factor is FactorId.MARKS
         ]
         assert block == marks
 
     def test_extraction_is_pure(self):
         record = make_record(series={FactorId.HOURS_STUDIED: [1, 2, 3, 4]})
-        first = extract_features(record, "both")
-        second = extract_features(record, "both")
-        assert first.values == second.values
-        assert first.schema == second.schema
+        assert _features(record, "both") == _features(record, "both")
 
     @given(st.lists(finite_values, min_size=2, max_size=10))
     def test_every_value_finite(self, marks):
         record = make_record(weeks=len(marks), series={FactorId.MARKS: marks})
-        fv = extract_features(record, "both")
-        assert all(math.isfinite(v) for v in fv.values)
+        assert all(math.isfinite(v) for _, v in _features(record, "both"))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _builders import fit_tree
 from _reference_predict import reference_descent
 from _reference_tree import record_fits, reference_grow
 from rakelgen.cli import main
@@ -40,7 +41,6 @@ from rakelgen.tree import (
     TreeConfig,
     descend,
     stack_trees,
-    train_tree,
     tree_from_dict,
     tree_stats,
     tree_to_dict,
@@ -81,7 +81,7 @@ class TestGrowthAgainstReference:
     @given(datasets())
     def test_random_datasets(self, data):
         X, y, cfg = data
-        assert tree_to_dict(train_tree(X, y, cfg)) == reference_grow(X, y, cfg)
+        assert tree_to_dict(fit_tree(X, y, cfg)) == reference_grow(X, y, cfg)
 
     @pytest.mark.parametrize("name", ["ds37", "ds100"])
     def test_every_tree_of_every_strategy(self, name, request, monkeypatch):
@@ -99,14 +99,14 @@ class TestGrowthAgainstReference:
 
     def test_node_counts_and_labels(self):
         X = [[0.0], [1.0], [2.0], [3.0]]
-        tree = train_tree(X, [4, 4, 9, 9])
+        tree = fit_tree(X, [4, 4, 9, 9])
         assert np.bincount(descend(stack_trees([tree]), X)[:, 0]).tolist() == [0, 2, 2]
         assert tree.label.tolist() == [4, 4, 9]  # the root's label is its majority, ties low
         assert tree.left.tolist() == [1, -1, -1]
         assert tree.right.tolist() == [2, -1, -1]
 
     def test_arrays_are_read_only(self):
-        tree = train_tree([[0.0], [1.0]], [0, 1])
+        tree = fit_tree([[0.0], [1.0]], [0, 1])
         with pytest.raises(ValueError):
             tree.threshold[0] = 5.0
 
@@ -118,7 +118,7 @@ class TestStackedDescent:
         trees = []
         for X, y, cfg in sets:
             padded = np.hstack([X, np.zeros((len(X), width - X.shape[1]))])
-            trees.append(train_tree(padded, y, cfg))
+            trees.append(fit_tree(padded, y, cfg))
         stack = stack_trees(trees)
         queries = np.random.default_rng(seed).integers(-1, 6, size=(25, width)) / 2
         leaves = descend(stack, queries)
@@ -129,7 +129,7 @@ class TestStackedDescent:
             assert stack.label[leaves[:, t]].tolist() == expected
 
     def test_one_tree_stacks_to_itself(self):
-        tree = train_tree([[0.0, 2.0], [1.0, 0.0], [2.0, 1.0], [3.0, 3.0]], [0, 1, 2, 1])
+        tree = fit_tree([[0.0, 2.0], [1.0, 0.0], [2.0, 1.0], [3.0, 3.0]], [0, 1, 2, 1])
         stacked = stack_trees([tree])
         assert stacked.roots.tolist() == tree.roots.tolist() == [0]
         assert stacked.n_features == tree.n_features == 2
@@ -140,8 +140,8 @@ class TestStackedDescent:
             assert not ours.flags.writeable
 
     def test_mixed_widths_rejected(self):
-        a = train_tree([[0.0], [1.0]], [0, 1])
-        b = train_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        a = fit_tree([[0.0], [1.0]], [0, 1])
+        b = fit_tree([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         with pytest.raises(ValidationError, match="feature widths"):
             stack_trees([a, b])
 
@@ -199,7 +199,7 @@ class TestDeepTrees:
         try:
             with pytest.raises(RecursionError):
                 reference_grow(X, y)
-            tree = train_tree(X, y)
+            tree = fit_tree(X, y)
             stats = tree_stats(tree)
         finally:
             sys.setrecursionlimit(limit)
@@ -251,7 +251,7 @@ class TestArtifactChecks:
         ids=["cycle", "out-of-range", "shared-child", "length", "leaf-feature", "float-index"],
     )
     def test_structure(self, mutate, message):
-        data = tree_to_dict(train_tree([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1]))
+        data = tree_to_dict(fit_tree([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1]))
         mutate(data)
         with pytest.raises(ValidationError, match=message):
             tree_from_dict(data)

@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from _builders import make_record, marks_dataset, tiny_registry
-from rakelgen.domain import Dataset, LabelVector, labelset_to_vector
+from _builders import leaf_label, make_record, marks_dataset, tiny_registry
+from rakelgen.domain import Dataset, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
-from rakelgen.features import extract_features
+from rakelgen.features import feature_matrix
 from rakelgen.mlc import (
     BrPayload,
     ChainPayload,
@@ -19,10 +19,8 @@ from rakelgen.mlc import (
     RakelConfig,
     RakelPayload,
     TrainedModel,
-    lp_transform,
-    predict,
+    gold_matrix,
     predict_batch,
-    predict_record,
     sample_labelsets,
     train_binary_relevance,
     train_chain,
@@ -30,7 +28,7 @@ from rakelgen.mlc import (
     train_majority,
     train_rakel,
 )
-from rakelgen.tree import DecisionTree, predict_tree, tree_to_dict
+from rakelgen.tree import DecisionTree, descend, tree_to_dict
 
 # Flat marks value below 4.5 carries labels {1, 2}; above it, no labels.
 TWO_LABEL_ROWS = [
@@ -46,7 +44,13 @@ TWO_LABEL_ROWS = [
 
 
 def _features(record, mode="both"):
-    return extract_features(record, mode)
+    return feature_matrix(series_stack([record]), mode)[0]
+
+
+def _predict(model, x, gold=None) -> tuple[int, ...]:
+    """The bits ``predict_batch`` gives one feature row (and one gold row)."""
+    bits, _ = predict_batch(model, np.asarray(x)[None], None if gold is None else np.array([gold]))
+    return tuple(bits[0].tolist())
 
 
 def _flat_marks_input(value: float, weeks: int = 4):
@@ -75,9 +79,8 @@ class TestBinaryRelevance:
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_binary_relevance(ds)
         x = _flat_marks_input(2.5)
-        combined = predict(model, x)
-        per_tree = [predict_tree(t, np.asarray(x.values)) for t in model.payload.trees]
-        assert list(combined.bits) == per_tree
+        per_tree = [leaf_label(t, x) for t in model.payload.trees]
+        assert list(_predict(model, x)) == per_tree
 
     def test_label_independence_under_registry_subsetting(self, ds37, registry):
         from rakelgen.domain import TemplateRegistry
@@ -123,7 +126,7 @@ class TestChain:
         br = train_binary_relevance(ds)
         for value in (0.5, 3.0, 5.0, 8.5):
             x = _flat_marks_input(value)
-            assert predict(chain, x).bits == predict(br, x).bits
+            assert _predict(chain, x) == _predict(br, x)
 
     def test_predicted_history_propagates(self):
         # Label 2 always equals label 1 in training, and label 1 is
@@ -133,7 +136,7 @@ class TestChain:
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_chain(ds, history="predicted")
         for value in (0.5, 2.2, 4.4, 4.6, 6.1, 9.5, 50.0):
-            bits = predict(model, _flat_marks_input(value)).bits
+            bits = _predict(model, _flat_marks_input(value))
             assert bits[1] == bits[0]
 
     def test_real_history_requires_gold(self):
@@ -142,23 +145,22 @@ class TestChain:
         model = train_chain(ds, history="real")
         x = _flat_marks_input(3.0)
         with pytest.raises(ValidationError, match="gold"):
-            predict(model, x)
-        gold = LabelVector((1, 1))
-        assert len(predict(model, x, gold)) == 2
+            _predict(model, x)
+        assert len(_predict(model, x, (1, 1))) == 2
 
     def test_predicted_history_rejects_gold(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_chain(ds, history="predicted")
         with pytest.raises(ValidationError):
-            predict(model, _flat_marks_input(3.0), LabelVector((1, 1)))
+            _predict(model, _flat_marks_input(3.0), (1, 1))
 
     def test_gold_length_checked(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         model = train_chain(ds, history="real")
         with pytest.raises(ValidationError):
-            predict(model, _flat_marks_input(3.0), LabelVector((1, 1, 0)))
+            _predict(model, _flat_marks_input(3.0), (1, 1, 0))
 
     def test_later_gold_bits_cannot_affect_earlier_positions(self):
         registry = tiny_registry(3)
@@ -173,8 +175,8 @@ class TestChain:
         ds = marks_dataset(registry, rows)
         model = train_chain(ds, history="real")
         x = _flat_marks_input(4.2)
-        base = predict(model, x, LabelVector((1, 1, 0))).bits
-        flipped = predict(model, x, LabelVector((1, 1, 1))).bits
+        base = _predict(model, x, (1, 1, 0))
+        flipped = _predict(model, x, (1, 1, 1))
         assert base[:2] == flipped[:2]
 
     def test_custom_order_round_trip(self):
@@ -184,7 +186,7 @@ class TestChain:
         model = train_chain(ds, order=(2, 0, 1))
         assert isinstance(model.payload, ChainPayload)
         assert model.payload.order == (2, 0, 1)
-        assert len(predict(model, _flat_marks_input(5.0))) == 3
+        assert len(_predict(model, _flat_marks_input(5.0))) == 3
 
     def test_invalid_order_rejected(self):
         registry = tiny_registry(3)
@@ -228,7 +230,7 @@ class TestMajority:
         registry = tiny_registry(2)
         model = train_majority(marks_dataset(registry, TWO_LABEL_ROWS))
         outputs = {
-            predict(model, _flat_marks_input(v)).bits for v in (0.0, 5.0, 99.0)
+            _predict(model, _flat_marks_input(v)) for v in (0.0, 5.0, 99.0)
         }
         assert len(outputs) == 1
 
@@ -255,19 +257,27 @@ class TestMajority:
             train_majority(ds37, mode="median")
 
 
+def _lp_classes(ds):
+    """The class table of an LP model of ds, and the class its tree gives each
+    training record (records with distinct marks, which the tree memorizes)."""
+    payload = train_lp(ds).payload
+    leaves = descend(payload.tree, feature_matrix(ds.series))[:, 0]
+    return payload.tree.label[leaves].tolist(), payload.classes
+
+
 class TestLabelPowerset:
     def test_transform_first_appearance_classes(self):
         registry = tiny_registry(2)
         # Observed sets in order: {1, 2}, {1}, {1, 2).
         rows = [(1.0, [1, 2]), (2.0, [1]), (3.0, [1, 2])]
-        classes, table = lp_transform(marks_dataset(registry, rows))
+        classes, table = _lp_classes(marks_dataset(registry, rows))
         assert classes == [0, 1, 0]
         assert table == (frozenset({0, 1}), frozenset({0}))
 
     def test_transform_single_observed_set(self):
         registry = tiny_registry(2)
         rows = [(1.0, [1]), (2.0, [1]), (3.0, [1])]
-        classes, table = lp_transform(marks_dataset(registry, rows))
+        classes, table = _lp_classes(marks_dataset(registry, rows))
         assert classes == [0, 0, 0]
         assert table == (frozenset({0}),)
 
@@ -277,7 +287,7 @@ class TestLabelPowerset:
         rows += [(float(29 + i), [1, 2 + i]) for i in range(8)]
         sets = [frozenset(labels) for _, labels in rows]
         assert len(set(sets)) == 37
-        classes, table = lp_transform(marks_dataset(registry, rows))
+        classes, table = _lp_classes(marks_dataset(registry, rows))
         assert len(table) == 37
         assert sorted(set(classes)) == list(range(37))
 
@@ -291,9 +301,9 @@ class TestLabelPowerset:
         observed = {frozenset(r.expert_labels) for r in ds.records}
         rng = np.random.default_rng(0)
         for value in rng.uniform(0, 20, size=60):
-            vector = predict(model, _flat_marks_input(float(round(value, 1))))
+            bits = _predict(model, _flat_marks_input(float(round(value, 1))))
             ids = frozenset(
-                registry.template_at(j).id for j, b in enumerate(vector.bits) if b
+                registry.template_at(j).id for j, b in enumerate(bits) if b
             )
             assert ids in observed
 
@@ -303,7 +313,7 @@ class TestLabelPowerset:
         model = train_lp(marks_dataset(registry, rows))
         assert isinstance(model.payload, LpPayload)
         for value in (0.0, 4.0, 50.0):
-            assert predict(model, _flat_marks_input(value)).bits == (0, 1, 1)
+            assert _predict(model, _flat_marks_input(value)) == (0, 1, 1)
 
 
 class TestSampleLabelsets:
@@ -382,7 +392,7 @@ class TestRakelVoting:
             _stub_member(self.N_FEATURES, frozenset(), (0,)),
         ]
         model = _stub_rakel(members, n_labels=1)
-        assert predict(model, self._x()).bits == (1,)
+        assert _predict(model, self._x()) == (1,)
 
     def test_exact_threshold_clears_bit(self):
         members = [
@@ -390,7 +400,7 @@ class TestRakelVoting:
             _stub_member(self.N_FEATURES, frozenset(), (0,)),
         ]
         model = _stub_rakel(members, n_labels=1, threshold=0.5)
-        assert predict(model, self._x()).bits == (0,)
+        assert _predict(model, self._x()) == (0,)
 
     def test_uncovered_label_stays_clear(self):
         members = [_stub_member(self.N_FEATURES, frozenset({0}), (0,))]
@@ -402,7 +412,7 @@ class TestRakelVoting:
     def test_zero_threshold_still_strict(self):
         members = [_stub_member(self.N_FEATURES, frozenset(), (0,))]
         model = _stub_rakel(members, n_labels=1, threshold=0.0)
-        assert predict(model, self._x()).bits == (0,)
+        assert _predict(model, self._x()) == (0,)
 
 
 class TestRakelTraining:
@@ -430,9 +440,8 @@ class TestRakelTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
             rakel = train_rakel(ds37, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
-        for record in ds100.records:
-            x = extract_features(record, "both")
-            assert predict(rakel, x).bits == predict(lp, x).bits
+        X = feature_matrix(ds100.series)
+        assert predict_batch(rakel, X)[0].tolist() == predict_batch(lp, X)[0].tolist()
 
     def test_parallel_training_identical(self, ds37):
         cfg = RakelConfig(k=3, m=16, seed=2)
@@ -450,9 +459,7 @@ class TestRakelTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
             model = train_rakel(ds37, RakelConfig(k=3, m=12, seed=3))
-        record = ds37.records[0]
-        x = extract_features(record, "both")
-        row = np.asarray(x.values)
+        row = feature_matrix(ds37.series[:1])[0]
         bits, votes = predict_batch(model, row[None, :])
         bits, votes = bits[0].tolist(), votes[0].tolist()
         for j in range(model.n_labels):
@@ -461,7 +468,7 @@ class TestRakelTraining:
                 assert votes[j] == 0.0
                 continue
             hits = [
-                1.0 if j in m.classes[predict_tree(m.tree, row)] else 0.0
+                1.0 if j in m.classes[leaf_label(m.tree, row)] else 0.0
                 for m in covering
             ]
             assert votes[j] == pytest.approx(sum(hits) / len(hits))
@@ -481,24 +488,17 @@ class TestConfigAndDispatch:
 
     def test_gold_rejected_outside_real_history(self, ds37):
         model = train_majority(ds37)
-        record = ds37.records[0]
-        x = extract_features(record, "both")
-        gold = labelset_to_vector(record.expert_labels, ds37.registry)
-        with pytest.raises(ValidationError):
-            predict(model, x, gold)
-
-    def test_predict_record_chain_real_needs_registry(self, ds37):
-        model = train_chain(ds37, history="real")
-        with pytest.raises(ValidationError):
-            predict_record(model, ds37.records[0])
+        first = ds37.take([0])
+        with pytest.raises(ValidationError, match="gold"):
+            predict_batch(model, feature_matrix(first.series), first.label_matrix())
 
     def test_predict_record_chain_real_needs_labels(self, ds37, registry):
         model = train_chain(ds37, history="real")
-        with pytest.raises(ValidationError):
-            predict_record(model, make_record(weeks=10), registry)
+        with pytest.raises(ValidationError, match="needs expert labels"):
+            gold_matrix(model, Dataset(registry, (make_record(weeks=10),)))
 
     def test_predict_record_matches_predict(self, ds37):
         model = train_binary_relevance(ds37)
-        record = ds37.records[5]
-        direct = predict(model, extract_features(record, "both"))
-        assert predict_record(model, record).bits == direct.bits
+        alone, _ = predict_batch(model, feature_matrix(ds37.take([5]).series))
+        in_batch, _ = predict_batch(model, feature_matrix(ds37.series))
+        assert alone.tolist() == in_batch[5:6].tolist()

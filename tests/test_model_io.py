@@ -7,16 +7,18 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from _builders import tiny_registry
 from rakelgen.cli import main
 from rakelgen.domain import Template, TemplateRegistry, save_dataset
 from rakelgen.errors import LabelCoverageWarning, ValidationError
-from rakelgen.features import extract_features
+from rakelgen.features import feature_matrix
 from rakelgen.mlc import (
     RakelConfig,
-    predict,
+    gold_matrix,
+    predict_batch,
     train_binary_relevance,
     train_chain,
     train_lp,
@@ -66,19 +68,16 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_loaded_model_predicts_identically(self, method, ds37, registry, tmp_path):
-        from rakelgen.domain import labelset_to_vector
-
         model = _train(method, ds37)
         path = tmp_path / "model.json"
         save_model(model, registry, path)
         loaded = load_model(path, registry)
         assert loaded.strategy == model.strategy
-        for record in ds37.records[:10]:
-            x = extract_features(record, model.feature_mode)
-            gold = None
-            if method == "chain-real":
-                gold = labelset_to_vector(record.expert_labels, registry)
-            assert predict(loaded, x, gold).bits == predict(model, x, gold).bits
+        head = ds37.take(range(10))
+        X = feature_matrix(head.series, model.feature_mode)
+        gold = gold_matrix(model, head)
+        for ours, theirs in zip(predict_batch(loaded, X, gold), predict_batch(model, X, gold)):
+            np.testing.assert_array_equal(ours, theirs)
 
     def test_artifact_is_plain_json_with_expected_keys(self, ds37, registry, tmp_path):
         model = _train("majority", ds37)
@@ -352,6 +351,36 @@ class TestLabelAxis:
     )
     def test_rakel_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
         self._exits_2("rakel", mutate, message, ds37, registry, tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["float", "boolean"])
+    @pytest.mark.parametrize(
+        "method, field, where",
+        [
+            ("br", "model 'n_labels'", lambda d: (d, "n_labels")),
+            ("br", "model 'weeks'", lambda d: (d, "weeks")),
+            ("br", "tree 'n_features'", lambda d: (d["payload"]["trees"][0], "n_features")),
+            ("chain-predicted", "chain 'order' entry", lambda d: (d["strategy_config"]["order"], 1)),
+            ("lp", "lp 'scope' entry", lambda d: (d["payload"]["scope"], 1)),
+            (
+                "lp",
+                "lp 'classes' label",
+                lambda d: (next(c for c in d["payload"]["classes"] if c), 0),
+            ),
+        ],
+        ids=["n_labels", "weeks", "n_features", "order", "scope", "classes"],
+    )
+    def test_integer_fields_exit_2(
+        self, method, field, where, kind, ds37, registry, tmp_path, capsys
+    ):
+        """A float or a boolean where an integer belongs is refused: ``int()``
+        would read 10.5 as 10 and true as 1."""
+
+        def mutate(data):
+            container, key = where(data)
+            container[key] = container[key] + 0.5 if kind == "float" else True
+
+        message = f"{field} must be an integer, got"
+        self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
 
     @staticmethod
     def _exits_2(method, mutate, message, ds37, registry, tmp_path, capsys):

@@ -4,34 +4,58 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _builders import make_record, marks_dataset, tiny_registry
-from rakelgen.domain import (
-    FactorId,
-    LabelVector,
-    ReferenceType,
-    default_registry,
-    labelset_to_vector,
-)
+from rakelgen.domain import Dataset, FactorId, ReferenceType, default_registry, series_stack
 from rakelgen.errors import ValidationError
+from rakelgen.features import DEFAULT_TREND_TOLERANCE
 from rakelgen.mlc import train_chain, train_majority
 from rakelgen.nlg import (
-    DROP_REASON_CONFLICT,
     REFERENCE_PRIORITY,
-    feedback_for_record,
+    choose,
+    chunk_summaries,
+    factor_columns,
+    feedback_for_records,
     format_number,
-    render_summary,
     render_text,
-    select_templates,
     summary_to_json,
 )
 
 
-def _vector_for(ids, registry):
-    return labelset_to_vector(frozenset(ids), registry)
+def _bits(ids, registry):
+    """One row of predicted bits with the given template ids set."""
+    bits = np.zeros((1, len(registry)), dtype=int)
+    bits[0, [registry.label_index(i) for i in ids]] = 1
+    return bits
+
+
+def _chosen(bits, registry, votes=None):
+    """The templates ``choose`` keeps for one row of bits, in factor code
+    order; without votes every set bit votes 1.0."""
+    votes = bits.astype(float) if votes is None else np.array([votes])
+    winners = choose(bits, votes, factor_columns(registry))[0]
+    return [registry.template_at(j) for j in winners if j >= 0]
+
+
+def _dropped(bits, registry, votes=None):
+    """The set templates that ``choose`` does not keep, in label order."""
+    kept = {t.id for t in _chosen(bits, registry, votes)}
+    set_templates = [registry.template_at(j) for j in np.flatnonzero(bits[0])]
+    return [t for t in set_templates if t.id not in kept]
+
+
+def _summary(ids, record, registry, trend_tolerance=DEFAULT_TREND_TOLERANCE):
+    """The summary of one record whose predicted bits set the given template ids."""
+    bits = _bits(ids, registry)
+    (summary,) = chunk_summaries(
+        [record.student_id], series_stack([record]), bits, bits.astype(float), registry,
+        trend_tolerance,
+    )
+    return summary
 
 
 class TestFormatNumber:
@@ -49,32 +73,30 @@ class TestFormatNumber:
 class TestSelection:
     def test_single_bit_chosen_without_drops(self, registry):
         marks_trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
-        selection = select_templates(_vector_for({marks_trend.id}, registry), registry)
-        assert [t.id for t, _ in selection.chosen] == [marks_trend.id]
-        assert selection.dropped == ()
+        bits = _bits({marks_trend.id}, registry)
+        assert [t.id for t in _chosen(bits, registry)] == [marks_trend.id]
+        assert _dropped(bits, registry) == []
 
     def test_all_zero_selects_nothing(self, registry):
-        selection = select_templates(LabelVector((0,) * 29), registry)
-        assert selection.chosen == ()
-        assert selection.dropped == ()
+        bits = np.zeros((1, 29), dtype=int)
+        assert _chosen(bits, registry) == []
+        assert _dropped(bits, registry) == []
 
     def test_conflict_resolved_by_votes(self, registry):
         trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
         average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
-        vector = _vector_for({trend.id, average.id}, registry)
+        bits = _bits({trend.id, average.id}, registry)
         votes = [0.0] * 29
         votes[registry.label_index(trend.id)] = 0.6
         votes[registry.label_index(average.id)] = 0.8
-        selection = select_templates(vector, registry, tuple(votes))
-        assert [t.id for t, _ in selection.chosen] == [average.id]
-        assert selection.dropped == ((trend, DROP_REASON_CONFLICT),)
+        assert [t.id for t in _chosen(bits, registry, votes)] == [average.id]
+        assert _dropped(bits, registry, votes) == [trend]
 
     def test_vote_tie_falls_to_reference_priority(self, registry):
         trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
         average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
-        vector = _vector_for({trend.id, average.id}, registry)
-        selection = select_templates(vector, registry)
-        assert [t.id for t, _ in selection.chosen] == [trend.id]
+        bits = _bits({trend.id, average.id}, registry)
+        assert [t.id for t in _chosen(bits, registry)] == [trend.id]
         assert REFERENCE_PRIORITY[ReferenceType.TREND] < REFERENCE_PRIORITY[
             ReferenceType.AVERAGE
         ]
@@ -83,48 +105,36 @@ class TestSelection:
         revision_other = registry.find(FactorId.REVISION, ReferenceType.OTHER)
         marks_trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
         hours_other = registry.find(FactorId.HOURS_STUDIED, ReferenceType.OTHER)
-        vector = _vector_for(
-            {revision_other.id, marks_trend.id, hours_other.id}, registry
-        )
-        selection = select_templates(vector, registry)
-        assert [t.factor for t, _ in selection.chosen] == [
+        bits = _bits({revision_other.id, marks_trend.id, hours_other.id}, registry)
+        assert [t.factor for t in _chosen(bits, registry)] == [
             FactorId.MARKS,
             FactorId.HOURS_STUDIED,
             FactorId.REVISION,
         ]
 
-    def test_length_validation(self, registry):
-        with pytest.raises(ValidationError):
-            select_templates(LabelVector((1, 0)), registry)
-        with pytest.raises(ValidationError):
-            select_templates(LabelVector((0,) * 29), registry, votes=(0.5,))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
-    def test_votes_must_be_finite(self, registry, bad):
-        with pytest.raises(ValidationError, match="votes must be finite"):
-            select_templates(LabelVector((1,) * 29), registry, votes=(bad,) + (0.5,) * 28)
-
     @given(st.lists(st.integers(0, 1), min_size=29, max_size=29))
     def test_at_most_one_template_per_factor(self, bits):
         registry = default_registry()
-        selection = select_templates(LabelVector(tuple(bits)), registry)
-        factors = [t.factor for t, _ in selection.chosen]
+        row = np.array([bits])
+        chosen = _chosen(row, registry)
+        factors = [t.factor for t in chosen]
         assert len(factors) == len(set(factors))
-        chosen_ids = {t.id for t, _ in selection.chosen}
-        dropped_ids = {t.id for t, _ in selection.dropped}
+        chosen_ids = {t.id for t in chosen}
+        dropped_ids = {t.id for t in _dropped(row, registry)}
         set_ids = {
             registry.template_at(j).id for j, b in enumerate(bits) if b
         }
         assert chosen_ids | dropped_ids == set_ids
         assert not chosen_ids & dropped_ids
+        # every factor with a set bit keeps one of its templates
+        assert set(factors) == {registry.get(i).factor for i in set_ids}
 
 
 class TestRendering:
     def test_average_slot_filled(self, registry):
         average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
         record = make_record(series={FactorId.MARKS: [5.0, 5.0, 5.0, 5.0]})
-        selection = select_templates(_vector_for({average.id}, registry), registry)
-        summary = render_summary(selection, record)
+        summary = _summary({average.id}, record, registry)
         assert len(summary.sentences) == 1
         assert "5.0" in summary.sentences[0]
         assert summary.template_ids == (average.id,)
@@ -132,15 +142,13 @@ class TestRendering:
     def test_trend_slot_uses_trend_word(self, registry):
         trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
         record = make_record(series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]})
-        selection = select_templates(_vector_for({trend.id}, registry), registry)
-        summary = render_summary(selection, record)
+        summary = _summary({trend.id}, record, registry)
         assert "increased" in summary.sentences[0]
 
     def test_trend_tolerance_changes_word(self, registry):
         trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
         record = make_record(series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]})
-        selection = select_templates(_vector_for({trend.id}, registry), registry)
-        summary = render_summary(selection, record, trend_tolerance=2.0)
+        summary = _summary({trend.id}, record, registry, trend_tolerance=2.0)
         assert "remained stable" in summary.sentences[0]
 
     def test_slots_read_the_templates_factor(self, registry):
@@ -151,14 +159,12 @@ class TestRendering:
                 FactorId.HOURS_STUDIED: [1.0, 2.0, 3.0, 4.0],
             }
         )
-        selection = select_templates(_vector_for({average.id}, registry), registry)
-        summary = render_summary(selection, record)
+        summary = _summary({average.id}, record, registry)
         assert "60.0" in summary.sentences[0]
         assert "2.5" not in summary.sentences[0]
 
     def test_empty_selection_renders_nothing(self, registry):
-        selection = select_templates(LabelVector((0,) * 29), registry)
-        summary = render_summary(selection, make_record())
+        summary = _summary((), make_record(), registry)
         assert summary.sentences == ()
         assert summary.template_ids == ()
 
@@ -179,8 +185,7 @@ class TestRendering:
                     ids.add(template.id)
         # One per factor survives selection; set all candidates and let the
         # priority rule pick.
-        selection = select_templates(_vector_for(ids, registry), registry)
-        summary = render_summary(selection, record)
+        summary = _summary(ids, record, registry)
         for sentence, template_id in zip(summary.sentences, summary.template_ids):
             factor = registry.get(template_id).factor
             series = record.series[factor]
@@ -195,8 +200,7 @@ class TestRendering:
     def test_rendering_is_pure(self, registry):
         trend = registry.find(FactorId.REVISION, ReferenceType.TREND)
         record = make_record(series={FactorId.REVISION: [1.0, 1.0, 2.0, 3.0]})
-        selection = select_templates(_vector_for({trend.id}, registry), registry)
-        assert render_summary(selection, record) == render_summary(selection, record)
+        assert _summary({trend.id}, record, registry) == _summary({trend.id}, record, registry)
 
 
 class TestTextAndJson:
@@ -205,8 +209,7 @@ class TestTextAndJson:
         record = make_record(
             student_id="s0042", series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]}
         )
-        selection = select_templates(_vector_for({trend.id}, registry), registry)
-        return render_summary(selection, record)
+        return _summary({trend.id}, record, registry)
 
     def test_render_text_layout(self, registry):
         summary = self._summary(registry)
@@ -217,8 +220,7 @@ class TestTextAndJson:
         assert len(lines) == 2
 
     def test_render_text_empty_placeholder(self, registry):
-        selection = select_templates(LabelVector((0,) * 29), registry)
-        summary = render_summary(selection, make_record(student_id="s0001"))
+        summary = _summary((), make_record(student_id="s0001"), registry)
         text = render_text(summary)
         assert text == "s0001:\n  (no feedback selected)"
 
@@ -240,9 +242,7 @@ class TestFeedbackForRecord:
         rows = [(float(i), [1]) for i in range(6)] + [(9.0, []), (9.5, [])]
         ds = marks_dataset(registry, rows)
         model = train_majority(ds)
-        summaries = [
-            feedback_for_record(model, record, registry) for record in ds.records
-        ]
+        summaries = list(feedback_for_records(model, ds))
         assert {s.sentences for s in summaries} == {("Plain sentence number 1.",)}
         assert {s.template_ids for s in summaries} == {(1,)}
 
@@ -250,10 +250,10 @@ class TestFeedbackForRecord:
         model = train_chain(ds37, history="real")
         unlabeled = make_record(weeks=10)
         with pytest.raises(ValidationError, match="label"):
-            feedback_for_record(model, unlabeled, registry)
+            feedback_for_records(model, Dataset(registry, (unlabeled,)))
 
     def test_chain_real_renders_from_gold_history(self, ds37, registry):
         model = train_chain(ds37, history="real")
-        summary = feedback_for_record(model, ds37.records[0], registry)
+        (summary,) = feedback_for_records(model, ds37.take([0]))
         for template_id in summary.template_ids:
             assert registry.get(template_id) is not None

@@ -1,7 +1,7 @@
 """Split search against the dense reference splitter: same cut, same tie choice, less memory.
 
 The per-node splitter ``node_best_split`` and the root split of
-``rakelgen.tree.train_tree`` are checked against the dense one node by node;
+``rakelgen.tree.train_trees`` are checked against the dense one node by node;
 whole trees of ``rakelgen.tree`` are checked against trees grown node by node
 with the dense splitter."""
 
@@ -15,29 +15,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _builders import fit_tree
 from _reference_split import node_best_split, reference_best_split
 from _reference_tree import record_fits, reference_grow
 from rakelgen.errors import LabelCoverageWarning
 from rakelgen.mlc import RakelConfig, train_lp, train_rakel
-from rakelgen.tree import TreeConfig, train_tree, tree_to_dict
+from rakelgen.tree import TreeConfig, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
 
 
 def _assert_same_split(X, codes, n_classes, cfg):
     """The per-node splitter and the production search (the root of a
-    one-split ``train_tree``) both pick the dense splitter's cut."""
+    one-split ``fit_tree``) both pick the dense splitter's cut."""
     X = np.asarray(X, dtype=float)
     codes = np.asarray(codes, dtype=np.intp)
     assert node_best_split(X, codes, n_classes, cfg) == reference_best_split(
         X, codes, n_classes, cfg
     )
-    # train_tree encodes only the classes present, and a pure node is a leaf
+    # train_trees encodes only the classes present, and a pure node is a leaf
     present, compact = np.unique(codes, return_inverse=True)
     expected = None
     if len(present) > 1:
         expected = reference_best_split(X, compact, len(present), cfg)
-    tree = train_tree(
+    tree = fit_tree(
         X,
         codes,
         TreeConfig(
@@ -162,7 +163,7 @@ def test_memory_does_not_grow_with_class_count():
     codes = rng.permutation(n)
     tracemalloc.start()
     try:
-        train_tree(X, codes, TreeConfig(max_depth=1))
+        fit_tree(X, codes, TreeConfig(max_depth=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

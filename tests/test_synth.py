@@ -8,24 +8,26 @@ import math
 import numpy as np
 import pytest
 
+from _reference_synth import reference_annotate
 from rakelgen.domain import FactorId, ReferenceType
 from rakelgen.errors import ValidationError
 from rakelgen.synth import (
+    RULE_ORDER,
     FactorParams,
     PolicyThresholds,
     SCALAR_FIELDS,
     SynthConfig,
+    _annotate,
+    _factor_templates,
+    _rule_picks,
     achieved_correlations,
     build_correlation_matrix,
     config_from_dict,
     config_to_dict,
-    decide_reference,
     default_synth_config,
     generate_dataset,
-    label_record,
     load_synth_config,
     pearson,
-    policy_labels,
     save_synth_config,
 )
 
@@ -245,7 +247,7 @@ class TestGeneration:
         config = default_synth_config(n_students=25, seed=0, expert_noise=0.0)
         ds = generate_dataset(config, registry)
         for record in ds.records:
-            assert record.expert_labels == policy_labels(record, registry, config)
+            assert record.expert_labels == reference_annotate(record.series, registry, config)
 
     def test_at_most_one_template_per_factor(self, ds100, registry):
         for record in ds100.records:
@@ -280,13 +282,23 @@ class TestGeneration:
     def test_label_record_depends_on_record_index(self, registry):
         config = default_synth_config(n_students=8, seed=1, expert_noise=0.9)
         ds = generate_dataset(config, registry)
-        record = ds.records[0]
-        a = label_record(record, 0, registry, config)
-        b = label_record(record, 3, registry, config)
-        assert a == label_record(record, 0, registry, config)
+        templates = _factor_templates(registry)
+
+        def labels_as(index):
+            return _annotate(ds.series[:1], templates, config, index)[0]
+
+        a = labels_as(0)
+        b = labels_as(3)
+        assert a == labels_as(0)
         # Different positions draw from different noise streams; with 90%
         # noise these almost surely disagree for at least one factor.
         assert (a, b) != (b, a) or a == b
+
+
+def _decide(series, thresholds, available):
+    """The reference type the policy picks for one series, None if no rule fires."""
+    pick = _rule_picks(np.array([series]), thresholds, available)[0]
+    return RULE_ORDER[pick] if pick < len(RULE_ORDER) else None
 
 
 class TestPolicy:
@@ -298,48 +310,48 @@ class TestPolicy:
 
     def test_trend_fires_first(self):
         series = (1.0, 3.0, 5.0, 7.0)
-        assert decide_reference(series, self.THRESHOLDS, self.ALL) is (
+        assert _decide(series, self.THRESHOLDS, self.ALL) is (
             ReferenceType.TREND
         )
 
     def test_weeks_fires_when_trend_quiet(self):
         series = (5.0, 10.0, 5.0, 5.0)
         assert (
-            decide_reference(series, self.THRESHOLDS, self.ALL)
+            _decide(series, self.THRESHOLDS, self.ALL)
             is ReferenceType.WEEKS
         )
 
     def test_average_fires_outside_band(self):
         series = (1.0, 1.5, 1.0, 1.5)
         assert (
-            decide_reference(series, self.THRESHOLDS, self.ALL)
+            _decide(series, self.THRESHOLDS, self.ALL)
             is ReferenceType.AVERAGE
         )
 
     def test_other_fires_on_milder_band(self):
         series = (2.5, 2.5, 2.5, 2.5)
         assert (
-            decide_reference(series, self.THRESHOLDS, self.ALL)
+            _decide(series, self.THRESHOLDS, self.ALL)
             is ReferenceType.OTHER
         )
 
     def test_unremarkable_series_gets_nothing(self):
         series = (5.0, 5.2, 5.0, 4.8)
-        assert decide_reference(series, self.THRESHOLDS, self.ALL) is None
+        assert _decide(series, self.THRESHOLDS, self.ALL) is None
 
     def test_unavailable_reference_falls_through(self):
         series = (5.0, 10.0, 5.0, 5.0)
         available = frozenset({ReferenceType.AVERAGE, ReferenceType.OTHER})
         # Spread would pick weeks, but without a weeks template the decision
         # falls to the next firing rule (none here: mean 6.25 is in band).
-        assert decide_reference(series, self.THRESHOLDS, available) is None
+        assert _decide(series, self.THRESHOLDS, available) is None
 
     def test_fallthrough_reaches_other(self):
         series = (1.0, 6.0, 1.0, 1.0)
         available = frozenset({ReferenceType.OTHER})
         # Trend, weeks, and average all fire but only other is available.
         assert (
-            decide_reference(series, self.THRESHOLDS, available)
+            _decide(series, self.THRESHOLDS, available)
             is ReferenceType.OTHER
         )
 

@@ -13,10 +13,12 @@ import hashlib
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_synth
 from _reference_features import _sum
 from _reference_synth import (
     reference_annotate,
@@ -28,14 +30,15 @@ from rakelgen.cli import main
 from rakelgen.domain import FactorId, ReferenceType, TemplateRegistry, default_registry
 from rakelgen.synth import (
     CHUNK_STUDENTS,
+    RULE_ORDER,
     PolicyThresholds,
+    _annotate,
+    _factor_templates,
+    _rule_picks,
     achieved_correlations,
-    decide_reference,
     default_synth_config,
     generate_dataset,
-    label_record,
     pearson,
-    policy_labels,
 )
 
 
@@ -112,19 +115,21 @@ def test_any_chunk_size_matches_reference(seed, n, chunk, weeks, noise, experts)
 
 
 def test_one_row_annotation_equals_batch(registry):
-    """``policy_labels`` and ``label_record`` are one-row cases of the chunk's
-    annotation, and agree with the reference's."""
+    """A record annotated alone, with or without noise, gets the labels the
+    chunk gives it and the reference's."""
     config = default_synth_config(n_students=60, seed=3, expert_noise=0.4, expert_count=3)
     ds = generate_dataset(config, registry)
     quiet = dataclasses.replace(config, expert_noise=0.0)
+    templates = _factor_templates(registry)
     for i, record in enumerate(ds.records):
-        assert label_record(record, i, registry, config) == record.expert_labels
-        assert label_record(record, i, registry, config) == reference_annotate(
-            record.series, registry, config, i
-        )
-        assert policy_labels(record, registry, config) == reference_annotate(
-            record.series, registry, quiet
-        )
+        alone = ds.series[i : i + 1]
+        assert _annotate(alone, templates, config, i) == [record.expert_labels]
+        assert _annotate(alone, templates, config, i) == [
+            reference_annotate(record.series, registry, config, i)
+        ]
+        assert _annotate(alone, templates, quiet, i) == [
+            reference_annotate(record.series, registry, quiet)
+        ]
 
 
 series_values = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: round(v, 1))
@@ -140,9 +145,21 @@ def test_decide_reference_matches_reference(series, available):
     thresholds = PolicyThresholds(
         slope=0.5, spread=4.0, avg_low=2.0, avg_high=8.0, other_low=3.0, other_high=7.0
     )
-    assert decide_reference(series, thresholds, available) is reference_decide_reference(
-        series, thresholds, available
-    )
+    expected = reference_decide_reference(series, thresholds, available)
+    pick = len(RULE_ORDER) if expected is None else RULE_ORDER.index(expected)
+    assert _rule_picks(np.array([series]), thresholds, available).tolist() == [pick]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_latent_draw_is_per_student(registry, monkeypatch, seed):
+    """Without quantization every value shows the latent draw's last bit:
+    ``chol @ z`` per student, which a matrix product over the chunk can round
+    differently."""
+    for module in (synth, _reference_synth):
+        monkeypatch.setattr(module, "_quantize", lambda values, factor: values)
+    config = default_synth_config(n_students=600, seed=seed)
+    ref = reference_generate_dataset(config, registry)
+    assert generate_dataset(config, registry).series.tobytes() == ref.series.tobytes()
 
 
 def test_achieved_correlations_match_per_record_means(registry):

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from _builders import fit_tree
 from _reference_tree import record_fits, reference_grow
 from rakelgen import tree as tree_module
 from rakelgen.errors import ValidationError
 from rakelgen.mlc import RakelConfig, train_rakel
 from rakelgen.synth import default_synth_config, generate_dataset
-from rakelgen.tree import TreeConfig, train_tree, train_trees, tree_to_dict
+from rakelgen.tree import TreeConfig, train_trees, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
 
@@ -168,7 +169,7 @@ class TestSameTreeAnywhere:
         widths = [X.shape[1]] * len(ys) if widths is None else widths
         batch = [tree_to_dict(t) for t in train_trees(X, ys, cfg, widths)]
         threaded = [tree_to_dict(t) for t in train_trees(X, ys, cfg, widths, n_jobs=n_jobs)]
-        alone = [tree_to_dict(train_tree(X[:, :w], y, cfg)) for y, w in zip(ys, widths)]
+        alone = [tree_to_dict(fit_tree(X[:, :w], y, cfg)) for y, w in zip(ys, widths)]
         assert batch == threaded == alone
 
 
