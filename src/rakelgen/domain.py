@@ -180,71 +180,66 @@ class TemplateRegistry:
         return self._by_pair.get((factor, reference))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudentRecord:
     """One student's weekly time-series over all nine factors.
 
+    ``series`` is a read-only (9, W) float64 array whose row j is factor
+    ``FactorId(j + 1)``, the layout of ``Dataset.series``; a float64 input is
+    kept without a copy, so a row of a dataset's stack stays a view of it.
     ``expert_labels`` holds the template ids an annotator chose for this
     student, or ``None`` for unlabeled records.
     """
 
     student_id: str
-    weeks: int
-    series: dict[FactorId, tuple[float, ...]]
+    series: np.ndarray
     expert_labels: frozenset[int] | None = None
 
     def __post_init__(self):
-        if self.weeks < 1:
-            raise ValidationError(f"record {self.student_id}: weeks must be >= 1")
-        if self.series.keys() != _ALL_FACTORS:
-            missing = _ALL_FACTORS - set(self.series)
-            if missing:
-                names = ", ".join(sorted(f.key for f in missing))
-                raise ValidationError(f"record {self.student_id}: missing factors: {names}")
-            extra = set(self.series) - _ALL_FACTORS
-            if extra:
-                raise ValidationError(f"record {self.student_id}: unknown series keys: {extra}")
-        normalized = {}
-        for factor, values in self.series.items():
-            values = tuple(map(float, values))
-            if len(values) != self.weeks:
-                raise ValidationError(
-                    f"record {self.student_id}: series {factor.key} has "
-                    f"{len(values)} values, expected {self.weeks}"
-                )
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(
-                    f"record {self.student_id}: series {factor.key} has a "
-                    f"non-finite value: {list(values)}"
-                )
-            normalized[factor] = values
-        object.__setattr__(self, "series", normalized)
-        if self.expert_labels is not None:
-            object.__setattr__(self, "expert_labels", frozenset(int(i) for i in self.expert_labels))
+        series = np.asarray(self.series, dtype=float).view()
+        series.flags.writeable = False
+        if series.ndim != 2 or series.shape[0] != len(_ALL_FACTORS) or series.shape[1] < 1:
+            raise ValidationError(
+                f"record {self.student_id}: series must be a (9, W) array with W >= 1, "
+                f"got shape {series.shape}"
+            )
+        if not np.isfinite(series).all():
+            row = int(np.isfinite(series).all(axis=1).argmin())
+            raise ValidationError(
+                f"record {self.student_id}: series {FactorId(row + 1).key} has a "
+                f"non-finite value: {series[row].tolist()}"
+            )
+        object.__setattr__(self, "series", series)
 
     @property
-    def labeled(self) -> bool:
-        return self.expert_labels is not None
+    def weeks(self) -> int:
+        return self.series.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StudentRecord):
+            return NotImplemented
+        return (
+            self.student_id == other.student_id
+            and self.expert_labels == other.expert_labels
+            and np.array_equal(self.series, other.series)
+        )
 
 
 class Dataset:
     """A registry plus the student records labeled against it.
 
     ``series`` is the records' values as one read-only (n, 9, W) float64
-    stack, factors in code order. A dataset keeps the form it was made from,
-    the stack (``load_dataset``, ``take``) or the records (synthesis), and
-    builds the other once, when it is first read. Attributes are not to be
-    reassigned.
+    stack, factors in code order; ``records`` are read-only row views of it,
+    built on every read. Attributes are not to be reassigned.
     """
 
     def __init__(self, registry: TemplateRegistry, records: Iterable[StudentRecord]):
-        self._records = tuple(records)
-        self._series = None
-        _common_weeks(r.weeks for r in self._records)
+        records = tuple(records)
         self._init(
             registry,
-            tuple(r.student_id for r in self._records),
-            tuple(r.expert_labels for r in self._records),
+            tuple(r.student_id for r in records),
+            series_stack(records),
+            tuple(r.expert_labels for r in records),
         )
 
     @classmethod
@@ -256,16 +251,15 @@ class Dataset:
         expert_labels: Sequence[frozenset[int] | None],
     ) -> "Dataset":
         """A dataset over an (n, 9, W) float64 stack, which it makes read-only."""
-        series.flags.writeable = False
         ds = cls.__new__(cls)
-        ds._records = None
-        ds._series = series
-        ds._init(registry, tuple(student_ids), tuple(expert_labels))
+        ds._init(registry, tuple(student_ids), series, tuple(expert_labels))
         return ds
 
-    def _init(self, registry, student_ids, expert_labels) -> None:
+    def _init(self, registry, student_ids, series, expert_labels) -> None:
+        series.flags.writeable = False
         self.registry = registry
         self.student_ids = student_ids
+        self.series = series
         self.expert_labels = expert_labels
         valid_ids = set(registry.ids())
         for student_id, labels in zip(student_ids, expert_labels):
@@ -294,29 +288,13 @@ class Dataset:
 
     @property
     def records(self) -> tuple[StudentRecord, ...]:
-        if self._records is None:
-            self._records = tuple(
-                StudentRecord(student_id, self.weeks, dict(zip(FactorId, map(tuple, rows))), labels)
-                for student_id, rows, labels in zip(
-                    self.student_ids, self._series.tolist(), self.expert_labels
-                )
-            )
-        return self._records
-
-    @property
-    def series(self) -> np.ndarray:
-        if self._series is None:
-            self._series = series_stack(self._records)
-            self._series.flags.writeable = False
-        return self._series
+        return tuple(map(StudentRecord, self.student_ids, self.series, self.expert_labels))
 
     @property
     def weeks(self) -> int:
         if not len(self):
             raise ValidationError("dataset has no records")
-        if self._series is None:
-            return self._records[0].weeks
-        return self._series.shape[2]
+        return self.series.shape[2]
 
     def take(self, rows: Sequence[int]) -> "Dataset":
         """The dataset of the given row indices, in that order."""
@@ -349,9 +327,9 @@ def series_stack(records: Sequence[StudentRecord]) -> np.ndarray:
     """The series of records with a common week count as an (n, 9, W) float64
     array, factors in code order."""
     weeks = _common_weeks(record.weeks for record in records)
-    return np.array(
-        [[record.series[factor] for factor in FactorId] for record in records], dtype=float
-    ).reshape(len(records), len(FactorId), weeks or 0)
+    return np.array([record.series for record in records], dtype=float).reshape(
+        len(records), len(FactorId), weeks or 0
+    )
 
 
 def _common_weeks(weeks: Iterable[int]) -> int | None:
@@ -437,7 +415,7 @@ def record_to_dict(record: StudentRecord) -> dict:
     out: dict = {
         "student_id": record.student_id,
         "weeks": record.weeks,
-        "series": {f.key: list(record.series[f]) for f in FactorId},
+        "series": dict(zip(_FACTOR_KEYS, record.series.tolist())),
     }
     if record.expert_labels is not None:
         out["expert_labels"] = sorted(record.expert_labels)
@@ -452,13 +430,11 @@ def record_from_dict(data: dict, source: str = "record") -> StudentRecord:
             FactorId.from_key(name): tuple(values)
             for name, values in data["series"].items()
         }
+        student_id = str(data["student_id"])
+        rows = _series_rows(student_id, int(data["weeks"]), series)
         labels = data.get("expert_labels")
-        record = StudentRecord(
-            student_id=str(data["student_id"]),
-            weeks=int(data["weeks"]),
-            series=series,
-            expert_labels=None if labels is None else frozenset(labels),
-        )
+        labels = None if labels is None else frozenset(map(int, labels))
+        record = StudentRecord(student_id, rows, labels)
     except ValidationError:
         raise
     except (KeyError, TypeError) as exc:
@@ -469,6 +445,32 @@ def record_from_dict(data: dict, source: str = "record") -> StudentRecord:
     if problem is not None:
         raise ValidationError(f"{source}: malformed record: {problem}")
     return record
+
+
+def _series_rows(student_id: str, weeks: int, series: dict) -> list[tuple[float, ...]]:
+    """A record's series keyed by factor as its nine rows in code order,
+    checked in the dict's order: every factor present, ``weeks`` >= 1 values
+    each, all finite."""
+    if weeks < 1:
+        raise ValidationError(f"record {student_id}: weeks must be >= 1")
+    missing = _ALL_FACTORS - series.keys()
+    if missing:
+        names = ", ".join(sorted(f.key for f in missing))
+        raise ValidationError(f"record {student_id}: missing factors: {names}")
+    rows = {}
+    for factor, values in series.items():
+        values = rows[factor] = tuple(map(float, values))
+        if len(values) != weeks:
+            raise ValidationError(
+                f"record {student_id}: series {factor.key} has "
+                f"{len(values)} values, expected {weeks}"
+            )
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(
+                f"record {student_id}: series {factor.key} has a "
+                f"non-finite value: {list(values)}"
+            )
+    return [rows[factor] for factor in FactorId]
 
 
 def _type_error(data: dict) -> str | None:

@@ -150,13 +150,13 @@ class MajorityPayload:
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
-        bits = list(body["bits"])
+        bits = tuple(json_int(b, "majority 'bits' entry") for b in body["bits"])
         if len(bits) != n_labels:
             raise ValidationError(f"model has {len(bits)} 'bits' for {n_labels} labels")
         bad = [b for b in bits if b not in (0, 1)]
         if bad:
             raise ValidationError(f"majority 'bits' must be 0 or 1, got {bad[0]!r}")
-        return cls(bits=tuple(int(b) for b in bits))
+        return cls(bits=bits)
 
     def summary(self):
         return {"set bits": sum(self.bits)}
@@ -250,9 +250,12 @@ class RakelPayload:
 
     @classmethod
     def from_dict(cls, strategy, strategy_config, body, n_labels):
-        threshold = float(strategy_config["threshold"])
+        threshold = strategy_config["threshold"]
+        if type(threshold) not in (int, float):  # float() would read true as 1.0
+            raise ValidationError(f"rakel 'threshold' must be a number, got {threshold!r}")
         if not 0.0 <= threshold <= 1.0:  # NaN fails this too
             raise ValidationError(f"rakel 'threshold' {threshold} must be in [0, 1]")
+        threshold = float(threshold)
         members = tuple(LpPayload.from_dict("lp", {}, m, n_labels) for m in body["members"])
         if not members:
             raise ValidationError("rakel 'members' must not be empty")

@@ -13,7 +13,9 @@ normal and W weekly noise normals, 9 * (W + 2) in all. A normal of std ``s``
 is ``0.0 + s * z`` of the standard draw ``z``, as ``Generator.normal`` forms
 it, so a zero std still consumes its draw. ``generate_dataset`` draws
 ``CHUNK_STUDENTS`` students' normals in one call and works on the chunk with
-array arithmetic; the chunk size does not change the stream or any value.
+array arithmetic, in place in the cohort's preallocated (n, 9, W) stack,
+which becomes the dataset; the chunk size does not change the stream or any
+value.
 
 Labels come from a deterministic threshold policy applied per factor to the
 stored series, in fixed priority order: a strong trend first, then a wide
@@ -41,10 +43,8 @@ from .domain import (
     Dataset,
     FactorId,
     ReferenceType,
-    StudentRecord,
     TemplateRegistry,
     read_json,
-    series_stack,
 )
 from .errors import ValidationError
 from .features import mean_and_slope
@@ -270,7 +270,8 @@ def generate_dataset(config: SynthConfig, registry: TemplateRegistry) -> Dataset
     trend_std = np.array([p.trend_std for p in params])
     noise_std = np.array([[p.noise_std] for p in params])
     templates = _factor_templates(registry)
-    records = []
+    series = np.empty((config.n_students, N_FACTORS, weeks))
+    labels = []
     for first in range(0, config.n_students, CHUNK_STUDENTS):
         n = min(CHUNK_STUDENTS, config.n_students - first)
         Z = rng.standard_normal((n, N_FACTORS * (weeks + 2)))
@@ -280,17 +281,16 @@ def generate_dataset(config: SynthConfig, registry: TemplateRegistry) -> Dataset
         draws = Z[:, N_FACTORS:].reshape(n, N_FACTORS, weeks + 1)
         level = mean + std * latent
         slope = 0.0 + trend_std * draws[:, :, 0]
-        # Built in place and turned into lists row by row, so that a chunk
-        # holds one (n, 9, W) array beside its draws.
-        S = level[:, :, None] + slope[:, :, None] * offsets
+        # Built in place in the cohort's stack, so that a chunk holds no
+        # (n, 9, W) array beside its draws.
+        S = series[first : first + n]
+        np.add(level[:, :, None], slope[:, :, None] * offsets, out=S)
         S += 0.0 + noise_std * draws[:, :, 1:]
         for j, factor in enumerate(FACTORS):
             S[:, j] = _quantize(S[:, j], factor)
-        labels = _annotate(S, templates, config, first)
-        for i, (block, chosen) in enumerate(zip(S, labels), first):
-            series = dict(zip(FACTORS, map(tuple, block.tolist())))
-            records.append(StudentRecord(f"s{i:04d}", weeks, series, chosen))
-    return Dataset(registry=registry, records=records)
+        labels += _annotate(S, templates, config, first)
+    student_ids = [f"s{i:04d}" for i in range(config.n_students)]
+    return Dataset.from_series(registry, student_ids, series, labels)
 
 
 def pearson(xs, ys) -> float:
@@ -316,16 +316,8 @@ def achieved_correlations(
     """(factor_a, factor_b, target, achieved) per configured pair, where
     achieved correlates the per-student series means across the cohort. It is
     None where ``pearson`` finds it undefined: fewer than 2 students, or a
-    factor mean of zero variance.
-
-    The means are taken ``CHUNK_STUDENTS`` records at a time: a stack of the
-    whole cohort would stay on the dataset and add 14 MB to the peak memory
-    of ``generate --count 20000``."""
-    records = ds.records
-    means = np.concatenate([
-        mean_and_slope(series_stack(records[first : first + CHUNK_STUDENTS]))[0]
-        for first in range(0, len(records), CHUNK_STUDENTS)
-    ])
+    factor mean of zero variance."""
+    means = mean_and_slope(ds.series)[0]
 
     def achieved(a: FactorId, b: FactorId) -> float | None:
         try:

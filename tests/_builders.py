@@ -28,16 +28,14 @@ def make_record(
     labels: Iterable[int] | None = None,
     fill: float = FILL,
 ) -> StudentRecord:
-    """Build a record with constant series, overriding selected factors."""
-    full = {f: tuple(float(fill) for _ in range(weeks)) for f in FactorId}
-    if series:
-        for key, values in series.items():
-            factor = key if isinstance(key, FactorId) else FactorId.from_key(key)
-            full[factor] = tuple(float(v) for v in values)
+    """Build a record with constant series, overriding selected factors
+    (keyed by ``FactorId`` or factor name)."""
+    rows = [[float(fill)] * weeks for _ in FactorId]
+    for key, values in (series or {}).items():
+        factor = key if isinstance(key, FactorId) else FactorId.from_key(key)
+        rows[factor - 1] = [float(v) for v in values]
     expert = None if labels is None else frozenset(labels)
-    return StudentRecord(
-        student_id=student_id, weeks=weeks, series=full, expert_labels=expert
-    )
+    return StudentRecord(student_id=student_id, series=rows, expert_labels=expert)
 
 
 def marks_record(

@@ -35,7 +35,7 @@ def reference_features(record: StudentRecord, mode: str = "both") -> tuple[float
     """Feature values of one record, in schema order."""
     values: list[float] = []
     for factor in FactorId:
-        series = record.series[factor]
+        series = record.series[factor - 1].tolist()
         if mode in ("derived", "both"):
             values.append(_sum(series) / len(series))
             values.append(reference_ols_slope(series))

@@ -77,7 +77,7 @@ def reference_render(
     sentences = []
     template_ids = []
     for template, _ in selection.chosen:
-        series = record.series[template.factor]
+        series = record.series[template.factor - 1].tolist()
         values = {
             slot: _SLOT_FORMATTERS[slot](series, trend_tolerance) for slot in template.slots()
         }

@@ -52,8 +52,9 @@ def _factor_templates(registry):
 
 
 def reference_annotate(series, registry, config, record_index=None):
-    """The labels of one record's series as record ``record_index`` of a
-    cohort; without an index, the noiseless policy decision."""
+    """The labels of one record's series (nine rows, row j factor j + 1) as
+    record ``record_index`` of a cohort; without an index, the noiseless
+    policy decision."""
     templates = _factor_templates(registry)
     rng = None
     if record_index is not None and config.expert_noise > 0.0:
@@ -62,7 +63,8 @@ def reference_annotate(series, registry, config, record_index=None):
     chosen = []
     for factor in FactorId:
         ids = templates[factor]
-        reference = reference_decide_reference(series[factor], config.policy[factor], ids.keys())
+        values = [float(v) for v in series[factor - 1]]
+        reference = reference_decide_reference(values, config.policy[factor], ids.keys())
         pick = ids.get(reference)
         if rng is not None and rng.random() < config.expert_noise:
             pick = rng.choice([*ids.values(), None])
@@ -80,14 +82,14 @@ def reference_generate_dataset(config, registry) -> Dataset:
     records = []
     for i in range(config.n_students):
         latent = chol @ rng.standard_normal(N_FACTORS)
-        series = {}
+        series = []
         for j, factor in enumerate(FactorId):
             params = config.factors[factor]
             level = params.mean + params.std * latent[j]
             slope = rng.normal(0.0, params.trend_std)
             noise = rng.normal(0.0, params.noise_std, weeks)
             values = _quantize(level + slope * offsets + noise, factor)
-            series[factor] = tuple(values.tolist())
+            series.append(values.tolist())
         labels = reference_annotate(series, registry, config, i)
-        records.append(StudentRecord(f"s{i:04d}", weeks, series, labels))
+        records.append(StudentRecord(f"s{i:04d}", series, labels))
     return Dataset(registry=registry, records=records)

@@ -327,7 +327,7 @@ def test_criterion_9_end_to_end_feedback(tmp_path, registry, capsys):
         for item in entry["feedback"]:
             template = registry.get(item["template_id"])
             factors.append(template.factor)
-            series = record.series[template.factor]
+            series = record.series[template.factor - 1].tolist()
             slots = {
                 "average": format_number(sum(series) / len(series)),
                 "trend_word": trend_word(reference_ols_slope(series)),

@@ -51,10 +51,7 @@ def cohorts(draw):
     weeks = draw(st.integers(min_value=1, max_value=20))
     n = draw(st.integers(min_value=1, max_value=2))
     series = st.lists(series_values, min_size=weeks, max_size=weeks).map(tuple)
-    return [
-        StudentRecord(f"s{i}", weeks, {f: draw(series) for f in FactorId})
-        for i in range(n)
-    ]
+    return [StudentRecord(f"s{i}", [draw(series) for _ in FactorId]) for i in range(n)]
 
 
 class TestFeatureMatrix:
@@ -68,8 +65,8 @@ class TestFeatureMatrix:
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_single_week(self, mode):
         records = [
-            StudentRecord("a", 1, {f: (float(f) - 4.5,) for f in FactorId}),
-            StudentRecord("b", 1, {f: (-0.0,) for f in FactorId}),
+            StudentRecord("a", [(float(f) - 4.5,) for f in FactorId]),
+            StudentRecord("b", [(-0.0,)] * 9),
         ]
         X = feature_matrix(series_stack(records), mode)
         assert (_bits(X) == _bits([reference_features(r, mode) for r in records])).all()
@@ -79,9 +76,9 @@ class TestFeatureMatrix:
         # builtin min/max keep the first of equal values and sum() starts
         # from +0, so (0.0, -0.0) and (-0.0, 0.0) differ in min, max and slope
         records = [
-            StudentRecord("a", 2, {f: (0.0, -0.0) for f in FactorId}),
-            StudentRecord("b", 2, {f: (-0.0, 0.0) for f in FactorId}),
-            StudentRecord("c", 3, {f: (-0.0, -0.0, 0.0) for f in FactorId}),
+            StudentRecord("a", [(0.0, -0.0)] * 9),
+            StudentRecord("b", [(-0.0, 0.0)] * 9),
+            StudentRecord("c", [(-0.0, -0.0, 0.0)] * 9),
         ]
         for record in records:
             X = feature_matrix(series_stack([record]), mode)
@@ -102,8 +99,8 @@ class TestFeatureMatrix:
 
     def test_week_counts_must_agree(self):
         records = [
-            StudentRecord("a", 2, {f: (1.0, 2.0) for f in FactorId}),
-            StudentRecord("b", 3, {f: (1.0, 2.0, 3.0) for f in FactorId}),
+            StudentRecord("a", [(1.0, 2.0)] * 9),
+            StudentRecord("b", [(1.0, 2.0, 3.0)] * 9),
         ]
         with pytest.raises(ValidationError, match="week count"):
             series_stack(records)
@@ -124,7 +121,7 @@ class TestOlsSlope:
 
     def test_synthetic_cohorts(self, ds37, ds100):
         for record in ds37.records + ds100.records:
-            for series in record.series.values():
+            for series in record.series.tolist():
                 slope = mean_and_slope(np.array([series]))[1][0]
                 assert _bits(slope) == _bits(reference_ols_slope(series))
 

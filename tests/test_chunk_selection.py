@@ -77,8 +77,7 @@ def chunks(draw):
         votes = np.array([draw(st.lists(tied, min_size=L, max_size=L)) for _ in range(n)])
     records = [
         StudentRecord(
-            f"s{i}", weeks,
-            {f: tuple(draw(st.lists(VALUES, min_size=weeks, max_size=weeks))) for f in FactorId},
+            f"s{i}", [draw(st.lists(VALUES, min_size=weeks, max_size=weeks)) for _ in FactorId]
         )
         for i in range(n)
     ]

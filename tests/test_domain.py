@@ -230,30 +230,37 @@ class TestLabelVectors:
 
 
 class TestRecords:
-    def test_series_normalized_to_floats(self):
+    def test_series_normalized_to_read_only_floats(self):
         record = make_record(series={FactorId.MARKS: [50, 60, 70, 80]})
-        assert record.series[FactorId.MARKS] == (50.0, 60.0, 70.0, 80.0)
+        assert record.series.dtype == np.float64 and record.series.shape == (9, 4)
+        assert not record.series.flags.writeable
+        # row j is factor j + 1: indexing by the factor itself would read the next row
+        assert record.series[FactorId.MARKS - 1].tolist() == [50.0, 60.0, 70.0, 80.0]
+        assert record.weeks == 4
+
+    def test_float_series_kept_without_a_copy(self):
+        rows = np.arange(18.0).reshape(9, 2)
+        record = StudentRecord("s0", rows)
+        assert np.shares_memory(record.series, rows)
+        assert rows.flags.writeable  # the caller's array is left as it was
 
     def test_labels_normalized_to_frozenset(self):
         record = make_record(labels=[3, 1, 3])
         assert record.expert_labels == frozenset({1, 3})
-        assert record.labeled
 
     def test_unlabeled_record(self):
         record = make_record()
         assert record.expert_labels is None
-        assert not record.labeled
 
     def test_missing_factor_rejected(self):
-        series = {f: (1.0, 1.0) for f in FactorId if f is not FactorId.REVISION}
-        with pytest.raises(ValidationError):
-            StudentRecord(student_id="s0", weeks=2, series=series)
+        with pytest.raises(ValidationError, match=r"s0: series must be a \(9, W\) array"):
+            StudentRecord(student_id="s0", series=[(1.0, 1.0)] * 8)
 
     def test_wrong_length_rejected(self):
-        series = {f: (1.0, 1.0) for f in FactorId}
-        series[FactorId.MARKS] = (1.0, 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            StudentRecord(student_id="s0", weeks=2, series=series)
+        data = record_to_dict(make_record("s0", weeks=2))
+        data["series"]["marks"] = [1.0, 1.0, 1.0]
+        with pytest.raises(ValidationError, match="s0: series marks has 3 values, expected 2"):
+            record_from_dict(data)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, bad):
@@ -264,7 +271,7 @@ class TestRecords:
 
     def test_weeks_must_be_positive(self):
         with pytest.raises(ValidationError):
-            StudentRecord(student_id="s0", weeks=0, series={f: () for f in FactorId})
+            StudentRecord(student_id="s0", series=np.empty((9, 0)))
 
     def test_json_round_trip_labeled(self):
         record = make_record(
@@ -306,14 +313,15 @@ class TestDatasets:
         ds = Dataset(registry, (record,))
         assert len(ds) == 1
 
-    def test_each_form_is_built_once(self, registry, ds37):
+    def test_records_are_read_only_views_of_the_stack(self, registry, ds37):
+        for i, record in enumerate(ds37.records):
+            assert not record.series.flags.writeable
+            assert np.shares_memory(record.series, ds37.series)
+            assert np.array_equal(record.series, ds37.series[i])
         ds = Dataset(registry, ds37.records)
-        series = ds.series
-        assert ds.series is series
-        assert not series.flags.writeable
-        assert np.array_equal(series, ds37.series)
+        assert ds == ds37
+        assert not ds.series.flags.writeable
         subset = ds.take([2, 0])
-        assert subset.records is subset.records
         assert subset.records == (ds.records[2], ds.records[0])
 
     def test_file_round_trip_byte_identical(self, registry, tmp_path, ds37):

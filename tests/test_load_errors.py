@@ -290,6 +290,19 @@ def test_loaded_series_are_one_read_only_stack(tmp_path):
     assert not ds.series.flags.writeable
     assert ds.series[1, 0].tolist() == [4.0, 5.5, -0.0]
     assert np.signbit(ds.series[1, 0, 2])
-    assert ds.records[1].series[FactorId.MARKS] == (4.0, 5.5, -0.0)
+    assert ds.records[1].series[FactorId.MARKS - 1].tolist() == [4.0, 5.5, -0.0]
     assert ds.student_ids == ("s0", "s2")
     assert ds.expert_labels == (frozenset({1, 9}),) * 2
+
+
+def test_row_j_of_a_loaded_record_is_factor_j_plus_1(tmp_path):
+    """Whatever the key order in the file, and through the bulk reader or the
+    line check (upper-case keys), row j of a record's series is factor j + 1."""
+    data = _record()
+    data["series"] = {f.key: [float(f), 10.0 * f, -float(f)] for f in reversed(FactorId)}
+    upper = dict(data, series={key.upper(): values for key, values in data["series"].items()})
+    for line in (json.dumps(data), json.dumps(upper)):
+        for lead in ([], [GOOD] * LEAD):
+            ds = load_dataset(_write(tmp_path, lead + [line]), default_registry())
+            rows = ds.records[-1].series.tolist()
+            assert rows == [data["series"][FactorId(j + 1).key] for j in range(9)]

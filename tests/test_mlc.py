@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _builders import leaf_label, make_record, marks_dataset, tiny_registry
-from rakelgen.domain import Dataset, series_stack
+from rakelgen.domain import Dataset, StudentRecord, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import feature_matrix
 from rakelgen.mlc import (
@@ -91,12 +91,7 @@ class TestBinaryRelevance:
             templates=tuple(registry.get(i) for i in keep_ids), version="subset"
         )
         sub_records = tuple(
-            make_record(
-                r.student_id,
-                weeks=r.weeks,
-                series=dict(r.series),
-                labels=r.expert_labels & frozenset(keep_ids),
-            )
+            StudentRecord(r.student_id, r.series, r.expert_labels & frozenset(keep_ids))
             for r in ds37.records
         )
         sub_model = train_binary_relevance(Dataset(sub_registry, sub_records))

@@ -328,8 +328,16 @@ class TestLabelAxis:
         "mutate, message",
         [
             (lambda d: d["payload"]["bits"].__setitem__(0, 5), "majority 'bits' must be 0 or 1, got 5"),
+            (
+                lambda d: d["payload"]["bits"].__setitem__(0, True),
+                "majority 'bits' entry must be an integer, got true",
+            ),
+            (
+                lambda d: d["payload"]["bits"].__setitem__(1, 1.0),
+                "majority 'bits' entry must be an integer, got 1.0",
+            ),
         ],
-        ids=["bit-5"],
+        ids=["bit-5", "bit-true", "bit-float"],
     )
     def test_majority_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
         self._exits_2("majority", mutate, message, ds37, registry, tmp_path, capsys)
@@ -346,8 +354,16 @@ class TestLabelAxis:
                 lambda d: d["strategy_config"].__setitem__("threshold", float("nan")),
                 "rakel 'threshold' nan must be in [0, 1]",
             ),
+            (
+                lambda d: d["strategy_config"].__setitem__("threshold", True),
+                "rakel 'threshold' must be a number, got True",
+            ),
+            (
+                lambda d: d["strategy_config"].__setitem__("threshold", "0.5"),
+                "rakel 'threshold' must be a number, got '0.5'",
+            ),
         ],
-        ids=["no-members", "threshold-1.5", "threshold-nan"],
+        ids=["no-members", "threshold-1.5", "threshold-nan", "threshold-true", "threshold-string"],
     )
     def test_rakel_fields_exit_2(self, mutate, message, ds37, registry, tmp_path, capsys):
         self._exits_2("rakel", mutate, message, ds37, registry, tmp_path, capsys)

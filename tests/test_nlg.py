@@ -188,7 +188,7 @@ class TestRendering:
         summary = _summary(ids, record, registry)
         for sentence, template_id in zip(summary.sentences, summary.template_ids):
             factor = registry.get(template_id).factor
-            series = record.series[factor]
+            series = record.series[factor - 1].tolist()
             stats = {
                 format_number(sum(series) / len(series)),
                 format_number(series[0]),

@@ -27,7 +27,14 @@ from _reference_synth import (
 )
 from rakelgen import synth
 from rakelgen.cli import main
-from rakelgen.domain import FactorId, ReferenceType, TemplateRegistry, default_registry
+from rakelgen.domain import (
+    FactorId,
+    ReferenceType,
+    TemplateRegistry,
+    default_registry,
+    load_dataset,
+    save_dataset,
+)
 from rakelgen.synth import (
     CHUNK_STUDENTS,
     RULE_ORDER,
@@ -52,7 +59,7 @@ def _assert_same_cohort(ds, ref):
     assert ds.expert_labels == ref.expert_labels
     # tobytes tells -0.0 from 0.0 and every last bit
     assert ds.series.tobytes() == ref.series.tobytes()
-    assert [r.series for r in ds.records] == [r.series for r in ref.records]
+    assert ds.records == ref.records
 
 
 def _zero_std(config, name):
@@ -167,7 +174,8 @@ def test_achieved_correlations_match_per_record_means(registry):
     ds = generate_dataset(config, registry)
     pairs = config.correlation_pairs
     means = {
-        factor: [_sum(r.series[factor]) / r.weeks for r in ds.records] for factor in FactorId
+        factor: [_sum(r.series[factor - 1].tolist()) / r.weeks for r in ds.records]
+        for factor in FactorId
     }
     expected = [(a.key, b.key, r, pearson(means[a], means[b])) for a, b, r in pairs]
     assert achieved_correlations(ds, pairs) == expected
@@ -192,7 +200,9 @@ def test_generate_golden_digest(tmp_path, capsys):
 def test_transient_memory_is_one_chunk(registry):
     """Beyond the dataset it returns, generation holds about one chunk's
     arrays (0.4 MB at 256 students of 10 weeks); the arrays of a whole
-    5,000-student cohort at once would take over 7 MB."""
+    5,000-student cohort at once would take over 7 MB. The dataset itself is
+    its 3.6 MB stack and the ids and labels; records of float tuples took
+    over 20 MB."""
     generate_dataset(default_synth_config(n_students=3, seed=4), registry)  # warm caches
     tracemalloc.start()
     try:
@@ -202,3 +212,21 @@ def test_transient_memory_is_one_chunk(registry):
         tracemalloc.stop()
     assert len(ds) == 5000
     assert peak - kept < 2 * 2**20
+    assert kept < 8 * 2**20
+
+
+def test_records_of_a_loaded_cohort_are_views(registry, tmp_path):
+    """``records`` of a loaded 5,000-student dataset copies no series: its
+    records are row views of the stack (float tuples took over 20 MB)."""
+    path = tmp_path / "cohort.jsonl"
+    save_dataset(generate_dataset(default_synth_config(n_students=5000, seed=4), registry), path)
+    ds = load_dataset(path, registry)
+    ds.take([0]).records  # warm caches
+    tracemalloc.start()
+    try:
+        records = ds.records
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 5000
+    assert peak < 6 * 2**20
