@@ -251,8 +251,14 @@ class Dataset:
         expert_labels: Sequence[frozenset[int] | None],
     ) -> "Dataset":
         """A dataset over an (n, 9, W) float64 stack, which it makes read-only."""
+        student_ids, expert_labels = tuple(student_ids), tuple(expert_labels)
+        if not len(student_ids) == len(series) == len(expert_labels):
+            raise ValidationError(
+                f"dataset has {len(student_ids)} student ids, {len(series)} series rows "
+                f"and {len(expert_labels)} label sets; they must be equal"
+            )
         ds = cls.__new__(cls)
-        ds._init(registry, tuple(student_ids), series, tuple(expert_labels))
+        ds._init(registry, student_ids, series, expert_labels)
         return ds
 
     def _init(self, registry, student_ids, series, expert_labels) -> None:

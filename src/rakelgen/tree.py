@@ -13,8 +13,14 @@ one feature matrix together:
   one pass: each (node, feature) column is one row of a padded array, and
   prefix sums run along the rows. Stage 1 ranks every cut by a key built from
   those prefix sums, with no class axis; stage 2 scores the cuts within float
-  error of a node's best key again from class counts, per class count C and
+  error of a node's best key again by the dense formula, per class count C and
   in chunks of bounded size.
+* **Distinct-class nodes build no counts.** In a node where every class
+  occurs at most once (every node of a label-powerset tree over distinct
+  label sets), every Gini key is exactly 2, so stage 2 scores every cut. A
+  cut's class counts there are 0 or 1, so stage 2 takes each side's class
+  terms from a 0/1 mask of the classes it holds, built from each class's
+  place in the sorted column, times the term of a count of 1.
 
 The trees are identical to those grown one node at a time, each node sorting
 its own rows (``tests/_reference_tree.py``), for three reasons. A node's rows
@@ -23,7 +29,9 @@ gives the node's own stable argsort, ties included. Gini's stage-1 sums are
 integers, exact in any order, and entropy's float running sum is taken along
 each node's own column alone, so every key is the same float. Stage 2 scores
 each node's cuts with the same dense formula on (k, C) counts of that node's
-C, unpadded, so every gain rounds the same way.
+C, unpadded, so every gain rounds the same way. A distinct-class node's (k, C)
+terms are the same floats as well, since a term is either that of a count of
+0 or that of a count of 1 (``_distinct_sides``).
 
 Training is fully deterministic. Among cuts whose gains are equal as floats,
 the lowest feature index wins, then the lowest threshold. Gains that are equal
@@ -109,11 +117,21 @@ def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
         )
     totals = counts.sum(axis=-1, keepdims=True)
     totals = np.maximum(totals, 1)
-    p = counts / totals
+    return _impurity(_terms(counts / totals, criterion), criterion)
+
+
+def _terms(p: np.ndarray, criterion: str) -> np.ndarray:
+    """Each class's term of the impurity sum for proportions p: p^2 for Gini,
+    p log2 p for entropy (0 at p = 0)."""
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    logp = np.log2(np.where(p > 0, p, 1.0))
-    return -(p * logp).sum(axis=-1)
+        return p * p
+    return p * np.log2(np.where(p > 0, p, 1.0))
+
+
+def _impurity(terms: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity from the class terms along the last axis of ``terms``."""
+    total = terms.sum(axis=-1)
+    return 1.0 - total if criterion == "gini" else -total
 
 
 # Split search takes pending nodes in blocks of at most this many cells. A node
@@ -126,7 +144,8 @@ _BLOCK_CELLS = 24_576
 # 3.85, 3.78 and 3.63 s at a peak RSS of 39.2, 39.9 and 40.6 MB).
 _WAVE_BLOCKS = 16
 # Stage 2 re-scores near-tied cuts in chunks of at most this many cells, where
-# a chunk of k cuts holds (k, C) class counts and gathers up to k * n rows.
+# a chunk of k cuts holds (k, C) class counts or masks and gathers up to k * n
+# rows.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -221,6 +240,52 @@ def _left_counts(
     heads = np.flatnonzero(first)
     before = counts[heads] - added[heads]
     return counts - np.repeat(before, np.diff(np.append(heads, k)), axis=0)
+
+
+def _count_sides(block: _Block, rows, cuts, n_classes: int, criterion: str):
+    """Impurities of the left and right sides of the cut after cell cuts[k] of
+    block row rows[k], for rows of nodes with C = n_classes, from class counts."""
+    left = _left_counts(block.cls.T, rows, cuts, n_classes)
+    right = block.counts[block.node[rows], :n_classes]
+    right -= left
+    return _impurity_from_counts(left, criterion), _impurity_from_counts(right, criterion)
+
+
+def _distinct_sides(block: _Block, rows, cuts, n_classes: int, criterion: str):
+    """``_count_sides`` for rows of nodes in which every class occurs at most
+    once: from 0/1 masks of the classes on each side, with no counts.
+
+    pos[k, c] is the place of class c in the sorted row of cut k, or m (the
+    row length) when the node has no row of class c; class c lies left of the
+    cut when pos <= cut, and right when cut < pos < m. A count of 0 has the
+    term 0, and a side of t rows gives a count of 1 the term of p = 1 / t,
+    exactly as ``_impurity_from_counts`` computes both; x * 1 and x * 0 are
+    exact, and a -0.0 term for an absent class cannot change a sum that has a
+    nonzero term (entropy terms are 0 only for t = 1, and then all are +0.0).
+    """
+    m = block.rows.shape[1]
+    dtype = np.min_scalar_type(m)
+    new = np.ones(rows.size, dtype=bool)  # cuts come in row order
+    new[1:] = rows[1:] != rows[:-1]
+    own = block.cls[rows[new]]
+    pos = np.full((len(own), n_classes + 1), m, dtype=dtype)
+    # padding cells hold a code of at least C and land in the spare last column
+    pos[np.arange(len(own))[:, None], np.minimum(own, n_classes)] = np.arange(m, dtype=dtype)
+    pos = pos[np.cumsum(new) - 1, :n_classes]
+    left = pos <= cuts.astype(dtype)[:, None]
+    right = pos < m
+    right ^= left  # every class on the left is present
+    nl = cuts + 1.0
+    nr = block.sizes[block.node[rows]] - nl
+    return _mask_impurity(left, nl, criterion), _mask_impurity(right, nr, criterion)
+
+
+def _mask_impurity(mask: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of sides of ``sizes`` rows that hold each class set in the
+    rows of the 0/1 ``mask`` once."""
+    terms = mask.astype(float)
+    terms *= _terms(1.0 / sizes, criterion)[:, None]
+    return _impurity(terms, criterion)
 
 
 @dataclass(slots=True)
@@ -398,12 +463,23 @@ class _Forest:
     def _best_cuts(self, block: _Block, cut_row, cut):
         """Stage 2: (node, feature, threshold) of each node's best cut. A node
         with two or more cuts in its window scores them by the dense gain, per
-        class count C, and its first maximum wins."""
+        class count C, and its first maximum wins.
+
+        The dense gain takes each side's impurity from its (k, C) class
+        counts. In a node where every class occurs at most once, those counts
+        are 0 or 1, so each side's (k, C) class terms are its 0/1 mask of
+        present classes times the term of a count of 1: the same floats,
+        summed in the same shape, so the same gains (``_distinct_sides``). A
+        chunk of cuts all from such nodes builds no counts; any other chunk
+        does (``_count_sides``), so small nodes of few classes, which share a
+        chunk, keep one call per chunk.
+        """
         cfg, counts, sizes, n_classes = self.cfg, block.counts, block.sizes, block.n_classes
         m = block.rows.shape[1]
         cut_node = block.node[cut_row]
         gains = np.zeros(cut.size)  # a window of one cut needs no score: it wins
         score = np.flatnonzero((np.bincount(cut_node) > 1)[cut_node])
+        distinct = (counts[:, :-1] <= 1).all(axis=1)
         for c in np.flatnonzero(np.bincount(n_classes[cut_node[score]])).tolist():
             parent = _impurity_from_counts(counts[:, :c], cfg.split_criterion)
             pick = score[n_classes[cut_node[score]] == c]
@@ -411,14 +487,10 @@ class _Forest:
             for head in range(0, pick.size, step):
                 at = pick[head : head + step]
                 owner = cut_node[at]
-                left = _left_counts(block.cls.T, cut_row[at], cut[at], c)
-                right = counts[owner, :c]
-                right -= left
+                sides = _distinct_sides if distinct[owner].all() else _count_sides
+                left, right = sides(block, cut_row[at], cut[at], c, cfg.split_criterion)
                 nl, n = cut[at] + 1.0, sizes[owner].astype(float)
-                weighted = (
-                    nl * _impurity_from_counts(left, cfg.split_criterion)
-                    + (n - nl) * _impurity_from_counts(right, cfg.split_criterion)
-                ) / n
+                weighted = (nl * left + (n - nl) * right) / n
                 gains[at] = parent[owner] - weighted
         starts = np.flatnonzero(np.concatenate(([True], cut_node[1:] != cut_node[:-1])))
         best = np.maximum.reduceat(gains, starts)
@@ -598,15 +670,23 @@ def tree_from_dict(data: dict) -> DecisionTree:
     form one tree, so a descent ends at a leaf after at most ``n_nodes`` steps
     and never indexes outside the arrays or the feature row."""
     n_features = json_int(data["n_features"], "tree 'n_features'")
-    tree = DecisionTree(**{name: data[name] for name in NODE_ARRAYS}, n_features=n_features)
+    arrays = {}
+    for name in NODE_ARRAYS:
+        # numpy would read true as 1, "3" as 3 and 1.5 as 1
+        kinds, kind = ({int, float}, "numbers") if name == "threshold" else ({int}, "integers")
+        if not isinstance(data[name], list):
+            raise ValidationError(f"tree '{name}' must be a list of {kind}")
+        if not set(map(type, data[name])) <= kinds:
+            raise ValidationError(f"tree '{name}' must hold {kind}")
+        try:
+            arrays[name] = np.array(data[name], dtype=float if name == "threshold" else np.int64)
+        except OverflowError:
+            raise ValidationError(f"tree '{name}' holds a number out of range") from None
+    tree = DecisionTree(**arrays, n_features=n_features)
     n_nodes = tree.label.size
     shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}
     if n_nodes == 0 or set(shapes.values()) != {(n_nodes,)}:
         raise ValidationError(f"tree node arrays must be non-empty lists of one length: {shapes}")
-    for name in ("feature", "left", "right", "label"):
-        # the int64 conversion truncates 1.5 to 1
-        if not np.array_equal(getattr(tree, name), np.array(data[name], dtype=float)):
-            raise ValidationError(f"tree '{name}' must hold integers")
     feature, left, right = tree.feature, tree.left, tree.right
     split = left != -1
     _reject_first(

@@ -313,6 +313,18 @@ class TestDatasets:
         ds = Dataset(registry, (record,))
         assert len(ds) == 1
 
+    @pytest.mark.parametrize(
+        "ids, rows, labels",
+        [(["a"], 2, [None]), (["a", "b"], 2, [None]), (["a", "b"], 1, [None, None])],
+    )
+    def test_from_series_lengths_must_match(self, registry, ids, rows, labels):
+        message = (
+            f"dataset has {len(ids)} student ids, {rows} series rows and "
+            f"{len(labels)} label sets; they must be equal"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Dataset.from_series(registry, ids, np.zeros((rows, 9, 3)), labels)
+
     def test_records_are_read_only_views_of_the_stack(self, registry, ds37):
         for i, record in enumerate(ds37.records):
             assert not record.series.flags.writeable

@@ -298,8 +298,14 @@ def mutations(draw, artifacts):
     n_nodes, n_features = len(tree["label"]), tree["n_features"]
     node = draw(st.integers(0, n_nodes - 1))
     is_split = tree["feature"][node] >= 0
-    kind = draw(st.sampled_from(["child", "length", "feature", "threshold", "label", "type"]))
-    if kind == "child":
+    kind = draw(
+        st.sampled_from(["child", "length", "feature", "threshold", "label", "type", "entry"])
+    )
+    if kind == "entry":
+        # a boolean or a string that numpy would read as the same number
+        name = draw(st.sampled_from(["feature", "threshold", "left", "right", "label"]))
+        value = draw(st.sampled_from([bool, str]))(tree[name][node])
+    elif kind == "child":
         # every non-root node has one parent, so any other child index breaks the tree
         name = draw(st.sampled_from(["left", "right"]))
         value = draw(st.one_of(st.integers(-3, n_nodes + 3), st.just(2**70)))

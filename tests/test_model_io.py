@@ -220,7 +220,7 @@ class TestCorruptedArtifacts:
             ("feature", 9999, "'feature' 9999 is out of range for 135 features"),
             ("feature", -1, "'feature' -1 is out of range"),
             ("threshold", float("nan"), "'threshold' nan is not finite"),
-            ("feature", "x", "malformed model artifact: invalid literal"),
+            ("feature", "x", "tree 'feature' must hold integers"),
         ],
     )
     def test_bad_split_field(
@@ -397,6 +397,38 @@ class TestLabelAxis:
 
         message = f"{field} must be an integer, got"
         self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
+
+    @pytest.mark.parametrize("method", ["br", "lp"])
+    @pytest.mark.parametrize(
+        "field, retype",
+        [
+            ("feature", bool),
+            ("feature", str),
+            ("feature", float),
+            ("left", bool),
+            ("right", str),
+            ("label", bool),
+            ("threshold", bool),
+            ("threshold", str),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_tree_node_fields_exit_2(
+        self, method, field, retype, ds37, registry, tmp_path, capsys
+    ):
+        """A node array entry must be a JSON integer (a number for 'threshold'):
+        numpy would read true as 1 and "3" as 3, and load another tree."""
+
+        def mutate(data):
+            body = data["payload"]
+            tree = body["tree"] if method == "lp" else body["trees"][3]
+            assert tree["feature"][0] >= 0  # the root is a split
+            tree[field][0] = retype(tree[field][0])
+
+        kind = "numbers" if field == "threshold" else "integers"
+        self._exits_2(
+            method, mutate, f"tree '{field}' must hold {kind}", ds37, registry, tmp_path, capsys
+        )
 
     @staticmethod
     def _exits_2(method, mutate, message, ds37, registry, tmp_path, capsys):

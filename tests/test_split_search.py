@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import fit_tree
 from _reference_split import node_best_split, reference_best_split
 from _reference_tree import record_fits, reference_grow
+from rakelgen import tree as tree_module
 from rakelgen.errors import LabelCoverageWarning
 from rakelgen.mlc import RakelConfig, train_lp, train_rakel
-from rakelgen.tree import TreeConfig, tree_to_dict
+from rakelgen.tree import TreeConfig, train_trees, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
 
@@ -167,4 +169,86 @@ def test_memory_does_not_grow_with_class_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < n * d * n_classes * 8 / 8
+
+
+@st.composite
+def distinct_forests(draw):
+    """Feature rows with tied values and, for one call, label arrays whose
+    classes are all distinct (C = n), nearly distinct, or few: distinct-class
+    nodes then share blocks with nodes scored from class counts. The sizes put
+    C on both sides of 128 (numpy's pairwise sum recurses above 128 terms) and
+    of 256 (class codes and row places no longer fit one byte)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([3, 17, 120, 135, 250, 262]))
+    d = draw(st.integers(1, 3))
+    levels = draw(st.sampled_from([3, 40, 10**6]))
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    kinds = draw(
+        st.lists(st.sampled_from(["distinct", "near", "few"]), min_size=1, max_size=3)
+        .filter(lambda kinds: "distinct" in kinds)
+    )
+    ys = []
+    for kind in kinds:
+        if kind == "distinct":
+            ys.append(rng.permutation(n) * 3 - 5)
+        elif kind == "near":
+            ys.append(rng.integers(0, max(1, n - n // 8), size=n))
+        else:
+            ys.append(rng.integers(0, 3, size=n))
+    cfg = TreeConfig(
+        min_samples_leaf=draw(st.integers(1, 3)),
+        split_criterion=draw(st.sampled_from(CRITERIA)),
+    )
+    return X, ys, cfg
+
+
+class TestDistinctClassNodes:
+    """Stage 2 scores a node in which every class occurs at most once from 0/1
+    class masks, without counts; the trees equal those of the dense splitter."""
+
+    @settings(max_examples=25)
+    @given(
+        distinct_forests(),
+        st.sampled_from([1, 300, 24_576]),
+        st.sampled_from([1, 7, 1 << 15]),
+    )
+    def test_whole_trees_match_the_dense_reference(self, forest, block_cells, chunk_cells):
+        X, ys, cfg = forest
+        with mock.patch.object(tree_module, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(tree_module, "_CHUNK_CELLS", chunk_cells):
+            trees = train_trees(X, ys, cfg)
+        for y, tree in zip(ys, trees):
+            assert tree_to_dict(tree) == reference_grow(X, y, cfg, reference_best_split)
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_all_distinct_labels_build_no_class_counts(self, criterion, n):
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(n, 4)), 1)
+        y = rng.permutation(n)
+        cfg = TreeConfig(split_criterion=criterion)
+
+        def no_counts(*args):
+            raise AssertionError("a distinct-class node built class counts")
+
+        with mock.patch.object(tree_module, "_left_counts", no_counts):
+            tree = fit_tree(X, y, cfg)
+        assert tree_to_dict(tree) == reference_grow(X, y, cfg, reference_best_split)
+
+
+def test_memory_of_a_whole_lp_tree_does_not_grow_with_class_count():
+    # C = n = 300 > 256: two-byte class codes and row places, every node distinct
+    n = n_classes = 300
+    d = 20
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(n, d))
+    codes = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        tree = fit_tree(X, codes, TreeConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.label) == 2 * n - 1
     assert peak < n * d * n_classes * 8 / 8

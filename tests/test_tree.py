@@ -199,6 +199,29 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("feature", "abc", "tree 'feature' must be a list of integers"),
+            ("label", 7, "tree 'label' must be a list of integers"),
+            ("threshold", {}, "tree 'threshold' must be a list of numbers"),
+        ],
+    )
+    def test_node_array_must_be_a_list(self, field, value, message):
+        data = tree_to_dict(fit_tree(XOR_X, XOR_Y))
+        data[field] = value
+        with pytest.raises(ValidationError, match=message):
+            tree_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value", [("left", 2**70), ("threshold", 10**400)], ids=["left", "threshold"]
+    )
+    def test_node_entry_out_of_range(self, field, value):
+        data = tree_to_dict(fit_tree(XOR_X, XOR_Y))
+        data[field][0] = value
+        with pytest.raises(ValidationError, match=f"tree '{field}' holds a number out of range"):
+            tree_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
             ("feature", 2, "'feature' 2 is out of range"),
             ("feature", -1, "'feature' -1 is out of range"),
             ("threshold", float("nan"), "'threshold' nan is not finite"),
