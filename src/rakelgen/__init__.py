@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "errors": ("LabelCoverageWarning", "ValidationError"),
     "evaluation": (
-        "EvalOptions", "comparison_report", "compute_metrics", "cross_validate",
+        "EvalOptions", "comparison_report", "compute_metrics",
         "paired_t_test", "render_table", "report_to_json",
     ),
     "features": ("feature_matrix", "feature_schema", "trend_word"),

@@ -85,16 +85,6 @@ class EvalOptions:
 
 
 @dataclass(frozen=True)
-class CvOutcome:
-    metrics: MetricSet
-    fold_metrics: tuple[MetricSet, ...]
-
-    @property
-    def fold_accuracies(self) -> tuple[float, ...]:
-        return tuple(m.accuracy for m in self.fold_metrics)
-
-
-@dataclass(frozen=True)
 class TTestResult:
     statistic: float
     df: int
@@ -172,64 +162,6 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
     if method == "rakel":
         return train_rakel(ds, opts.rakel_config, opts.tree_config, opts.feature_mode, opts.n_jobs)
     raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
-
-
-def cross_validate(
-    ds: Dataset,
-    method: str,
-    opts: EvalOptions = EvalOptions(),
-    chains: dict[int, TrainedModel] | None = None,
-) -> CvOutcome:
-    """Score one strategy under k-fold cross-validation.
-
-    Every record is predicted exactly once, by the model trained on the other
-    folds; each test fold is predicted as one feature matrix. The headline
-    metrics pool all predictions (or average the per-fold metrics under
-    ``aggregate="fold-mean"``).
-
-    The two chain methods train identical trees and differ only in how they
-    predict. ``chains`` maps a fold to its trained chain: a chain method reuses
-    the entry of its fold and records the chains it trains, so a comparison
-    of both methods trains each fold's chain once.
-    """
-    ds.require_labeled()
-    plan = make_fold_plan(len(ds), opts.n_folds, opts.seed)
-    all_gold: list[np.ndarray] = []
-    all_pred: list[np.ndarray] = []
-    fold_metrics: list[MetricSet] = []
-    for fold in range(opts.n_folds):
-        test = ds.take([i for i, f in enumerate(plan) if f == fold])
-        shared = chains is not None and method in CHAIN_METHODS
-        if shared and fold in chains:
-            model = _with_history(chains[fold], method)
-        else:
-            model = train_method(method, ds.take([i for i, f in enumerate(plan) if f != fold]), opts)
-            if shared:
-                chains[fold] = model
-        gold = test.label_matrix()
-        bits, _ = predict_batch(
-            model,
-            feature_matrix(test.series, model.feature_mode),
-            gold if model.strategy == "chain-real" else None,
-        )
-        fold_metrics.append(compute_metrics(gold, bits))
-        all_gold.append(gold)
-        all_pred.append(bits)
-    if opts.aggregate == "pooled":
-        metrics = compute_metrics(np.concatenate(all_gold), np.concatenate(all_pred))
-    else:
-        metrics = MetricSet(
-            accuracy=_mean(m.accuracy for m in fold_metrics),
-            precision=_mean(m.precision for m in fold_metrics),
-            recall=_mean(m.recall for m in fold_metrics),
-            f_score=_mean(m.f_score for m in fold_metrics),
-        )
-    return CvOutcome(metrics=metrics, fold_metrics=tuple(fold_metrics))
-
-
-def _with_history(chain: TrainedModel, method: str) -> TrainedModel:
-    """The trained chain as a model of the given chain method."""
-    return replace(chain, payload=replace(chain.payload, history=method.removeprefix("chain-")))
 
 
 def _mean(values) -> float:
@@ -343,7 +275,14 @@ def comparison_report(
     opts: EvalOptions = EvalOptions(),
 ) -> EvalReport:
     """Cross-validate each strategy on identical folds and test each one's
-    per-fold accuracies against the reference strategy's."""
+    per-fold accuracies against the reference strategy's.
+
+    One loop runs over the folds. Each fold trains every strategy once on
+    the other folds' records and predicts its own records as one feature
+    matrix, so every record is predicted exactly once. The headline metrics
+    pool all predictions (or average the per-fold metrics under
+    ``aggregate="fold-mean"``).
+    """
     methods = tuple(methods)
     if not methods:
         raise ValidationError("no methods requested")
@@ -356,24 +295,56 @@ def comparison_report(
         raise ValidationError("duplicate method in request")
     if reference not in methods:
         raise ValidationError(f"reference method {reference!r} is not among the methods")
-    chains: dict[int, TrainedModel] = {}
-    outcomes = {m: cross_validate(ds, m, opts, chains) for m in methods}
-    reference_folds = outcomes[reference].fold_accuracies
+    ds.require_labeled()
+    plan = np.array(make_fold_plan(len(ds), opts.n_folds, opts.seed))
+    X = feature_matrix(ds.series, opts.feature_mode)
+    G = ds.label_matrix()
+    golds: list[np.ndarray] = []
+    predicted: dict[str, list[np.ndarray]] = {m: [] for m in methods}
+    for fold in range(opts.n_folds):
+        test = plan == fold
+        train = ds.take(np.flatnonzero(~test))
+        golds.append(G[test])
+        chain = None
+        for method in methods:
+            if method not in CHAIN_METHODS:
+                model = train_method(method, train, opts)
+            elif chain is None:
+                model = chain = train_method(method, train, opts)
+            else:
+                # The chain methods train identical trees and differ only in how they predict.
+                history = method.removeprefix("chain-")
+                model = replace(chain, payload=replace(chain.payload, history=history))
+            bits, _ = predict_batch(model, X[test], golds[-1] if method == "chain-real" else None)
+            predicted[method].append(bits)
+    fold_metrics = {
+        m: [compute_metrics(gold, bits) for gold, bits in zip(golds, predicted[m])]
+        for m in methods
+    }
+    reference_folds = tuple(f.accuracy for f in fold_metrics[reference])
     results = []
     for method in methods:
-        outcome = outcomes[method]
-        if method == reference:
-            p_value, mark = None, ""
+        folds = fold_metrics[method]
+        if opts.aggregate == "pooled":
+            metrics = compute_metrics(np.concatenate(golds), np.concatenate(predicted[method]))
         else:
-            p_value = paired_t_test(outcome.fold_accuracies, reference_folds).p_value
-            mark = significance_mark(p_value)
+            metrics = MetricSet(
+                accuracy=_mean(f.accuracy for f in folds),
+                precision=_mean(f.precision for f in folds),
+                recall=_mean(f.recall for f in folds),
+                f_score=_mean(f.f_score for f in folds),
+            )
+        fold_accuracies = tuple(f.accuracy for f in folds)
+        p_value = None
+        if method != reference:
+            p_value = paired_t_test(fold_accuracies, reference_folds).p_value
         results.append(
             MethodResult(
                 method=method,
-                metrics=outcome.metrics,
-                fold_accuracies=outcome.fold_accuracies,
+                metrics=metrics,
+                fold_accuracies=fold_accuracies,
                 p_vs_reference=p_value,
-                mark=mark,
+                mark=significance_mark(p_value),
             )
         )
     return EvalReport(reference=reference, results=tuple(results))

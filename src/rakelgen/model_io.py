@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .domain import TemplateRegistry, json_int, read_json, registry_to_dict
 from .errors import ValidationError
+from .features import FEATURE_MODES
 from .mlc import PAYLOADS, TrainedModel
 
 #: Version 4 holds only what prediction reads (the README's "File formats"
@@ -80,11 +81,25 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
         payload = PAYLOADS[strategy].from_dict(
             strategy, data["strategy_config"], data["payload"], n_labels
         )
+        registry_version = data["registry_version"]
+        if registry_version != registry.version:
+            raise ValidationError(
+                f"model 'registry_version' {registry_version!r} does not match the "
+                f"registry's {registry.version!r}"
+            )
+        weeks = json_int(data["weeks"], "model 'weeks'")
+        if weeks < 1:
+            raise ValidationError(f"model 'weeks' must be >= 1, got {weeks}")
+        feature_mode = data["feature_mode"]
+        if feature_mode not in FEATURE_MODES:
+            raise ValidationError(
+                f"model 'feature_mode' {feature_mode!r} must be one of {FEATURE_MODES}"
+            )
         return TrainedModel(
-            registry_version=str(data["registry_version"]),
+            registry_version=registry_version,
             n_labels=n_labels,
-            weeks=json_int(data["weeks"], "model 'weeks'"),
-            feature_mode=str(data["feature_mode"]),
+            weeks=weeks,
+            feature_mode=feature_mode,
             payload=payload,
         )
     except ValidationError:

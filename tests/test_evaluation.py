@@ -3,24 +3,29 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import marks_dataset, tiny_registry
-from rakelgen.errors import ValidationError
-from rakelgen.mlc import RakelConfig
+from _reference_cv import reference_report
+from rakelgen import evaluation
+from rakelgen.domain import default_registry
+from rakelgen.errors import LabelCoverageWarning, ValidationError
+from rakelgen.features import FEATURE_MODES
+from rakelgen.mlc import DEFAULT_METHODS, MAJORITY_MODES, STRATEGIES, RakelConfig
 from rakelgen.evaluation import (
+    AGGREGATES,
     METHOD_LABELS,
     EvalOptions,
     comparison_report,
     compute_metrics,
-    cross_validate,
     make_fold_plan,
     paired_t_test,
     regularized_incomplete_beta,
@@ -28,7 +33,8 @@ from rakelgen.evaluation import (
     report_to_json,
     significance_mark,
 )
-from rakelgen.tree import TreeConfig
+from rakelgen.synth import default_synth_config, generate_dataset
+from rakelgen.tree import CRITERIA, TreeConfig
 
 
 def _matrix(rows):
@@ -268,6 +274,11 @@ def _single_label_rows(n: int = 10, ones: int = 9):
     return rows
 
 
+def _alone(ds, method, opts):
+    """The report row of ``method`` cross-validated on its own."""
+    return comparison_report(ds, (method,), method, opts).results[0]
+
+
 class TestCrossValidation:
     def test_each_record_predicted_once(self):
         registry = tiny_registry(2)
@@ -275,35 +286,33 @@ class TestCrossValidation:
             registry, [(1.0, [1]), (2.0, [1, 2]), (8.0, []), (9.0, [2])]
         )
         opts = EvalOptions(n_folds=2, seed=0)
-        outcome = cross_validate(ds, "majority", opts)
-        assert len(outcome.fold_metrics) == 2
+        result = _alone(ds, "majority", opts)
+        assert len(result.fold_accuracies) == 2
         # Two folds of two records each over two labels pool to eight cells;
         # pooled accuracy must be a multiple of 1/8.
-        pooled = outcome.metrics.accuracy
+        pooled = result.metrics.accuracy
         assert pooled == pytest.approx(round(pooled * 8) / 8)
 
     def test_majority_on_skewed_single_label(self):
         registry = tiny_registry(1)
         ds = marks_dataset(registry, _single_label_rows())
-        outcome = cross_validate(ds, "majority", EvalOptions(n_folds=10, seed=0))
+        result = _alone(ds, "majority", EvalOptions(n_folds=10, seed=0))
         # Training folds always contain at least eight of the nine positive
         # records, so the majority bit stays set and exactly the one negative
         # record is mispredicted.
-        assert outcome.metrics.accuracy == pytest.approx(0.9)
-        assert 0.8 <= outcome.metrics.accuracy <= 1.0
+        assert result.metrics.accuracy == pytest.approx(0.9)
+        assert 0.8 <= result.metrics.accuracy <= 1.0
 
     def test_same_seed_same_folds(self, ds37):
         opts = EvalOptions(n_folds=10, seed=5)
-        a = cross_validate(ds37, "majority", opts)
-        b = cross_validate(ds37, "majority", opts)
+        a = _alone(ds37, "majority", opts)
+        b = _alone(ds37, "majority", opts)
         assert a.fold_accuracies == b.fold_accuracies
         assert a.metrics == b.metrics
 
     def test_fold_mean_aggregate_differs_in_general(self, ds37):
-        pooled = cross_validate(
-            ds37, "majority", EvalOptions(n_folds=10, seed=0, aggregate="pooled")
-        )
-        fold_mean = cross_validate(
+        pooled = _alone(ds37, "majority", EvalOptions(n_folds=10, seed=0, aggregate="pooled"))
+        fold_mean = _alone(
             ds37, "majority", EvalOptions(n_folds=10, seed=0, aggregate="fold-mean")
         )
         assert fold_mean.metrics.accuracy == pytest.approx(
@@ -315,11 +324,7 @@ class TestCrossValidation:
         registry = tiny_registry(1)
         ds = marks_dataset(registry, [(1.0, [1]), (9.0, [])])
         with pytest.raises(ValidationError):
-            cross_validate(ds, "majority", EvalOptions(n_folds=10, seed=0))
-
-    def test_unknown_method_rejected(self, ds37):
-        with pytest.raises(ValidationError):
-            cross_validate(ds37, "xgboost", EvalOptions(n_folds=10, seed=0))
+            _alone(ds, "majority", EvalOptions(n_folds=10, seed=0))
 
     def test_options_validation(self):
         with pytest.raises(ValidationError):
@@ -430,3 +435,133 @@ class TestComparisonReport:
                 assert 0.0 <= entry[key] <= 1.0
             assert len(entry["folds"]) == 4
         assert data["rakel"]["p_vs_reference"] is None
+
+
+
+def _with_warnings(make):
+    """What ``make()`` returns, and every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = make()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+REGISTRY = default_registry()
+
+
+@st.composite
+def comparisons(draw):
+    """A small synthetic cohort over the packaged registry (29 labels) and one
+    comparison request over it."""
+    n = draw(st.integers(min_value=6, max_value=24))
+    config = default_synth_config(n_students=n, seed=draw(st.integers(0, 2**16)))
+    methods = tuple(draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True)))
+    opts = EvalOptions(
+        n_folds=draw(st.integers(min_value=2, max_value=5)),
+        seed=draw(st.integers(0, 99)),
+        feature_mode=draw(st.sampled_from(FEATURE_MODES)),
+        aggregate=draw(st.sampled_from(AGGREGATES)),
+        tree_config=TreeConfig(
+            max_depth=draw(st.none() | st.integers(1, 4)),
+            min_samples_leaf=draw(st.integers(1, 3)),
+            split_criterion=draw(st.sampled_from(CRITERIA)),
+        ),
+        rakel_config=RakelConfig(
+            k=draw(st.integers(1, 4)),
+            m=draw(st.none() | st.integers(1, 8)),
+            seed=draw(st.integers(0, 9)),
+        ),
+        chain_order=draw(st.none() | st.permutations(range(len(REGISTRY))).map(tuple)),
+        majority_mode=draw(st.sampled_from(MAJORITY_MODES)),
+    )
+    return generate_dataset(config, REGISTRY), methods, draw(st.sampled_from(methods)), opts
+
+
+class TestFoldLoop:
+    """The fold-major loop of ``comparison_report`` against the per-method
+    reference loop (``_reference_cv``): the same report, field for field,
+    and the same warnings in the same order."""
+
+    @staticmethod
+    def _matches_reference(ds, methods, reference, opts):
+        got = _with_warnings(lambda: comparison_report(ds, methods, reference, opts))
+        want = _with_warnings(lambda: reference_report(ds, methods, reference, opts))
+        assert got == want
+        return got[1]
+
+    @settings(max_examples=15)
+    @given(comparisons())
+    def test_random_cohorts(self, comparison):
+        self._matches_reference(*comparison)
+
+    @pytest.mark.parametrize(
+        "methods, reference, opts",
+        [
+            (STRATEGIES, "lp", EvalOptions(n_folds=4, feature_mode="derived")),
+            (STRATEGIES, "rakel", EvalOptions(n_folds=3, seed=3, aggregate="fold-mean")),
+            (DEFAULT_METHODS, "br", EvalOptions(n_folds=5, feature_mode="raw")),
+            (
+                ("chain-real", "br", "chain-predicted"),
+                "chain-real",
+                EvalOptions(
+                    n_folds=4,
+                    tree_config=TreeConfig(min_samples_leaf=3, split_criterion="entropy"),
+                    chain_order=tuple(reversed(range(29))),
+                ),
+            ),
+        ],
+        ids=["all-derived", "all-fold-mean", "default-raw", "chains-entropy-order"],
+    )
+    def test_seeded_cohort(self, ds37, methods, reference, opts):
+        assert self._matches_reference(ds37, methods, reference, opts) == []
+
+    def test_uncovered_labels_warn_in_the_same_order(self, ds37):
+        opts = EvalOptions(n_folds=3, rakel_config=RakelConfig(k=2, m=5))
+        caught = self._matches_reference(ds37, ("br", "rakel", "lp"), "rakel", opts)
+        assert {category for category, _ in caught} == {LabelCoverageWarning}
+        assert len(caught) == 2 * opts.n_folds  # impossible coverage, then the labels left out
+
+
+TRAINER_NAMES = (
+    "train_binary_relevance", "train_chain", "train_lp", "train_majority", "train_rakel",
+)
+
+
+class TestEachModelTrainedOnce:
+    """Per fold, each strategy trains one model; the chain methods share one chain."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        counts = Counter()
+        for name in TRAINER_NAMES:
+            def counted(*args, _train=getattr(evaluation, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _train(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        return counts
+
+    @pytest.fixture
+    def ds8(self):
+        labels = [[1, 2], [1, 2], [1], [1, 2], [], [2], [], []]
+        return marks_dataset(tiny_registry(2), [(float(i), y) for i, y in enumerate(labels)])
+
+    def test_default_methods(self, ds8, fits):
+        opts = EvalOptions(n_folds=4, rakel_config=RakelConfig(k=2, m=1))
+        comparison_report(ds8, opts=opts)
+        assert fits == Counter(
+            train_binary_relevance=4, train_chain=4, train_majority=4, train_rakel=4
+        )
+
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            ("chain-predicted",),
+            ("chain-real",),
+            ("chain-predicted", "chain-real"),
+            ("chain-real", "chain-predicted"),
+        ],
+    )
+    def test_one_chain_per_fold(self, ds8, fits, methods):
+        comparison_report(ds8, methods, methods[0], EvalOptions(n_folds=4))
+        assert fits == Counter(train_chain=4)

@@ -430,6 +430,28 @@ class TestLabelAxis:
             method, mutate, f"tree '{field}' must hold {kind}", ds37, registry, tmp_path, capsys
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("registry_version", "zzz", "model 'registry_version' 'zzz' does not match the registry's"),
+            ("registry_version", 1, "model 'registry_version' 1 does not match the registry's"),
+            ("feature_mode", None, "model 'feature_mode' None must be one of ('raw', 'derived', 'both')"),
+            ("feature_mode", 3, "model 'feature_mode' 3 must be one of"),
+            ("weeks", 0, "model 'weeks' must be >= 1, got 0"),
+            ("weeks", -3, "model 'weeks' must be >= 1, got -3"),
+        ],
+        ids=["version-zzz", "version-1", "mode-null", "mode-3", "weeks-0", "weeks-minus-3"],
+    )
+    def test_envelope_fields_exit_2(self, field, value, message, ds37, registry, tmp_path, capsys):
+        """The envelope fields that prediction reads are checked at load, by name:
+        ``save_model`` refuses another registry version, and a feature mode or
+        week count that no dataset has would fail only later, or not at all."""
+
+        def mutate(data):
+            data[field] = value
+
+        self._exits_2("br", mutate, message, ds37, registry, tmp_path, capsys)
+
     @staticmethod
     def _exits_2(method, mutate, message, ds37, registry, tmp_path, capsys):
         """The mutated artifact fails to load, and ``feedback`` exits 2 with ``message``."""
