@@ -15,12 +15,14 @@ one feature matrix together:
   those prefix sums, with no class axis; stage 2 scores the cuts within float
   error of a node's best key again by the dense formula, per class count C and
   in chunks of bounded size.
-* **Distinct-class nodes build no counts.** In a node where every class
+* **Distinct-class nodes have no class axis.** In a node where every class
   occurs at most once (every node of a label-powerset tree over distinct
   label sets), every Gini key is exactly 2, so stage 2 scores every cut. A
-  cut's class counts there are 0 or 1, so stage 2 takes each side's class
-  terms from a 0/1 mask of the classes it holds, built from each class's
-  place in the sorted column, times the term of a count of 1.
+  side of t rows there holds t class terms of 1 / t and C - t zeros, and
+  numpy sums a row of C terms in a fixed pairwise order (``_sum_plan``), in
+  which adding a zero is exact. So stage 2 counts how many of a side's
+  classes fall in each of the order's groups of terms, about C / 11 of them,
+  and adds in that order the sums those counts give.
 
 The trees are identical to those grown one node at a time, each node sorting
 its own rows (``tests/_reference_tree.py``), for three reasons. A node's rows
@@ -29,9 +31,9 @@ gives the node's own stable argsort, ties included. Gini's stage-1 sums are
 integers, exact in any order, and entropy's float running sum is taken along
 each node's own column alone, so every key is the same float. Stage 2 scores
 each node's cuts with the same dense formula on (k, C) counts of that node's
-C, unpadded, so every gain rounds the same way. A distinct-class node's (k, C)
-terms are the same floats as well, since a term is either that of a count of
-0 or that of a count of 1 (``_distinct_sides``).
+C, unpadded, so every gain rounds the same way. A distinct-class node's sums
+are the same floats as well, since they add the same terms in numpy's order
+(``_distinct_sides``).
 
 Training is fully deterministic. Among cuts whose gains are equal as floats,
 the lowest feature index wins, then the lowest threshold. Gains that are equal
@@ -49,6 +51,7 @@ leaves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +120,7 @@ def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
         )
     totals = counts.sum(axis=-1, keepdims=True)
     totals = np.maximum(totals, 1)
-    return _impurity(_terms(counts / totals, criterion), criterion)
+    return _impurity(_terms(counts / totals, criterion).sum(axis=-1), criterion)
 
 
 def _terms(p: np.ndarray, criterion: str) -> np.ndarray:
@@ -128,9 +131,8 @@ def _terms(p: np.ndarray, criterion: str) -> np.ndarray:
     return p * np.log2(np.where(p > 0, p, 1.0))
 
 
-def _impurity(terms: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity from the class terms along the last axis of ``terms``."""
-    total = terms.sum(axis=-1)
+def _impurity(total: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity from the sum of the class terms."""
     return 1.0 - total if criterion == "gini" else -total
 
 
@@ -144,8 +146,9 @@ _BLOCK_CELLS = 24_576
 # 3.85, 3.78 and 3.63 s at a peak RSS of 39.2, 39.9 and 40.6 MB).
 _WAVE_BLOCKS = 16
 # Stage 2 re-scores near-tied cuts in chunks of at most this many cells, where
-# a chunk of k cuts holds (k, C) class counts or masks and gathers up to k * n
-# rows.
+# a chunk of k cuts holds (k, C) class counts and gathers up to k * n rows. A
+# run of chunks of distinct-class nodes is scored as one, holding no more
+# cells than a chunk of counts, and gathers up to 4 chunks' rows (``_chunks``).
 _CHUNK_CELLS = 1 << 15
 
 
@@ -251,41 +254,145 @@ def _count_sides(block: _Block, rows, cuts, n_classes: int, criterion: str):
     return _impurity_from_counts(left, criterion), _impurity_from_counts(right, criterion)
 
 
-def _distinct_sides(block: _Block, rows, cuts, n_classes: int, criterion: str):
-    """``_count_sides`` for rows of nodes in which every class occurs at most
-    once: from 0/1 masks of the classes on each side, with no counts.
+@functools.lru_cache
+def _sum_plan(n_terms: int) -> tuple[np.ndarray, int | tuple, int, int]:
+    """numpy's order for summing a row of ``n_terms`` floats, as (group, tree,
+    leaves, tails).
 
-    pos[k, c] is the place of class c in the sorted row of cut k, or m (the
-    row length) when the node has no row of class c; class c lies left of the
-    cut when pos <= cut, and right when cut < pos < m. A count of 0 has the
-    term 0, and a side of t rows gives a count of 1 the term of p = 1 / t,
-    exactly as ``_impurity_from_counts`` computes both; x * 1 and x * 0 are
-    exact, and a -0.0 term for an absent class cannot change a sum that has a
-    nonzero term (entropy terms are 0 only for t = 1, and then all are +0.0).
+    ``np.add.reduce`` along a contiguous last axis adds each row pairwise: a
+    row of more than 128 terms is split at half its length, rounded down to a
+    multiple of 8, and each half summed alike; a part of at most 128 terms is
+    a leaf. A leaf of n terms adds its first n - n % 8 into 8 accumulators,
+    term i into accumulator i % 8 in order, joins those as ((r0 + r1) + (r2 +
+    r3)) + ((r4 + r5) + (r6 + r7)), then adds its last n % 8 terms one by one.
+    With L leaves, ``group[i]`` is j L + l for term i in accumulator j of
+    leaf l and 8 L + l for a term of its tail; ``tree`` nests the leaf
+    indices in the order the halves are added; ``tails`` is the longest tail.
+    The array is shared, so it is read-only. (This is ``pairwise_sum`` in
+    numpy's add loop; a tier-1 test checks it against ``np.add.reduce``.)
     """
-    m = block.rows.shape[1]
-    dtype = np.min_scalar_type(m)
-    new = np.ones(rows.size, dtype=bool)  # cuts come in row order
-    new[1:] = rows[1:] != rows[:-1]
-    own = block.cls[rows[new]]
-    pos = np.full((len(own), n_classes + 1), m, dtype=dtype)
-    # padding cells hold a code of at least C and land in the spare last column
-    pos[np.arange(len(own))[:, None], np.minimum(own, n_classes)] = np.arange(m, dtype=dtype)
-    pos = pos[np.cumsum(new) - 1, :n_classes]
-    left = pos <= cuts.astype(dtype)[:, None]
-    right = pos < m
-    right ^= left  # every class on the left is present
-    nl = cuts + 1.0
-    nr = block.sizes[block.node[rows]] - nl
-    return _mask_impurity(left, nl, criterion), _mask_impurity(right, nr, criterion)
+    leaves: list[tuple[int, int]] = []
+    tree = _halves(0, n_terms, leaves)
+    group = np.empty(n_terms, dtype=np.intp)
+    for leaf, (lo, n) in enumerate(leaves):
+        body = n - n % 8
+        group[lo : lo + n] = 8 * len(leaves) + leaf
+        group[lo : lo + body] = np.arange(body) % 8 * len(leaves) + leaf
+    group.flags.writeable = False
+    return group, tree, len(leaves), max(n % 8 for _, n in leaves)
 
 
-def _mask_impurity(mask: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of sides of ``sizes`` rows that hold each class set in the
-    rows of the 0/1 ``mask`` once."""
-    terms = mask.astype(float)
-    terms *= _terms(1.0 / sizes, criterion)[:, None]
-    return _impurity(terms, criterion)
+def _halves(lo: int, n: int, leaves: list) -> int | tuple:
+    """Split terms lo..lo + n - 1 as numpy's pairwise sum does, appending each
+    leaf's (first term, length) to ``leaves``, and nest the leaf indices."""
+    if n <= 128:
+        leaves.append((lo, n))
+        return len(leaves) - 1
+    half = n // 2 - n // 2 % 8
+    return _halves(lo, half, leaves), _halves(lo + half, n - half, leaves)
+
+
+def _plan_sum(tree, acc: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """k row sums in the order of a ``_sum_plan``, from the sums of
+    accumulator j of leaf l ``acc[j, l]`` (8, leaves, k) and each leaf's
+    tail terms ``tail[:, l]`` (tails, leaves, k)."""
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    sums = quads[0] + quads[1]
+    for term in tail:
+        sums += term
+    return _join(tree, sums)
+
+
+def _join(tree, sums: np.ndarray) -> np.ndarray:
+    """The leaf sums ``sums`` (leaves, k) added as ``tree`` nests them."""
+    if isinstance(tree, int):
+        return sums[tree]
+    return _join(tree[0], sums) + _join(tree[1], sums)
+
+
+def _distinct_sides(block: _Block, rows, cuts, n_classes: int, criterion: str, repeats):
+    """``_count_sides`` for rows of nodes in which every class occurs at most
+    once, from how many classes of each group of ``_sum_plan(C)`` lie on each
+    side, with no class axis.
+
+    A side of t rows holds t classes once each. Its (k, C) class terms, as
+    ``_impurity_from_counts`` computes them, are 0 for an absent class and x,
+    the term of p = 1 / t, for a present one, and numpy sums each row in the
+    plan's order. Adding 0 is exact, so an accumulator that holds c of the
+    x's sums to ``repeats[t, c]``, x + x + ... (c times, in order), and a tail
+    adds x once per class it holds: the same floats as the dense sum, to the
+    bit. (Entropy's x is 0 only for t = 1, and then every term is +0.0.)
+
+    Cut j adds the cells since the previous cut of its row to the left side's
+    running count, as ``_left_counts`` does for classes; the counts are laid
+    out group-major, so one flat cumulative sum runs them, and each row takes
+    off what came before its first cut. The right side's counts are the
+    node's less the left's.
+    """
+    group, tree, leaves, tails = _sum_plan(n_classes)
+    n_groups, k, m = (9 if tails else 8) * leaves, rows.size, block.rows.shape[1]
+    row_head = np.empty(k, dtype=bool)  # cuts come in row order
+    row_head[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=row_head[1:])
+    start = np.zeros(k, dtype=cuts.dtype)  # the first cell each cut adds
+    start[1:] = cuts[:-1] + 1
+    start[row_head] = 0
+    lengths = cuts + 1 - start
+    ends = np.cumsum(lengths)
+    cells = np.arange(ends[-1]) + np.repeat(rows * m + start - ends + lengths, lengths)
+    seg = np.repeat(np.arange(1, k + 1), lengths)
+    # running[g * k + j + 1]: the cells of groups before g, and those of group
+    # g up to cut j; a row's left counts take off those before its first cut
+    running = np.bincount(group.take(block.cls.take(cells)) * k + seg, minlength=n_groups * k + 1)
+    np.cumsum(running, out=running)
+    heads = np.flatnonzero(row_head)
+    before = running[:-1].reshape(n_groups, k)[:, heads]
+    counts = np.empty((n_groups, 2 * k), dtype=np.int32)  # left, then right
+    left, right = counts[:, :k], counts[:, k:]
+    np.subtract(
+        running[1:].reshape(n_groups, k),
+        np.repeat(before, np.diff(heads, append=k), axis=1),
+        out=left,
+    )
+    # the right side holds the rest of the node's classes; a node's cuts are
+    # contiguous
+    node = block.node[rows]
+    heads = np.flatnonzero(np.diff(node, prepend=-1))
+    owner, present = np.nonzero(block.counts[node[heads], :n_classes])
+    total = np.bincount(group.take(present) * heads.size + owner, minlength=n_groups * heads.size)
+    total = np.repeat(total.reshape(n_groups, -1), np.diff(heads, append=k), axis=1)
+    np.subtract(total, left, out=right)
+    counts = counts.reshape(-1, leaves, 2 * k)
+    sizes = np.concatenate((cuts + 1, block.sizes[node] - cuts - 1))
+    tail = np.where(counts[8:] > np.arange(tails)[:, None, None], repeats[sizes, 1], 0.0)
+    index = counts[:8]
+    index += sizes * repeats.shape[1]
+    impurity = _impurity(_plan_sum(tree, repeats.take(index), tail), criterion)
+    return impurity[:k], impurity[k:]
+
+
+def _chunks(pick: np.ndarray, step: int, distinct: np.ndarray, n_classes: int):
+    """Stage 2's chunks of ``step`` cuts of ``pick``, each with whether all its
+    cuts lie in distinct-class nodes (``distinct``, one flag per cut).
+
+    Up to C / (27 L) such chunks in a row, for the L leaves of
+    ``_sum_plan(C)``, come as one, so that ``_distinct_sides`` makes fewer,
+    larger calls. It holds about 34 L cells a cut (left and right counts of
+    up to 9 L groups, and 8 L sums a side), so such a part holds fewer cells
+    than the two (k, C) count arrays of one class-count chunk. A leaf has at
+    most 128 terms, so a part joins at most 4 chunks.
+    """
+    heads = list(range(0, pick.size, step))
+    whole = np.logical_and.reduceat(distinct, heads).tolist()
+    join = max(1, n_classes // (27 * _sum_plan(n_classes)[2]))
+    i = 0
+    while i < len(heads):
+        j = i + 1
+        while whole[i] and j < len(heads) and whole[j] and j - i < join:
+            j += 1
+        yield pick[heads[i] : heads[j] if j < len(heads) else pick.size], whole[i]
+        i = j
 
 
 @dataclass(slots=True)
@@ -351,6 +458,11 @@ class _Forest:
             self.codes[t, :n] = codes
         size = np.arange(n + 1, dtype=float)
         self.xlogx = size * np.log2(np.maximum(size, 1.0))
+        # repeats[t, c]: x + x + ... (c terms, in order), x the class term of
+        # p = 1 / t, for c up to the 16 terms of an accumulator (_sum_plan)
+        repeats = np.zeros((n + 1, 17))
+        repeats[1:, 1:] = _terms(1.0 / size[1:], cfg.split_criterion)[:, None]
+        self.repeats = np.cumsum(repeats, axis=1, out=repeats)
         self.nodes = [{name: [] for name in NODE_ARRAYS} for _ in encoded]  # per tree
 
     def grow(self) -> list[DecisionTree]:
@@ -467,11 +579,11 @@ class _Forest:
 
         The dense gain takes each side's impurity from its (k, C) class
         counts. In a node where every class occurs at most once, those counts
-        are 0 or 1, so each side's (k, C) class terms are its 0/1 mask of
-        present classes times the term of a count of 1: the same floats,
-        summed in the same shape, so the same gains (``_distinct_sides``). A
-        chunk of cuts all from such nodes builds no counts; any other chunk
-        does (``_count_sides``), so small nodes of few classes, which share a
+        are 0 or 1, so each side's sum of class terms follows from how many
+        of its classes lie in each group of numpy's summation order: the same
+        floats, so the same gains (``_distinct_sides``). A chunk of cuts all
+        from such nodes builds no class counts; any other chunk does
+        (``_count_sides``), so small nodes of few classes, which share a
         chunk, keep one call per chunk.
         """
         cfg, counts, sizes, n_classes = self.cfg, block.counts, block.sizes, block.n_classes
@@ -484,11 +596,14 @@ class _Forest:
             parent = _impurity_from_counts(counts[:, :c], cfg.split_criterion)
             pick = score[n_classes[cut_node[score]] == c]
             step = max(1, _CHUNK_CELLS // max(m, c))
-            for head in range(0, pick.size, step):
-                at = pick[head : head + step]
+            for at, whole in _chunks(pick, step, distinct[cut_node[pick]], c):
                 owner = cut_node[at]
-                sides = _distinct_sides if distinct[owner].all() else _count_sides
-                left, right = sides(block, cut_row[at], cut[at], c, cfg.split_criterion)
+                if whole:
+                    left, right = _distinct_sides(
+                        block, cut_row[at], cut[at], c, cfg.split_criterion, self.repeats
+                    )
+                else:
+                    left, right = _count_sides(block, cut_row[at], cut[at], c, cfg.split_criterion)
                 nl, n = cut[at] + 1.0, sizes[owner].astype(float)
                 weighted = (nl * left + (n - nl) * right) / n
                 gains[at] = parent[owner] - weighted

@@ -12,13 +12,19 @@ differential tests compare them with each other, tie choices included, and
 grow whole trees with them (``_reference_tree.reference_grow``) to compare
 with ``rakelgen.tree.train_trees``. ``impurity`` and ``split_gain`` score one
 label multiset and one split by hand, for tests of the impurity formulas.
+``mask_sides`` is the stage-2 scorer of distinct-class nodes that
+``rakelgen.tree._distinct_sides`` replaced: it sums each side's (k, C) class
+terms, built from 0/1 class masks, with numpy itself, so it is the oracle for
+the plan-ordered sums that replaced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rakelgen.tree import _CHUNK_CELLS, TreeConfig, _impurity_from_counts, _left_counts
+from rakelgen.tree import (
+    _CHUNK_CELLS, TreeConfig, _impurity, _impurity_from_counts, _left_counts, _terms,
+)
 
 
 def impurity(labels, criterion: str = "gini") -> float:
@@ -40,6 +46,44 @@ def split_gain(left_labels, right_labels, criterion: str = "gini") -> float:
         left.size * impurity(left, criterion) + right.size * impurity(right, criterion)
     ) / n
     return impurity(parent, criterion) - weighted
+
+
+def mask_sides(block, rows, cuts, n_classes: int, criterion: str):
+    """Impurities of the left and right sides of the cut after cell cuts[k] of
+    block row rows[k], for rows of distinct-class nodes with C = n_classes,
+    from 0/1 masks of the classes on each side, with no counts.
+
+    pos[k, c] is the place of class c in the sorted row of cut k, or m (the
+    row length) when the node has no row of class c; class c lies left of the
+    cut when pos <= cut, and right when cut < pos < m. A count of 0 has the
+    term 0, and a side of t rows gives a count of 1 the term of p = 1 / t,
+    exactly as ``_impurity_from_counts`` computes both; x * 1 and x * 0 are
+    exact, and a -0.0 term for an absent class cannot change a sum that has a
+    nonzero term (entropy terms are 0 only for t = 1, and then all are +0.0).
+    """
+    m = block.rows.shape[1]
+    dtype = np.min_scalar_type(m)
+    new = np.ones(rows.size, dtype=bool)  # cuts come in row order
+    new[1:] = rows[1:] != rows[:-1]
+    own = block.cls[rows[new]]
+    pos = np.full((len(own), n_classes + 1), m, dtype=dtype)
+    # padding cells hold a code of at least C and land in the spare last column
+    pos[np.arange(len(own))[:, None], np.minimum(own, n_classes)] = np.arange(m, dtype=dtype)
+    pos = pos[np.cumsum(new) - 1, :n_classes]
+    left = pos <= cuts.astype(dtype)[:, None]
+    right = pos < m
+    right ^= left  # every class on the left is present
+    nl = cuts + 1.0
+    nr = block.sizes[block.node[rows]] - nl
+    return mask_impurity(left, nl, criterion), mask_impurity(right, nr, criterion)
+
+
+def mask_impurity(mask: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of sides of ``sizes`` rows that hold each class set in the
+    rows of the 0/1 ``mask`` once."""
+    terms = mask.astype(float)
+    terms *= _terms(1.0 / sizes, criterion)[:, None]
+    return _impurity(terms.sum(axis=-1), criterion)
 
 
 def reference_best_split(X: np.ndarray, codes: np.ndarray, n_classes: int, cfg: TreeConfig):

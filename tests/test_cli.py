@@ -867,6 +867,16 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"rakelgen {project['version']}\n"
 
+    def test_package_runs_as_a_module(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "rakelgen", "--version"],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"rakelgen {rakelgen.__version__}\n"
+
     def test_module_invocation_matches(self):
         result = subprocess.run(
             [sys.executable, "-m", "rakelgen.cli", "--version"],

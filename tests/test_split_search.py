@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import fit_tree
-from _reference_split import node_best_split, reference_best_split
+from _reference_split import mask_sides, node_best_split, reference_best_split
 from _reference_tree import record_fits, reference_grow
 from rakelgen import tree as tree_module
 from rakelgen.errors import LabelCoverageWarning
 from rakelgen.mlc import RakelConfig, train_lp, train_rakel
-from rakelgen.tree import TreeConfig, train_trees, tree_to_dict
+from rakelgen.tree import TreeConfig, _Block, _Forest, _Pending, train_trees, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
 
@@ -252,3 +252,104 @@ def test_memory_of_a_whole_lp_tree_does_not_grow_with_class_count():
         tracemalloc.stop()
     assert len(tree.label) == 2 * n - 1
     assert peak < n * d * n_classes * 8 / 8
+
+
+def test_memory_of_a_wide_lp_tree_with_few_cuts_a_row():
+    # C = n = 1,500 with values of one decimal: about 60 valid cuts a sorted
+    # row, so stage 2's parts span many rows of up to n cells. Split search
+    # holds up to _WAVE_BLOCKS blocks of pending cells and one block's stage-1
+    # arrays, about 5 MB here; counts of every group at every place of a
+    # part's rows (rows x n x C / 11) would add about 16 MB.
+    n = 1500
+    rng = np.random.default_rng(0)
+    X = np.round(rng.normal(size=(n, 4)), 1)
+    tracemalloc.start()
+    try:
+        tree = fit_tree(X, rng.permutation(n), TreeConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.label) > 1.99 * n  # a few rows repeat on all four columns
+    assert peak < 8_000_000
+
+
+@st.composite
+def distinct_blocks(draw, n_classes, criterion):
+    """A block of distinct-class nodes of one tree with C classes (the root,
+    C rows, and random subsets of its rows) and cuts of its sorted rows in
+    row order, split into parts at random places, so parts split rows. Cuts
+    after the first and before the last cell give sides of one row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = n_classes, draw(st.integers(1, 3))
+    X = rng.integers(0, 5, size=(n, d)).astype(float)
+    XT = np.full((d, n + 1), np.nan)
+    XT[:, :n] = X.T
+    order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+    encoded = [np.unique(rng.permutation(n), return_inverse=True)]
+    forest = _Forest(XT, order, encoded, [d], TreeConfig(split_criterion=criterion))
+    items = []
+    for node in range(draw(st.integers(1, 4))):
+        keep = np.ones(n, dtype=bool) if node == 0 else rng.random(n) < rng.random()
+        cells = np.array([row[keep[row]] for row in order])
+        counts = np.bincount(encoded[0][1][keep], minlength=forest.pad)
+        items.append(_Pending(node, 0, 0, cells, counts))
+    block = _Block(forest, items)
+    rows, cuts = [], []
+    for r, size in enumerate(block.sizes[block.node].tolist()):
+        if size > 1:
+            at = np.flatnonzero(rng.random(size - 1) < min(1.0, 40 / size))
+            at = np.union1d(at, [0, size - 2][: draw(st.integers(0, 2))])
+            rows += [r] * at.size
+            cuts += at.tolist()
+    bounds = sorted(draw(st.lists(st.integers(0, len(cuts)), max_size=4)))
+    rows, cuts = np.array(rows, dtype=np.intp), np.array(cuts, dtype=np.intp)
+    return forest, block, rows, cuts, bounds
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sum_plan_is_numpys_summation_order(k):
+    # The distinct-class scorer relies on this order to grow the trees the
+    # dense formula grows; a numpy that sums in another order fails here.
+    rng = np.random.default_rng(k)
+    for n in range(1, 1101):
+        group, tree, leaves, tails = tree_module._sum_plan(n)
+        a = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, n))
+        acc, tail = np.zeros((8, leaves, k)), np.zeros((max(tails, 1), leaves, k))
+        for leaf in range(leaves):
+            for j in range(8):
+                terms = a[:, group == j * leaves + leaf]
+                if terms.size:  # added in order, as an accumulator adds them
+                    acc[j, leaf] = np.add.accumulate(terms, axis=1)[:, -1]
+            terms = a[:, group == 8 * leaves + leaf]
+            tail[: terms.shape[1], leaf] = terms.T
+        got, want = tree_module._plan_sum(tree, acc, tail), np.add.reduce(a, axis=-1)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (
+            f"numpy {np.__version__} sums a row of {n} floats in an order other "
+            "than tree._sum_plan, so distinct-class trees would differ"
+        )
+
+
+class TestDistinctSides:
+    """``_distinct_sides`` sums each side's class terms in numpy's pairwise
+    order from group counts; ``mask_sides`` has numpy sum the (k, C) terms
+    itself. Their impurities must agree to the bit, signed zeros included."""
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize(
+        # leaves of 1..9 terms, around 8 and 16, either side of 128 (a split)
+        # and 256 (two-byte codes), and several levels of halves
+        "n_classes", [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 520, 1030]
+    )
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_equal_to_numpy_summing_the_masks(self, n_classes, criterion, data):
+        forest, block, rows, cuts, bounds = data.draw(distinct_blocks(n_classes, criterion))
+        for lo, hi in zip([0, *bounds], [*bounds, cuts.size]):
+            if lo == hi:
+                continue
+            got = tree_module._distinct_sides(
+                block, rows[lo:hi], cuts[lo:hi], n_classes, criterion, forest.repeats
+            )
+            want = mask_sides(block, rows[lo:hi], cuts[lo:hi], n_classes, criterion)
+            for side, expected in zip(got, want):
+                assert side.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -161,9 +161,21 @@ def _hundred_rows_seven_trees():
     return X, ys, None, TreeConfig()
 
 
+def _all_distinct_forest(criterion):
+    """Four label-powerset-like trees whose 140 classes are all distinct, so
+    that every node is a distinct-class node and C > 128 (two leaves of
+    numpy's pairwise sum)."""
+    rng = np.random.default_rng(3)
+    X = np.round(rng.normal(size=(140, 3)), 1)
+    ys = [rng.permutation(140) * (t + 1) for t in range(4)]
+    return X, ys, None, TreeConfig(split_criterion=criterion)
+
+
 class TestSameTreeAnywhere:
     @given(forests(), st.integers(2, 4))
     @example(_hundred_rows_seven_trees(), 3)
+    @example(_all_distinct_forest("gini"), 2)
+    @example(_all_distinct_forest("entropy"), 4)
     def test_alone_in_a_batch_or_on_threads(self, forest, n_jobs):
         X, ys, widths, cfg = forest
         widths = [X.shape[1]] * len(ys) if widths is None else widths
