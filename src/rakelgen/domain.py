@@ -6,7 +6,6 @@ All types here are immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -113,8 +112,6 @@ class Template:
     _slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_unicode(self.surface_text):
-            raise ValidationError(f"template {self.id}: surface text is not valid Unicode")
         slots = tuple(_SLOT_RE.findall(self.surface_text))
         for slot in slots:
             if slot not in SLOT_NAMES:
@@ -346,28 +343,26 @@ def _common_weeks(weeks: Iterable[int]) -> int | None:
     return distinct.pop() if distinct else None
 
 
-def _parse_registry(data: dict, source: str) -> TemplateRegistry:
-    if not isinstance(data, dict) or "templates" not in data:
-        raise ValidationError(f"{source}: expected an object with a 'templates' array")
-    version = str(data.get("version", "custom"))
-    if not _is_unicode(version):
-        raise ValidationError(f"{source}: 'version' is not valid Unicode: {json.dumps(version)}")
-    entries = data["templates"]
-    if not isinstance(entries, list):
-        raise ValidationError(f"{source}: 'templates' must be an array")
+def _parse_registry(data, source: str) -> TemplateRegistry:
+    try:
+        data = json_object(data, "registry", {"version", "notes", "templates"}, {"templates"})
+        json_str(data.get("notes", ""), "'notes'")  # a comment, which loading drops
+        version = json_str(data.get("version", "custom"), "'version'")
+        entries = json_list(data["templates"], "'templates'")
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
     templates = []
     for n, entry in enumerate(entries):
         try:
+            entry = json_object(entry, "template", {"id", "factor", "reference", "surface_text"})
             template = Template(
                 id=json_int(entry["id"], "'id'"),
                 factor=FactorId.from_key(entry["factor"]),
                 reference=ReferenceType.from_key(entry["reference"]),
-                surface_text=str(entry["surface_text"]),
+                surface_text=json_str(entry["surface_text"], "'surface_text'"),
             )
         except ValidationError as exc:
             raise ValidationError(f"{source}: template entry {n}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{source}: template entry {n} is malformed: {exc}") from None
         templates.append(template)
     return TemplateRegistry(templates=tuple(templates), version=version)
 
@@ -428,89 +423,35 @@ def record_to_dict(record: StudentRecord) -> dict:
     return out
 
 
-def record_from_dict(data: dict, source: str = "record") -> StudentRecord:
-    """One record object of a dataset file, checked as a record and against
-    the file format's type rules (see ``_type_error``)."""
+def record_from_dict(data, source: str = "record") -> StudentRecord:
+    """One record object of a dataset file, each field read by its JSON type,
+    then checked as a record (series lengths in the file's key order)."""
     try:
+        data = json_object(data, "record")
         series = {
-            FactorId.from_key(name): tuple(values)
-            for name, values in data["series"].items()
+            name: json_list(values, f"series {name}", json_number)
+            for name, values in json_object(data["series"], "series").items()
         }
-        student_id = str(data["student_id"])
-        rows = _series_rows(student_id, int(data["weeks"]), series)
+        student_id = json_str(data["student_id"], "student_id")
+        weeks = json_int(data["weeks"], "weeks")
         labels = data.get("expert_labels")
-        labels = None if labels is None else frozenset(map(int, labels))
-        record = StudentRecord(student_id, rows, labels)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError) as exc:
+        labels = None if labels is None else frozenset(json_list(labels, "expert_labels", json_int))
+    except (KeyError, ValidationError) as exc:
         raise ValidationError(f"{source}: malformed record: {exc}") from None
-    except (ValueError, AttributeError, OverflowError):
-        record = None  # a value of the wrong type; _type_error names it
-    problem = _type_error(data)
-    if problem is not None:
-        raise ValidationError(f"{source}: malformed record: {problem}")
-    return record
-
-
-def _series_rows(student_id: str, weeks: int, series: dict) -> list[tuple[float, ...]]:
-    """A record's series keyed by factor as its nine rows in code order,
-    checked in the dict's order: every factor present, ``weeks`` >= 1 values
-    each, all finite."""
+    series = {FactorId.from_key(name): values for name, values in series.items()}
     if weeks < 1:
         raise ValidationError(f"record {student_id}: weeks must be >= 1")
     missing = _ALL_FACTORS - series.keys()
     if missing:
         names = ", ".join(sorted(f.key for f in missing))
         raise ValidationError(f"record {student_id}: missing factors: {names}")
-    rows = {}
     for factor, values in series.items():
-        values = rows[factor] = tuple(map(float, values))
         if len(values) != weeks:
             raise ValidationError(
                 f"record {student_id}: series {factor.key} has "
                 f"{len(values)} values, expected {weeks}"
             )
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(
-                f"record {student_id}: series {factor.key} has a "
-                f"non-finite value: {list(values)}"
-            )
-    return [rows[factor] for factor in FactorId]
-
-
-def _type_error(data: dict) -> str | None:
-    """The first field of a record object that breaks the type rules: series
-    values are JSON numbers (not booleans) that fit a float, ``weeks`` and
-    expert labels are integers, ``student_id`` is a string without lone
-    surrogates.
-
-    ``record_from_dict`` applies these rules after the record's own checks,
-    so a record that those checks reject keeps the message they give.
-    """
-    series = data["series"]
-    if type(series) is not dict:
-        return f"series must be an object, got {_shown(series)}"
-    for name, values in series.items():
-        if type(values) is not list:
-            return f"series {name} must be an array, got {_shown(values)}"
-        for week, value in enumerate(values):
-            if not _is_number(value):
-                return f"series {name}[{week}] must be a number, got {_shown(value)}"
-    if type(data["student_id"]) is not str:
-        return f"student_id must be a string, got {_shown(data['student_id'])}"
-    if not _is_unicode(data["student_id"]):
-        return f"student_id must be valid Unicode, got {_shown(data['student_id'])}"
-    if type(data["weeks"]) is not int:
-        return f"weeks must be an integer, got {_shown(data['weeks'])}"
-    labels = data.get("expert_labels")
-    if labels is not None:
-        if type(labels) is not list:
-            return f"expert_labels must be an array, got {_shown(labels)}"
-        for position, label in enumerate(labels):
-            if type(label) is not int:
-                return f"expert_labels[{position}] must be an integer, got {_shown(label)}"
-    return None
+    return StudentRecord(student_id, [series[factor] for factor in FactorId], labels)
 
 
 def _is_unicode(text: str) -> bool:
@@ -523,22 +464,60 @@ def _is_unicode(text: str) -> bool:
     return True
 
 
+# The JSON field readers return ``value`` if it has the field's JSON type, else
+# raise "<name> must be <type>, got <value as JSON>"; ``int()`` takes 1.5 and true.
+
+
 def json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer, else a ValidationError naming the
-    field ``name``: ``int()`` would truncate a float and accept a boolean."""
+    """A JSON integer (a boolean is not one)."""
     if type(value) is not int:
         raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     return value
 
 
-def _is_number(value) -> bool:
-    if type(value) is not int:
-        return type(value) is float
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+def json_number(value, name: str) -> int | float:
+    """A JSON number that fits a float (a boolean is not one): ``float()``
+    rounds an integer from 2**1024 - 2**970 up past the largest float."""
+    if type(value) is float or type(value) is int and abs(value) < 2**1024 - 2**970:
+        return value
+    raise ValidationError(f"{name} must be a number, got {_shown(value)}")
+
+
+def json_str(value, name: str) -> str:
+    """A JSON string that is valid Unicode."""
+    if type(value) is not str:
+        raise ValidationError(f"{name} must be a string, got {_shown(value)}")
+    if not _is_unicode(value):
+        raise ValidationError(f"{name} must be valid Unicode, got {_shown(value)}")
+    return value
+
+
+#: The readers whose arrays pass unread when every entry is of one Python type.
+_PLAIN_TYPES = {json_int: int, json_number: float}
+
+
+def json_list(value, name: str, read=None) -> list:
+    """A JSON array, each entry read by ``read(entry, f"{name}[{i}]")`` if given."""
+    if type(value) is not list:
+        raise ValidationError(f"{name} must be an array, got {_shown(value)}")
+    if read is None or {*map(type, value)} <= {_PLAIN_TYPES.get(read)}:
+        return value
+    return [read(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
+
+
+def json_object(value, name: str, keys=None, required=None) -> dict:
+    """A JSON object with no key outside the set ``keys`` and every key of
+    ``required`` (all of ``keys`` if None); any keys if ``keys`` is None."""
+    if type(value) is not dict:
+        raise ValidationError(f"{name} must be an object, got {_shown(value)}")
+    if keys is not None:
+        unknown = sorted(value.keys() - keys)
+        if unknown:
+            raise ValidationError(f"{name} has an unknown key {json.dumps(unknown[0])}")
+        missing = sorted((keys if required is None else required) - value.keys())
+        if missing:
+            raise ValidationError(f"{name} has no key {json.dumps(missing[0])}")
+    return value
 
 
 def _shown(value) -> str:

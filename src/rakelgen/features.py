@@ -53,6 +53,12 @@ def feature_schema(weeks: int, mode: str = "both") -> tuple[tuple[FactorId, str]
     return tuple(schema)
 
 
+def feature_count(weeks: int, mode: str) -> int:
+    """``len(feature_schema(weeks, mode))``, without building the schema."""
+    per_factor = len(DERIVED_FEATURES) * (mode != "raw") + weeks * (mode != "derived")
+    return len(FactorId) * per_factor
+
+
 def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
     """Feature rows of an (n, 9, W) series stack (``Dataset.series``), as an
     (n, d) array whose columns follow ``feature_schema(W, mode)``. Row i

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import Dataset, json_int
+from .domain import Dataset, json_int, json_list, json_number, json_object
 from .errors import LabelCoverageWarning, ValidationError
 from .features import feature_matrix
 from .tree import (
@@ -65,9 +65,10 @@ class RakelConfig:
 
 # Each payload holds one strategy's trained state and owns its behaviour:
 # ``strategy`` (its name), ``predict(X, n_labels, gold) -> (bits, votes)``,
-# ``to_dict() -> (strategy_config, body)`` and ``from_dict``, which checks an
-# artifact's body against ``n_labels``, and ``summary()``, the facts that
-# ``rakelgen train`` prints. Votes are the bits themselves except for RAkEL.
+# ``to_dict() -> (strategy_config, body)``, ``KEYS``, the keys of those two
+# objects, ``from_dict``, which reads them for ``n_labels`` labels and
+# ``n_features`` features, and ``summary()``, the facts that ``rakelgen train``
+# prints. Votes are the bits themselves except for RAkEL.
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ class BrPayload:
     _stack: DecisionTree = field(init=False, repr=False, compare=False)
 
     strategy = "br"
+    KEYS = (frozenset(), frozenset({"trees"}))
 
     def __post_init__(self):
         object.__setattr__(self, "_stack", stack_trees(self.trees))
@@ -88,8 +90,8 @@ class BrPayload:
         return {}, {"trees": [tree_to_dict(t) for t in self.trees]}
 
     @classmethod
-    def from_dict(cls, strategy, strategy_config, body, n_labels):
-        return cls(trees=_bit_trees(body["trees"], n_labels))
+    def from_dict(cls, strategy, strategy_config, body, n_labels, n_features):
+        return cls(trees=_bit_trees(body["trees"], "br", [n_features] * n_labels))
 
     def summary(self):
         return _trees_summary(self.trees)
@@ -100,6 +102,7 @@ class ChainPayload:
     trees: tuple[DecisionTree, ...]  # one per chain position
     order: tuple[int, ...]  # permutation of label indices
     history: str  # "predicted" | "real"
+    KEYS = (frozenset({"order"}), frozenset({"trees"}))
 
     @property
     def strategy(self):
@@ -123,11 +126,12 @@ class ChainPayload:
         return {"order": list(self.order)}, {"trees": [tree_to_dict(t) for t in self.trees]}
 
     @classmethod
-    def from_dict(cls, strategy, strategy_config, body, n_labels):
-        order = tuple(json_int(j, "chain 'order' entry") for j in strategy_config["order"])
+    def from_dict(cls, strategy, strategy_config, body, n_labels, n_features):
+        order = tuple(json_list(strategy_config["order"], "chain 'order'", json_int))
         if sorted(order) != list(range(n_labels)):
             raise ValidationError(f"chain 'order' must be a permutation of 0..{n_labels - 1}")
-        trees = _bit_trees(body["trees"], n_labels)
+        # position p reads the features and the bits of the p positions before it
+        trees = _bit_trees(body["trees"], "chain", range(n_features, n_features + n_labels))
         return cls(trees=trees, order=order, history=strategy.removeprefix("chain-"))
 
     def summary(self):
@@ -139,6 +143,7 @@ class MajorityPayload:
     bits: tuple[int, ...]
 
     strategy = "majority"
+    KEYS = (frozenset(), frozenset({"bits"}))
 
     def predict(self, X, n_labels, gold):
         bits = np.zeros((len(X), n_labels), dtype=int)
@@ -149,8 +154,8 @@ class MajorityPayload:
         return {}, {"bits": list(self.bits)}
 
     @classmethod
-    def from_dict(cls, strategy, strategy_config, body, n_labels):
-        bits = tuple(json_int(b, "majority 'bits' entry") for b in body["bits"])
+    def from_dict(cls, strategy, strategy_config, body, n_labels, n_features):
+        bits = tuple(json_list(body["bits"], "majority 'bits'", json_int))
         if len(bits) != n_labels:
             raise ValidationError(f"model has {len(bits)} 'bits' for {n_labels} labels")
         bad = [b for b in bits if b not in (0, 1)]
@@ -169,6 +174,7 @@ class LpPayload:
     scope: tuple[int, ...]  # label indices this model decides
 
     strategy = "lp"
+    KEYS = (frozenset(), frozenset({"tree", "classes", "scope"}))
 
     def predict(self, X, n_labels, gold):
         leaves = descend(self.tree, X)[:, 0]
@@ -183,23 +189,24 @@ class LpPayload:
         }
 
     @classmethod
-    def from_dict(cls, strategy, strategy_config, body, n_labels):
-        tree = tree_from_dict(body["tree"])
-        scope = tuple(json_int(j, "lp 'scope' entry") for j in body["scope"])
+    def from_dict(cls, strategy, strategy_config, body, n_labels, n_features, name="lp"):
+        """``name`` names the body: "lp", or a RAkEL member."""
+        body = json_object(body, name, cls.KEYS[1])
+        scope = tuple(json_list(body["scope"], f"{name} 'scope'", json_int))
         if len(set(scope)) != len(scope) or not all(0 <= j < n_labels for j in scope):
             raise ValidationError(
-                f"lp 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
+                f"{name} 'scope' {list(scope)} must hold distinct label indices below {n_labels}"
             )
-        classes = tuple(
-            frozenset(json_int(j, "lp 'classes' label") for j in c) for c in body["classes"]
-        )
-        for labelset in classes:
-            if not labelset <= set(scope):
+        ints = lambda entry, entry_name: json_list(entry, entry_name, json_int)
+        classes = json_list(body["classes"], f"{name} 'classes'", ints)
+        for labels in classes:  # as ``to_dict`` writes them: sorted, each once
+            if labels != sorted(set(labels) & set(scope)):
                 raise ValidationError(
-                    f"lp 'classes' entry {sorted(labelset)} is not a subset of 'scope' {list(scope)}"
+                    f"{name} 'classes' entry {labels} is not a subset of 'scope' "
+                    f"{list(scope)} in increasing order"
                 )
-        _check_labels(tree, len(classes), "lp", "entries of 'classes'")
-        return cls(tree=tree, classes=classes, scope=scope)
+        tree = tree_from_dict(body["tree"], n_features, len(classes), f"{name} 'tree'")
+        return cls(tree=tree, classes=tuple(map(frozenset, classes)), scope=scope)
 
     def summary(self):
         stats = tree_stats(self.tree)
@@ -221,6 +228,7 @@ class RakelPayload:
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
 
     strategy = "rakel"
+    KEYS = (frozenset({"threshold"}), frozenset({"members"}))
 
     def __post_init__(self):
         scopes = [j for member in self.members for j in member.scope]
@@ -249,14 +257,14 @@ class RakelPayload:
         return {"threshold": self.threshold}, {"members": [m.to_dict()[1] for m in self.members]}
 
     @classmethod
-    def from_dict(cls, strategy, strategy_config, body, n_labels):
-        threshold = strategy_config["threshold"]
-        if type(threshold) not in (int, float):  # float() would read true as 1.0
-            raise ValidationError(f"rakel 'threshold' must be a number, got {threshold!r}")
+    def from_dict(cls, strategy, strategy_config, body, n_labels, n_features):
+        threshold = json_number(strategy_config["threshold"], "rakel 'threshold'")
         if not 0.0 <= threshold <= 1.0:  # NaN fails this too
             raise ValidationError(f"rakel 'threshold' {threshold} must be in [0, 1]")
-        threshold = float(threshold)
-        members = tuple(LpPayload.from_dict("lp", {}, m, n_labels) for m in body["members"])
+        members = tuple(
+            LpPayload.from_dict("lp", {}, member, n_labels, n_features, f"rakel 'members'[{i}]")
+            for i, member in enumerate(json_list(body["members"], "rakel 'members'"))
+        )
         if not members:
             raise ValidationError("rakel 'members' must not be empty")
         return cls(members=members, threshold=threshold)
@@ -284,21 +292,15 @@ DEFAULT_METHODS = ("br", "chain-predicted", "majority", "rakel", "chain-real")
 DEFAULT_REFERENCE = "rakel"
 
 
-def _bit_trees(data, n_labels: int) -> tuple[DecisionTree, ...]:
-    """Per-label trees from an artifact: one per label, each predicting 0 or 1."""
-    trees = tuple(tree_from_dict(t) for t in data)
-    if len(trees) != n_labels:
-        raise ValidationError(f"model has {len(trees)} 'trees' for {n_labels} labels")
-    for tree in trees:
-        _check_labels(tree, 2, "per-label tree", "bit values")
-    return trees
-
-
-def _check_labels(tree: DecisionTree, n_classes: int, kind: str, what: str) -> None:
-    """Every node label of the tree must lie in 0..n_classes-1."""
-    bad = tree.label[(tree.label < 0) | (tree.label >= n_classes)]
-    if bad.size:
-        raise ValidationError(f"{kind} 'label' {bad[0]} does not index the {n_classes} {what}")
+def _bit_trees(data, kind: str, widths) -> tuple[DecisionTree, ...]:
+    """A ``kind`` artifact's per-label trees; the one at position p reads ``widths[p]`` features."""
+    data = json_list(data, f"{kind} 'trees'")
+    if len(data) != len(widths):
+        raise ValidationError(f"model has {len(data)} 'trees' for {len(widths)} labels")
+    return tuple(
+        tree_from_dict(tree, width, 2, f"{kind} 'trees'[{p}]")
+        for p, (tree, width) in enumerate(zip(data, widths))
+    )
 
 
 def _trees_summary(trees) -> dict:

@@ -15,10 +15,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from .domain import TemplateRegistry, json_int, read_json, registry_to_dict
+from .domain import TemplateRegistry, json_int, json_object, read_json, registry_to_dict
 from .errors import ValidationError
-from .features import FEATURE_MODES
-from .mlc import PAYLOADS, TrainedModel
+from .features import FEATURE_MODES, feature_count
+from .mlc import PAYLOADS, STRATEGIES, TrainedModel
 
 #: Version 4 holds only what prediction reads (the README's "File formats"
 #: lists what each version dropped); artifacts of earlier versions are rejected.
@@ -53,15 +53,16 @@ def model_to_dict(model: TrainedModel, registry: TemplateRegistry) -> dict:
     }
 
 
-def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
-    if not isinstance(data, dict):
-        raise ValidationError("model artifact must be a JSON object")
-    version = data.get("format_version")
+def model_from_dict(data, registry: TemplateRegistry) -> TrainedModel:
+    version = json_object(data, "model artifact").get("format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported model format version {version!r}; expected {FORMAT_VERSION!r}"
         )
-    stored_hash = data.get("registry_sha256")
+    envelope = {"format_version", "strategy", "registry_version", "registry_sha256", "n_labels",
+                "weeks", "feature_mode", "strategy_config", "payload"}
+    json_object(data, "model artifact", envelope)  # the keys model_to_dict writes
+    stored_hash = data["registry_sha256"]
     actual_hash = registry_hash(registry)
     if stored_hash != actual_hash:
         raise ValidationError(
@@ -69,18 +70,12 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
             f"(artifact hash {stored_hash}, supplied registry hash {actual_hash})"
         )
     try:
-        strategy = data["strategy"]
         n_labels = json_int(data["n_labels"], "model 'n_labels'")
         if n_labels != len(registry):
             raise ValidationError(
                 f"model 'n_labels' {n_labels} does not match the registry's "
                 f"{len(registry)} templates"
             )
-        if strategy not in PAYLOADS:
-            raise ValidationError(f"unknown strategy {strategy!r} in model artifact")
-        payload = PAYLOADS[strategy].from_dict(
-            strategy, data["strategy_config"], data["payload"], n_labels
-        )
         registry_version = data["registry_version"]
         if registry_version != registry.version:
             raise ValidationError(
@@ -95,6 +90,14 @@ def model_from_dict(data: dict, registry: TemplateRegistry) -> TrainedModel:
             raise ValidationError(
                 f"model 'feature_mode' {feature_mode!r} must be one of {FEATURE_MODES}"
             )
+        strategy = data["strategy"]
+        if strategy not in STRATEGIES:
+            raise ValidationError(f"unknown strategy {strategy!r} in model artifact")
+        kind = PAYLOADS[strategy]
+        config = json_object(data["strategy_config"], "model 'strategy_config'", kind.KEYS[0])
+        body = json_object(data["payload"], "model 'payload'", kind.KEYS[1])
+        width = feature_count(weeks, feature_mode)
+        payload = kind.from_dict(strategy, config, body, n_labels, width)
         return TrainedModel(
             registry_version=registry_version,
             n_labels=n_labels,

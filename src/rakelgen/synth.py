@@ -32,7 +32,7 @@ import json
 import math
 import random
 from collections.abc import Set
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .domain import (
     FactorId,
     ReferenceType,
     TemplateRegistry,
+    json_int, json_list, json_number, json_object,
     read_json,
 )
 from .errors import ValidationError
@@ -146,14 +147,13 @@ class SynthConfig:
                         )
 
 
-#: The scalar fields of ``SynthConfig``, each with the type a config file's
-#: value is read as.
+#: The scalar fields of ``SynthConfig``, each with the reader of its JSON type.
 SCALAR_FIELDS = {
-    "n_students": int,
-    "weeks": int,
-    "seed": int,
-    "expert_noise": float,
-    "expert_count": int,
+    "n_students": json_int,
+    "weeks": json_int,
+    "seed": json_int,
+    "expert_noise": json_number,
+    "expert_count": json_int,
 }
 
 
@@ -336,31 +336,38 @@ def config_to_dict(config: SynthConfig) -> dict:
     }
 
 
-def config_from_dict(data: dict) -> SynthConfig:
+def config_from_dict(data) -> SynthConfig:
     """A config from ``config_to_dict`` output; a missing field takes
     ``SynthConfig``'s default. The pairs, factors and policy are read before
     the scalar fields, so their errors win."""
-    if not isinstance(data, dict):
-        raise ValidationError("synth config must be a JSON object")
-    try:
-        factors = {
-            FactorId.from_key(key): FactorParams(**params)
-            for key, params in data.get("factors", {}).items()
-        }
-        policy = {
-            FactorId.from_key(key): PolicyThresholds(**thresholds)
-            for key, thresholds in data.get("policy", {}).items()
-        }
-        pairs = tuple(
-            (FactorId.from_key(a), FactorId.from_key(b), float(r))
-            for a, b, r in data.get("correlation_pairs", [])
-        )
-        scalars = {name: kind(data[name]) for name, kind in SCALAR_FIELDS.items() if name in data}
-        return SynthConfig(**scalars, correlation_pairs=pairs, factors=factors, policy=policy)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"malformed synth config: {exc}") from exc
+    keys = {*SCALAR_FIELDS, "correlation_pairs", "factors", "policy"}
+    data = json_object(data, "synth config", keys, required=())
+    factors = _per_factor(data.get("factors", {}), "factors", FactorParams)
+    policy = _per_factor(data.get("policy", {}), "policy", PolicyThresholds)
+    pairs = tuple(json_list(data.get("correlation_pairs", []), "correlation_pairs", _pair))
+    scalars = {name: read(data[name], name) for name, read in SCALAR_FIELDS.items() if name in data}
+    return SynthConfig(**scalars, correlation_pairs=pairs, factors=factors, policy=policy)
+
+
+def _per_factor(data, section: str, kind) -> dict:
+    """The ``section`` object of a config file: per factor key, an object of
+    the number fields of ``kind``, ``FactorParams`` or ``PolicyThresholds``."""
+    keys = {f.name for f in fields(kind)}
+    out = {}
+    for key, values in json_object(data, section).items():
+        factor, name = FactorId.from_key(key), f"{section} {key}"
+        values = json_object(values, name, keys)
+        out[factor] = kind(**{k: json_number(v, f"{name} {k}") for k, v in values.items()})
+    return out
+
+
+def _pair(data, name: str) -> tuple[FactorId, FactorId, float]:
+    """A ``correlation_pairs`` entry: two factor keys and a number."""
+    entry = json_list(data, name)
+    if len(entry) != 3:
+        raise ValidationError(f"{name} must hold 3 entries, got {len(entry)}")
+    a, b, r = entry
+    return FactorId.from_key(a), FactorId.from_key(b), json_number(r, f"{name}[2]")
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import json_int
+from .domain import json_int, json_list, json_number, json_object
 from .errors import ValidationError
 
 CRITERIA = ("gini", "entropy")
@@ -780,53 +780,55 @@ def _reject_first(bad: np.ndarray, message) -> None:
         raise ValidationError(message(int(flagged[0])))
 
 
-def tree_from_dict(data: dict) -> DecisionTree:
-    """Rebuild a tree from ``tree_to_dict`` output, checking that its arrays
-    form one tree, so a descent ends at a leaf after at most ``n_nodes`` steps
-    and never indexes outside the arrays or the feature row."""
-    n_features = json_int(data["n_features"], "tree 'n_features'")
+def tree_from_dict(data, n_features: int, n_classes: int, name: str = "tree") -> DecisionTree:
+    """The tree ``name`` of ``n_features`` features and ``n_classes`` classes
+    from ``tree_to_dict`` output, checked to be one tree, so a descent ends at
+    a leaf after at most ``n_nodes`` steps and indexes nothing out of range."""
+    data = json_object(data, name, {"n_features", *NODE_ARRAYS})
+    if json_int(data["n_features"], f"{name} 'n_features'") != n_features:
+        raise ValidationError(f"{name} 'n_features' must be {n_features}, got {data['n_features']}")
     arrays = {}
-    for name in NODE_ARRAYS:
-        # numpy would read true as 1, "3" as 3 and 1.5 as 1
-        kinds, kind = ({int, float}, "numbers") if name == "threshold" else ({int}, "integers")
-        if not isinstance(data[name], list):
-            raise ValidationError(f"tree '{name}' must be a list of {kind}")
-        if not set(map(type, data[name])) <= kinds:
-            raise ValidationError(f"tree '{name}' must hold {kind}")
+    for array in NODE_ARRAYS:
+        read, dtype = (json_number, float) if array == "threshold" else (json_int, np.int64)
+        values = json_list(data[array], f"{name} '{array}'", read)
         try:
-            arrays[name] = np.array(data[name], dtype=float if name == "threshold" else np.int64)
+            arrays[array] = np.array(values, dtype=dtype)
         except OverflowError:
-            raise ValidationError(f"tree '{name}' holds a number out of range") from None
+            raise ValidationError(f"{name} '{array}' holds a number out of range") from None
     tree = DecisionTree(**arrays, n_features=n_features)
     n_nodes = tree.label.size
-    shapes = {name: getattr(tree, name).shape for name in NODE_ARRAYS}
+    shapes = {array: getattr(tree, array).shape for array in NODE_ARRAYS}
     if n_nodes == 0 or set(shapes.values()) != {(n_nodes,)}:
-        raise ValidationError(f"tree node arrays must be non-empty lists of one length: {shapes}")
+        raise ValidationError(f"{name} node arrays must be non-empty lists of one length: {shapes}")
     feature, left, right = tree.feature, tree.left, tree.right
     split = left != -1
     _reject_first(
         split & ((feature < 0) | (feature >= n_features)),
-        lambda i: f"tree node {i} split 'feature' {feature[i]} is out of range "
+        lambda i: f"{name} node {i} split 'feature' {feature[i]} is out of range "
         f"for {n_features} features",
     )
     _reject_first(
         ~split & ((feature != -1) | (right != -1)),
-        lambda i: f"tree node {i} has 'left' -1, so its 'feature' and 'right' must be -1",
+        lambda i: f"{name} node {i} has 'left' -1, so its 'feature' and 'right' must be -1",
+    )
+    _reject_first(
+        (tree.label < 0) | (tree.label >= n_classes),
+        lambda i: f"{name} node {i} 'label' {tree.label[i]} does not index the {n_classes} classes",
     )
     _reject_first(
         ~np.isfinite(tree.threshold),
-        lambda i: f"tree node {i} 'threshold' {tree.threshold[i]} is not finite",
+        lambda i: f"{name} node {i} 'threshold' {tree.threshold[i]} is not finite",
     )
     for side, child in (("left", left), ("right", right)):
         _reject_first(
             split & ((child <= np.arange(n_nodes)) | (child >= n_nodes)),
-            lambda i: f"tree node {i} '{side}' {child[i]} must lie between the "
+            lambda i: f"{name} node {i} '{side}' {child[i]} must lie between the "
             f"node's index and {n_nodes}",
         )
     # children lie after their parents, so the root is no node's child
     parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n_nodes)
     _reject_first(
         parents[1:] != 1,
-        lambda i: f"tree node {i + 1} is the child of {parents[i + 1]} nodes, not 1",
+        lambda i: f"{name} node {i + 1} is the child of {parents[i + 1]} nodes, not 1",
     )
     return tree

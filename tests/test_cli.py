@@ -558,10 +558,13 @@ class TestFeedback:
         template = data["templates"][3]
         if field == "version":
             data["version"] += "\udc80"
-            expected = f"'version' is not valid Unicode: {json.dumps(data['version'])}"
+            expected = f"'version' must be valid Unicode, got {json.dumps(data['version'])}"
         else:
             template["surface_text"] += "\udc80"
-            expected = f"template {template['id']}: surface text is not valid Unicode"
+            expected = (
+                "template entry 3: 'surface_text' must be valid Unicode, "
+                f"got {json.dumps(template['surface_text'])}"
+            )
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps(data), encoding="utf-8")
         # stamp the artifact as trained against that registry

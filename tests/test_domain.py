@@ -198,6 +198,62 @@ class TestRegistry:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.__setitem__("version", 3), "'version' must be a string, got 3"),
+            (lambda d: d.__setitem__("version", None), "'version' must be a string, got null"),
+            (
+                lambda d: d["templates"][0].__setitem__("surface_text", 5),
+                "template entry 0: 'surface_text' must be a string, got 5",
+            ),
+            (lambda d: d.__setitem__("notes", ["x"]), "'notes' must be a string, got an array"),
+            (lambda d: d.__setitem__("extra", 1), 'registry has an unknown key "extra"'),
+            (lambda d: d.pop("templates"), 'registry has no key "templates"'),
+            (
+                lambda d: d.__setitem__("templates", {}),
+                "'templates' must be an array, got an object",
+            ),
+            (
+                lambda d: d["templates"][2].pop("reference"),
+                'template entry 2: template has no key "reference"',
+            ),
+            (
+                lambda d: d["templates"][1].__setitem__("weight", 2),
+                'template entry 1: template has an unknown key "weight"',
+            ),
+            (
+                lambda d: d["templates"].__setitem__(1, None),
+                "template entry 1: template must be an object, got null",
+            ),
+        ],
+        ids=[
+            "version-3", "version-null", "surface-text-5", "notes-array", "extra-key",
+            "no-templates", "templates-object", "entry-no-reference", "entry-extra-key",
+            "entry-null",
+        ],
+    )
+    def test_fields_are_read_by_json_type(self, registry, tmp_path, capsys, mutate, message):
+        """``str()`` would load version 3 as "3", null as "None" and a
+        surface text 5 as "5"; each exits 2, naming the file and the field."""
+        data = registry_to_dict(registry)
+        mutate(data)
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValidationError) as caught:
+            load_registry(path)
+        assert str(caught.value) == f"{path}: {message}"
+        argv = ["generate", "--registry", str(path), "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"rakelgen: validation error: {path}: {message}\n"
+
+    def test_notes_are_a_comment(self, registry, tmp_path):
+        data = registry_to_dict(registry) | {"notes": "stand-in texts"}
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_registry(path) == registry
+
+
 def _label_row(ids, registry):
     """The ``label_matrix`` row of one record labeled with the template ids."""
     return Dataset(registry, (make_record(labels=ids),)).label_matrix()[0]

@@ -246,7 +246,10 @@ class TestArtifactChecks:
             (lambda t: t["right"].__setitem__(0, t["left"][0]), "is the child of 2 nodes"),
             (lambda t: t["label"].pop(), "non-empty lists of one length"),
             (lambda t: t["feature"].__setitem__(t["left"].index(-1), 3), "so its 'feature'"),
-            (lambda t: t["left"].__setitem__(0, 1.5), "'left' must hold integers"),
+            (
+                lambda t: t["left"].__setitem__(0, 1.5),
+                r"^tree 'left'\[0\] must be an integer, got 1\.5$",
+            ),
         ],
         ids=["cycle", "out-of-range", "shared-child", "length", "leaf-feature", "float-index"],
     )
@@ -254,12 +257,13 @@ class TestArtifactChecks:
         data = tree_to_dict(fit_tree([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1]))
         mutate(data)
         with pytest.raises(ValidationError, match=message):
-            tree_from_dict(data)
+            tree_from_dict(data, data["n_features"], 2)
 
     def test_per_label_tree_labels_are_bits(self, ds37, registry):
         data = model_to_dict(train_binary_relevance(ds37), registry)
         data["payload"]["trees"][2]["label"][0] = 2
-        with pytest.raises(ValidationError, match="'label' 2 does not index the 2 bit values"):
+        message = r"^br 'trees'\[2\] node 0 'label' 2 does not index the 2 classes$"
+        with pytest.raises(ValidationError, match=message):
             model_from_dict(data, registry)
 
 

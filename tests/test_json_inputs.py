@@ -1,0 +1,149 @@
+"""Every JSON input that loads writes back the JSON value it was read from;
+anything else is refused with a ValidationError, which ``rakelgen`` reports
+with exit status 2. No input may fail in another way (exit status 1).
+
+The inputs are small artifacts of all six strategies, a registry and a
+synthesis config, each with one field mutated: a boolean made an integer or
+an integer a boolean, an integer made a float or a string, a value replaced
+by null, NaN, infinity or 2**64, an array entry dropped or duplicated, or an
+object given an extra key. Written back, ints and floats of equal value count
+as equal, NaN equals NaN and a boolean is not a number.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rakelgen.domain import _parse_registry, default_registry, registry_to_dict
+from rakelgen.errors import LabelCoverageWarning, ValidationError
+from rakelgen.mlc import (
+    RakelConfig,
+    train_binary_relevance,
+    train_chain,
+    train_lp,
+    train_majority,
+    train_rakel,
+)
+from rakelgen.model_io import model_from_dict, model_to_dict
+from rakelgen.synth import config_from_dict, config_to_dict, default_synth_config, generate_dataset
+from rakelgen.tree import TreeConfig
+
+INPUTS = ("br", "chain-predicted", "chain-real", "majority", "lp", "rakel", "registry", "config")
+
+
+@lru_cache(maxsize=None)
+def _documents() -> dict:
+    """Each input as ``json.loads`` gives it: artifacts of 20 students over
+    4 weeks (a RAkEL of 4 members), the packaged registry and a config."""
+    registry = default_registry()
+    ds = generate_dataset(default_synth_config(n_students=20, weeks=4, seed=1), registry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LabelCoverageWarning)
+        models = {
+            "br": train_binary_relevance(ds, TreeConfig(max_depth=3)),
+            "chain-predicted": train_chain(ds, TreeConfig(max_depth=3)),
+            "chain-real": train_chain(ds, TreeConfig(max_depth=3), history="real"),
+            "majority": train_majority(ds),
+            "lp": train_lp(ds),
+            "rakel": train_rakel(ds, RakelConfig(k=3, m=4, seed=0)),
+        }
+    documents = {name: model_to_dict(model, registry) for name, model in models.items()}
+    documents["registry"] = registry_to_dict(registry)
+    documents["config"] = config_to_dict(default_synth_config(n_students=5))
+    return documents
+
+
+def _written_back(name: str, document):
+    """``document`` loaded as input ``name`` and written out again."""
+    if name == "registry":
+        return registry_to_dict(_parse_registry(document, "registry.json"))
+    if name == "config":
+        return config_to_dict(config_from_dict(document))
+    registry = default_registry()
+    return model_to_dict(model_from_dict(document, registry), registry)
+
+
+def _replacements(value) -> list:
+    """The mutations of one JSON value: values that replace it, and for an
+    array or an object, functions of it that drop, repeat or add an entry."""
+    if type(value) is bool:
+        return [int(value), None]
+    if type(value) is int:
+        return [value % 2 == 1, float(value), str(value), None, math.nan, math.inf, 2**64]
+    if type(value) is float:
+        return [str(value), True, None, math.nan, -math.inf, 2**64]
+    if type(value) is list:
+        return [None, 0] + [_drop(i) for i in range(min(len(value), 2))] + [_twice(0)] * bool(value)
+    if type(value) is dict:
+        return [None, [], lambda container: container | {"extra": 0}]
+    return [None, 1]
+
+
+def _drop(i):
+    return lambda entries: entries[:i] + entries[i + 1 :]
+
+
+def _twice(i):
+    return lambda entries: entries[: i + 1] + entries[i:]
+
+
+@st.composite
+def _mutated(draw, name: str):
+    """Input ``name`` with one value replaced: the walk from the root goes
+    into one of the first three entries of each array or any value of an
+    object, and stops at a value to mutate."""
+    def walk(value):
+        children = (
+            list(value) if type(value) is dict
+            else list(range(min(len(value), 3))) if type(value) is list
+            else []
+        )
+        if not children or draw(st.integers(0, 5)) == 0:
+            replacement = draw(st.sampled_from(_replacements(value)))
+            return replacement(value) if callable(replacement) else replacement
+        key = draw(st.sampled_from(children))
+        copy = dict(value) if type(value) is dict else list(value)
+        copy[key] = walk(value[key])
+        return copy
+
+    return walk(_documents()[name])
+
+
+def _same(a, b) -> bool:
+    """JSON equality where numbers compare by value, NaN equals NaN and a
+    boolean equals only the same boolean."""
+    if type(a) is bool or type(b) is bool:
+        return type(a) is type(b) and a == b
+    if type(a) in (int, float) and type(b) in (int, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_unmutated_input_writes_back_as_read(name):
+    document = _documents()[name]
+    assert _same(_written_back(name, document), document)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_input_loads_back_or_is_refused(name, data):
+    document = data.draw(_mutated(name))
+    try:
+        written = _written_back(name, document)
+    except ValidationError:
+        return
+    assert _same(written, document)

@@ -3,11 +3,12 @@
 ``load_dataset`` reads a file once, in blocks of lines; a block that fails a
 bulk check is checked again line by line. ``PINNED`` holds the messages of
 the record-by-record reader that the bulk loader replaced, so the line check
-must find the same first bad line and say the same thing about it.
-``TYPE_RULES`` holds the field type rules: inputs that used to fail with an
-internal error, or to load as something else, and now fail naming the line
-and the field. Each case also runs after ``LEAD`` good lines, so that its bad
-line falls in a later block than the first.
+must find the same first bad line and say the same thing about it; where
+that reader reported a Python error (a null value, a line that is not an
+object), the JSON field readers now name the field instead. ``TYPE_RULES``
+holds the field type rules: inputs that used to load as something else, and
+now fail naming the line and the field. Each case also runs after ``LEAD``
+good lines, so that its bad line falls in a later block than the first.
 """
 
 from __future__ import annotations
@@ -19,10 +20,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _builders import make_record
 from rakelgen.cli import main
-from rakelgen.domain import FactorId, default_registry, load_dataset, record_to_dict
+from rakelgen.domain import (
+    FactorId,
+    _bulk_block,
+    _checked_block,
+    default_registry,
+    load_dataset,
+    record_to_dict,
+)
 from rakelgen.errors import ValidationError
 
 
@@ -65,10 +75,10 @@ PINNED = [
     ("inf", [json.dumps(_record(hours_studied=[1.0, float("inf"), 2.0]))],
      "record s1: series hours_studied has a non-finite value: [1.0, inf, 2.0]"),
     ("array line", [GOOD, "[1, 2]"],
-     "{path}:2: malformed record: list indices must be integers or slices, not str"),
-    ("string line", ['"abc"'], "{path}:1: malformed record: string indices must be integers, not 'str'"),
-    ("number line", ["42"], "{path}:1: malformed record: 'int' object is not subscriptable"),
-    ("null line", ["null"], "{path}:1: malformed record: 'NoneType' object is not subscriptable"),
+     "{path}:2: malformed record: record must be an object, got an array"),
+    ("string line", ['"abc"'], '{path}:1: malformed record: record must be an object, got "abc"'),
+    ("number line", ["42"], "{path}:1: malformed record: record must be an object, got 42"),
+    ("null line", ["null"], "{path}:1: malformed record: record must be an object, got null"),
     ("bad json", [GOOD, "{oops"],
      "{path}:2: not valid JSON: Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1)"),
@@ -87,15 +97,13 @@ PINNED = [
     ("no series", [json.dumps(_without("series"))], "{path}:1: malformed record: 'series'"),
     ("zero weeks", [json.dumps(_record(weeks=0))], "record s1: weeks must be >= 1"),
     ("null value", [json.dumps(_record(marks=[1.0, None, 2.0]))],
-     "{path}:1: malformed record: float() argument must be a string or a real number, "
-     "not 'NoneType'"),
+     "{path}:1: malformed record: series marks[1] must be a number, got null"),
     ("number as series", [json.dumps(_record(marks=5))],
-     "{path}:1: malformed record: 'int' object is not iterable"),
+     "{path}:1: malformed record: series marks must be an array, got 5"),
     ("null label", [json.dumps(_record(expert_labels=[None]))],
-     "{path}:1: malformed record: int() argument must be a string, a bytes-like object "
-     "or a real number, not 'NoneType'"),
+     "{path}:1: malformed record: expert_labels[0] must be an integer, got null"),
     ("number as labels", [json.dumps(_record(expert_labels=5))],
-     "{path}:1: malformed record: 'int' object is not iterable"),
+     "{path}:1: malformed record: expert_labels must be an array, got 5"),
     ("label not in registry", [GOOD, json.dumps(_record(expert_labels=[999]))],
      "record s1: expert labels [999] not in registry"),
     ("weeks disagree", [GOOD, json.dumps(_record("s2", length=4))],
@@ -306,3 +314,62 @@ def test_row_j_of_a_loaded_record_is_factor_j_plus_1(tmp_path):
             ds = load_dataset(_write(tmp_path, lead + [line]), default_registry())
             rows = ds.records[-1].series.tolist()
             assert rows == [data["series"][FactorId(j + 1).key] for j in range(9)]
+
+
+_FACTOR_KEYS = [factor.key for factor in FactorId]
+
+#: Numbers that both readers must turn into the same float64 bits, among them
+#: the largest integer that a float holds.
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -0.0, 2**53 + 1, 2**1024 - 2**970 - 1]),
+)
+
+
+@st.composite
+def _valid_block(draw) -> tuple[list[str], bool]:
+    """A block of valid record lines, some written unlike ``save_dataset``
+    writes them (integer values, factor keys in upper case or another order,
+    fields in another order, labels null, empty or absent, blank lines, a
+    week count of their own), and whether the bulk checks should take it:
+    every factor key in lower case and one week count."""
+    weeks = draw(st.integers(1, 4))
+    lines, week_counts, upper = [], [], False
+    for _ in range(draw(st.integers(1, 8))):
+        count = draw(st.sampled_from([weeks] * 7 + [weeks + 1]))
+        series = {}
+        for key in draw(st.permutations(_FACTOR_KEYS)):
+            if draw(st.integers(0, 19)) == 0:
+                key, upper = key.upper(), True
+            series[key] = draw(st.lists(_VALUES, min_size=count, max_size=count))
+        record = {"student_id": draw(st.text(max_size=4)), "weeks": count, "series": series}
+        labels = draw(st.sampled_from(["absent", "null", "empty", "ids"]))
+        if labels != "absent":
+            record["expert_labels"] = (
+                draw(st.lists(st.integers(1, 29), max_size=4)) if labels == "ids"
+                else [] if labels == "empty" else None
+            )
+        order = draw(st.permutations(list(record)))
+        lines.append(json.dumps({name: record[name] for name in order}) + "\n")
+        lines += ["  \n"] * draw(st.integers(0, 1))
+        week_counts.append(count)
+    return lines, not upper and len(set(week_counts)) == 1
+
+
+@settings(max_examples=100)
+@given(_valid_block())
+def test_bulk_and_line_readers_agree(case):
+    """Wherever ``_bulk_block`` takes a block, its fields equal the line
+    reader's, field for field and value for value, to the bit."""
+    block, bulk_takes_it = case
+    bulk = _bulk_block(block)
+    checked = _checked_block(block, Path("data.jsonl"), 1)
+    assert (bulk is not None) == bulk_takes_it
+    if bulk is None:
+        return
+    assert bulk[:3] == checked[:3]
+    values, expected = bulk[3], checked[3]
+    assert values.dtype == expected.dtype == np.float64
+    assert values.shape == expected.shape
+    assert values.tobytes() == expected.tobytes()

@@ -182,7 +182,7 @@ class TestMalformedArtifacts:
         model = _train("majority", ds37)
         data = model_to_dict(model, registry)
         del data["payload"]
-        with pytest.raises(ValidationError, match="malformed"):
+        with pytest.raises(ValidationError, match='^model artifact has no key "payload"$'):
             model_from_dict(data, registry)
 
     def test_unknown_strategy(self, ds37, registry):
@@ -220,7 +220,10 @@ class TestCorruptedArtifacts:
             ("feature", 9999, "'feature' 9999 is out of range for 135 features"),
             ("feature", -1, "'feature' -1 is out of range"),
             ("threshold", float("nan"), "'threshold' nan is not finite"),
-            ("feature", "x", "tree 'feature' must hold integers"),
+            pytest.param(
+                "feature", "x", "^{tree} 'feature'\\[0\\] must be an integer, got \"x\"$",
+                id="feature-x-tree 'feature' must hold integers",
+            ),
         ],
     )
     def test_bad_split_field(
@@ -232,7 +235,8 @@ class TestCorruptedArtifacts:
         tree[field][0] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ValidationError, match=message):
+        name = {"lp": "lp 'tree'", "rakel": "rakel 'members'[23] 'tree'", "br": "br 'trees'[3]"}
+        with pytest.raises(ValidationError, match=message.format(tree=re.escape(name[method]))):
             load_model(path, registry)
 
     @pytest.mark.parametrize(
@@ -330,11 +334,11 @@ class TestLabelAxis:
             (lambda d: d["payload"]["bits"].__setitem__(0, 5), "majority 'bits' must be 0 or 1, got 5"),
             (
                 lambda d: d["payload"]["bits"].__setitem__(0, True),
-                "majority 'bits' entry must be an integer, got true",
+                "majority 'bits'[0] must be an integer, got true",
             ),
             (
                 lambda d: d["payload"]["bits"].__setitem__(1, 1.0),
-                "majority 'bits' entry must be an integer, got 1.0",
+                "majority 'bits'[1] must be an integer, got 1.0",
             ),
         ],
         ids=["bit-5", "bit-true", "bit-float"],
@@ -356,11 +360,11 @@ class TestLabelAxis:
             ),
             (
                 lambda d: d["strategy_config"].__setitem__("threshold", True),
-                "rakel 'threshold' must be a number, got True",
+                "rakel 'threshold' must be a number, got true",
             ),
             (
                 lambda d: d["strategy_config"].__setitem__("threshold", "0.5"),
-                "rakel 'threshold' must be a number, got '0.5'",
+                "rakel 'threshold' must be a number, got \"0.5\"",
             ),
         ],
         ids=["no-members", "threshold-1.5", "threshold-nan", "threshold-true", "threshold-string"],
@@ -374,14 +378,14 @@ class TestLabelAxis:
         [
             ("br", "model 'n_labels'", lambda d: (d, "n_labels")),
             ("br", "model 'weeks'", lambda d: (d, "weeks")),
-            ("br", "tree 'n_features'", lambda d: (d["payload"]["trees"][0], "n_features")),
-            ("chain-predicted", "chain 'order' entry", lambda d: (d["strategy_config"]["order"], 1)),
-            ("lp", "lp 'scope' entry", lambda d: (d["payload"]["scope"], 1)),
             (
-                "lp",
-                "lp 'classes' label",
-                lambda d: (next(c for c in d["payload"]["classes"] if c), 0),
+                "br",
+                "br 'trees'[0] 'n_features'",
+                lambda d: (d["payload"]["trees"][0], "n_features"),
             ),
+            ("chain-predicted", "chain 'order'[1]", lambda d: (d["strategy_config"]["order"], 1)),
+            ("lp", "lp 'scope'[1]", lambda d: (d["payload"]["scope"], 1)),
+            ("lp", "lp 'classes'[0][0]", lambda d: (d["payload"]["classes"][0], 0)),
         ],
         ids=["n_labels", "weeks", "n_features", "order", "scope", "classes"],
     )
@@ -391,11 +395,15 @@ class TestLabelAxis:
         """A float or a boolean where an integer belongs is refused: ``int()``
         would read 10.5 as 10 and true as 1."""
 
+        data = model_to_dict(_train(method, ds37), registry)
+        container, key = where(data)
+        value = container[key] + 0.5 if kind == "float" else True
+
         def mutate(data):
             container, key = where(data)
-            container[key] = container[key] + 0.5 if kind == "float" else True
+            container[key] = value
 
-        message = f"{field} must be an integer, got"
+        message = f"{field} must be an integer, got {json.dumps(value)}"
         self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
 
     @pytest.mark.parametrize("method", ["br", "lp"])
@@ -419,16 +427,20 @@ class TestLabelAxis:
         """A node array entry must be a JSON integer (a number for 'threshold'):
         numpy would read true as 1 and "3" as 3, and load another tree."""
 
-        def mutate(data):
-            body = data["payload"]
-            tree = body["tree"] if method == "lp" else body["trees"][3]
-            assert tree["feature"][0] >= 0  # the root is a split
-            tree[field][0] = retype(tree[field][0])
+        if method == "lp":
+            name, tree_of = "lp 'tree'", lambda data: data["payload"]["tree"]
+        else:
+            name, tree_of = "br 'trees'[3]", lambda data: data["payload"]["trees"][3]
+        value = retype(tree_of(model_to_dict(_train(method, ds37), registry))[field][0])
 
-        kind = "numbers" if field == "threshold" else "integers"
-        self._exits_2(
-            method, mutate, f"tree '{field}' must hold {kind}", ds37, registry, tmp_path, capsys
-        )
+        def mutate(data):
+            tree = tree_of(data)
+            assert tree["feature"][0] >= 0  # the root is a split
+            tree[field][0] = value
+
+        kind = "a number" if field == "threshold" else "an integer"
+        message = f"{name} '{field}'[0] must be {kind}, got {json.dumps(value)}"
+        self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -451,6 +463,103 @@ class TestLabelAxis:
             data[field] = value
 
         self._exits_2("br", mutate, message, ds37, registry, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "method, mutate, message",
+        [
+            (
+                "br",
+                lambda d: d.__setitem__("extra", 1),
+                'model artifact has an unknown key "extra"',
+            ),
+            (
+                "br",
+                lambda d: d["strategy_config"].__setitem__("threshold", 0.9),
+                "model 'strategy_config' has an unknown key \"threshold\"",
+            ),
+            (
+                "lp",
+                lambda d: d.__setitem__("strategy_config", None),
+                "model 'strategy_config' must be an object, got null",
+            ),
+            (
+                "rakel",
+                lambda d: d["strategy_config"].__setitem__("k", 3),
+                "model 'strategy_config' has an unknown key \"k\"",
+            ),
+            (
+                "chain-predicted",
+                lambda d: d["strategy_config"].__setitem__("history", "real"),
+                "model 'strategy_config' has an unknown key \"history\"",
+            ),
+            (
+                "br",
+                lambda d: d["payload"].__setitem__("bits", [0] * 29),
+                "model 'payload' has an unknown key \"bits\"",
+            ),
+            (
+                "br",
+                lambda d: d["payload"]["trees"][4].__setitem__("count", [37]),
+                "br 'trees'[4] has an unknown key \"count\"",
+            ),
+            (
+                "rakel",
+                lambda d: d["payload"]["members"][2].__setitem__("k", 3),
+                "rakel 'members'[2] has an unknown key \"k\"",
+            ),
+            (
+                "lp",
+                lambda d: d["payload"]["tree"].pop("threshold"),
+                "lp 'tree' has no key \"threshold\"",
+            ),
+            ("majority", lambda d: d.pop("weeks"), 'model artifact has no key "weeks"'),
+        ],
+        ids=[
+            "envelope-extra", "br-config-threshold", "lp-config-null", "rakel-config-k",
+            "chain-config-history", "br-payload-bits", "tree-count", "member-k",
+            "tree-no-threshold", "envelope-no-weeks",
+        ],
+    )
+    def test_keys_the_format_does_not_write_exit_2(
+        self, method, mutate, message, ds37, registry, tmp_path, capsys
+    ):
+        """Every object of an artifact has exactly the keys ``save_model``
+        writes; a failure names the object and the key."""
+        self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "method, mutate, message",
+        [
+            (
+                "br",
+                lambda d: [t.__setitem__("n_features", 134) for t in d["payload"]["trees"]],
+                "br 'trees'[0] 'n_features' must be 135, got 134",
+            ),
+            (
+                "lp",
+                lambda d: d["payload"]["tree"].__setitem__("n_features", 1_000_000),
+                "lp 'tree' 'n_features' must be 135, got 1000000",
+            ),
+            (
+                "chain-real",
+                lambda d: d["payload"]["trees"][3].__setitem__("n_features", 135),
+                "chain 'trees'[3] 'n_features' must be 138, got 135",
+            ),
+            (
+                "rakel",
+                lambda d: d["payload"]["members"][5]["tree"].__setitem__("n_features", 136),
+                "rakel 'members'[5] 'tree' 'n_features' must be 135, got 136",
+            ),
+        ],
+        ids=["br", "lp", "chain-position-3", "rakel-member"],
+    )
+    def test_tree_width_is_the_models_exit_2(
+        self, method, mutate, message, ds37, registry, tmp_path, capsys
+    ):
+        """A tree reads the model's feature columns (``weeks`` 10 and feature
+        mode "both" make 135), plus p history bits at chain position p; one
+        that claims another width would fail only at prediction."""
+        self._exits_2(method, mutate, message, ds37, registry, tmp_path, capsys)
 
     @staticmethod
     def _exits_2(method, mutate, message, ds37, registry, tmp_path, capsys):

@@ -141,8 +141,60 @@ class TestConfig:
         assert load_synth_config(path) == config
 
     def test_malformed_dict_rejected(self):
-        with pytest.raises(ValidationError, match="malformed"):
+        with pytest.raises(ValidationError, match='^n_students must be an integer, got "many"$'):
             config_from_dict({"n_students": "many"})
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.__setitem__("n_students", 3.7), "n_students must be an integer, got 3.7"),
+            (
+                lambda d: d.__setitem__("expert_count", 2.9),
+                "expert_count must be an integer, got 2.9",
+            ),
+            (lambda d: d.__setitem__("seed", "5"), 'seed must be an integer, got "5"'),
+            (lambda d: d.__setitem__("weeks", True), "weeks must be an integer, got true"),
+            (
+                lambda d: d.__setitem__("expert_noise", "0.1"),
+                'expert_noise must be a number, got "0.1"',
+            ),
+            (
+                lambda d: d["correlation_pairs"][0].__setitem__(2, "0.5"),
+                'correlation_pairs[0][2] must be a number, got "0.5"',
+            ),
+            (
+                lambda d: d["correlation_pairs"][0].pop(),
+                "correlation_pairs[0] must hold 3 entries, got 2",
+            ),
+            (
+                lambda d: d["factors"]["marks"].__setitem__("mean", True),
+                "factors marks mean must be a number, got true",
+            ),
+            (
+                lambda d: d["policy"]["revision"].pop("slope"),
+                'policy revision has no key "slope"',
+            ),
+            (
+                lambda d: d["factors"]["health_issues"].__setitem__("skew", 0.0),
+                'factors health_issues has an unknown key "skew"',
+            ),
+            (lambda d: d.__setitem__("n_weeks", 5), 'synth config has an unknown key "n_weeks"'),
+            (lambda d: d.__setitem__("policy", []), "policy must be an object, got an array"),
+        ],
+        ids=[
+            "n-students-3.7", "expert-count-2.9", "seed-string", "weeks-true",
+            "expert-noise-string", "r-string", "pair-of-2", "mean-true", "policy-no-slope",
+            "factor-extra-key", "extra-key", "policy-array",
+        ],
+    )
+    def test_fields_are_read_by_json_type(self, mutate, message):
+        """``int()`` would load n_students 3.7 as 3, and ``float()`` the
+        string "0.1" as 0.1 and true as 1.0; each is refused, naming the field."""
+        data = config_to_dict(default_synth_config())
+        mutate(data)
+        with pytest.raises(ValidationError) as caught:
+            config_from_dict(data)
+        assert str(caught.value) == message
 
     def test_bad_factor_key_wins_over_bad_scalar(self):
         data = config_to_dict(default_synth_config())

@@ -183,7 +183,7 @@ class TestSerialization:
         config = TreeConfig(max_depth=4, split_criterion="entropy")
         tree = fit_tree(X, y, config)
         data = tree_to_dict(tree)
-        restored = tree_from_dict(data)
+        restored = tree_from_dict(data, data["n_features"], max(y) + 1)
         assert tree_to_dict(restored) == data
         for row in X:
             assert leaf_label(restored, row) == leaf_label(tree, row)
@@ -193,31 +193,43 @@ class TestSerialization:
 
         tree = fit_tree(XOR_X, XOR_Y)
         data = json.loads(json.dumps(tree_to_dict(tree)))
-        restored = tree_from_dict(data)
+        restored = tree_from_dict(data, data["n_features"], 2)
         assert [leaf_label(restored, x) for x in XOR_X] == XOR_Y
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("feature", "abc", "tree 'feature' must be a list of integers"),
-            ("label", 7, "tree 'label' must be a list of integers"),
-            ("threshold", {}, "tree 'threshold' must be a list of numbers"),
+            ("feature", "abc", 'tree \'feature\' must be an array, got "abc"'),
+            ("label", 7, "tree 'label' must be an array, got 7"),
+            ("threshold", {}, "tree 'threshold' must be an array, got an object"),
+        ],
+        ids=[  # stable case names, apart from the message wording
+            "feature-abc-tree 'feature' must be a list of integers",
+            "label-7-tree 'label' must be a list of integers",
+            "threshold-value2-tree 'threshold' must be a list of numbers",
         ],
     )
     def test_node_array_must_be_a_list(self, field, value, message):
         data = tree_to_dict(fit_tree(XOR_X, XOR_Y))
         data[field] = value
-        with pytest.raises(ValidationError, match=message):
-            tree_from_dict(data)
+        with pytest.raises(ValidationError) as caught:
+            tree_from_dict(data, data["n_features"], 2)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
-        "field, value", [("left", 2**70), ("threshold", 10**400)], ids=["left", "threshold"]
+        "field, value, message",
+        [
+            ("left", 2**70, "tree 'left' holds a number out of range"),
+            ("threshold", 10**400, f"tree 'threshold'[0] must be a number, got {10**400}"),
+        ],
+        ids=["left", "threshold"],
     )
-    def test_node_entry_out_of_range(self, field, value):
+    def test_node_entry_out_of_range(self, field, value, message):
         data = tree_to_dict(fit_tree(XOR_X, XOR_Y))
         data[field][0] = value
-        with pytest.raises(ValidationError, match=f"tree '{field}' holds a number out of range"):
-            tree_from_dict(data)
+        with pytest.raises(ValidationError) as caught:
+            tree_from_dict(data, data["n_features"], 2)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -233,4 +245,4 @@ class TestSerialization:
         assert data["left"][0] == 1 and data["feature"][1] >= 0  # root's left child is a split
         data[field][1] = value
         with pytest.raises(ValidationError, match=message):
-            tree_from_dict(data)
+            tree_from_dict(data, data["n_features"], 2)
