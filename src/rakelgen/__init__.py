@@ -20,13 +20,10 @@ _EXPORTS = {
     "errors": ("LabelCoverageWarning", "ValidationError"),
     "evaluation": (
         "EvalOptions", "comparison_report", "compute_metrics",
-        "paired_t_test", "render_table", "report_to_json",
+        "paired_t_test", "render_table", "report_to_json", "train_method",
     ),
     "features": ("feature_matrix", "feature_schema", "trend_word"),
-    "mlc": (
-        "RakelConfig", "TrainedModel", "gold_matrix", "predict_batch", "train_binary_relevance",
-        "train_chain", "train_lp", "train_majority", "train_rakel",
-    ),
+    "mlc": ("RakelConfig", "TrainedModel", "gold_matrix", "predict_batch"),
     "model_io": ("load_model", "save_model"),
     "nlg": ("feedback_for_records", "render_text"),
     "synth": ("SynthConfig", "default_synth_config", "generate_dataset", "load_synth_config"),

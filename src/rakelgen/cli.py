@@ -366,7 +366,7 @@ def cmd_inspect_features(args) -> int:
         rows = [i for i in rows if ds.student_ids[i] == args.student]
         if not rows:
             raise ValidationError(f"no record with student id {args.student!r}")
-    X = feature_matrix(ds.series[rows], args.mode)
+    X = feature_matrix(ds.series[rows], args.mode, [ds.student_ids[i] for i in rows])
     schema = feature_schema(ds.weeks, args.mode)
     for i, values in zip(rows, X.tolist()):
         print(f"{ds.student_ids[i]}:")

@@ -428,7 +428,7 @@ def record_from_dict(data, source: str = "record") -> StudentRecord:
     then checked as a record (series lengths in the file's key order)."""
     try:
         data = json_object(data, "record")
-        series = {
+        by_key = {
             name: json_list(values, f"series {name}", json_number)
             for name, values in json_object(data["series"], "series").items()
         }
@@ -438,7 +438,14 @@ def record_from_dict(data, source: str = "record") -> StudentRecord:
         labels = None if labels is None else frozenset(json_list(labels, "expert_labels", json_int))
     except (KeyError, ValidationError) as exc:
         raise ValidationError(f"{source}: malformed record: {exc}") from None
-    series = {FactorId.from_key(name): values for name, values in series.items()}
+    series = {}
+    for name, values in by_key.items():
+        factor = FactorId.from_key(name)
+        if factor in series:  # keys are case-insensitive
+            raise ValidationError(
+                f"record {student_id}: series {json.dumps(name)} repeats factor {factor.key}"
+            )
+        series[factor] = values
     if weeks < 1:
         raise ValidationError(f"record {student_id}: weeks must be >= 1")
     missing = _ALL_FACTORS - series.keys()

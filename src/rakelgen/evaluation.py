@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from .mlc import (
     RakelConfig,
     STRATEGIES,
     TrainedModel,
-    predict_batch,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
+    fit,
 )
 from .tree import TreeConfig
 
@@ -49,9 +44,6 @@ METHOD_LABELS = {
 }
 
 TABLE_COLUMNS = ("Classifier", "Accuracy", "Precision", "Recall", "F-score")
-
-CHAIN_METHODS = ("chain-predicted", "chain-real")
-
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -150,18 +142,26 @@ def compute_metrics(G: np.ndarray, P: np.ndarray) -> MetricSet:
 
 def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
     """Train one strategy on ``ds`` with the options' relevant knobs."""
-    if method == "br":
-        return train_binary_relevance(ds, opts.tree_config, opts.feature_mode, opts.n_jobs)
-    if method in CHAIN_METHODS:
-        history = method.removeprefix("chain-")
-        return train_chain(ds, opts.tree_config, opts.chain_order, history, opts.feature_mode)
-    if method == "majority":
-        return train_majority(ds, opts.majority_mode)
-    if method == "lp":
-        return train_lp(ds, opts.tree_config, opts.feature_mode)
-    if method == "rakel":
-        return train_rakel(ds, opts.rakel_config, opts.tree_config, opts.feature_mode, opts.n_jobs)
-    raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
+    if len(ds) == 0:
+        raise ValidationError("empty dataset")
+    ds.require_labeled()
+    X = feature_matrix(ds.series, opts.feature_mode, ds.student_ids)
+    (payload,) = _fit(X, ds.label_matrix(), (method,), opts).values()
+    return TrainedModel(
+        registry_version=ds.registry.version,
+        n_labels=len(ds.registry),
+        weeks=ds.weeks,
+        # a majority model reads no features; its artifact keeps the default mode
+        feature_mode="both" if method == "majority" else opts.feature_mode,
+        payload=payload,
+    )
+
+
+def _fit(X: np.ndarray, Y: np.ndarray, methods, opts: EvalOptions) -> dict:
+    return fit(
+        X, Y, methods, opts.tree_config, opts.rakel_config, opts.chain_order,
+        opts.majority_mode, opts.n_jobs,
+    )
 
 
 def _mean(values) -> float:
@@ -277,11 +277,11 @@ def comparison_report(
     """Cross-validate each strategy on identical folds and test each one's
     per-fold accuracies against the reference strategy's.
 
-    One loop runs over the folds. Each fold trains every strategy once on
-    the other folds' records and predicts its own records as one feature
-    matrix, so every record is predicted exactly once. The headline metrics
-    pool all predictions (or average the per-fold metrics under
-    ``aggregate="fold-mean"``).
+    One loop runs over the folds. Each fold trains every strategy once, in
+    one ``fit`` on the other folds' rows of the report's feature and label
+    matrices, and predicts its own rows, so every record is predicted
+    exactly once. The headline metrics pool all predictions (or average the
+    per-fold metrics under ``aggregate="fold-mean"``).
     """
     methods = tuple(methods)
     if not methods:
@@ -297,25 +297,17 @@ def comparison_report(
         raise ValidationError(f"reference method {reference!r} is not among the methods")
     ds.require_labeled()
     plan = np.array(make_fold_plan(len(ds), opts.n_folds, opts.seed))
-    X = feature_matrix(ds.series, opts.feature_mode)
+    X = feature_matrix(ds.series, opts.feature_mode, ds.student_ids)
     G = ds.label_matrix()
     golds: list[np.ndarray] = []
     predicted: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for fold in range(opts.n_folds):
         test = plan == fold
-        train = ds.take(np.flatnonzero(~test))
+        payloads = _fit(X[~test], G[~test], methods, opts)
         golds.append(G[test])
-        chain = None
         for method in methods:
-            if method not in CHAIN_METHODS:
-                model = train_method(method, train, opts)
-            elif chain is None:
-                model = chain = train_method(method, train, opts)
-            else:
-                # The chain methods train identical trees and differ only in how they predict.
-                history = method.removeprefix("chain-")
-                model = replace(chain, payload=replace(chain.payload, history=history))
-            bits, _ = predict_batch(model, X[test], golds[-1] if method == "chain-real" else None)
+            gold = golds[-1] if method == "chain-real" else None
+            bits, _ = payloads[method].predict(X[test], G.shape[1], gold)
             predicted[method].append(bits)
     fold_metrics = {
         m: [compute_metrics(gold, bits) for gold, bits in zip(golds, predicted[m])]

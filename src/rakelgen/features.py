@@ -59,10 +59,14 @@ def feature_count(weeks: int, mode: str) -> int:
     return len(FactorId) * per_factor
 
 
-def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
+def feature_matrix(series: np.ndarray, mode: str = "both", ids=None) -> np.ndarray:
     """Feature rows of an (n, 9, W) series stack (``Dataset.series``), as an
     (n, d) array whose columns follow ``feature_schema(W, mode)``. Row i
     depends on ``series[i]`` alone.
+
+    Finite values near the float limit can overflow a sum. A non-finite
+    feature raises a ``ValidationError`` naming its factor and its record,
+    ``ids[i]`` (row i if ``ids`` is None).
     """
     if mode not in FEATURE_MODES:
         raise ValidationError(f"unknown feature mode {mode!r}; expected one of {FEATURE_MODES}")
@@ -75,11 +79,19 @@ def feature_matrix(series: np.ndarray, mode: str = "both") -> np.ndarray:
         for w in range(1, S.shape[-1]):
             low = np.where(S[..., w] < low, S[..., w], low)
             high = np.where(S[..., w] > high, S[..., w], high)
-        mean, slope = mean_and_slope(S)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, slope = mean_and_slope(S)
         blocks.append(np.stack([mean, slope, low, high, S[..., -1]], axis=-1))
     if mode in ("raw", "both"):
         blocks.append(S)
-    return np.concatenate(blocks, axis=-1).reshape(len(S), -1)
+    X = np.concatenate(blocks, axis=-1)  # (n, 9, features per factor)
+    if not np.isfinite(X).all():
+        row, factor = np.argwhere(~np.isfinite(X).all(axis=-1))[0].tolist()
+        record = f"row {row}" if ids is None else f"record {ids[row]}"
+        raise ValidationError(
+            f"{record}: series {FactorId(factor + 1).key} gives non-finite features"
+        )
+    return X.reshape(len(S), -1)
 
 
 def mean_and_slope(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from .domain import Dataset, json_int, json_list, json_number, json_object
 from .errors import LabelCoverageWarning, ValidationError
-from .features import feature_matrix
 from .tree import (
     DecisionTree, TreeConfig, descend, stack_trees, train_trees, tree_from_dict, tree_stats,
     tree_to_dict,
@@ -285,6 +285,7 @@ PAYLOADS = {
 }
 
 STRATEGIES = tuple(PAYLOADS)
+CHAIN_METHODS = ("chain-predicted", "chain-real")
 
 #: The strategies a comparison runs by default, and the one the others are
 #: tested against.
@@ -325,16 +326,6 @@ class TrainedModel:
         return self.payload.strategy
 
 
-def _model(ds: Dataset, feature_mode: str, payload) -> TrainedModel:
-    return TrainedModel(
-        registry_version=ds.registry.version,
-        n_labels=len(ds.registry),
-        weeks=ds.weeks,
-        feature_mode=feature_mode,
-        payload=payload,
-    )
-
-
 def gold_matrix(model: TrainedModel, ds: Dataset) -> np.ndarray | None:
     """The ``gold`` argument of ``predict_batch`` for the dataset's records:
     their expert labels for a chain-real model, None for every other strategy."""
@@ -346,75 +337,6 @@ def gold_matrix(model: TrainedModel, ds: Dataset) -> np.ndarray | None:
                 f"record {student_id}: chain-real prediction needs expert labels"
             )
     return ds.label_matrix()
-
-
-def _training_arrays(ds: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    if len(ds) == 0:
-        raise ValidationError("empty dataset")
-    ds.require_labeled()
-    return feature_matrix(ds.series, mode), ds.label_matrix()
-
-
-def train_binary_relevance(
-    ds: Dataset, cfg: TreeConfig = TreeConfig(), feature_mode: str = "both", n_jobs: int = 1
-) -> TrainedModel:
-    """One independent binary tree per label."""
-    X, Y = _training_arrays(ds, feature_mode)
-    trees = train_trees(X, Y.T, cfg, n_jobs=n_jobs)
-    return _model(ds, feature_mode, BrPayload(trees=tuple(trees)))
-
-
-def train_chain(
-    ds: Dataset,
-    cfg: TreeConfig = TreeConfig(),
-    order: tuple[int, ...] | None = None,
-    history: str = "predicted",
-    feature_mode: str = "both",
-) -> TrainedModel:
-    """Classifier chain trained with gold history; ``history`` only affects prediction."""
-    if history not in ("predicted", "real"):
-        raise ValidationError("history must be 'predicted' or 'real'")
-    X, Y = _training_arrays(ds, feature_mode)
-    n_labels = Y.shape[1]
-    if order is None:
-        order = tuple(range(n_labels))
-    else:
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(n_labels)):
-            raise ValidationError(
-                f"chain order must be a permutation of 0..{n_labels - 1}"
-            )
-    # position p sees the features and the gold bits of positions 0..p-1
-    gold = Y[:, list(order)]
-    d = X.shape[1]
-    trees = train_trees(np.hstack([X, gold]), gold.T, cfg, widths=range(d, d + n_labels))
-    payload = ChainPayload(trees=tuple(trees), order=order, history=history)
-    return _model(ds, feature_mode, payload)
-
-
-def train_majority(ds: Dataset, mode: str = "per-label") -> TrainedModel:
-    """Constant predictor from training-label frequencies.
-
-    ``per-label`` sets bit j iff label j occurs in more than half the records
-    (ties drop to 0); ``labelset`` predicts the most frequent full label
-    combination, ties broken by first appearance.
-    """
-    if mode not in MAJORITY_MODES:
-        raise ValidationError(f"majority mode must be one of {MAJORITY_MODES}")
-    if len(ds) == 0:
-        raise ValidationError("empty dataset")
-    ds.require_labeled()
-    Y = ds.label_matrix()
-    n = Y.shape[0]
-    if mode == "per-label":
-        bits = tuple(int(c * 2 > n) for c in Y.sum(axis=0))
-    else:
-        seen: dict[tuple[int, ...], int] = {}
-        for row in Y:
-            key = tuple(int(b) for b in row)
-            seen[key] = seen.get(key, 0) + 1
-        bits = max(seen, key=seen.get)  # max keeps the first (earliest-seen) winner
-    return _model(ds, "both", MajorityPayload(bits=bits))
 
 
 def _lp_encode(
@@ -433,17 +355,6 @@ def _lp_encode(
             table.append(labelset)
         classes.append(index[labelset])
     return classes, tuple(table)
-
-
-def train_lp(
-    ds: Dataset, cfg: TreeConfig = TreeConfig(), feature_mode: str = "both"
-) -> TrainedModel:
-    """One multi-class tree over the distinct observed label combinations."""
-    X, Y = _training_arrays(ds, feature_mode)
-    scope = tuple(range(Y.shape[1]))
-    classes, table = _lp_encode(Y, scope)
-    (tree,) = train_trees(X, [classes], cfg)
-    return _model(ds, feature_mode, LpPayload(tree=tree, classes=table, scope=scope))
 
 
 def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
@@ -482,30 +393,91 @@ def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int
     return subsets
 
 
-def train_rakel(
-    ds: Dataset,
+def _plan(method: str, Y: np.ndarray, d: int, rcfg: RakelConfig, order, majority_mode: str):
+    """The trees ``method`` grows on the label rows Y, as (their class-code
+    arrays, the width of ``[X, gold bits in chain order]`` each tree reads,
+    trees -> payload); X has d columns."""
+    n_labels = Y.shape[1]
+    if method == "br":
+        return list(Y.T), [d] * n_labels, lambda trees: BrPayload(trees=tuple(trees))
+    if method in CHAIN_METHODS:
+        # trained with gold history; position p reads the gold bits of positions 0..p-1
+        history = method.removeprefix("chain-")
+        payload = lambda trees: ChainPayload(trees=tuple(trees), order=order, history=history)
+        return list(Y[:, list(order)].T), range(d, d + n_labels), payload
+    if method == "majority":
+        # per-label: bit j is set iff label j is in more than half the rows (ties
+        # to 0); labelset: the most frequent row, ties to the first seen
+        if majority_mode not in MAJORITY_MODES:
+            raise ValidationError(f"majority mode must be one of {MAJORITY_MODES}")
+        if majority_mode == "per-label":
+            bits = tuple(int(c * 2 > len(Y)) for c in Y.sum(axis=0))
+        else:
+            rows = Counter(tuple(map(int, row)) for row in Y)
+            bits = max(rows, key=rows.get)  # max keeps the first winner
+        return [], [], lambda trees: MajorityPayload(bits=bits)
+    if method == "lp":
+        scope = tuple(range(n_labels))
+        classes, table = _lp_encode(Y, scope)
+        return [classes], [d], lambda trees: LpPayload(tree=trees[0], classes=table, scope=scope)
+    if method == "rakel":
+        k = rcfg.k
+        m = rcfg.m if rcfg.m is not None else 2 * n_labels
+        if k < n_labels and m * k < n_labels:
+            warnings.warn(
+                f"m*k = {m * k} < {n_labels} labels: full coverage is impossible",
+                LabelCoverageWarning,
+            )
+        subsets = sample_labelsets(n_labels, k, m, rcfg.seed)
+        encoded = [_lp_encode(Y, scope) for scope in subsets]
+
+        def payload(trees):
+            members = map(LpPayload, trees, [table for _, table in encoded], subsets)
+            return RakelPayload(members=tuple(members), threshold=rcfg.threshold)
+
+        return [classes for classes, _ in encoded], [d] * len(subsets), payload
+    raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
+
+
+def fit(
+    X: np.ndarray,
+    Y: np.ndarray,
+    methods,
+    cfg: TreeConfig = TreeConfig(),
     rcfg: RakelConfig = RakelConfig(),
-    tcfg: TreeConfig = TreeConfig(),
-    feature_mode: str = "both",
+    order: tuple[int, ...] | None = None,
+    majority_mode: str = "per-label",
     n_jobs: int = 1,
-) -> TrainedModel:
-    """LP ensemble over random k-subsets of the labels."""
-    X, Y = _training_arrays(ds, feature_mode)
-    n_labels, k = Y.shape[1], rcfg.k
-    m = rcfg.m if rcfg.m is not None else 2 * n_labels
-    if k < n_labels and m * k < n_labels:
-        warnings.warn(
-            f"m*k = {m * k} < {n_labels} labels: full coverage is impossible",
-            LabelCoverageWarning,
-        )
-    subsets = sample_labelsets(n_labels, k, m, rcfg.seed)
-    encoded = [_lp_encode(Y, scope) for scope in subsets]
-    trees = train_trees(X, [classes for classes, _ in encoded], tcfg, n_jobs=n_jobs)
-    members = [
-        LpPayload(tree=tree, classes=table, scope=scope)
-        for tree, (_, table), scope in zip(trees, encoded, subsets)
-    ]
-    return _model(ds, feature_mode, RakelPayload(members=tuple(members), threshold=rcfg.threshold))
+) -> dict:
+    """Each strategy of ``methods`` trained on the feature rows X (n, d) and
+    their 0/1 label rows Y (n, L), as {method: payload}.
+
+    The trees of every strategy grow in one ``train_trees`` call on X and
+    Y's columns in chain ``order`` (registry order by default), which only
+    chain trees read. The two chain strategies share one chain.
+    """
+    methods = tuple(methods)
+    n_labels = Y.shape[1]
+    if any(method in CHAIN_METHODS for method in methods):
+        order = tuple(range(n_labels)) if order is None else tuple(map(int, order))
+        if sorted(order) != list(range(n_labels)):
+            raise ValidationError(f"chain order must be a permutation of 0..{n_labels - 1}")
+    else:
+        order = ()
+    plans = {method: _plan(method, Y, X.shape[1], rcfg, order, majority_mode) for method in methods}
+    ys, widths, first = [], [], {}  # first: each tree set's first tree in the call
+    for method, (codes, tree_widths, _) in plans.items():
+        tree_set = "chain" if method in CHAIN_METHODS else method
+        if tree_set not in first:
+            first[tree_set] = len(ys)
+            ys += codes
+            widths += tree_widths
+        first[method] = first[tree_set]
+    grown = train_trees(np.hstack([X, Y[:, list(order)]]), ys, cfg, widths, n_jobs) if ys else []
+    return {
+        method: payload(grown[first[method] : first[method] + len(codes)])
+        for method, (codes, _, payload) in plans.items()
+    }
 
 
 def _labelset_table(payload: LpPayload, n_labels: int) -> np.ndarray:

@@ -126,7 +126,7 @@ def _summaries(model, ds, gold, trend_tolerance) -> Iterator[Summary]:
     for head in range(0, len(ds), _CHUNK_ROWS):
         rows = slice(head, head + _CHUNK_ROWS)
         S = ds.series[rows]
-        X = feature_matrix(S, model.feature_mode)
+        X = feature_matrix(S, model.feature_mode, ds.student_ids[rows])
         bits, votes = predict_batch(model, X, None if gold is None else gold[rows])
         yield from chunk_summaries(
             ds.student_ids[rows], S, bits, votes, ds.registry, trend_tolerance

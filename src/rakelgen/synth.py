@@ -138,6 +138,16 @@ class SynthConfig:
         missing = [f.key for f in FactorId if f not in self.policy]
         if missing:
             raise ValidationError(f"missing policy thresholds for: {missing}")
+        seen: set[frozenset[FactorId]] = set()
+        for a, b, r in self.correlation_pairs:
+            if a == b:
+                raise ValidationError(f"correlation pair repeats factor {a.key}")
+            key = frozenset((a, b))
+            if key in seen:
+                raise ValidationError(f"duplicate correlation pair {a.key}/{b.key}")
+            seen.add(key)
+            if not -1.0 < r < 1.0:
+                raise ValidationError(f"correlation for {a.key}/{b.key} must be in (-1, 1)")
         for section, entries in (("factors", self.factors), ("policy", self.policy)):
             for factor, params in entries.items():
                 for name, value in asdict(params).items():
@@ -162,16 +172,7 @@ def build_correlation_matrix(
 ) -> np.ndarray:
     """Identity plus the configured symmetric off-diagonal entries."""
     matrix = np.eye(N_FACTORS)
-    seen: set[frozenset[FactorId]] = set()
     for a, b, r in pairs:
-        if a == b:
-            raise ValidationError(f"correlation pair repeats factor {a.key}")
-        key = frozenset((a, b))
-        if key in seen:
-            raise ValidationError(f"duplicate correlation pair {a.key}/{b.key}")
-        seen.add(key)
-        if not -1.0 < r < 1.0:
-            raise ValidationError(f"correlation for {a.key}/{b.key} must be in (-1, 1)")
         matrix[a - 1, b - 1] = matrix[b - 1, a - 1] = r
     return matrix
 
@@ -356,6 +357,8 @@ def _per_factor(data, section: str, kind) -> dict:
     out = {}
     for key, values in json_object(data, section).items():
         factor, name = FactorId.from_key(key), f"{section} {key}"
+        if factor in out:
+            raise ValidationError(f"{section} key {json.dumps(key)} repeats factor {factor.key}")
         values = json_object(values, name, keys)
         out[factor] = kind(**{k: json_number(v, f"{name} {k}") for k, v in values.items()})
     return out

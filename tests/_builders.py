@@ -14,6 +14,8 @@ from rakelgen.domain import (
     Template,
     TemplateRegistry,
 )
+from rakelgen.evaluation import EvalOptions, train_method
+from rakelgen.mlc import TrainedModel
 from rakelgen.tree import DecisionTree, TreeConfig, descend, train_trees
 
 # A constant baseline value that is legal for every factor's units
@@ -87,6 +89,11 @@ def tiny_registry(n_labels: int, version: str = "tiny") -> TemplateRegistry:
             )
         )
     return TemplateRegistry(templates=tuple(templates), version=version)
+
+
+def train(method: str, ds: Dataset, **options) -> TrainedModel:
+    """``method`` trained on ds by ``train_method``, with ``EvalOptions(**options)``."""
+    return train_method(method, ds, EvalOptions(**options))
 
 
 def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> DecisionTree:

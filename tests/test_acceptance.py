@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from _builders import fit_tree, leaf_label, marks_dataset, marks_record
+from _builders import fit_tree, leaf_label, marks_dataset, marks_record, train
 from _reference_features import reference_ols_slope
 from rakelgen.cli import main
 from rakelgen.domain import default_registry, load_dataset, series_stack
@@ -36,10 +36,6 @@ from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
     predict_batch,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_rakel,
 )
 from rakelgen.nlg import format_number, trend_word
 from rakelgen.synth import (
@@ -92,8 +88,8 @@ def test_criterion_1_structural_report(ds37):
 
 
 def test_criterion_2_rakel_degenerates_to_lp(ds37, ds100, registry):
-    lp = train_lp(ds37)
-    rakel = train_rakel(ds37, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
+    lp = train("lp", ds37)
+    rakel = train("rakel", ds37, rakel_config=RakelConfig(k=29, m=1, threshold=0.5, seed=0))
     X = feature_matrix(series_stack(ds100.records + ds37.records))
     assert predict_batch(rakel, X)[0].tolist() == predict_batch(lp, X)[0].tolist()
     checked = len(X)
@@ -111,8 +107,8 @@ def test_criterion_3_lp_closure_and_br_escape(registry):
         (float(v), []) for v in (6, 7, 8, 9)
     ]
     ds_pair = marks_dataset(registry, rows_pair)
-    lp = train_lp(ds_pair)
-    rakel = train_rakel(ds_pair, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
+    lp = train("lp", ds_pair)
+    rakel = train("rakel", ds_pair, rakel_config=RakelConfig(k=29, m=1, threshold=0.5, seed=0))
     observed_pair = {frozenset({1, 2}), frozenset()}
     rng = np.random.default_rng(0)
     probes = [round(float(v), 1) for v in rng.uniform(0.0, 10.0, size=200)]
@@ -138,9 +134,9 @@ def test_criterion_3_lp_closure_and_br_escape(registry):
         (9.0, [3]),
     ]
     ds_conflict = marks_dataset(registry, rows_conflict)
-    br = train_binary_relevance(ds_conflict)
-    lp = train_lp(ds_conflict)
-    rakel = train_rakel(ds_conflict, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
+    br = train("br", ds_conflict)
+    lp = train("lp", ds_conflict)
+    rakel = train("rakel", ds_conflict, rakel_config=RakelConfig(k=29, m=1, threshold=0.5, seed=0))
     observed_conflict = {frozenset({1, 2}), frozenset({3})}
     probes = [5.0, 4.5, 5.5] + [
         round(float(v), 1) for v in rng.uniform(0.0, 10.0, size=197)
@@ -250,7 +246,7 @@ def test_criterion_6_tree_memorization():
 
 
 def test_criterion_7_chain_real_reproduces_training_gold(ds37, registry):
-    model = train_chain(ds37, history="real")
+    model = train("chain-real", ds37)
     X = feature_matrix(ds37.series)
     bits, _ = predict_batch(model, X, gold_matrix(model, ds37))
     assert bits.tolist() == ds37.label_matrix().tolist()

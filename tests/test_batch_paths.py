@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _builders import fit_tree, leaf_label, marks_dataset, marks_record, tiny_registry
+from _builders import fit_tree, leaf_label, marks_dataset, marks_record, tiny_registry, train
 from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
 from rakelgen import mlc, tree as tree_module
@@ -25,11 +25,6 @@ from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
     predict_batch,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
 )
 from rakelgen.tree import TreeConfig, descend
 
@@ -159,22 +154,26 @@ class TestTreeRows:
         assert descend(tree, np.zeros((0, 1))).shape == (0, 1)
 
 
-def _quiet(fn, *args):
+def _quiet(fn, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LabelCoverageWarning)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
 
 TRAINERS = {
-    "br": lambda ds: train_binary_relevance(ds, TreeConfig(max_depth=5)),
-    "chain-predicted": lambda ds: train_chain(ds, history="predicted"),
-    "chain-real": lambda ds: train_chain(ds, order=tuple(range(28, -1, -1)), history="real"),
-    "majority-per-label": lambda ds: train_majority(ds, "per-label"),
-    "majority-labelset": lambda ds: train_majority(ds, "labelset"),
-    "lp": lambda ds: train_lp(ds, TreeConfig(split_criterion="entropy")),
-    "rakel": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=3, m=20, seed=4)),
-    "rakel-threshold-0": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=2, m=12, threshold=0.0)),
-    "rakel-threshold-1": lambda ds: _quiet(train_rakel, ds, RakelConfig(k=4, m=12, threshold=1.0)),
+    "br": lambda ds: train("br", ds, tree_config=TreeConfig(max_depth=5)),
+    "chain-predicted": lambda ds: train("chain-predicted", ds),
+    "chain-real": lambda ds: train("chain-real", ds, chain_order=tuple(range(28, -1, -1))),
+    "majority-per-label": lambda ds: train("majority", ds, majority_mode="per-label"),
+    "majority-labelset": lambda ds: train("majority", ds, majority_mode="labelset"),
+    "lp": lambda ds: train("lp", ds, tree_config=TreeConfig(split_criterion="entropy")),
+    "rakel": lambda ds: _quiet(train, "rakel", ds, rakel_config=RakelConfig(k=3, m=20, seed=4)),
+    "rakel-threshold-0": lambda ds: _quiet(
+        train, "rakel", ds, rakel_config=RakelConfig(k=2, m=12, threshold=0.0)
+    ),
+    "rakel-threshold-1": lambda ds: _quiet(
+        train, "rakel", ds, rakel_config=RakelConfig(k=4, m=12, threshold=1.0)
+    ),
 }
 
 
@@ -230,7 +229,7 @@ class TestPredictBatch:
         registry = tiny_registry(3)
         rows = [(1.0, [1, 2]), (1.0, []), (1.0, [1, 2]), (1.0, []), (1.0, [1, 2]),
                 (5.0, [1, 2, 3]), (5.0, [3]), (9.0, [])]
-        model = train_chain(marks_dataset(registry, rows), history=history)
+        model = train(f"chain-{history}", marks_dataset(registry, rows))
         records = [marks_record(f"p{i}", v, [1, 2, 3][: i % 4])
                    for i, v in enumerate((1.0, 1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 5.0))]
         X = feature_matrix(series_stack(records))
@@ -243,7 +242,7 @@ class TestPredictBatch:
             assert bits[0].tolist() != bits[1].tolist()  # same x, other gold
 
     def test_real_history_is_the_gold_matrix(self, ds37):
-        model = train_chain(ds37, history="real")
+        model = train("chain-real", ds37)
         gold = gold_matrix(model, ds37)
         assert gold.tolist() == [
             [int(ds37.registry.template_at(j).id in r.expert_labels) for j in range(29)]

@@ -694,6 +694,49 @@ class TestFeedback:
         assert out.read_text(encoding="utf-8") == text + "\n"
 
 
+class TestOverflowingFeatures:
+    """Finite series values near the float limit overflow the feature sums.
+    Every command that makes features exits 2 naming the record and the
+    factor, with no numpy warning (the suite makes each warning an error)."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, capsys):
+        clean, bad, model = (tmp_path / name for name in ("clean.jsonl", "bad.jsonl", "m.json"))
+        assert main(["generate", "--out", str(clean), "--count", "30", "--seed", "5"]) == 0
+        assert main(["train", "--data", str(clean), "--method", "br", "--out", str(model)]) == 0
+        capsys.readouterr()
+        lines = clean.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["series"]["hours_studied"] = [1e308] * record["weeks"]
+        bad.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n", encoding="utf-8")
+        return {"data": str(bad), "model": str(model), "out": str(tmp_path / "out.json")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--folds", "3"],
+            ["train", "--method", "rakel", "--out", "{out}"],
+            ["feedback", "--model", "{model}"],
+            ["inspect-features"],
+        ],
+        ids=["evaluate", "train", "feedback", "inspect-features"],
+    )
+    def test_exit_2_naming_the_record_and_factor(self, paths, argv, capsys):
+        argv = [argv[0], "--data", paths["data"], *(arg.format(**paths) for arg in argv[1:])]
+        code, stdout, stderr = _run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "rakelgen: validation error: record s0000: series hours_studied gives "
+            "non-finite features\n"
+        )
+
+    def test_other_records_still_inspect(self, paths, capsys):
+        argv = ["inspect-features", "--data", paths["data"], "--student", "s0001"]
+        code, stdout, _ = _run(argv, capsys)
+        assert code == 0
+        assert stdout.startswith("s0001:")
+
+
 def test_parser_aggregates_are_evaluations():
     from rakelgen import cli, evaluation
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from _builders import marks_dataset, tiny_registry
 from _reference_cv import reference_report
-from rakelgen import evaluation
+from rakelgen import mlc
 from rakelgen.domain import default_registry
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import FEATURE_MODES
@@ -479,13 +480,14 @@ def comparisons(draw):
 
 class TestFoldLoop:
     """The fold-major loop of ``comparison_report`` against the per-method
-    reference loop (``_reference_cv``): the same report, field for field,
-    and the same warnings in the same order."""
+    reference loop (``_reference_cv``) on one thread: the same report, field
+    for field, and the same warnings in the same order."""
 
     @staticmethod
     def _matches_reference(ds, methods, reference, opts):
         got = _with_warnings(lambda: comparison_report(ds, methods, reference, opts))
-        want = _with_warnings(lambda: reference_report(ds, methods, reference, opts))
+        sequential = dataclasses.replace(opts, n_jobs=1)
+        want = _with_warnings(lambda: reference_report(ds, methods, reference, sequential))
         assert got == want
         return got[1]
 
@@ -509,8 +511,19 @@ class TestFoldLoop:
                     chain_order=tuple(reversed(range(29))),
                 ),
             ),
+            *(
+                (
+                    (*DEFAULT_METHODS, "lp"),
+                    "rakel",
+                    EvalOptions(n_folds=3, chain_order=(*range(1, 29), 0), n_jobs=n_jobs),
+                )
+                for n_jobs in (1, 2, 3)
+            ),
         ],
-        ids=["all-derived", "all-fold-mean", "default-raw", "chains-entropy-order"],
+        ids=[
+            "all-derived", "all-fold-mean", "default-raw", "chains-entropy-order",
+            "default-lp-order-1-job", "default-lp-order-2-jobs", "default-lp-order-3-jobs",
+        ],
     )
     def test_seeded_cohort(self, ds37, methods, reference, opts):
         assert self._matches_reference(ds37, methods, reference, opts) == []
@@ -522,36 +535,39 @@ class TestFoldLoop:
         assert len(caught) == 2 * opts.n_folds  # impossible coverage, then the labels left out
 
 
-TRAINER_NAMES = (
-    "train_binary_relevance", "train_chain", "train_lp", "train_majority", "train_rakel",
-)
-
-
 class TestEachModelTrainedOnce:
-    """Per fold, each strategy trains one model; the chain methods share one chain."""
+    """Per fold, ``comparison_report`` grows the trees of every requested
+    strategy in one ``train_trees`` call: each model is trained once, and the
+    two chain methods share one chain."""
+
+    L, M = 2, 1  # labels, RAkEL members
+    D = 9 * (5 + 4)  # features of 4-week records, feature mode "both"
 
     @pytest.fixture
-    def fits(self, monkeypatch):
-        counts = Counter()
-        for name in TRAINER_NAMES:
-            def counted(*args, _train=getattr(evaluation, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _train(*args, **kwargs)
+    def calls(self, monkeypatch):
+        """(columns of X, the trees' widths) of each ``train_trees`` call."""
+        calls = []
+        train_trees = mlc.train_trees
 
-            monkeypatch.setattr(evaluation, name, counted)
-        return counts
+        def counted(X, ys, cfg=TreeConfig(), widths=None, n_jobs=1):
+            ys = list(ys)
+            calls.append((X.shape[1], sorted([X.shape[1]] * len(ys) if widths is None else widths)))
+            return train_trees(X, ys, cfg, widths, n_jobs)
+
+        monkeypatch.setattr(mlc, "train_trees", counted)
+        return calls
 
     @pytest.fixture
     def ds8(self):
         labels = [[1, 2], [1, 2], [1], [1, 2], [], [2], [], []]
         return marks_dataset(tiny_registry(2), [(float(i), y) for i, y in enumerate(labels)])
 
-    def test_default_methods(self, ds8, fits):
-        opts = EvalOptions(n_folds=4, rakel_config=RakelConfig(k=2, m=1))
+    def test_default_methods(self, ds8, calls):
+        opts = EvalOptions(n_folds=4, rakel_config=RakelConfig(k=2, m=self.M))
         comparison_report(ds8, opts=opts)
-        assert fits == Counter(
-            train_binary_relevance=4, train_chain=4, train_majority=4, train_rakel=4
-        )
+        # BR's and RAkEL's trees read the features; chain position p reads p gold bits more
+        br, rakel, chain = [self.D] * self.L, [self.D] * self.M, range(self.D, self.D + self.L)
+        assert calls == [(self.D + self.L, sorted([*br, *rakel, *chain]))] * 4
 
     @pytest.mark.parametrize(
         "methods",
@@ -560,8 +576,14 @@ class TestEachModelTrainedOnce:
             ("chain-real",),
             ("chain-predicted", "chain-real"),
             ("chain-real", "chain-predicted"),
+            ("chain-real", "majority", "chain-predicted"),
         ],
     )
-    def test_one_chain_per_fold(self, ds8, fits, methods):
+    def test_one_chain_per_fold(self, ds8, calls, methods):
         comparison_report(ds8, methods, methods[0], EvalOptions(n_folds=4))
-        assert fits == Counter(train_chain=4)
+        assert calls == [(self.D + self.L, list(range(self.D, self.D + self.L)))] * 4
+
+    def test_majority_alone_grows_no_tree(self, ds8, calls):
+        report = comparison_report(ds8, ("majority",), "majority", EvalOptions(n_folds=4))
+        assert calls == []
+        assert len(report.results[0].fold_accuracies) == 4

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _builders import fit_tree
+from _builders import fit_tree, train
 from _reference_predict import reference_descent
 from _reference_tree import record_fits, reference_grow
 from rakelgen.cli import main
@@ -27,11 +27,6 @@ from rakelgen.mlc import (
     RakelConfig,
     TrainedModel,
     predict_batch,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
 )
 from rakelgen.model_io import load_model, model_from_dict, model_to_dict, save_model
 from rakelgen.synth import default_synth_config, generate_dataset
@@ -49,10 +44,10 @@ from rakelgen.tree import (
 CRITERIA = ("gini", "entropy")
 
 
-def _quiet(fn, *args):
+def _quiet(fn, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LabelCoverageWarning)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
 
 @st.composite
@@ -89,10 +84,13 @@ class TestGrowthAgainstReference:
         the recursive reference grown on the same inputs."""
         ds = request.getfixturevalue(name)
         fits = record_fits(monkeypatch)
-        train_binary_relevance(ds, TreeConfig(split_criterion="entropy"))
-        train_chain(ds, TreeConfig(min_samples_leaf=2))
-        train_lp(ds)
-        _quiet(train_rakel, ds, RakelConfig(k=3, seed=1), TreeConfig(max_depth=6))
+        train("br", ds, tree_config=TreeConfig(split_criterion="entropy"))
+        train("chain-predicted", ds, tree_config=TreeConfig(min_samples_leaf=2))
+        train("lp", ds)
+        _quiet(
+            train, "rakel", ds,
+            rakel_config=RakelConfig(k=3, seed=1), tree_config=TreeConfig(max_depth=6),
+        )
         assert len(fits) == 29 + 29 + 1 + 58
         for X, y, config, tree in fits:
             assert tree_to_dict(tree) == reference_grow(X, y, config)
@@ -219,7 +217,7 @@ def _frames() -> list:
 class TestArtifactChecks:
     def _rejects_version(self, version, ds37, registry, tmp_path):
         path = tmp_path / "model.json"
-        save_model(train_majority(ds37), registry, path)
+        save_model(train("majority", ds37), registry, path)
         data = json.loads(path.read_text(encoding="utf-8"))
         data["format_version"] = version
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -260,7 +258,7 @@ class TestArtifactChecks:
             tree_from_dict(data, data["n_features"], 2)
 
     def test_per_label_tree_labels_are_bits(self, ds37, registry):
-        data = model_to_dict(train_binary_relevance(ds37), registry)
+        data = model_to_dict(train("br", ds37), registry)
         data["payload"]["trees"][2]["label"][0] = 2
         message = r"^br 'trees'\[2\] node 0 'label' 2 does not index the 2 classes$"
         with pytest.raises(ValidationError, match=message):
@@ -280,8 +278,8 @@ def fuzz_base(registry, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     ds = generate_dataset(default_synth_config(n_students=12, weeks=4, seed=3), registry)
     save_dataset(ds, work / "data.jsonl")
-    rakel = _quiet(train_rakel, ds, RakelConfig(k=3, m=4, seed=0))
-    br = train_binary_relevance(ds, TreeConfig(max_depth=3))
+    rakel = _quiet(train, "rakel", ds, rakel_config=RakelConfig(k=3, m=4, seed=0))
+    br = train("br", ds, tree_config=TreeConfig(max_depth=3))
     return work, {
         "rakel": model_to_dict(rakel, registry),
         "br": model_to_dict(br, registry),
@@ -371,12 +369,14 @@ def envelope_base(registry, tmp_path_factory):
     save_dataset(ds, work / "data.jsonl")
     cfg = TreeConfig(max_depth=3)
     models = {
-        "br": train_binary_relevance(ds, cfg),
-        "chain-predicted": train_chain(ds, cfg, history="predicted"),
-        "chain-real": train_chain(ds, cfg, history="real"),
-        "majority": train_majority(ds),
-        "lp": train_lp(ds, cfg),
-        "rakel": _quiet(train_rakel, ds, RakelConfig(k=3, m=4, seed=0), cfg),
+        "br": train("br", ds, tree_config=cfg),
+        "chain-predicted": train("chain-predicted", ds, tree_config=cfg),
+        "chain-real": train("chain-real", ds, tree_config=cfg),
+        "majority": train("majority", ds),
+        "lp": train("lp", ds, tree_config=cfg),
+        "rakel": _quiet(
+            train, "rakel", ds, rakel_config=RakelConfig(k=3, m=4, seed=0), tree_config=cfg
+        ),
     }
     return work, {name: model_to_dict(model, registry) for name, model in models.items()}
 

@@ -20,16 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _builders import train
 from rakelgen.domain import _parse_registry, default_registry, registry_to_dict
 from rakelgen.errors import LabelCoverageWarning, ValidationError
-from rakelgen.mlc import (
-    RakelConfig,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
-)
+from rakelgen.mlc import RakelConfig
 from rakelgen.model_io import model_from_dict, model_to_dict
 from rakelgen.synth import config_from_dict, config_to_dict, default_synth_config, generate_dataset
 from rakelgen.tree import TreeConfig
@@ -46,12 +40,12 @@ def _documents() -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LabelCoverageWarning)
         models = {
-            "br": train_binary_relevance(ds, TreeConfig(max_depth=3)),
-            "chain-predicted": train_chain(ds, TreeConfig(max_depth=3)),
-            "chain-real": train_chain(ds, TreeConfig(max_depth=3), history="real"),
-            "majority": train_majority(ds),
-            "lp": train_lp(ds),
-            "rakel": train_rakel(ds, RakelConfig(k=3, m=4, seed=0)),
+            "br": train("br", ds, tree_config=TreeConfig(max_depth=3)),
+            "chain-predicted": train("chain-predicted", ds, tree_config=TreeConfig(max_depth=3)),
+            "chain-real": train("chain-real", ds, tree_config=TreeConfig(max_depth=3)),
+            "majority": train("majority", ds),
+            "lp": train("lp", ds),
+            "rakel": train("rakel", ds, rakel_config=RakelConfig(k=3, m=4, seed=0)),
         }
     documents = {name: model_to_dict(model, registry) for name, model in models.items()}
     documents["registry"] = registry_to_dict(registry)

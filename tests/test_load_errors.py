@@ -262,6 +262,16 @@ def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
         assert loaded.records == plain.records
 
 
+def test_a_factor_key_repeated_in_another_case_is_refused(tmp_path):
+    """Factor keys are case-insensitive, so a record holding both "marks" and
+    "MARKS" fails on the second, in the first block or a later one."""
+    record = _record()
+    record["series"]["MARKS"] = record["series"]["marks"]
+    for lead in ([], [GOOD] * LEAD):
+        message = _message(tmp_path, lead + [json.dumps(record)])
+        assert message == 'record s1: series "MARKS" repeats factor marks'
+
+
 def test_a_bad_line_in_a_later_block_wins_over_the_week_counts(tmp_path):
     lines = [GOOD, json.dumps(_record("s2", length=4))] + [GOOD] * 597 + ["{oops"]
     assert _message(tmp_path, lines) == (

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _builders import leaf_label, make_record, marks_dataset, tiny_registry
+from _builders import leaf_label, make_record, marks_dataset, tiny_registry, train
 from rakelgen.domain import Dataset, StudentRecord, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import feature_matrix
@@ -22,11 +22,6 @@ from rakelgen.mlc import (
     gold_matrix,
     predict_batch,
     sample_labelsets,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
 )
 from rakelgen.tree import DecisionTree, descend, tree_to_dict
 
@@ -63,21 +58,21 @@ class TestBinaryRelevance:
     def test_constant_bit_becomes_single_leaf(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, [(1.0, [1]), (2.0, [1]), (3.0, [1])])
-        model = train_binary_relevance(ds)
+        model = train("br", ds)
         assert isinstance(model.payload, BrPayload)
         tree_for_label_0 = model.payload.trees[0]
         assert tree_for_label_0.feature.tolist() == [-1]  # the root is a leaf
         assert tree_for_label_0.label.tolist() == [1]
 
     def test_one_tree_per_label(self, ds37):
-        model = train_binary_relevance(ds37)
+        model = train("br", ds37)
         assert len(model.payload.trees) == 29
         assert model.n_labels == 29
 
     def test_prediction_concatenates_per_label_trees(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
-        model = train_binary_relevance(ds)
+        model = train("br", ds)
         x = _flat_marks_input(2.5)
         per_tree = [leaf_label(t, x) for t in model.payload.trees]
         assert list(_predict(model, x)) == per_tree
@@ -85,7 +80,7 @@ class TestBinaryRelevance:
     def test_label_independence_under_registry_subsetting(self, ds37, registry):
         from rakelgen.domain import TemplateRegistry
 
-        full_model = train_binary_relevance(ds37)
+        full_model = train("br", ds37)
         keep_ids = (1, 4, 9, 16, 25)
         sub_registry = TemplateRegistry(
             templates=tuple(registry.get(i) for i in keep_ids), version="subset"
@@ -94,7 +89,7 @@ class TestBinaryRelevance:
             StudentRecord(r.student_id, r.series, r.expert_labels & frozenset(keep_ids))
             for r in ds37.records
         )
-        sub_model = train_binary_relevance(Dataset(sub_registry, sub_records))
+        sub_model = train("br", Dataset(sub_registry, sub_records))
         for sub_index, template_id in enumerate(keep_ids):
             full_index = registry.label_index(template_id)
             assert tree_to_dict(sub_model.payload.trees[sub_index]) == tree_to_dict(
@@ -104,11 +99,11 @@ class TestBinaryRelevance:
     def test_unlabeled_dataset_rejected(self, registry):
         ds = Dataset(registry, (make_record(),))
         with pytest.raises(ValidationError):
-            train_binary_relevance(ds)
+            train("br", ds)
 
     def test_parallel_training_identical(self, ds37):
-        sequential = train_binary_relevance(ds37, n_jobs=1)
-        parallel = train_binary_relevance(ds37, n_jobs=4)
+        sequential = train("br", ds37, n_jobs=1)
+        parallel = train("br", ds37, n_jobs=4)
         for a, b in zip(sequential.payload.trees, parallel.payload.trees):
             assert tree_to_dict(a) == tree_to_dict(b)
 
@@ -117,8 +112,8 @@ class TestChain:
     def test_single_label_chain_equals_br(self):
         registry = tiny_registry(1)
         ds = marks_dataset(registry, [(1.0, [1]), (2.0, [1]), (8.0, []), (9.0, [])])
-        chain = train_chain(ds)
-        br = train_binary_relevance(ds)
+        chain = train("chain-predicted", ds)
+        br = train("br", ds)
         for value in (0.5, 3.0, 5.0, 8.5):
             x = _flat_marks_input(value)
             assert _predict(chain, x) == _predict(br, x)
@@ -129,7 +124,7 @@ class TestChain:
         # must reproduce its first on every input.
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
-        model = train_chain(ds, history="predicted")
+        model = train("chain-predicted", ds)
         for value in (0.5, 2.2, 4.4, 4.6, 6.1, 9.5, 50.0):
             bits = _predict(model, _flat_marks_input(value))
             assert bits[1] == bits[0]
@@ -137,7 +132,7 @@ class TestChain:
     def test_real_history_requires_gold(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
-        model = train_chain(ds, history="real")
+        model = train("chain-real", ds)
         x = _flat_marks_input(3.0)
         with pytest.raises(ValidationError, match="gold"):
             _predict(model, x)
@@ -146,14 +141,14 @@ class TestChain:
     def test_predicted_history_rejects_gold(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
-        model = train_chain(ds, history="predicted")
+        model = train("chain-predicted", ds)
         with pytest.raises(ValidationError):
             _predict(model, _flat_marks_input(3.0), (1, 1))
 
     def test_gold_length_checked(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
-        model = train_chain(ds, history="real")
+        model = train("chain-real", ds)
         with pytest.raises(ValidationError):
             _predict(model, _flat_marks_input(3.0), (1, 1, 0))
 
@@ -168,7 +163,7 @@ class TestChain:
             (9.0, [3]),
         ]
         ds = marks_dataset(registry, rows)
-        model = train_chain(ds, history="real")
+        model = train("chain-real", ds)
         x = _flat_marks_input(4.2)
         base = _predict(model, x, (1, 1, 0))
         flipped = _predict(model, x, (1, 1, 1))
@@ -178,7 +173,7 @@ class TestChain:
         registry = tiny_registry(3)
         rows = [(1.0, [1, 2]), (2.0, [3]), (8.0, []), (9.0, [1])]
         ds = marks_dataset(registry, rows)
-        model = train_chain(ds, order=(2, 0, 1))
+        model = train("chain-predicted", ds, chain_order=(2, 0, 1))
         assert isinstance(model.payload, ChainPayload)
         assert model.payload.order == (2, 0, 1)
         assert len(_predict(model, _flat_marks_input(5.0))) == 3
@@ -187,15 +182,15 @@ class TestChain:
         registry = tiny_registry(3)
         ds = marks_dataset(registry, [(1.0, [1]), (9.0, [])])
         with pytest.raises(ValidationError):
-            train_chain(ds, order=(0, 1))
+            train("chain-predicted", ds, chain_order=(0, 1))
         with pytest.raises(ValidationError):
-            train_chain(ds, order=(0, 1, 1))
+            train("chain-predicted", ds, chain_order=(0, 1, 1))
 
     def test_invalid_history_rejected(self):
         registry = tiny_registry(2)
         ds = marks_dataset(registry, TWO_LABEL_ROWS)
         with pytest.raises(ValidationError):
-            train_chain(ds, history="oracle")
+            train("chain-oracle", ds)
 
 
 class TestMajority:
@@ -204,7 +199,7 @@ class TestMajority:
         rows = [(float(i), [1]) for i in range(7)] + [
             (float(10 + i), []) for i in range(3)
         ]
-        model = train_majority(marks_dataset(registry, rows))
+        model = train("majority", marks_dataset(registry, rows))
         assert model.payload.bits == (1,)
 
     def test_exact_tie_clears_bit(self):
@@ -212,18 +207,18 @@ class TestMajority:
         rows = [(float(i), [1]) for i in range(5)] + [
             (float(10 + i), []) for i in range(5)
         ]
-        model = train_majority(marks_dataset(registry, rows))
+        model = train("majority", marks_dataset(registry, rows))
         assert model.payload.bits == (0,)
 
     def test_all_clear_stays_clear(self):
         registry = tiny_registry(2)
         rows = [(float(i), []) for i in range(4)]
-        model = train_majority(marks_dataset(registry, rows))
+        model = train("majority", marks_dataset(registry, rows))
         assert model.payload.bits == (0, 0)
 
     def test_prediction_ignores_input(self):
         registry = tiny_registry(2)
-        model = train_majority(marks_dataset(registry, TWO_LABEL_ROWS))
+        model = train("majority", marks_dataset(registry, TWO_LABEL_ROWS))
         outputs = {
             _predict(model, _flat_marks_input(v)) for v in (0.0, 5.0, 99.0)
         }
@@ -237,25 +232,25 @@ class TestMajority:
             (3.0, [3]),
             (4.0, [1]),
         ]
-        model = train_majority(marks_dataset(registry, rows), mode="labelset")
+        model = train("majority", marks_dataset(registry, rows), majority_mode="labelset")
         assert isinstance(model.payload, MajorityPayload)
         assert model.payload.bits == (1, 1, 0)
 
     def test_labelset_mode_tie_takes_first_appearance(self):
         registry = tiny_registry(3)
         rows = [(1.0, [3]), (2.0, [1, 2]), (3.0, [3]), (4.0, [1, 2])]
-        model = train_majority(marks_dataset(registry, rows), mode="labelset")
+        model = train("majority", marks_dataset(registry, rows), majority_mode="labelset")
         assert model.payload.bits == (0, 0, 1)
 
     def test_unknown_mode_rejected(self, ds37):
         with pytest.raises(ValidationError):
-            train_majority(ds37, mode="median")
+            train("majority", ds37, majority_mode="median")
 
 
 def _lp_classes(ds):
     """The class table of an LP model of ds, and the class its tree gives each
     training record (records with distinct marks, which the tree memorizes)."""
-    payload = train_lp(ds).payload
+    payload = train("lp", ds).payload
     leaves = descend(payload.tree, feature_matrix(ds.series))[:, 0]
     return payload.tree.label[leaves].tolist(), payload.classes
 
@@ -292,7 +287,7 @@ class TestLabelPowerset:
             for i in range(15)
         ]
         ds = marks_dataset(registry, rows)
-        model = train_lp(ds)
+        model = train("lp", ds)
         observed = {frozenset(r.expert_labels) for r in ds.records}
         rng = np.random.default_rng(0)
         for value in rng.uniform(0, 20, size=60):
@@ -305,7 +300,7 @@ class TestLabelPowerset:
     def test_single_class_predicts_constantly(self):
         registry = tiny_registry(3)
         rows = [(1.0, [2, 3]), (5.0, [2, 3]), (9.0, [2, 3])]
-        model = train_lp(marks_dataset(registry, rows))
+        model = train("lp", marks_dataset(registry, rows))
         assert isinstance(model.payload, LpPayload)
         for value in (0.0, 4.0, 50.0):
             assert _predict(model, _flat_marks_input(value)) == (0, 1, 1)
@@ -412,29 +407,29 @@ class TestRakelVoting:
 
 class TestRakelTraining:
     def test_default_m_is_twice_label_count(self, ds37):
-        model = train_rakel(ds37, RakelConfig(k=3, seed=0))
+        model = train("rakel", ds37, rakel_config=RakelConfig(k=3, seed=0))
         assert isinstance(model.payload, RakelPayload)
         assert len(model.payload.members) == 58
 
     def test_member_scopes_have_size_k(self, ds37):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            model = train_rakel(ds37, RakelConfig(k=3, m=20, seed=1))
+            model = train("rakel", ds37, rakel_config=RakelConfig(k=3, m=20, seed=1))
         for member in model.payload.members:
             assert len(member.scope) == 3
 
     def test_member_class_counts_bounded(self, ds37):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            model = train_rakel(ds37, RakelConfig(k=3, m=20, seed=1))
+            model = train("rakel", ds37, rakel_config=RakelConfig(k=3, m=20, seed=1))
         for member in model.payload.members:
             assert len(member.classes) <= min(len(ds37), 2**3)
 
     def test_k_equals_l_single_member_matches_lp(self, ds37, ds100):
-        lp = train_lp(ds37)
+        lp = train("lp", ds37)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            rakel = train_rakel(ds37, RakelConfig(k=29, m=1, threshold=0.5, seed=0))
+            rakel = train("rakel", ds37, rakel_config=RakelConfig(k=29, m=1, threshold=0.5, seed=0))
         X = feature_matrix(ds100.series)
         assert predict_batch(rakel, X)[0].tolist() == predict_batch(lp, X)[0].tolist()
 
@@ -442,8 +437,8 @@ class TestRakelTraining:
         cfg = RakelConfig(k=3, m=16, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            a = train_rakel(ds37, cfg, n_jobs=1)
-            b = train_rakel(ds37, cfg, n_jobs=3)
+            a = train("rakel", ds37, rakel_config=cfg, n_jobs=1)
+            b = train("rakel", ds37, rakel_config=cfg, n_jobs=3)
         assert len(a.payload.members) == len(b.payload.members)
         for ma, mb in zip(a.payload.members, b.payload.members):
             assert ma.scope == mb.scope
@@ -453,7 +448,7 @@ class TestRakelTraining:
     def test_votes_are_member_means(self, ds37):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            model = train_rakel(ds37, RakelConfig(k=3, m=12, seed=3))
+            model = train("rakel", ds37, rakel_config=RakelConfig(k=3, m=12, seed=3))
         row = feature_matrix(ds37.series[:1])[0]
         bits, votes = predict_batch(model, row[None, :])
         bits, votes = bits[0].tolist(), votes[0].tolist()
@@ -482,18 +477,18 @@ class TestConfigAndDispatch:
             RakelConfig(threshold=-0.1)
 
     def test_gold_rejected_outside_real_history(self, ds37):
-        model = train_majority(ds37)
+        model = train("majority", ds37)
         first = ds37.take([0])
         with pytest.raises(ValidationError, match="gold"):
             predict_batch(model, feature_matrix(first.series), first.label_matrix())
 
     def test_predict_record_chain_real_needs_labels(self, ds37, registry):
-        model = train_chain(ds37, history="real")
+        model = train("chain-real", ds37)
         with pytest.raises(ValidationError, match="needs expert labels"):
             gold_matrix(model, Dataset(registry, (make_record(weeks=10),)))
 
     def test_predict_record_matches_predict(self, ds37):
-        model = train_binary_relevance(ds37)
+        model = train("br", ds37)
         alone, _ = predict_batch(model, feature_matrix(ds37.take([5]).series))
         in_batch, _ = predict_batch(model, feature_matrix(ds37.series))
         assert alone.tolist() == in_batch[5:6].tolist()

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _builders import tiny_registry
+from _builders import tiny_registry, train
 from rakelgen.cli import main
 from rakelgen.domain import Template, TemplateRegistry, save_dataset
 from rakelgen.errors import LabelCoverageWarning, ValidationError
@@ -19,11 +19,6 @@ from rakelgen.mlc import (
     RakelConfig,
     gold_matrix,
     predict_batch,
-    train_binary_relevance,
-    train_chain,
-    train_lp,
-    train_majority,
-    train_rakel,
 )
 from rakelgen.model_io import (
     FORMAT_VERSION,
@@ -38,18 +33,18 @@ from rakelgen.tree import TreeConfig
 
 def _train(method: str, ds):
     if method == "br":
-        return train_binary_relevance(ds, TreeConfig(max_depth=4))
+        return train("br", ds, tree_config=TreeConfig(max_depth=4))
     if method == "chain-predicted":
-        return train_chain(ds, history="predicted")
+        return train("chain-predicted", ds)
     if method == "chain-real":
-        return train_chain(ds, history="real")
+        return train("chain-real", ds)
     if method == "majority":
-        return train_majority(ds)
+        return train("majority", ds)
     if method == "lp":
-        return train_lp(ds)
+        return train("lp", ds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LabelCoverageWarning)
-        return train_rakel(ds, RakelConfig(k=3, m=24, seed=0))
+        return train("rakel", ds, rakel_config=RakelConfig(k=3, m=24, seed=0))
 
 
 ALL_METHODS = ("br", "chain-predicted", "chain-real", "majority", "lp", "rakel")

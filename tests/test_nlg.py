@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _builders import make_record, marks_dataset, tiny_registry
+from _builders import make_record, marks_dataset, tiny_registry, train
 from rakelgen.domain import Dataset, FactorId, ReferenceType, default_registry, series_stack
 from rakelgen.errors import ValidationError
 from rakelgen.features import DEFAULT_TREND_TOLERANCE
-from rakelgen.mlc import train_chain, train_majority
 from rakelgen.nlg import (
     REFERENCE_PRIORITY,
     choose,
@@ -241,19 +240,19 @@ class TestFeedbackForRecord:
         registry = tiny_registry(1)
         rows = [(float(i), [1]) for i in range(6)] + [(9.0, []), (9.5, [])]
         ds = marks_dataset(registry, rows)
-        model = train_majority(ds)
+        model = train("majority", ds)
         summaries = list(feedback_for_records(model, ds))
         assert {s.sentences for s in summaries} == {("Plain sentence number 1.",)}
         assert {s.template_ids for s in summaries} == {(1,)}
 
     def test_chain_real_requires_labels(self, ds37, registry):
-        model = train_chain(ds37, history="real")
+        model = train("chain-real", ds37)
         unlabeled = make_record(weeks=10)
         with pytest.raises(ValidationError, match="label"):
             feedback_for_records(model, Dataset(registry, (unlabeled,)))
 
     def test_chain_real_renders_from_gold_history(self, ds37, registry):
-        model = train_chain(ds37, history="real")
+        model = train("chain-real", ds37)
         (summary,) = feedback_for_records(model, ds37.take([0]))
         for template_id in summary.template_ids:
             assert registry.get(template_id) is not None

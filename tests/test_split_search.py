@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _builders import fit_tree
+from _builders import fit_tree, train
 from _reference_split import mask_sides, node_best_split, reference_best_split
 from _reference_tree import record_fits, reference_grow
 from rakelgen import tree as tree_module
 from rakelgen.errors import LabelCoverageWarning
-from rakelgen.mlc import RakelConfig, train_lp, train_rakel
+from rakelgen.mlc import RakelConfig
 from rakelgen.tree import TreeConfig, _Block, _Forest, _Pending, train_trees, tree_to_dict
 
 CRITERIA = ("gini", "entropy")
@@ -147,10 +147,10 @@ class TestWholeTrees:
     )
     def test_lp_tree_and_rakel_members(self, ds, cfg, monkeypatch):
         fits = record_fits(monkeypatch)
-        train_lp(ds, cfg)
+        train("lp", ds, tree_config=cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LabelCoverageWarning)
-            train_rakel(ds, RakelConfig(k=3, m=4, seed=1), cfg)
+            train("rakel", ds, rakel_config=RakelConfig(k=3, m=4, seed=1), tree_config=cfg)
         assert len(fits) == 1 + 4
         for X, y, config, tree in fits:
             assert tree_to_dict(tree) == reference_grow(X, y, config, reference_best_split)

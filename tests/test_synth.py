@@ -196,6 +196,15 @@ class TestConfig:
             config_from_dict(data)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("section", ["factors", "policy"])
+    def test_factor_key_repeated_in_another_case_rejected(self, section):
+        # factor keys are case-insensitive, so "MARKS" would replace "marks"
+        data = config_to_dict(default_synth_config())
+        data[section]["MARKS"] = dict(data[section]["marks"])
+        with pytest.raises(ValidationError) as caught:
+            config_from_dict(data)
+        assert str(caught.value) == f'{section} key "MARKS" repeats factor marks'
+
     def test_bad_factor_key_wins_over_bad_scalar(self):
         data = config_to_dict(default_synth_config())
         data["n_students"] = "many"
@@ -231,21 +240,33 @@ class TestCorrelationMatrix:
         assert matrix[j, i] == 0.6
         assert all(matrix[d, d] == 1.0 for d in range(9))
 
+    @staticmethod
+    def _load_with_pairs(*pairs):
+        """``config_from_dict`` of the default config with these correlation pairs."""
+        data = config_to_dict(default_synth_config())
+        data["correlation_pairs"] = [list(pair) for pair in pairs]
+        with pytest.raises(ValidationError) as caught:
+            config_from_dict(data)
+        return str(caught.value)
+
     def test_duplicate_pair_rejected(self):
-        pairs = (
-            (FactorId.MARKS, FactorId.REVISION, 0.5),
-            (FactorId.REVISION, FactorId.MARKS, 0.2),
-        )
-        with pytest.raises(ValidationError):
-            build_correlation_matrix(pairs)
+        message = self._load_with_pairs(("marks", "revision", 0.5), ("revision", "marks", 0.2))
+        assert message == "duplicate correlation pair revision/marks"
 
     def test_self_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            build_correlation_matrix(((FactorId.MARKS, FactorId.MARKS, 0.5),))
+        message = self._load_with_pairs(("marks", "marks", 0.5))
+        assert message == "correlation pair repeats factor marks"
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            build_correlation_matrix(((FactorId.MARKS, FactorId.REVISION, 1.0),))
+        for r in (1.0, 1.5, -1.0, math.inf, math.nan):
+            message = self._load_with_pairs(("marks", "revision", r))
+            assert message == "correlation for marks/revision must be in (-1, 1)"
+
+    def test_config_with_bad_pairs_is_not_built(self):
+        with pytest.raises(ValidationError, match=r"^correlation pair repeats factor marks$"):
+            dataclasses.replace(
+                default_synth_config(), correlation_pairs=((FactorId.MARKS, FactorId.MARKS, 0.5),)
+            )
 
     def test_non_positive_definite_rejected(self):
         pairs = (

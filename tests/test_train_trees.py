@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _builders import fit_tree
+from _builders import fit_tree, train
 from _reference_tree import record_fits, reference_grow
 from rakelgen import tree as tree_module
 from rakelgen.errors import ValidationError
-from rakelgen.mlc import RakelConfig, train_rakel
+from rakelgen.mlc import RakelConfig
 from rakelgen.synth import default_synth_config, generate_dataset
 from rakelgen.tree import TreeConfig, train_trees, tree_to_dict
 
@@ -116,7 +116,10 @@ class TestAgainstReference:
         # where stage 2's rounding, per exact C, picks the cut
         ds = generate_dataset(default_synth_config(n_students=120, seed=9), registry)
         fits = record_fits(monkeypatch)
-        train_rakel(ds, RakelConfig(seed=9), TreeConfig(split_criterion=criterion))
+        train(
+            "rakel", ds,
+            rakel_config=RakelConfig(seed=9), tree_config=TreeConfig(split_criterion=criterion),
+        )
         assert len(fits) == 58
         for X, y, cfg, tree in fits:
             assert tree_to_dict(tree) == reference_grow(X, y, cfg)
