@@ -94,6 +94,25 @@ def feature_matrix(series: np.ndarray, mode: str = "both", ids=None) -> np.ndarr
     return X.reshape(len(S), -1)
 
 
+def check_features(series: np.ndarray, mode: str, ids) -> None:
+    """Raise the ``ValidationError`` that ``feature_matrix(series, mode, ids)``
+    would raise, building features only for the records whose values could
+    overflow a sum.
+
+    With every |value| at most M and W weeks, the mean's partial sums stay
+    within W M, and the slope's numerator adds W terms below W M (offsets
+    below W / 2, deviations from the mean within 2 M) and is divided by at
+    least 1/2, so the slope stays within 2 W^2 M. So M <= max / (4 W^2)
+    overflows nothing.
+    """
+    bound = np.finfo(float).max / (4 * series.shape[-1] ** 2)
+    rows = np.flatnonzero(
+        (series.max(axis=(1, 2)) > bound) | (series.min(axis=(1, 2)) < -bound)
+    )
+    if rows.size:
+        feature_matrix(series[rows], mode, [ids[i] for i in rows.tolist()])
+
+
 def mean_and_slope(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and least-squares slope against week index 1..W of every series
     in S (..., W), each sum running left to right from the first week."""

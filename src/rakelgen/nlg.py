@@ -19,7 +19,9 @@ import numpy as np
 
 from .domain import Dataset, FactorId, ReferenceType, TemplateRegistry
 from .errors import ValidationError
-from .features import DEFAULT_TREND_TOLERANCE, feature_matrix, mean_and_slope, trend_word
+from .features import (
+    DEFAULT_TREND_TOLERANCE, check_features, feature_matrix, mean_and_slope, trend_word,
+)
 from .mlc import TrainedModel, gold_matrix, predict_batch
 
 REFERENCE_PRIORITY = {
@@ -112,13 +114,16 @@ def feedback_for_records(
 ) -> Iterator[Summary]:
     """Predict, resolve conflicts, render: one summary per student, in order.
 
-    The tolerance and the gold labels a chain-real model needs are checked
-    here; the summaries are then yielded as they are rendered. Records are
-    handled ``_CHUNK_ROWS`` at a time, one feature matrix each.
+    The tolerance, the gold labels a chain-real model needs and every
+    record's features (``check_features``) are checked here, so a bad record
+    fails before the first summary; the summaries are then yielded as they
+    are rendered. Records are handled ``_CHUNK_ROWS`` at a time, one feature
+    matrix each.
     """
     if not trend_tolerance >= 0:  # NaN fails this too
         raise ValidationError(f"trend tolerance must be >= 0, got {trend_tolerance}")
     gold = gold_matrix(model, ds)
+    check_features(ds.series, model.feature_mode, ds.student_ids)
     return _summaries(model, ds, gold, trend_tolerance)
 
 

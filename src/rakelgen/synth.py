@@ -377,11 +377,6 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     return config_from_dict(read_json(path))
 
 
-def save_synth_config(config: SynthConfig, path: str | Path) -> None:
-    payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(payload, encoding="utf-8")
-
-
 def default_synth_config(**overrides) -> SynthConfig:
     """The packaged configuration, with keyword overrides for its scalar
     fields (``SCALAR_FIELDS``)."""

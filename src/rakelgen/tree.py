@@ -24,6 +24,28 @@ one feature matrix together:
   classes fall in each of the order's groups of terms, about C / 11 of them,
   and adds in that order the sums those counts give.
 
+Split search skips three kinds of work whose outcome is known in advance:
+
+* **Repeated columns.** A column with the same stable order and ties (the
+  same dense ranks) as an earlier one has the same cells, valid cuts, keys
+  and gains in every node, and the earlier one wins each tie. So only the
+  first column of each such set is grown on, and ``feature`` is mapped back.
+  In the default ``both`` feature mode each factor's ``last`` repeats its
+  last ``week_W``.
+* **Trees with equal class codes grow as one.** Such trees (BR's tree for a
+  label and the chain's for the same label, repeated label-powerset members)
+  see the same rows and classes in every node they share. A shared node is
+  searched over its widest member's columns. If the best cut's feature lies
+  within a narrower member's columns, it is that member's best too: over
+  more columns the stage-1 window can only lose cuts whose gains lie below
+  the winner's, and the extra columns come later, so they lose ties. Such
+  members take the cut and share the children; the others fork and are
+  searched again on their own columns. Each member labels its nodes from its
+  own classes.
+* **Stage 1 of distinct-class Gini blocks.** There ``sum L^2 = n_l`` and
+  ``sum R^2 = n_r``, so every key is exactly 2, and the window is every
+  valid cut without computing a key.
+
 The trees are identical to those grown one node at a time, each node sorting
 its own rows (``tests/_reference_tree.py``), for three reasons. A node's rows
 stay in increasing row order, so filtering the global stable order to them
@@ -397,12 +419,14 @@ def _chunks(pick: np.ndarray, step: int, distinct: np.ndarray, n_classes: int):
 
 @dataclass(slots=True)
 class _Pending:
-    """A node that may split: its index in its tree, its depth and class
-    counts, and ``cells``, a (width, n) array whose row j lists the node's
-    rows sorted by (x[j], row)."""
+    """A node that may split, shared by trees of one class-code set:
+    ``members`` lists each tree's (tree, node), widest tree first, ``codes``
+    is the set's row of ``_Forest.codes``, and ``cells``, a (width, n) array
+    of the widest member's width, has row j list the node's rows sorted by
+    (x[j], row). ``depth`` and the class ``counts`` are every member's."""
 
-    node: int
-    tree: int
+    members: list[tuple[int, int]]
+    codes: int
     depth: int
     cells: np.ndarray
     counts: np.ndarray
@@ -422,8 +446,8 @@ class _Block:
         self.items = items
         self.widths = np.array([len(item.cells) for item in items])
         self.sizes = np.array([item.cells.shape[1] for item in items])
-        trees = np.array([item.tree for item in items])
-        self.n_classes = forest.n_classes[trees]
+        sets = np.array([item.codes for item in items])
+        self.n_classes = forest.n_classes[sets]
         m = int(self.sizes.max())
         self.first = np.cumsum(self.widths) - self.widths  # each node's first row
         self.rows = np.full((int(self.widths.sum()), m), stride - 1, dtype=np.int32)
@@ -431,31 +455,36 @@ class _Block:
             self.rows[r : r + len(item.cells), : item.cells.shape[1]] = item.cells
         self.node = np.repeat(np.arange(len(items)), self.widths)
         self.feat = np.arange(len(self.node)) - self.first[self.node]
-        self.cls = forest.codes.ravel().take(self.rows + (trees * stride)[self.node][:, None])
+        self.cls = forest.codes.ravel().take(self.rows + (sets * stride)[self.node][:, None])
         self.counts = np.zeros((len(items), pad + 1), dtype=np.int64)
         self.counts[:, :pad] = [item.counts for item in items]
         self.counts[:, pad] = m - self.sizes
 
 
 class _Forest:
-    """The trees of one ``train_trees`` call, grown together.
+    """The trees of one ``train_trees`` call, or of one thread group, grown
+    together.
 
-    ``XT`` is X transposed with a NaN column appended, and ``codes`` holds each
-    tree's class codes, in the smallest unsigned dtype, with the padding class
-    C (the largest class count) appended. A block's padding cells point at
-    that last column, so they rank after every real cell, add nothing to a
-    real cell's prefix sums and go to neither child.
+    ``XT`` is X transposed, with only the ``columns`` that no earlier column
+    repeats, and a NaN column appended; ``widths[t]`` counts the columns of
+    ``XT`` that tree t sees, and ``n_features[t]`` all its columns of X.
+    ``sets`` lists the trees of each class-code set, widest first, and
+    ``codes`` holds each set's class codes, in the smallest unsigned dtype,
+    with the padding class C (the largest class count) appended. A block's
+    padding cells point at that last column, so they rank after every real
+    cell, add nothing to a real cell's prefix sums and go to neither child.
     """
 
-    def __init__(self, XT, order, encoded, widths, cfg: TreeConfig):
-        self.XT, self.order, self.widths, self.cfg = XT, order, widths, cfg
+    def __init__(self, XT, order, columns, encoded, widths, n_features, sets, cfg: TreeConfig):
+        self.XT, self.order, self.columns, self.cfg = XT, order, columns, cfg
+        self.widths, self.n_features, self.sets = widths, n_features, sets
         self.classes = [classes for classes, _ in encoded]
-        self.n_classes = np.array([len(classes) for classes in self.classes])
+        self.n_classes = np.array([len(self.classes[trees[0]]) for trees in sets])
         self.pad = int(self.n_classes.max())
         n = order.shape[1]
-        self.codes = np.full((len(encoded), n + 1), self.pad, dtype=np.min_scalar_type(self.pad))
-        for t, (_, codes) in enumerate(encoded):
-            self.codes[t, :n] = codes
+        self.codes = np.full((len(sets), n + 1), self.pad, dtype=np.min_scalar_type(self.pad))
+        for s, trees in enumerate(sets):
+            self.codes[s, :n] = encoded[trees[0]][1]
         size = np.arange(n + 1, dtype=float)
         self.xlogx = size * np.log2(np.maximum(size, 1.0))
         # repeats[t, c]: x + x + ... (c terms, in order), x the class term of
@@ -463,27 +492,27 @@ class _Forest:
         repeats = np.zeros((n + 1, 17))
         repeats[1:, 1:] = _terms(1.0 / size[1:], cfg.split_criterion)[:, None]
         self.repeats = np.cumsum(repeats, axis=1, out=repeats)
-        self.nodes = [{name: [] for name in NODE_ARRAYS} for _ in encoded]  # per tree
+        self.nodes = {t: {name: [] for name in NODE_ARRAYS} for trees in sets for t in trees}
 
-    def grow(self) -> list[DecisionTree]:
+    def grow(self) -> dict[int, DecisionTree]:
         """Split pending nodes wave by wave, each wave largest first, in blocks
         of at most ``_BLOCK_CELLS`` cells; a node larger than that is a block.
 
-        A wave starts new trees while it holds fewer than ``_WAVE_BLOCKS``
-        blocks of cells, so blocks stay full while the cells held at once stay
-        bounded.
+        A wave starts new code sets' roots while it holds fewer than
+        ``_WAVE_BLOCKS`` blocks of cells, so blocks stay full while the cells
+        held at once stay bounded.
         """
         n = self.order.shape[1]
-        waiting = list(range(len(self.codes)))[::-1]
+        waiting = list(range(len(self.sets)))[::-1]
         pending: list[_Pending] = []
         while pending or waiting:
             held = sum(item.cells.size for item in pending)
             while waiting and held < _WAVE_BLOCKS * _BLOCK_CELLS:
-                t = waiting.pop()
-                counts = np.bincount(self.codes[t, :n], minlength=self.pad)
+                s = waiting.pop()
+                counts = np.bincount(self.codes[s, :n], minlength=self.pad)
                 top = int(np.argmax(counts))
-                cells = self.order[: self.widths[t]]
-                self._add(t, 0, cells, counts, top, int(counts[top]), pending)
+                cells = self.order[: self.widths[self.sets[s][0]]]
+                self._add(self.sets[s], s, 0, cells, counts, top, int(counts[top]), pending)
                 held += cells.size
             # largest last, and taken from the end, so that a node's cells are
             # freed once it is split
@@ -495,28 +524,31 @@ class _Forest:
                     block.append(wave.pop())
                     width += len(block[-1].cells)
                 self._split(block, pending)
-        return [self._tree(t) for t in range(len(self.codes))]
+        return {t: self._tree(t) for t in self.nodes}
 
-    def _add(self, tree, depth, cells, counts, top, top_count, pending) -> int:
-        """Record a leaf of tree ``tree`` whose majority class code is ``top``
-        (the first maximum of ``counts``, so ties go to the smallest class),
-        and queue it for split search if it may split."""
-        nodes = self.nodes[tree]
-        node = len(nodes["label"])
-        n = cells.shape[1]
-        for name in ("feature", "left", "right"):
-            nodes[name].append(-1)
-        nodes["threshold"].append(0.0)
-        nodes["label"].append(int(self.classes[tree][top]))
-        cfg = self.cfg
+    def _add(self, trees, codes, depth, cells, counts, top, top_count, pending) -> list[int]:
+        """Record a leaf in each of ``trees`` (one code set's, widest first)
+        whose majority class code is ``top`` (the first maximum of ``counts``,
+        so ties go to the smallest class), each labelled from its own classes,
+        and queue them as one node for split search if it may split. Returns
+        each tree's new node."""
+        made = []
+        for tree in trees:
+            nodes = self.nodes[tree]
+            made.append(len(nodes["label"]))
+            for name in ("feature", "left", "right"):
+                nodes[name].append(-1)
+            nodes["threshold"].append(0.0)
+            nodes["label"].append(int(self.classes[tree][top]))
+        n, cfg = cells.shape[1], self.cfg
         if (
             top_count < n
             and (cfg.max_depth is None or depth < cfg.max_depth)
             and n >= 2 * cfg.min_samples_leaf
             and len(cells)
         ):
-            pending.append(_Pending(node, tree, depth, cells, counts))
-        return node
+            pending.append(_Pending(list(zip(trees, made)), codes, depth, cells, counts))
+        return made
 
     def _tree(self, tree: int) -> DecisionTree:
         """Tree ``tree`` with its nodes numbered in preorder."""
@@ -532,7 +564,7 @@ class _Forest:
         arrays = {name: [nodes[name][node] for node in order] for name in NODE_ARRAYS}
         for name in ("left", "right"):
             arrays[name] = [index.get(child, -1) for child in arrays[name]]
-        return DecisionTree(**arrays, n_features=self.widths[tree])
+        return DecisionTree(**arrays, n_features=self.n_features[tree])
 
     def _split(self, items: list[_Pending], pending: list[_Pending]) -> None:
         """Find the best cut of every node in the block and split the nodes
@@ -555,6 +587,10 @@ class _Forest:
         if msl > 1:
             n_left = np.arange(1, m)
             valid &= (n_left >= msl) & (sizes[node][:, None] - n_left >= msl)
+        if cfg.split_criterion == "gini" and (block.counts[:, :-1] <= 1).all():
+            # every class occurs at most once in each node, so sum L^2 = n_l and
+            # sum R^2 = n_r: every key is exactly 2.0, and every valid cut ties
+            return np.divmod(np.flatnonzero(valid), m - 1)
         key = np.where(valid, _cut_keys(block, cfg.split_criterion, self.xlogx), -np.inf)
         top = np.maximum.reduceat(key.max(axis=1), block.first)
         # Window width. Keys are n times the gain plus a per-node constant. With
@@ -621,12 +657,26 @@ class _Forest:
 
     def _partition(self, block: _Block, split, feature, threshold, pending) -> None:
         """Give each split node its cut and two children; a child's rows in
-        each column are a stable partition of its parent's by the cut."""
+        each column are a stable partition of its parent's by the cut.
+
+        The members of a node that see the winning feature take the cut and
+        share the children. The cut is each one's own best too, since the
+        others' columns lie after it and lose its ties. The members that do
+        not see it fork: they are queued again as one node on their own
+        columns."""
         C, stride, items = self.pad, self.XT.shape[1], block.items
+        takers = []
         for b, f, t in zip(split.tolist(), feature.tolist(), threshold.tolist()):
-            nodes = self.nodes[items[b].tree]
-            nodes["feature"][items[b].node] = f
-            nodes["threshold"][items[b].node] = t
+            item = items[b]
+            members = [(tree, node) for tree, node in item.members if self.widths[tree] > f]
+            takers.append([tree for tree, _ in members])
+            for tree, node in members:
+                self.nodes[tree]["feature"][node] = self.columns[f]
+                self.nodes[tree]["threshold"][node] = t
+            fork = item.members[len(members) :]  # widest first, so the takers lead
+            width = self.widths[fork[0][0]] if fork else 0
+            if width:
+                pending.append(_Pending(fork, item.codes, item.depth, item.cells[:width], item.counts))
         w = block.widths[split]
         keep = np.zeros(len(items), dtype=bool)
         keep[split] = True
@@ -647,9 +697,12 @@ class _Forest:
                 item = items[b]
                 # a copy, so that a pending child holds no sibling's cells
                 cells = kept[end - len(item.cells) * size : end].reshape(-1, size).copy()
-                self.nodes[item.tree][side][item.node] = self._add(
-                    item.tree, item.depth + 1, cells, counts[i], top, int(counts[i, top]), pending
+                made = self._add(
+                    takers[i], item.codes, item.depth + 1, cells, counts[i], top,
+                    int(counts[i, top]), pending,
                 )
+                for (tree, node), child in zip(item.members, made):
+                    self.nodes[tree][side][node] = child
 
 
 def train_trees(
@@ -661,8 +714,12 @@ def train_trees(
     X is argsorted once. Each tree's nodes carry their rows in every column's
     sorted order, and a child's come from a stable partition of its parent's,
     so no node sorts X again. Split search runs over blocks of pending nodes
-    from any of the trees (see ``_Forest``). With ``n_jobs`` > 1 the trees are
-    grown in that many groups on a thread pool, sharing the one presort.
+    from any of the trees (see ``_Forest``). A column that repeats an earlier
+    one's dense ranks is never searched, since the earlier one wins each of
+    its ties; trees whose label arrays give equal class codes share each node
+    until a column that only some of them see wins it (module docstring).
+    With ``n_jobs`` > 1 the sets of such trees are grown in that many groups
+    on a thread pool, sharing the one presort.
     """
     if n_jobs < 1:
         raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -684,24 +741,48 @@ def train_trees(
     widths = [d] * len(labels) if widths is None else [int(w) for w in widths]
     if len(widths) != len(labels) or not all(0 <= w <= d for w in widths):
         raise ValidationError(f"tree widths {widths} must be one per tree, each 0..{d}")
-    XT = np.full((d, n + 1), np.nan)
-    XT[:, :n] = X.T
     # row j: the rows sorted by (x[j], row); a node's rows are in increasing
     # order, so their filtered order equals a stable argsort of the node alone
-    order = np.argsort(XT[:, :n], axis=1, kind="stable").astype(np.int32)
+    order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+    columns = _unrepeated_columns(X.T, order)
+    order = order[columns]
+    XT = np.full((columns.size, n + 1), np.nan)
+    XT[:, :n] = X.T[columns]
+    seen = np.searchsorted(columns, widths).tolist()  # kept columns below each width
     encoded = [np.unique(y, return_inverse=True) for y in labels]
+    by_codes: dict[bytes, list[int]] = {}
+    for t, (_, codes) in enumerate(encoded):
+        by_codes.setdefault(codes.tobytes(), []).append(t)
+    sets = [sorted(trees, key=lambda t: -widths[t]) for trees in by_codes.values()]
 
     def grow(group):
-        trees = [encoded[t] for t in group]
-        return _Forest(XT, order, trees, [widths[t] for t in group], cfg).grow()
+        chosen = [sets[s] for s in group]
+        return _Forest(XT, order, columns.tolist(), encoded, seen, widths, chosen, cfg).grow()
 
-    groups = [g for g in np.array_split(np.arange(len(labels)), n_jobs) if g.size]
+    groups = [g for g in np.array_split(np.arange(len(sets)), n_jobs) if g.size]
     if len(groups) <= 1:
-        return [tree for group in groups for tree in grow(group)]
-    from concurrent.futures import ThreadPoolExecutor  # only here: prediction never needs it
+        grown = grow(groups[0]) if groups else {}
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: prediction never needs it
 
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        return [tree for trees in pool.map(grow, groups) for tree in trees]
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            grown = {t: tree for trees in pool.map(grow, groups) for t, tree in trees.items()}
+    return [grown[t] for t in range(len(labels))]
+
+
+def _unrepeated_columns(XT, order) -> np.ndarray:
+    """Indices of the rows of XT (columns of X) whose stable order and ties,
+    that is whose dense ranks, no earlier row has. A repeat has the earlier
+    column's sorted cells, valid cuts and keys in every node, so it can only
+    tie with it, and the lower feature index wins every tie."""
+    seen, kept = set(), []
+    for j, row in enumerate(order):
+        values = XT[j].take(row)
+        ranks = row.tobytes() + (values[1:] == values[:-1]).tobytes()
+        if ranks not in seen:
+            seen.add(ranks)
+            kept.append(j)
+    return np.array(kept, dtype=np.intp)
 
 
 def stack_trees(trees) -> DecisionTree:

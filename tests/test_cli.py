@@ -730,6 +730,32 @@ class TestOverflowingFeatures:
             "non-finite features\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_feedback_writes_nothing_for_a_record_past_the_first_chunk(
+        self, tmp_path, capsys, fmt, to_file
+    ):
+        # record s0280 lies in the second prediction chunk: the job fails
+        # before any earlier record's summary is written, and --out makes no file
+        data, model, out = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "fb.out"
+        count = str(nlg._CHUNK_ROWS + 44)
+        assert main(["generate", "--out", str(data), "--count", count, "--seed", "5"]) == 0
+        assert main(["train", "--data", str(data), "--method", "br", "--out", str(model)]) == 0
+        capsys.readouterr()
+        lines = data.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[280])
+        assert record["student_id"] == "s0280"
+        record["series"]["marks"] = [1e308] * record["weeks"]
+        lines[280] = json.dumps(record)
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["feedback", "--data", str(data), "--model", str(model), "--format", fmt]
+        code, stdout, stderr = _run(argv + ["--out", str(out)] * to_file, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "rakelgen: validation error: record s0280: series marks gives non-finite features\n"
+        )
+        assert not out.exists()
+
     def test_other_records_still_inspect(self, paths, capsys):
         argv = ["inspect-features", "--data", paths["data"], "--student", "s0001"]
         code, stdout, _ = _run(argv, capsys)

@@ -15,6 +15,7 @@ from rakelgen.errors import ValidationError
 from rakelgen.features import (
     DEFAULT_TREND_TOLERANCE,
     DERIVED_FEATURES,
+    check_features,
     feature_matrix,
     feature_schema,
     mean_and_slope,
@@ -162,3 +163,23 @@ class TestExtraction:
     def test_every_value_finite(self, marks):
         record = make_record(weeks=len(marks), series={FactorId.MARKS: marks})
         assert all(math.isfinite(v) for _, v in _features(record, "both"))
+
+
+class TestCheckFeatures:
+    """``check_features`` builds features only for records past its overflow
+    bound, so the bound must hold: no record within it overflows."""
+
+    @given(st.integers(1, 12), st.lists(st.sampled_from([-1.0, 1.0]), min_size=9 * 12, max_size=9 * 12))
+    def test_records_within_the_bound_have_finite_features(self, weeks, signs):
+        bound = np.finfo(float).max / (4 * weeks**2)
+        S = (np.array(signs[: 9 * weeks]) * bound).reshape(1, 9, weeks)
+        for mode in ("derived", "both"):
+            assert np.isfinite(feature_matrix(S, mode)).all()
+        check_features(S, "both", ["s0"])
+
+    def test_names_the_overflowing_record(self):
+        S = np.ones((3, 9, 4))
+        S[2, 0] = 1e308
+        with pytest.raises(ValidationError, match="^record c: series marks gives non-finite"):
+            check_features(S, "both", ["a", "b", "c"])
+        check_features(S, "raw", ["a", "b", "c"])  # raw features are the values

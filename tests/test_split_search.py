@@ -286,13 +286,15 @@ def distinct_blocks(draw, n_classes, criterion):
     XT[:, :n] = X.T
     order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
     encoded = [np.unique(rng.permutation(n), return_inverse=True)]
-    forest = _Forest(XT, order, encoded, [d], TreeConfig(split_criterion=criterion))
+    forest = _Forest(
+        XT, order, list(range(d)), encoded, [d], [d], [[0]], TreeConfig(split_criterion=criterion)
+    )
     items = []
     for node in range(draw(st.integers(1, 4))):
         keep = np.ones(n, dtype=bool) if node == 0 else rng.random(n) < rng.random()
         cells = np.array([row[keep[row]] for row in order])
         counts = np.bincount(encoded[0][1][keep], minlength=forest.pad)
-        items.append(_Pending(node, 0, 0, cells, counts))
+        items.append(_Pending([(0, node)], 0, 0, cells, counts))
     block = _Block(forest, items)
     rows, cuts = [], []
     for r, size in enumerate(block.sizes[block.node].tolist()):

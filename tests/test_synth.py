@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from rakelgen.synth import (
     generate_dataset,
     load_synth_config,
     pearson,
-    save_synth_config,
 )
 
 LIKERT_FACTORS = (
@@ -137,7 +137,7 @@ class TestConfig:
     def test_round_trip_file(self, tmp_path):
         config = default_synth_config(seed=3)
         path = tmp_path / "config.json"
-        save_synth_config(config, path)
+        path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
         assert load_synth_config(path) == config
 
     def test_malformed_dict_rejected(self):

@@ -33,7 +33,16 @@ def configs(draw):
 @st.composite
 def forests(draw):
     """Feature rows with tied values and a constant column, and label arrays
-    with 1, 2 or 8 classes (sparse values), each seeing its own leading columns."""
+    with 1, 2 or 8 classes (sparse values) or all distinct classes, each
+    seeing its own leading columns.
+
+    Some columns repeat an earlier one's order and ties (``2 x + 1``), which
+    the grower skips, and some keep an earlier one's order but break its ties
+    (its rank), which it keeps. Some label arrays repeat an earlier one or
+    relabel it (``3 y + 1``: equal class codes, other labels); such trees
+    grow as one, and a wider one whose later column wins a node forks the
+    narrower ones off.
+    """
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 5))
     levels = draw(st.integers(1, 5))
@@ -43,11 +52,27 @@ def forests(draw):
         dtype=float,
     )
     X[:, -1] = 1.5
+    for kind in draw(st.lists(st.sampled_from(["repeat", "untie"]), max_size=3)):
+        x = X[:, draw(st.integers(0, X.shape[1] - 1))]
+        if kind == "repeat":
+            extra = 2 * x + 1
+        else:
+            extra = np.empty(n)
+            extra[np.argsort(x, kind="stable")] = np.arange(n)
+        X = np.column_stack([X, extra])
     ys = []
     for _ in range(draw(st.integers(1, 6))):
-        n_classes = draw(st.sampled_from([1, 2, 8]))
+        if ys and draw(st.booleans()):
+            y = ys[draw(st.integers(0, len(ys) - 1))]
+            ys.append(draw(st.sampled_from([y, 3 * y + 1])))
+            continue
+        n_classes = draw(st.sampled_from([1, 2, 8, None]))
+        if n_classes is None:  # every class occurs once
+            ys.append(np.array(draw(st.permutations(range(n)))) * 2 - 7)
+            continue
         values = draw(st.lists(st.integers(-5, 40), min_size=n_classes, max_size=n_classes))
         ys.append(np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))))
+    d = X.shape[1]
     widths = draw(st.one_of(st.none(), st.lists(st.integers(1, d), min_size=len(ys), max_size=len(ys))))
     return X, ys, widths, draw(configs())
 
@@ -64,15 +89,20 @@ class TestAgainstReference:
     @given(forests())
     def test_random_forests(self, forest):
         X, ys, widths, cfg = forest
-        _assert_each_tree_is_the_reference(X, ys, widths, cfg, train_trees(X, ys, cfg, widths))
+        for n_jobs in (1, 2, 3):
+            trees = train_trees(X, ys, cfg, widths, n_jobs)
+            _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
 
     @given(
         forests(),
         st.sampled_from([1, 64, 10**9]),
         st.sampled_from([1, 16]),
         st.sampled_from([1, 50, 1 << 15]),
+        st.sampled_from([1, 2, 3]),
     )
-    def test_any_block_wave_and_chunk_size(self, forest, block_cells, wave_blocks, chunk_cells):
+    def test_any_block_wave_and_chunk_size(
+        self, forest, block_cells, wave_blocks, chunk_cells, n_jobs
+    ):
         # 1: every node is a block of its own, larger than the cap; 10**9: all
         # pending nodes share one block; a wave of 1 block starts a tree only
         # when fewer cells than a block are pending; small chunks split stage 2 up
@@ -80,7 +110,7 @@ class TestAgainstReference:
         with mock.patch.object(tree_module, "_BLOCK_CELLS", block_cells), \
                 mock.patch.object(tree_module, "_WAVE_BLOCKS", wave_blocks), \
                 mock.patch.object(tree_module, "_CHUNK_CELLS", chunk_cells):
-            trees = train_trees(X, ys, cfg, widths)
+            trees = train_trees(X, ys, cfg, widths, n_jobs)
         _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
 
     @pytest.mark.parametrize("criterion", CRITERIA)
@@ -155,6 +185,66 @@ class TestBlocks:
         trees, seen = self._blocks(X, ys, TreeConfig())
         assert max(nodes for nodes, _ in seen) > 50
         _assert_each_tree_is_the_reference(X, ys, None, TreeConfig(), trees)
+
+
+class TestSkippedWork:
+    """Split search skips work whose outcome is already known: each case
+    counts the work done, and a grower that did it would fail here."""
+
+    def _searched(self, X, ys, widths=None, cfg=TreeConfig()):
+        """The trees, and the (width, rows) of each node searched."""
+        seen = []
+        split = tree_module._Forest._split
+
+        def recording(forest, items, pending):
+            seen.extend(item.cells.shape for item in items)
+            return split(forest, items, pending)
+
+        with mock.patch.object(tree_module._Forest, "_split", recording):
+            trees = train_trees(X, ys, cfg, widths)
+        _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
+        return seen
+
+    def test_equal_class_codes_search_each_node_once(self):
+        rng = np.random.default_rng(4)
+        X = np.round(rng.normal(size=(80, 6)), 1)
+        y = rng.integers(0, 3, size=80)
+        alone = self._searched(X, [y])
+        assert len(alone) > 10
+        assert self._searched(X, [y, y]) == alone
+        assert self._searched(X, [y, 3 * y + 1, y]) == alone
+
+    def test_a_narrower_tree_forks_where_a_later_column_wins(self):
+        # only column 3 separates the classes, so the wider tree splits its
+        # root on it and stops; the narrower one forks at the root and grows
+        # its own tree on columns 0..2
+        rng = np.random.default_rng(6)
+        y = rng.integers(0, 2, size=50)
+        X = np.column_stack([rng.integers(0, 4, size=(50, 3)), y + 0.5]).astype(float)
+        wide, narrow = self._searched(X, [y], [4]), self._searched(X, [y], [3])
+        assert len(wide) == 1 and len(narrow) > 1
+        assert sorted(self._searched(X, [y, y], [3, 4])) == sorted(wide + narrow)
+
+    def test_a_repeated_column_is_never_searched(self):
+        # columns 3 and 4 repeat 1 and 0 (same order and ties), 5 keeps 2's
+        # order but breaks its ties, so it stays
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 5, size=(60, 3)).astype(float)
+        untied = np.empty(60)
+        untied[np.argsort(X[:, 2], kind="stable")] = np.arange(60)
+        X = np.column_stack([X, 2 * X[:, 1] + 1, -(-X[:, 0]), untied])
+        ys = [rng.integers(0, 3, size=60) for _ in range(3)]
+        seen = self._searched(X, ys, [6, 4, 5])
+        assert {width for width, _ in seen} == {4, 3}
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_distinct_class_gini_blocks_build_no_keys(self, criterion):
+        X, ys, _, cfg = _all_distinct_forest(criterion)
+        with mock.patch.object(tree_module, "_cut_keys", wraps=tree_module._cut_keys) as keys:
+            trees = train_trees(X, ys, cfg)
+        _assert_each_tree_is_the_reference(X, ys, None, cfg, trees)
+        # entropy keys differ from cut to cut, so its blocks still rank cuts
+        assert (keys.call_count > 0) == (criterion == "entropy")
 
 
 def _hundred_rows_seven_trees():
