@@ -13,9 +13,9 @@ import importlib
 #: and a command pays only for the modules it uses.
 _EXPORTS = {
     "domain": (
-        "Dataset", "FactorId", "ReferenceType", "StudentRecord", "Template",
-        "TemplateRegistry", "default_registry", "load_dataset", "load_registry",
-        "save_dataset", "save_registry",
+        "Dataset", "FactorId", "ReferenceType", "Template", "TemplateRegistry",
+        "default_registry", "load_dataset", "load_registry", "save_dataset",
+        "save_registry",
     ),
     "errors": ("LabelCoverageWarning", "ValidationError"),
     "evaluation": (

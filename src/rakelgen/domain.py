@@ -131,38 +131,27 @@ class TemplateRegistry:
 
     templates: tuple[Template, ...]
     version: str = "custom"
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
     _index_of: dict = field(default_factory=dict, repr=False, compare=False)
-    _by_pair: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.templates:
             raise ValidationError("registry must contain at least one template")
+        id_of_pair = {}
         for position, template in enumerate(self.templates):
-            if template.id in self._by_id:
+            if template.id in self._index_of:
                 raise ValidationError(f"duplicate template id {template.id}")
             pair = (template.factor, template.reference)
-            if pair in self._by_pair:
+            if pair in id_of_pair:
                 raise ValidationError(
                     f"duplicate (factor, reference) pair "
                     f"({template.factor.key}, {template.reference.value}) "
-                    f"in templates {self._by_pair[pair].id} and {template.id}"
+                    f"in templates {id_of_pair[pair]} and {template.id}"
                 )
-            self._by_id[template.id] = template
             self._index_of[template.id] = position
-            self._by_pair[pair] = template
+            id_of_pair[pair] = template.id
 
     def __len__(self) -> int:
         return len(self.templates)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(t.id for t in self.templates)
-
-    def get(self, template_id: int) -> Template:
-        try:
-            return self._by_id[template_id]
-        except KeyError:
-            raise ValidationError(f"unknown template id {template_id}") from None
 
     def label_index(self, template_id: int) -> int:
         try:
@@ -170,74 +159,41 @@ class TemplateRegistry:
         except KeyError:
             raise ValidationError(f"unknown template id {template_id}") from None
 
-    def template_at(self, label_index: int) -> Template:
-        return self.templates[label_index]
 
-    def find(self, factor: FactorId, reference: ReferenceType) -> Template | None:
-        return self._by_pair.get((factor, reference))
-
-
-@dataclass(frozen=True, eq=False)
-class StudentRecord:
-    """One student's weekly time-series over all nine factors.
-
-    ``series`` is a read-only (9, W) float64 array whose row j is factor
-    ``FactorId(j + 1)``, the layout of ``Dataset.series``; a float64 input is
-    kept without a copy, so a row of a dataset's stack stays a view of it.
-    ``expert_labels`` holds the template ids an annotator chose for this
-    student, or ``None`` for unlabeled records.
-    """
-
-    student_id: str
-    series: np.ndarray
-    expert_labels: frozenset[int] | None = None
-
-    def __post_init__(self):
-        series = np.asarray(self.series, dtype=float).view()
-        series.flags.writeable = False
-        if series.ndim != 2 or series.shape[0] != len(_ALL_FACTORS) or series.shape[1] < 1:
-            raise ValidationError(
-                f"record {self.student_id}: series must be a (9, W) array with W >= 1, "
-                f"got shape {series.shape}"
-            )
-        if not np.isfinite(series).all():
-            row = int(np.isfinite(series).all(axis=1).argmin())
-            raise ValidationError(
-                f"record {self.student_id}: series {FactorId(row + 1).key} has a "
-                f"non-finite value: {series[row].tolist()}"
-            )
-        object.__setattr__(self, "series", series)
-
-    @property
-    def weeks(self) -> int:
-        return self.series.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StudentRecord):
-            return NotImplemented
-        return (
-            self.student_id == other.student_id
-            and self.expert_labels == other.expert_labels
-            and np.array_equal(self.series, other.series)
+def _checked_series(student_id: str, series) -> np.ndarray:
+    """A record's series as a read-only (9, W) float64 array, W >= 1, of
+    finite values; a float64 input is kept without a copy."""
+    series = np.asarray(series, dtype=float).view()
+    series.flags.writeable = False
+    if series.ndim != 2 or series.shape[0] != len(_ALL_FACTORS) or series.shape[1] < 1:
+        raise ValidationError(
+            f"record {student_id}: series must be a (9, W) array with W >= 1, "
+            f"got shape {series.shape}"
         )
+    if not np.isfinite(series).all():
+        row = int(np.isfinite(series).all(axis=1).argmin())
+        raise ValidationError(
+            f"record {student_id}: series {FactorId(row + 1).key} has a "
+            f"non-finite value: {series[row].tolist()}"
+        )
+    return series
 
 
 class Dataset:
     """A registry plus the student records labeled against it.
 
-    ``series`` is the records' values as one read-only (n, 9, W) float64
-    stack, factors in code order; ``records`` are read-only row views of it,
-    built on every read. Attributes are not to be reassigned.
+    A record is a ``(student_id, series, expert_labels)`` triple: ``series``
+    is the student's (9, W) values, row j factor ``FactorId(j + 1)``, and
+    ``expert_labels`` the template ids an annotator chose, or ``None`` for an
+    unlabeled record. The dataset checks each record's series in order and
+    keeps them as one read-only (n, 9, W) float64 stack, ``series``.
+    Attributes are not to be reassigned.
     """
 
-    def __init__(self, registry: TemplateRegistry, records: Iterable[StudentRecord]):
-        records = tuple(records)
-        self._init(
-            registry,
-            tuple(r.student_id for r in records),
-            series_stack(records),
-            tuple(r.expert_labels for r in records),
-        )
+    def __init__(self, registry: TemplateRegistry, records: Iterable[tuple]):
+        student_ids, series, labels = tuple(zip(*records)) or ((), (), ())
+        series = series_stack(list(map(_checked_series, student_ids, series)))
+        self._init(registry, student_ids, series, labels)
 
     @classmethod
     def from_series(
@@ -264,7 +220,7 @@ class Dataset:
         self.student_ids = student_ids
         self.series = series
         self.expert_labels = expert_labels
-        valid_ids = set(registry.ids())
+        valid_ids = {template.id for template in registry.templates}
         for student_id, labels in zip(student_ids, expert_labels):
             if labels is None:
                 continue
@@ -290,23 +246,15 @@ class Dataset:
     __hash__ = None
 
     @property
-    def records(self) -> tuple[StudentRecord, ...]:
-        return tuple(map(StudentRecord, self.student_ids, self.series, self.expert_labels))
+    def records(self) -> tuple[tuple, ...]:
+        """The record triples, each series a read-only row view of the stack."""
+        return tuple(zip(self.student_ids, self.series, self.expert_labels))
 
     @property
     def weeks(self) -> int:
         if not len(self):
             raise ValidationError("dataset has no records")
         return self.series.shape[2]
-
-    def take(self, rows: Sequence[int]) -> "Dataset":
-        """The dataset of the given row indices, in that order."""
-        return Dataset.from_series(
-            self.registry,
-            [self.student_ids[i] for i in rows],
-            self.series[list(rows)],
-            [self.expert_labels[i] for i in rows],
-        )
 
     def label_matrix(self) -> np.ndarray:
         """Expert labels as an (n, n_labels) 0/1 int array, in registry order."""
@@ -326,13 +274,11 @@ class Dataset:
             raise ValidationError(f"records without expert labels: {unlabeled[:5]}")
 
 
-def series_stack(records: Sequence[StudentRecord]) -> np.ndarray:
-    """The series of records with a common week count as an (n, 9, W) float64
+def series_stack(series: Sequence[np.ndarray]) -> np.ndarray:
+    """(9, W) series arrays with a common week count as one (n, 9, W) float64
     array, factors in code order."""
-    weeks = _common_weeks(record.weeks for record in records)
-    return np.array([record.series for record in records], dtype=float).reshape(
-        len(records), len(FactorId), weeks or 0
-    )
+    weeks = _common_weeks(rows.shape[1] for rows in series)
+    return np.array(series, dtype=float).reshape(len(series), len(FactorId), weeks or 0)
 
 
 def _common_weeks(weeks: Iterable[int]) -> int | None:
@@ -412,20 +358,21 @@ def save_registry(registry: TemplateRegistry, path: str | Path) -> None:
     Path(path).write_text(payload, encoding="utf-8")
 
 
-def record_to_dict(record: StudentRecord) -> dict:
+def record_to_dict(student_id: str, series: np.ndarray, expert_labels) -> dict:
+    """A record's object in a dataset file."""
     out: dict = {
-        "student_id": record.student_id,
-        "weeks": record.weeks,
-        "series": dict(zip(_FACTOR_KEYS, record.series.tolist())),
+        "student_id": student_id,
+        "weeks": series.shape[1],
+        "series": dict(zip(_FACTOR_KEYS, series.tolist())),
     }
-    if record.expert_labels is not None:
-        out["expert_labels"] = sorted(record.expert_labels)
+    if expert_labels is not None:
+        out["expert_labels"] = sorted(expert_labels)
     return out
 
 
-def record_from_dict(data, source: str = "record") -> StudentRecord:
-    """One record object of a dataset file, each field read by its JSON type,
-    then checked as a record (series lengths in the file's key order)."""
+def record_from_dict(data, source: str = "record") -> tuple:
+    """One record object of a dataset file as a record triple, each field read
+    by its JSON type, then checked (series lengths in the file's key order)."""
     try:
         data = json_object(data, "record")
         by_key = {
@@ -458,7 +405,7 @@ def record_from_dict(data, source: str = "record") -> StudentRecord:
                 f"record {student_id}: series {factor.key} has "
                 f"{len(values)} values, expected {weeks}"
             )
-    return StudentRecord(student_id, [series[factor] for factor in FactorId], labels)
+    return student_id, _checked_series(student_id, [series[f] for f in FactorId]), labels
 
 
 def _is_unicode(text: str) -> bool:
@@ -646,13 +593,9 @@ def _checked_block(block: list[str], path: Path, first_lineno: int) -> tuple:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from None
         records.append(record_from_dict(data, f"{path}:{lineno}"))
-    weeks = [record.weeks for record in records]
-    return (
-        [record.student_id for record in records],
-        weeks,
-        [record.expert_labels for record in records],
-        series_stack(records) if len(set(weeks)) == 1 else None,
-    )
+    student_ids, series, labels = map(list, zip(*records)) if records else ([], [], [])
+    weeks = [rows.shape[1] for rows in series]
+    return student_ids, weeks, labels, series_stack(series) if len(set(weeks)) == 1 else None
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -660,4 +603,4 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for record in dataset.records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
+            handle.write(json.dumps(record_to_dict(*record)) + "\n")

@@ -329,16 +329,8 @@ def achieved_correlations(
     return [(a.key, b.key, r, achieved(a, b)) for a, b, r in pairs]
 
 
-def config_to_dict(config: SynthConfig) -> dict:
-    return {name: getattr(config, name) for name in SCALAR_FIELDS} | {
-        "correlation_pairs": [[a.key, b.key, r] for a, b, r in config.correlation_pairs],
-        "factors": {f.key: asdict(p) for f, p in config.factors.items()},
-        "policy": {f.key: asdict(t) for f, t in config.policy.items()},
-    }
-
-
 def config_from_dict(data) -> SynthConfig:
-    """A config from ``config_to_dict`` output; a missing field takes
+    """A config from its JSON object, as in a config file; a missing field takes
     ``SynthConfig``'s default. The pairs, factors and policy are read before
     the scalar fields, so their errors win."""
     keys = {*SCALAR_FIELDS, "correlation_pairs", "factors", "policy"}

@@ -136,10 +136,6 @@ class DecisionTree:
 
 def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity from class-count rows; counts has shape (..., n_classes)."""
-    if criterion not in CRITERIA:
-        raise ValidationError(
-            f"split_criterion must be one of {CRITERIA}, got {criterion!r}"
-        )
     totals = counts.sum(axis=-1, keepdims=True)
     totals = np.maximum(totals, 1)
     return _impurity(_terms(counts / totals, criterion).sum(axis=-1), criterion)
@@ -251,8 +247,7 @@ def _left_counts(
     the previous cut in its column to a running count.
     """
     k = len(feats)
-    first = np.ones(k, dtype=bool)  # first cut of its column in this batch
-    first[1:] = feats[1:] != feats[:-1]
+    first = _run_heads(feats)  # first cut of its column in this batch
     start = np.where(first, 0, np.concatenate(([0], cuts[:-1] + 1)))
     lengths = cuts + 1 - start
     seg = np.repeat(np.arange(k), lengths)
@@ -264,7 +259,23 @@ def _left_counts(
     # restart the running count at each column's first cut
     heads = np.flatnonzero(first)
     before = counts[heads] - added[heads]
-    return counts - np.repeat(before, np.diff(np.append(heads, k)), axis=0)
+    return counts - np.repeat(before, _run_lengths(heads, k), axis=0)
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of a 1-d array starts a run of equal entries."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def _run_lengths(heads: np.ndarray, n: int) -> np.ndarray:
+    """The lengths of the runs of n entries that start at ``heads`` (ascending, from 0)."""
+    lengths = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1:] = n - heads[-1:]
+    return lengths
 
 
 def _count_sides(block: _Block, rows, cuts, n_classes: int, criterion: str):
@@ -354,9 +365,7 @@ def _distinct_sides(block: _Block, rows, cuts, n_classes: int, criterion: str, r
     """
     group, tree, leaves, tails = _sum_plan(n_classes)
     n_groups, k, m = (9 if tails else 8) * leaves, rows.size, block.rows.shape[1]
-    row_head = np.empty(k, dtype=bool)  # cuts come in row order
-    row_head[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=row_head[1:])
+    row_head = _run_heads(rows)  # cuts come in row order
     start = np.zeros(k, dtype=cuts.dtype)  # the first cell each cut adds
     start[1:] = cuts[:-1] + 1
     start[row_head] = 0
@@ -374,16 +383,16 @@ def _distinct_sides(block: _Block, rows, cuts, n_classes: int, criterion: str, r
     left, right = counts[:, :k], counts[:, k:]
     np.subtract(
         running[1:].reshape(n_groups, k),
-        np.repeat(before, np.diff(heads, append=k), axis=1),
+        np.repeat(before, _run_lengths(heads, k), axis=1),
         out=left,
     )
     # the right side holds the rest of the node's classes; a node's cuts are
     # contiguous
     node = block.node[rows]
-    heads = np.flatnonzero(np.diff(node, prepend=-1))
+    heads = np.flatnonzero(_run_heads(node))
     owner, present = np.nonzero(block.counts[node[heads], :n_classes])
     total = np.bincount(group.take(present) * heads.size + owner, minlength=n_groups * heads.size)
-    total = np.repeat(total.reshape(n_groups, -1), np.diff(heads, append=k), axis=1)
+    total = np.repeat(total.reshape(n_groups, -1), _run_lengths(heads, k), axis=1)
     np.subtract(total, left, out=right)
     counts = counts.reshape(-1, leaves, 2 * k)
     sizes = np.concatenate((cuts + 1, block.sizes[node] - cuts - 1))

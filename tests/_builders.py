@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
+from importlib import resources
 
 import numpy as np
 
@@ -10,7 +12,6 @@ from rakelgen.domain import (
     Dataset,
     FactorId,
     ReferenceType,
-    StudentRecord,
     Template,
     TemplateRegistry,
 )
@@ -29,15 +30,16 @@ def make_record(
     series: dict | None = None,
     labels: Iterable[int] | None = None,
     fill: float = FILL,
-) -> StudentRecord:
-    """Build a record with constant series, overriding selected factors
-    (keyed by ``FactorId`` or factor name)."""
+) -> tuple:
+    """A ``(student_id, series, expert_labels)`` record triple with constant
+    series, overriding selected factors (keyed by ``FactorId`` or factor
+    name); the series is a (9, W) float array, which ``Dataset`` checks."""
     rows = [[float(fill)] * weeks for _ in FactorId]
     for key, values in (series or {}).items():
         factor = key if isinstance(key, FactorId) else FactorId.from_key(key)
         rows[factor - 1] = [float(v) for v in values]
     expert = None if labels is None else frozenset(labels)
-    return StudentRecord(student_id=student_id, series=rows, expert_labels=expert)
+    return student_id, np.array(rows, dtype=float), expert
 
 
 def marks_record(
@@ -45,7 +47,7 @@ def marks_record(
     marks: Sequence[float] | float,
     labels: Iterable[int] | None,
     weeks: int = 4,
-) -> StudentRecord:
+) -> tuple:
     """Record whose only varying factor is marks; a scalar means a flat series."""
     if isinstance(marks, (int, float)):
         marks = [float(marks)] * weeks
@@ -68,6 +70,23 @@ def marks_dataset(
         for i, (marks, labels) in enumerate(rows)
     )
     return Dataset(registry, records)
+
+
+def template_for(
+    registry: TemplateRegistry, factor: FactorId, reference: ReferenceType
+) -> Template | None:
+    """The registry's template for a (factor, reference) pair, or None."""
+    for template in registry.templates:
+        if (template.factor, template.reference) == (factor, reference):
+            return template
+    return None
+
+
+def synth_config_dict(**overrides) -> dict:
+    """The packaged synthesis config file's JSON object, with the given
+    top-level fields replaced."""
+    path = resources.files("rakelgen.data").joinpath("default_synth_config.json")
+    return json.loads(path.read_text(encoding="utf-8")) | overrides
 
 
 def tiny_registry(n_labels: int, version: str = "tiny") -> TemplateRegistry:
@@ -104,3 +123,14 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
 def leaf_label(tree: DecisionTree, x) -> int:
     """The label of the leaf one feature row x reaches in a one-root tree."""
     return int(tree.label[descend(tree, np.asarray(x, dtype=float)[None])[0, 0]])
+
+
+def dataset_rows(ds: Dataset, rows: Sequence[int]) -> Dataset:
+    """The dataset of the given row indices of ds, in that order."""
+    rows = list(rows)
+    return Dataset.from_series(
+        ds.registry,
+        [ds.student_ids[i] for i in rows],
+        ds.series[rows],
+        [ds.expert_labels[i] for i in rows],
+    )

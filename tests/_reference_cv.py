@@ -14,6 +14,7 @@ from dataclasses import astuple
 
 import numpy as np
 
+from _builders import dataset_rows
 from rakelgen.evaluation import (
     EvalReport,
     MethodResult,
@@ -33,8 +34,8 @@ def reference_cross_validate(ds, method, opts) -> tuple[MetricSet, tuple[float, 
     plan = make_fold_plan(len(ds), opts.n_folds, opts.seed)
     golds, predictions, fold_metrics = [], [], []
     for fold in range(opts.n_folds):
-        train = ds.take([i for i, f in enumerate(plan) if f != fold])
-        test = ds.take([i for i, f in enumerate(plan) if f == fold])
+        train = dataset_rows(ds, [i for i, f in enumerate(plan) if f != fold])
+        test = dataset_rows(ds, [i for i, f in enumerate(plan) if f == fold])
         model = train_method(method, train, opts)
         gold = test.label_matrix()
         history = gold if method == "chain-real" else None

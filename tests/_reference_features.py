@@ -9,7 +9,7 @@ compare the matrix path against, bit for bit.
 
 from __future__ import annotations
 
-from rakelgen.domain import FactorId, StudentRecord
+from rakelgen.domain import FactorId
 
 
 def _sum(values) -> float:
@@ -31,11 +31,11 @@ def reference_ols_slope(values) -> float:
     return num / den
 
 
-def reference_features(record: StudentRecord, mode: str = "both") -> tuple[float, ...]:
-    """Feature values of one record, in schema order."""
+def reference_features(record_series, mode: str = "both") -> tuple[float, ...]:
+    """Feature values of one record's (9, W) series, in schema order."""
     values: list[float] = []
     for factor in FactorId:
-        series = record.series[factor - 1].tolist()
+        series = record_series[factor - 1].tolist()
         if mode in ("derived", "both"):
             values.append(_sum(series) / len(series))
             values.append(reference_ols_slope(series))

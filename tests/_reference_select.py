@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from _reference_features import reference_ols_slope
-from rakelgen.domain import FactorId, StudentRecord, TemplateRegistry
+from rakelgen.domain import FactorId, TemplateRegistry
 from rakelgen.features import trend_word
 from rakelgen.nlg import REFERENCE_PRIORITY, Summary, format_number
 
@@ -36,7 +36,7 @@ def reference_select(prediction, registry: TemplateRegistry, votes=None) -> Sele
     for index, bit in enumerate(prediction):
         if not bit:
             continue
-        template = registry.template_at(index)
+        template = registry.templates[index]
         by_factor.setdefault(template.factor, []).append((template, votes[index]))
     chosen = []
     dropped = []
@@ -71,20 +71,20 @@ _SLOT_FORMATTERS = {
 }
 
 
-def reference_render(
-    selection: Selection, record: StudentRecord, trend_tolerance: float
-) -> Summary:
+def reference_render(selection: Selection, record: tuple, trend_tolerance: float) -> Summary:
+    """The summary of a ``(student_id, series, expert_labels)`` record."""
+    student_id, record_series, _ = record
     sentences = []
     template_ids = []
     for template, _ in selection.chosen:
-        series = record.series[template.factor - 1].tolist()
+        series = record_series[template.factor - 1].tolist()
         values = {
             slot: _SLOT_FORMATTERS[slot](series, trend_tolerance) for slot in template.slots()
         }
         sentences.append(template.surface_text.format(**values))
         template_ids.append(template.id)
     return Summary(
-        student_id=record.student_id,
+        student_id=student_id,
         sentences=tuple(sentences),
         template_ids=tuple(template_ids),
     )

@@ -15,7 +15,7 @@ import random
 import numpy as np
 from _reference_features import _sum, reference_ols_slope
 
-from rakelgen.domain import FACTOR_UNITS, Dataset, FactorId, ReferenceType, StudentRecord
+from rakelgen.domain import FACTOR_UNITS, Dataset, FactorId, ReferenceType
 from rakelgen.synth import N_FACTORS, RULE_ORDER, _cholesky_or_error, build_correlation_matrix
 
 
@@ -91,5 +91,5 @@ def reference_generate_dataset(config, registry) -> Dataset:
             values = _quantize(level + slope * offsets + noise, factor)
             series.append(values.tolist())
         labels = reference_annotate(series, registry, config, i)
-        records.append(StudentRecord(f"s{i:04d}", series, labels))
+        records.append((f"s{i:04d}", series, labels))
     return Dataset(registry=registry, records=records)

@@ -53,10 +53,10 @@ OBSERVED = "observed"
 
 
 def _predicted_ids(model, registry, value: float) -> frozenset[int]:
-    X = feature_matrix(series_stack([marks_record("probe", value, None)]))
+    X = feature_matrix(series_stack([marks_record("probe", value, None)[1]]))
     bits, _ = predict_batch(model, X)
     return frozenset(
-        registry.template_at(j).id for j, bit in enumerate(bits[0]) if bit
+        registry.templates[j].id for j, bit in enumerate(bits[0]) if bit
     )
 
 
@@ -90,7 +90,7 @@ def test_criterion_1_structural_report(ds37):
 def test_criterion_2_rakel_degenerates_to_lp(ds37, ds100, registry):
     lp = train("lp", ds37)
     rakel = train("rakel", ds37, rakel_config=RakelConfig(k=29, m=1, threshold=0.5, seed=0))
-    X = feature_matrix(series_stack(ds100.records + ds37.records))
+    X = feature_matrix(np.concatenate((ds100.series, ds37.series)))
     assert predict_batch(rakel, X)[0].tolist() == predict_batch(lp, X)[0].tolist()
     checked = len(X)
     assert checked >= 100
@@ -314,16 +314,16 @@ def test_criterion_9_end_to_end_feedback(tmp_path, registry, capsys):
     elapsed = time.monotonic() - started
 
     ds = load_dataset(data_path, registry)
-    by_id = {record.student_id: record for record in ds.records}
+    by_id = dict(zip(ds.student_ids, ds.series))
     payload = json.loads(feedback_path.read_text(encoding="utf-8"))
     assert len(payload) == 37
     for entry in payload:
-        record = by_id[entry["student_id"]]
+        record_series = by_id[entry["student_id"]]
         factors = []
         for item in entry["feedback"]:
-            template = registry.get(item["template_id"])
+            template = registry.templates[registry.label_index(item["template_id"])]
             factors.append(template.factor)
-            series = record.series[template.factor - 1].tolist()
+            series = record_series[template.factor - 1].tolist()
             slots = {
                 "average": format_number(sum(series) / len(series)),
                 "trend_word": trend_word(reference_ols_slope(series)),

@@ -18,7 +18,7 @@ from _builders import fit_tree, leaf_label, marks_dataset, marks_record, tiny_re
 from _reference_features import reference_features, reference_ols_slope
 from _reference_predict import reference_descent, reference_predict_votes
 from rakelgen import mlc, tree as tree_module
-from rakelgen.domain import Dataset, FactorId, StudentRecord, series_stack
+from rakelgen.domain import Dataset, FactorId, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import FEATURE_MODES, feature_matrix, mean_and_slope
 from rakelgen.mlc import (
@@ -46,59 +46,49 @@ def cohorts(draw):
     weeks = draw(st.integers(min_value=1, max_value=20))
     n = draw(st.integers(min_value=1, max_value=2))
     series = st.lists(series_values, min_size=weeks, max_size=weeks).map(tuple)
-    return [StudentRecord(f"s{i}", [draw(series) for _ in FactorId]) for i in range(n)]
+    return [np.array([draw(series) for _ in FactorId]) for _ in range(n)]
 
 
 class TestFeatureMatrix:
     @given(cohorts(), st.sampled_from(FEATURE_MODES))
-    def test_equals_reference_bitwise(self, records, mode):
-        X = feature_matrix(series_stack(records), mode)
-        expected = [reference_features(r, mode) for r in records]
-        assert X.shape == (len(records), len(expected[0]))
+    def test_equals_reference_bitwise(self, cohort, mode):
+        X = feature_matrix(series_stack(cohort), mode)
+        expected = [reference_features(series, mode) for series in cohort]
+        assert X.shape == (len(cohort), len(expected[0]))
         assert (_bits(X) == _bits(expected)).all()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_single_week(self, mode):
-        records = [
-            StudentRecord("a", [(float(f) - 4.5,) for f in FactorId]),
-            StudentRecord("b", [(-0.0,)] * 9),
-        ]
-        X = feature_matrix(series_stack(records), mode)
-        assert (_bits(X) == _bits([reference_features(r, mode) for r in records])).all()
+        cohort = [np.array([(float(f) - 4.5,) for f in FactorId]), np.array([(-0.0,)] * 9)]
+        X = feature_matrix(series_stack(cohort), mode)
+        assert (_bits(X) == _bits([reference_features(s, mode) for s in cohort])).all()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_signed_zeros(self, mode):
         # builtin min/max keep the first of equal values and sum() starts
         # from +0, so (0.0, -0.0) and (-0.0, 0.0) differ in min, max and slope
-        records = [
-            StudentRecord("a", [(0.0, -0.0)] * 9),
-            StudentRecord("b", [(-0.0, 0.0)] * 9),
-            StudentRecord("c", [(-0.0, -0.0, 0.0)] * 9),
-        ]
-        for record in records:
-            X = feature_matrix(series_stack([record]), mode)
-            assert (_bits(X[0]) == _bits(reference_features(record, mode))).all()
+        for series in ([(0.0, -0.0)] * 9, [(-0.0, 0.0)] * 9, [(-0.0, -0.0, 0.0)] * 9):
+            series = np.array(series)
+            X = feature_matrix(series_stack([series]), mode)
+            assert (_bits(X[0]) == _bits(reference_features(series, mode))).all()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_synthetic_cohorts(self, mode, ds37, ds100):
         for ds in (ds37, ds100):
             X = feature_matrix(ds.series, mode)
-            expected = [reference_features(r, mode) for r in ds.records]
+            expected = [reference_features(series, mode) for series in ds.series]
             assert (_bits(X) == _bits(expected)).all()
 
     def test_extract_features_is_the_one_row_case(self, ds37):
-        for record in ds37.records[:5]:
-            values = feature_matrix(series_stack([record]))[0].tolist()
-            assert (_bits(values) == _bits(reference_features(record))).all()
+        for series in ds37.series[:5]:
+            values = feature_matrix(series_stack([series]))[0].tolist()
+            assert (_bits(values) == _bits(reference_features(series))).all()
             assert all(type(v) is float for v in values)
 
     def test_week_counts_must_agree(self):
-        records = [
-            StudentRecord("a", [(1.0, 2.0)] * 9),
-            StudentRecord("b", [(1.0, 2.0, 3.0)] * 9),
-        ]
+        cohort = [np.array([(1.0, 2.0)] * 9), np.array([(1.0, 2.0, 3.0)] * 9)]
         with pytest.raises(ValidationError, match="week count"):
-            series_stack(records)
+            series_stack(cohort)
 
     def test_unknown_mode(self, ds37):
         with pytest.raises(ValidationError, match="feature mode"):
@@ -115,8 +105,8 @@ class TestOlsSlope:
         assert _bits(slope) == _bits(reference_ols_slope(values))
 
     def test_synthetic_cohorts(self, ds37, ds100):
-        for record in ds37.records + ds100.records:
-            for series in record.series.tolist():
+        for ds in (ds37, ds100):
+            for series in ds.series.reshape(-1, ds.weeks).tolist():
                 slope = mean_and_slope(np.array([series]))[1][0]
                 assert _bits(slope) == _bits(reference_ols_slope(series))
 
@@ -186,8 +176,9 @@ class TestPredictBatch:
     def test_equals_per_record_reference(self, name, ds, ds37, ds100):
         model = TRAINERS[name](ds)
         records = ds37.records + ds100.records
-        X = feature_matrix(series_stack(records), model.feature_mode)
-        gold = gold_matrix(model, Dataset(ds.registry, records))
+        both = Dataset(ds.registry, records)
+        X = feature_matrix(both.series, model.feature_mode)
+        gold = gold_matrix(model, both)
         bits, votes = predict_batch(model, X, gold)
         assert bits.shape == votes.shape == (len(records), model.n_labels)
         for i, row in enumerate(X):
@@ -232,8 +223,9 @@ class TestPredictBatch:
         model = train(f"chain-{history}", marks_dataset(registry, rows))
         records = [marks_record(f"p{i}", v, [1, 2, 3][: i % 4])
                    for i, v in enumerate((1.0, 1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 5.0))]
-        X = feature_matrix(series_stack(records))
-        gold = gold_matrix(model, Dataset(registry, records))
+        cohort = Dataset(registry, records)
+        X = feature_matrix(cohort.series)
+        gold = gold_matrix(model, cohort)
         bits, _ = predict_batch(model, X, gold)
         for i, row in enumerate(X):
             history_bits = None if gold is None else tuple(gold[i].tolist())
@@ -245,8 +237,8 @@ class TestPredictBatch:
         model = train("chain-real", ds37)
         gold = gold_matrix(model, ds37)
         assert gold.tolist() == [
-            [int(ds37.registry.template_at(j).id in r.expert_labels) for j in range(29)]
-            for r in ds37.records
+            [int(ds37.registry.templates[j].id in labels) for j in range(29)]
+            for labels in ds37.expert_labels
         ]
 
     def test_gold_only_for_chain_real(self, ds37):

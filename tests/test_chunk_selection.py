@@ -19,7 +19,6 @@ from _reference_select import (
 from rakelgen.domain import (
     FactorId,
     ReferenceType,
-    StudentRecord,
     Template,
     TemplateRegistry,
     default_registry,
@@ -76,8 +75,10 @@ def chunks(draw):
     else:
         votes = np.array([draw(st.lists(tied, min_size=L, max_size=L)) for _ in range(n)])
     records = [
-        StudentRecord(
-            f"s{i}", [draw(st.lists(VALUES, min_size=weeks, max_size=weeks)) for _ in FactorId]
+        (
+            f"s{i}",
+            np.array([draw(st.lists(VALUES, min_size=weeks, max_size=weeks)) for _ in FactorId]),
+            None,
         )
         for i in range(n)
     ]
@@ -88,7 +89,7 @@ def chunks(draw):
 def _selections(bits, votes, registry):
     """Per row of bits and votes, the templates ``choose`` keeps and the set
     ones it drops, in the form of ``reference_select``."""
-    at = registry.template_at
+    templates = registry.templates
     selections = []
     for row_bits, row_votes, winners in zip(
         bits.tolist(), votes.tolist(), choose(bits, votes, factor_columns(registry)).tolist()
@@ -96,11 +97,11 @@ def _selections(bits, votes, registry):
         kept = [j for j in winners if j >= 0]
         lost = sorted(
             (j for j, bit in enumerate(row_bits) if bit and j not in kept),
-            key=lambda j: (at(j).factor, j),
+            key=lambda j: (templates[j].factor, j),
         )
         selections.append(Selection(
-            chosen=tuple((at(j), row_votes[j]) for j in kept),
-            dropped=tuple((at(j), DROP_REASON_CONFLICT) for j in lost),
+            chosen=tuple((templates[j], row_votes[j]) for j in kept),
+            dropped=tuple((templates[j], DROP_REASON_CONFLICT) for j in lost),
         ))
     return selections
 
@@ -109,7 +110,8 @@ def _selections(bits, votes, registry):
 def test_chunk_equals_per_record_reference(chunk):
     registry, records, bits, votes, tolerance = chunk
     summaries = list(chunk_summaries(
-        [r.student_id for r in records], series_stack(records), bits, votes, registry, tolerance
+        [r[0] for r in records], series_stack([r[1] for r in records]), bits, votes, registry,
+        tolerance,
     ))
     assert len(summaries) == len(records)
     for record, row_bits, row_votes, summary, selection in zip(

@@ -14,12 +14,14 @@ from pathlib import Path
 import pytest
 
 import rakelgen
+from _builders import synth_config_dict
 from rakelgen import nlg
 from rakelgen.cli import main
-from rakelgen.domain import default_registry, load_dataset, registry_to_dict, series_stack
+from rakelgen.domain import (
+    Dataset, default_registry, load_dataset, registry_to_dict, series_stack,
+)
 from rakelgen.features import feature_matrix, feature_schema
 from rakelgen.model_io import load_model
-from rakelgen.synth import config_to_dict, default_synth_config
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::rakelgen.errors.LabelCoverageWarning"
@@ -66,7 +68,7 @@ class TestGenerate:
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_constant_factor_mean_has_no_achieved_correlation(self, tmp_path, capsys):
-        data = config_to_dict(default_synth_config(n_students=6))
+        data = synth_config_dict(n_students=6)
         data["factors"]["understandability"]["mean"] = 100.0  # every value clips to 5
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data), encoding="utf-8")
@@ -113,7 +115,7 @@ class TestGenerate:
         elif source == "env":
             monkeypatch.setenv("RAKELGEN_SEED", "-1")
         else:
-            data = config_to_dict(default_synth_config(n_students=5))
+            data = synth_config_dict(n_students=5)
             data["seed"] = -1
             config_path = tmp_path / "config.json"
             config_path.write_text(json.dumps(data), encoding="utf-8")
@@ -136,11 +138,9 @@ class TestGenerate:
                      "--out", str(tmp_path / "model.json")]) == 0
 
     def test_custom_config_file(self, tmp_path, capsys):
-        config = default_synth_config(n_students=6, weeks=4, seed=2)
+        config = synth_config_dict(n_students=6, weeks=4, seed=2)
         config_path = tmp_path / "config.json"
-        config_path.write_text(
-            json.dumps(config_to_dict(config)), encoding="utf-8"
-        )
+        config_path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "data.jsonl"
         code, _, _ = _run(
             ["generate", "--out", str(out), "--config", str(config_path)], capsys
@@ -151,7 +151,7 @@ class TestGenerate:
         assert ds.weeks == 4
 
     def test_non_positive_definite_pairs_exit_2(self, tmp_path, capsys):
-        data = config_to_dict(default_synth_config(n_students=5))
+        data = synth_config_dict(n_students=5)
         data["correlation_pairs"] = [
             ["marks", "hours_studied", 0.9],
             ["hours_studied", "understandability", 0.9],
@@ -173,7 +173,7 @@ class TestGenerate:
         assert "positive definite" in stderr
 
     def test_non_finite_config_field_exit_2(self, tmp_path, capsys):
-        data = config_to_dict(default_synth_config(n_students=5))
+        data = synth_config_dict(n_students=5)
         data["factors"]["marks"]["noise_std"] = float("nan")
         config_path = tmp_path / "nan.json"
         config_path.write_text(json.dumps(data), encoding="utf-8")
@@ -478,7 +478,7 @@ class TestFeedback:
         assert len(payload) == 14
         for entry in payload:
             factors = [
-                registry.get(item["template_id"]).factor
+                registry.templates[registry.label_index(item["template_id"])].factor
                 for item in entry["feedback"]
             ]
             assert len(factors) == len(set(factors))
@@ -686,7 +686,10 @@ class TestFeedback:
         registry = default_registry()
         trained = load_model(model, registry)
         ds = load_dataset(data, registry)
-        summaries = [next(nlg.feedback_for_records(trained, ds.take([i]))) for i in range(len(ds))]
+        summaries = [
+            next(nlg.feedback_for_records(trained, Dataset(registry, [record])))
+            for record in ds.records
+        ]
         if fmt == "json":
             text = json.dumps([nlg.summary_to_json(s) for s in summaries], indent=2)
         else:
@@ -807,11 +810,11 @@ class TestInspectFeatures:
         code, stdout, _ = _run(["inspect-features", "--data", str(data_path), "--mode", mode],
                                capsys)
         expected = []
-        for record in load_dataset(data_path, default_registry()).records:
-            values = feature_matrix(series_stack([record]), mode)[0].tolist()
-            expected.append(f"{record.student_id}:")
+        for student_id, series, _ in load_dataset(data_path, default_registry()).records:
+            values = feature_matrix(series_stack([series]), mode)[0].tolist()
+            expected.append(f"{student_id}:")
             expected.extend(f"  {factor.key}.{name} = {value:g}" for (factor, name), value
-                            in zip(feature_schema(record.weeks, mode), values))
+                            in zip(feature_schema(series.shape[1], mode), values))
         assert (code, stdout) == (0, "\n".join(expected) + "\n")
 
 

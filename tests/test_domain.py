@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import numpy as np
@@ -16,9 +17,9 @@ from rakelgen.domain import (
     Dataset,
     FactorId,
     ReferenceType,
-    StudentRecord,
     Template,
     TemplateRegistry,
+    _checked_series,
     default_registry,
     load_dataset,
     load_registry,
@@ -99,7 +100,7 @@ class TestTemplates:
 class TestRegistry:
     def test_default_has_29_templates(self, registry):
         assert len(registry) == 29
-        assert registry.ids() == tuple(range(1, 30))
+        assert tuple(t.id for t in registry.templates) == tuple(range(1, 30))
 
     def test_default_pair_coverage(self, registry):
         counts = {r: 0 for r in ReferenceType}
@@ -115,20 +116,15 @@ class TestRegistry:
     def test_label_index_is_position(self, registry):
         for position, template in enumerate(registry.templates):
             assert registry.label_index(template.id) == position
-            assert registry.template_at(position) is template
+            assert registry.templates[registry.label_index(template.id)] is template
 
-    def test_find_returns_none_for_missing_pair(self, registry):
-        assert (
-            registry.find(FactorId.HEALTH_ISSUES, ReferenceType.AVERAGE) is None
-        )
-        assert (
-            registry.find(FactorId.MARKS, ReferenceType.TREND) is not None
-        )
+    def test_missing_pair_has_no_template(self, registry):
+        pairs = {(t.factor, t.reference) for t in registry.templates}
+        assert (FactorId.HEALTH_ISSUES, ReferenceType.AVERAGE) not in pairs
+        assert (FactorId.MARKS, ReferenceType.TREND) in pairs
 
     def test_get_unknown_id(self, registry):
-        with pytest.raises(ValidationError):
-            registry.get(999)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown template id 999"):
             registry.label_index(999)
 
     def test_duplicate_id_rejected(self):
@@ -261,7 +257,7 @@ def _label_row(ids, registry):
 
 def _set_ids(row, registry) -> frozenset[int]:
     """The template ids of the row's set bits."""
-    return frozenset(registry.template_at(j).id for j, bit in enumerate(row) if bit)
+    return frozenset(registry.templates[j].id for j, bit in enumerate(row) if bit)
 
 
 class TestLabelVectors:
@@ -285,62 +281,74 @@ class TestLabelVectors:
             _label_row({1, 999}, registry)
 
 
+def _same_record(a, b) -> bool:
+    """Whether two record triples hold the same id, values and labels."""
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+
 class TestRecords:
-    def test_series_normalized_to_read_only_floats(self):
-        record = make_record(series={FactorId.MARKS: [50, 60, 70, 80]})
-        assert record.series.dtype == np.float64 and record.series.shape == (9, 4)
-        assert not record.series.flags.writeable
+    def test_series_normalized_to_read_only_floats(self, registry):
+        rows = [[50, 60, 70, 80]] + [[3, 3, 3, 3]] * 8
+        ds = Dataset(registry, [("s0", rows, None)])
+        (_, series, _), = ds.records
+        assert series.dtype == np.float64 and series.shape == (9, 4)
+        assert not series.flags.writeable
         # row j is factor j + 1: indexing by the factor itself would read the next row
-        assert record.series[FactorId.MARKS - 1].tolist() == [50.0, 60.0, 70.0, 80.0]
-        assert record.weeks == 4
+        assert series[FactorId.MARKS - 1].tolist() == [50.0, 60.0, 70.0, 80.0]
+        assert ds.weeks == 4
 
     def test_float_series_kept_without_a_copy(self):
         rows = np.arange(18.0).reshape(9, 2)
-        record = StudentRecord("s0", rows)
-        assert np.shares_memory(record.series, rows)
+        series = _checked_series("s0", rows)
+        assert np.shares_memory(series, rows)
+        assert not series.flags.writeable
         assert rows.flags.writeable  # the caller's array is left as it was
 
     def test_labels_normalized_to_frozenset(self):
-        record = make_record(labels=[3, 1, 3])
-        assert record.expert_labels == frozenset({1, 3})
+        _, _, labels = make_record(labels=[3, 1, 3])
+        assert labels == frozenset({1, 3})
 
     def test_unlabeled_record(self):
-        record = make_record()
-        assert record.expert_labels is None
+        _, _, labels = make_record()
+        assert labels is None
 
-    def test_missing_factor_rejected(self):
+    def test_missing_factor_rejected(self, registry):
         with pytest.raises(ValidationError, match=r"s0: series must be a \(9, W\) array"):
-            StudentRecord(student_id="s0", series=[(1.0, 1.0)] * 8)
+            Dataset(registry, [("s0", [(1.0, 1.0)] * 8, None)])
 
     def test_wrong_length_rejected(self):
-        data = record_to_dict(make_record("s0", weeks=2))
+        data = record_to_dict(*make_record("s0", weeks=2))
         data["series"]["marks"] = [1.0, 1.0, 1.0]
         with pytest.raises(ValidationError, match="s0: series marks has 3 values, expected 2"):
             record_from_dict(data)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_value_rejected(self, bad):
+    def test_non_finite_value_rejected(self, registry, bad):
+        record = make_record(
+            student_id="s007", series={FactorId.HOURS_STUDIED: [1.0, bad, 2.0, 3.0]}
+        )
         with pytest.raises(ValidationError, match="s007: series hours_studied"):
-            make_record(
-                student_id="s007", series={FactorId.HOURS_STUDIED: [1.0, bad, 2.0, 3.0]}
-            )
+            Dataset(registry, [record])
+        data = record_to_dict(*record)
+        with pytest.raises(ValidationError, match="s007: series hours_studied"):
+            record_from_dict(data)
 
-    def test_weeks_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            StudentRecord(student_id="s0", series=np.empty((9, 0)))
+    def test_weeks_must_be_positive(self, registry):
+        with pytest.raises(ValidationError, match=r"got shape \(9, 0\)"):
+            Dataset(registry, [("s0", np.empty((9, 0)), None)])
 
     def test_json_round_trip_labeled(self):
         record = make_record(
             series={FactorId.MARKS: [50.5, 60.0, 70.5, 80.0]}, labels=[2, 9]
         )
-        data = record_to_dict(record)
-        assert record_from_dict(data) == record
+        data = record_to_dict(*record)
+        assert _same_record(record_from_dict(data), record)
 
     def test_json_round_trip_unlabeled(self):
         record = make_record()
-        data = record_to_dict(record)
+        data = record_to_dict(*record)
         assert "expert_labels" not in data
-        assert record_from_dict(data) == record
+        assert _same_record(record_from_dict(data), record)
 
 
 class TestDatasets:
@@ -382,15 +390,34 @@ class TestDatasets:
             Dataset.from_series(registry, ids, np.zeros((rows, 9, 3)), labels)
 
     def test_records_are_read_only_views_of_the_stack(self, registry, ds37):
-        for i, record in enumerate(ds37.records):
-            assert not record.series.flags.writeable
-            assert np.shares_memory(record.series, ds37.series)
-            assert np.array_equal(record.series, ds37.series[i])
+        for i, (student_id, series, labels) in enumerate(ds37.records):
+            assert not series.flags.writeable
+            assert np.shares_memory(series, ds37.series)
+            assert np.array_equal(series, ds37.series[i])
+            assert (student_id, labels) == (ds37.student_ids[i], ds37.expert_labels[i])
+        # the benchmark's set-up rebuilds a dataset from its (shuffled) records
         ds = Dataset(registry, ds37.records)
         assert ds == ds37
+        assert Dataset(registry, iter(ds37.records)) == ds37
         assert not ds.series.flags.writeable
-        subset = ds.take([2, 0])
-        assert subset.records == (ds.records[2], ds.records[0])
+        subset = Dataset(registry, (ds.records[2], ds.records[0]))
+        assert subset.student_ids == (ds.student_ids[2], ds.student_ids[0])
+        assert np.array_equal(subset.series, ds.series[[2, 0]])
+        assert subset.expert_labels == (ds.expert_labels[2], ds.expert_labels[0])
+
+    def test_saved_permuted_records_are_the_permuted_lines(self, tmp_path, ds37):
+        """``save_dataset`` of shuffled records, as the benchmark writes its
+        cohorts, writes the same lines as the dataset in that order."""
+        order = list(range(len(ds37)))
+        random.Random(3).shuffle(order)
+        records = ds37.records
+        save_dataset(ds37, tmp_path / "plain.jsonl")
+        save_dataset(Dataset(ds37.registry, [records[i] for i in order]), tmp_path / "perm.jsonl")
+        lines = (tmp_path / "plain.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert order != sorted(order)
+        assert (tmp_path / "perm.jsonl").read_text(encoding="utf-8") == "".join(
+            lines[i] for i in order
+        )
 
     def test_file_round_trip_byte_identical(self, registry, tmp_path, ds37):
         first = tmp_path / "a.jsonl"
@@ -408,7 +435,7 @@ class TestDatasets:
     def test_load_reports_bad_line(self, registry, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            json.dumps(record_to_dict(make_record())) + "\n{oops\n",
+            json.dumps(record_to_dict(*make_record())) + "\n{oops\n",
             encoding="utf-8",
         )
         with pytest.raises(ValidationError, match=":2"):

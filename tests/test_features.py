@@ -34,8 +34,9 @@ def _slope(values) -> float:
 
 def _features(record, mode):
     """(schema entry, value) pairs of one record's ``feature_matrix`` row."""
-    row = feature_matrix(series_stack([record]), mode)[0].tolist()
-    return list(zip(feature_schema(record.weeks, mode), row, strict=True))
+    _, series, _ = record
+    row = feature_matrix(series_stack([series]), mode)[0].tolist()
+    return list(zip(feature_schema(series.shape[1], mode), row, strict=True))
 
 
 class TestSlope:
@@ -128,7 +129,7 @@ class TestExtraction:
     def test_matches_schema_length(self):
         record = make_record(weeks=5)
         for mode in ("derived", "raw", "both"):
-            row = feature_matrix(series_stack([record]), mode)[0]
+            row = feature_matrix(series_stack([record[1]]), mode)[0]
             assert len(row) == len(feature_schema(5, mode))
 
     def test_derived_statistics_match_brute_force(self):

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from _builders import leaf_label, make_record, marks_dataset, tiny_registry, train
-from rakelgen.domain import Dataset, StudentRecord, series_stack
+from _builders import dataset_rows, leaf_label, make_record, marks_dataset, tiny_registry, train
+from rakelgen.domain import Dataset, series_stack
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import feature_matrix
 from rakelgen.mlc import (
@@ -39,7 +39,7 @@ TWO_LABEL_ROWS = [
 
 
 def _features(record, mode="both"):
-    return feature_matrix(series_stack([record]), mode)[0]
+    return feature_matrix(series_stack([record[1]]), mode)[0]
 
 
 def _predict(model, x, gold=None) -> tuple[int, ...]:
@@ -83,11 +83,12 @@ class TestBinaryRelevance:
         full_model = train("br", ds37)
         keep_ids = (1, 4, 9, 16, 25)
         sub_registry = TemplateRegistry(
-            templates=tuple(registry.get(i) for i in keep_ids), version="subset"
+            templates=tuple(registry.templates[registry.label_index(i)] for i in keep_ids),
+            version="subset",
         )
         sub_records = tuple(
-            StudentRecord(r.student_id, r.series, r.expert_labels & frozenset(keep_ids))
-            for r in ds37.records
+            (student_id, series, labels & frozenset(keep_ids))
+            for student_id, series, labels in ds37.records
         )
         sub_model = train("br", Dataset(sub_registry, sub_records))
         for sub_index, template_id in enumerate(keep_ids):
@@ -288,12 +289,12 @@ class TestLabelPowerset:
         ]
         ds = marks_dataset(registry, rows)
         model = train("lp", ds)
-        observed = {frozenset(r.expert_labels) for r in ds.records}
+        observed = {frozenset(labels) for labels in ds.expert_labels}
         rng = np.random.default_rng(0)
         for value in rng.uniform(0, 20, size=60):
             bits = _predict(model, _flat_marks_input(float(round(value, 1))))
             ids = frozenset(
-                registry.template_at(j).id for j, b in enumerate(bits) if b
+                registry.templates[j].id for j, b in enumerate(bits) if b
             )
             assert ids in observed
 
@@ -478,7 +479,7 @@ class TestConfigAndDispatch:
 
     def test_gold_rejected_outside_real_history(self, ds37):
         model = train("majority", ds37)
-        first = ds37.take([0])
+        first = dataset_rows(ds37, [0])
         with pytest.raises(ValidationError, match="gold"):
             predict_batch(model, feature_matrix(first.series), first.label_matrix())
 
@@ -489,6 +490,6 @@ class TestConfigAndDispatch:
 
     def test_predict_record_matches_predict(self, ds37):
         model = train("br", ds37)
-        alone, _ = predict_batch(model, feature_matrix(ds37.take([5]).series))
+        alone, _ = predict_batch(model, feature_matrix(ds37.series[5:6]))
         in_batch, _ = predict_batch(model, feature_matrix(ds37.series))
         assert alone.tolist() == in_batch[5:6].tolist()

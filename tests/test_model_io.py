@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _builders import tiny_registry, train
+from _builders import dataset_rows, tiny_registry, train
 from rakelgen.cli import main
 from rakelgen.domain import Template, TemplateRegistry, save_dataset
 from rakelgen.errors import LabelCoverageWarning, ValidationError
@@ -68,7 +68,7 @@ class TestRoundTrip:
         save_model(model, registry, path)
         loaded = load_model(path, registry)
         assert loaded.strategy == model.strategy
-        head = ds37.take(range(10))
+        head = dataset_rows(ds37, range(10))
         X = feature_matrix(head.series, model.feature_mode)
         gold = gold_matrix(model, head)
         for ours, theirs in zip(predict_batch(loaded, X, gold), predict_batch(model, X, gold)):

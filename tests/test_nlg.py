@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _builders import make_record, marks_dataset, tiny_registry, train
+from _builders import (
+    dataset_rows, make_record, marks_dataset, template_for, tiny_registry, train,
+)
 from rakelgen.domain import Dataset, FactorId, ReferenceType, default_registry, series_stack
 from rakelgen.errors import ValidationError
 from rakelgen.features import DEFAULT_TREND_TOLERANCE
@@ -37,21 +39,22 @@ def _chosen(bits, registry, votes=None):
     order; without votes every set bit votes 1.0."""
     votes = bits.astype(float) if votes is None else np.array([votes])
     winners = choose(bits, votes, factor_columns(registry))[0]
-    return [registry.template_at(j) for j in winners if j >= 0]
+    return [registry.templates[j] for j in winners if j >= 0]
 
 
 def _dropped(bits, registry, votes=None):
     """The set templates that ``choose`` does not keep, in label order."""
     kept = {t.id for t in _chosen(bits, registry, votes)}
-    set_templates = [registry.template_at(j) for j in np.flatnonzero(bits[0])]
+    set_templates = [registry.templates[j] for j in np.flatnonzero(bits[0])]
     return [t for t in set_templates if t.id not in kept]
 
 
 def _summary(ids, record, registry, trend_tolerance=DEFAULT_TREND_TOLERANCE):
     """The summary of one record whose predicted bits set the given template ids."""
+    student_id, series, _ = record
     bits = _bits(ids, registry)
     (summary,) = chunk_summaries(
-        [record.student_id], series_stack([record]), bits, bits.astype(float), registry,
+        [student_id], series_stack([series]), bits, bits.astype(float), registry,
         trend_tolerance,
     )
     return summary
@@ -71,7 +74,7 @@ class TestFormatNumber:
 
 class TestSelection:
     def test_single_bit_chosen_without_drops(self, registry):
-        marks_trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
+        marks_trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
         bits = _bits({marks_trend.id}, registry)
         assert [t.id for t in _chosen(bits, registry)] == [marks_trend.id]
         assert _dropped(bits, registry) == []
@@ -82,8 +85,8 @@ class TestSelection:
         assert _dropped(bits, registry) == []
 
     def test_conflict_resolved_by_votes(self, registry):
-        trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
-        average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
+        trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
+        average = template_for(registry, FactorId.MARKS, ReferenceType.AVERAGE)
         bits = _bits({trend.id, average.id}, registry)
         votes = [0.0] * 29
         votes[registry.label_index(trend.id)] = 0.6
@@ -92,8 +95,8 @@ class TestSelection:
         assert _dropped(bits, registry, votes) == [trend]
 
     def test_vote_tie_falls_to_reference_priority(self, registry):
-        trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
-        average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
+        trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
+        average = template_for(registry, FactorId.MARKS, ReferenceType.AVERAGE)
         bits = _bits({trend.id, average.id}, registry)
         assert [t.id for t in _chosen(bits, registry)] == [trend.id]
         assert REFERENCE_PRIORITY[ReferenceType.TREND] < REFERENCE_PRIORITY[
@@ -101,9 +104,9 @@ class TestSelection:
         ]
 
     def test_chosen_ordered_by_factor_code(self, registry):
-        revision_other = registry.find(FactorId.REVISION, ReferenceType.OTHER)
-        marks_trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
-        hours_other = registry.find(FactorId.HOURS_STUDIED, ReferenceType.OTHER)
+        revision_other = template_for(registry, FactorId.REVISION, ReferenceType.OTHER)
+        marks_trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
+        hours_other = template_for(registry, FactorId.HOURS_STUDIED, ReferenceType.OTHER)
         bits = _bits({revision_other.id, marks_trend.id, hours_other.id}, registry)
         assert [t.factor for t in _chosen(bits, registry)] == [
             FactorId.MARKS,
@@ -121,17 +124,17 @@ class TestSelection:
         chosen_ids = {t.id for t in chosen}
         dropped_ids = {t.id for t in _dropped(row, registry)}
         set_ids = {
-            registry.template_at(j).id for j, b in enumerate(bits) if b
+            registry.templates[j].id for j, b in enumerate(bits) if b
         }
         assert chosen_ids | dropped_ids == set_ids
         assert not chosen_ids & dropped_ids
         # every factor with a set bit keeps one of its templates
-        assert set(factors) == {registry.get(i).factor for i in set_ids}
+        assert set(factors) == {registry.templates[registry.label_index(i)].factor for i in set_ids}
 
 
 class TestRendering:
     def test_average_slot_filled(self, registry):
-        average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
+        average = template_for(registry, FactorId.MARKS, ReferenceType.AVERAGE)
         record = make_record(series={FactorId.MARKS: [5.0, 5.0, 5.0, 5.0]})
         summary = _summary({average.id}, record, registry)
         assert len(summary.sentences) == 1
@@ -139,19 +142,19 @@ class TestRendering:
         assert summary.template_ids == (average.id,)
 
     def test_trend_slot_uses_trend_word(self, registry):
-        trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
+        trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
         record = make_record(series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]})
         summary = _summary({trend.id}, record, registry)
         assert "increased" in summary.sentences[0]
 
     def test_trend_tolerance_changes_word(self, registry):
-        trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
+        trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
         record = make_record(series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]})
         summary = _summary({trend.id}, record, registry, trend_tolerance=2.0)
         assert "remained stable" in summary.sentences[0]
 
     def test_slots_read_the_templates_factor(self, registry):
-        average = registry.find(FactorId.MARKS, ReferenceType.AVERAGE)
+        average = template_for(registry, FactorId.MARKS, ReferenceType.AVERAGE)
         record = make_record(
             series={
                 FactorId.MARKS: [60.0, 60.0, 60.0, 60.0],
@@ -179,15 +182,15 @@ class TestRendering:
         ids = set()
         for factor in (FactorId.MARKS, FactorId.HOURS_STUDIED):
             for reference in ReferenceType:
-                template = registry.find(factor, reference)
+                template = template_for(registry, factor, reference)
                 if template is not None:
                     ids.add(template.id)
         # One per factor survives selection; set all candidates and let the
         # priority rule pick.
         summary = _summary(ids, record, registry)
         for sentence, template_id in zip(summary.sentences, summary.template_ids):
-            factor = registry.get(template_id).factor
-            series = record.series[factor - 1].tolist()
+            factor = registry.templates[registry.label_index(template_id)].factor
+            series = record[1][factor - 1].tolist()
             stats = {
                 format_number(sum(series) / len(series)),
                 format_number(series[0]),
@@ -197,14 +200,14 @@ class TestRendering:
                 assert number in stats
 
     def test_rendering_is_pure(self, registry):
-        trend = registry.find(FactorId.REVISION, ReferenceType.TREND)
+        trend = template_for(registry, FactorId.REVISION, ReferenceType.TREND)
         record = make_record(series={FactorId.REVISION: [1.0, 1.0, 2.0, 3.0]})
         assert _summary({trend.id}, record, registry) == _summary({trend.id}, record, registry)
 
 
 class TestTextAndJson:
     def _summary(self, registry):
-        trend = registry.find(FactorId.MARKS, ReferenceType.TREND)
+        trend = template_for(registry, FactorId.MARKS, ReferenceType.TREND)
         record = make_record(
             student_id="s0042", series={FactorId.MARKS: [1.0, 2.0, 3.0, 4.0]}
         )
@@ -232,7 +235,8 @@ class TestTextAndJson:
         entry = data["feedback"][0]
         assert set(entry) == {"template_id", "sentence"}
         assert entry["sentence"] == summary.sentences[0]
-        assert registry.get(entry["template_id"]) is not None
+        template_id = entry["template_id"]
+        assert registry.templates[registry.label_index(template_id)].id == template_id
 
 
 class TestFeedbackForRecord:
@@ -253,6 +257,6 @@ class TestFeedbackForRecord:
 
     def test_chain_real_renders_from_gold_history(self, ds37, registry):
         model = train("chain-real", ds37)
-        (summary,) = feedback_for_records(model, ds37.take([0]))
+        (summary,) = feedback_for_records(model, dataset_rows(ds37, [0]))
         for template_id in summary.template_ids:
-            assert registry.get(template_id) is not None
+            assert registry.templates[registry.label_index(template_id)].id == template_id

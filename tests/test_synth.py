@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from _builders import synth_config_dict
 from _reference_synth import reference_annotate
 from rakelgen.domain import FactorId, ReferenceType
 from rakelgen.errors import ValidationError
@@ -24,7 +25,6 @@ from rakelgen.synth import (
     achieved_correlations,
     build_correlation_matrix,
     config_from_dict,
-    config_to_dict,
     default_synth_config,
     generate_dataset,
     load_synth_config,
@@ -117,7 +117,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameter_names_its_field(self, section, name, value):
         # each of these passes the field's own sign and ordering checks
-        data = config_to_dict(default_synth_config())
+        data = synth_config_dict()
         data[section]["revision"][name] = value
         with pytest.raises(ValidationError) as caught:
             config_from_dict(data)
@@ -131,14 +131,14 @@ class TestConfig:
             dataclasses.replace(base, policy=policy)
 
     def test_round_trip_dict(self):
-        config = default_synth_config(n_students=12)
-        assert config_from_dict(config_to_dict(config)) == config
+        config = config_from_dict(json.loads(json.dumps(synth_config_dict(n_students=12))))
+        assert config == default_synth_config(n_students=12)
+        assert config.n_students == 12
 
     def test_round_trip_file(self, tmp_path):
-        config = default_synth_config(seed=3)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
-        assert load_synth_config(path) == config
+        path.write_text(json.dumps(synth_config_dict(seed=3)), encoding="utf-8")
+        assert load_synth_config(path) == default_synth_config(seed=3)
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(ValidationError, match='^n_students must be an integer, got "many"$'):
@@ -190,7 +190,7 @@ class TestConfig:
     def test_fields_are_read_by_json_type(self, mutate, message):
         """``int()`` would load n_students 3.7 as 3, and ``float()`` the
         string "0.1" as 0.1 and true as 1.0; each is refused, naming the field."""
-        data = config_to_dict(default_synth_config())
+        data = synth_config_dict()
         mutate(data)
         with pytest.raises(ValidationError) as caught:
             config_from_dict(data)
@@ -199,21 +199,21 @@ class TestConfig:
     @pytest.mark.parametrize("section", ["factors", "policy"])
     def test_factor_key_repeated_in_another_case_rejected(self, section):
         # factor keys are case-insensitive, so "MARKS" would replace "marks"
-        data = config_to_dict(default_synth_config())
+        data = synth_config_dict()
         data[section]["MARKS"] = dict(data[section]["marks"])
         with pytest.raises(ValidationError) as caught:
             config_from_dict(data)
         assert str(caught.value) == f'{section} key "MARKS" repeats factor marks'
 
     def test_bad_factor_key_wins_over_bad_scalar(self):
-        data = config_to_dict(default_synth_config())
+        data = synth_config_dict()
         data["n_students"] = "many"
         data["factors"]["attendance"] = data["factors"].pop("marks")
         with pytest.raises(ValidationError, match=r"^unknown factor name: 'attendance'$"):
             config_from_dict(data)
 
     def test_missing_scalars_take_the_config_defaults(self):
-        data = config_to_dict(default_synth_config(n_students=12, seed=3))
+        data = synth_config_dict(n_students=12, seed=3)
         for name in SCALAR_FIELDS:
             del data[name]
         config = config_from_dict(data)
@@ -243,7 +243,7 @@ class TestCorrelationMatrix:
     @staticmethod
     def _load_with_pairs(*pairs):
         """``config_from_dict`` of the default config with these correlation pairs."""
-        data = config_to_dict(default_synth_config())
+        data = synth_config_dict()
         data["correlation_pairs"] = [list(pair) for pair in pairs]
         with pytest.raises(ValidationError) as caught:
             config_from_dict(data)
@@ -284,7 +284,7 @@ class TestCorrelationMatrix:
 class TestGeneration:
     def test_requested_size_and_ids(self, ds37):
         assert len(ds37) == 37
-        assert [r.student_id for r in ds37.records] == [
+        assert list(ds37.student_ids) == [
             f"s{i:04d}" for i in range(37)
         ]
         assert None not in ds37.expert_labels
@@ -301,30 +301,30 @@ class TestGeneration:
         assert a != b
 
     def test_units_respected(self, ds100):
-        for record in ds100.records:
-            for value in record.series[FactorId.MARKS - 1]:
+        for series in ds100.series:
+            for value in series[FactorId.MARKS - 1]:
                 assert 0.0 <= value <= 100.0
                 assert value == round(value, 1)
-            for value in record.series[FactorId.HOURS_STUDIED - 1]:
+            for value in series[FactorId.HOURS_STUDIED - 1]:
                 assert value >= 0.0
                 assert value == round(value, 1)
             for factor in LIKERT_FACTORS:
-                for value in record.series[factor - 1]:
+                for value in series[factor - 1]:
                     assert value in {1.0, 2.0, 3.0, 4.0, 5.0}
             for factor in COUNT_FACTORS:
-                for value in record.series[factor - 1]:
+                for value in series[factor - 1]:
                     assert value >= 0.0
                     assert value == int(value)
 
     def test_noiseless_labels_follow_policy(self, registry):
         config = default_synth_config(n_students=25, seed=0, expert_noise=0.0)
         ds = generate_dataset(config, registry)
-        for record in ds.records:
-            assert record.expert_labels == reference_annotate(record.series, registry, config)
+        for _, series, labels in ds.records:
+            assert labels == reference_annotate(series, registry, config)
 
     def test_at_most_one_template_per_factor(self, ds100, registry):
-        for record in ds100.records:
-            factors = [registry.get(i).factor for i in record.expert_labels]
+        for labels in ds100.expert_labels:
+            factors = [registry.templates[registry.label_index(i)].factor for i in labels]
             assert len(factors) == len(set(factors))
 
     def test_expert_count_is_noop_without_noise(self, registry):
@@ -332,9 +332,7 @@ class TestGeneration:
         single = dataclasses.replace(quiet, expert_count=1)
         a = generate_dataset(quiet, registry)
         b = generate_dataset(single, registry)
-        assert [r.expert_labels for r in a.records] == [
-            r.expert_labels for r in b.records
-        ]
+        assert a.expert_labels == b.expert_labels
 
     def test_expert_noise_perturbs_some_labels(self, registry):
         base = default_synth_config(n_students=60, seed=2, expert_noise=0.0)
@@ -342,9 +340,7 @@ class TestGeneration:
         a = generate_dataset(base, registry)
         b = generate_dataset(noisy, registry)
         assert np.array_equal(a.series, b.series)
-        assert [r.expert_labels for r in a.records] != [
-            r.expert_labels for r in b.records
-        ]
+        assert a.expert_labels != b.expert_labels
 
     def test_noisy_labels_deterministic(self, registry):
         config = default_synth_config(n_students=25, seed=6, expert_noise=0.3)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_synth
+from _builders import dataset_rows
 from _reference_features import _sum
 from _reference_synth import (
     reference_annotate,
@@ -59,7 +60,7 @@ def _assert_same_cohort(ds, ref):
     assert ds.expert_labels == ref.expert_labels
     # tobytes tells -0.0 from 0.0 and every last bit
     assert ds.series.tobytes() == ref.series.tobytes()
-    assert ds.records == ref.records
+    assert ds == ref
 
 
 def _zero_std(config, name):
@@ -128,14 +129,14 @@ def test_one_row_annotation_equals_batch(registry):
     ds = generate_dataset(config, registry)
     quiet = dataclasses.replace(config, expert_noise=0.0)
     templates = _factor_templates(registry)
-    for i, record in enumerate(ds.records):
+    for i, (_, series, labels) in enumerate(ds.records):
         alone = ds.series[i : i + 1]
-        assert _annotate(alone, templates, config, i) == [record.expert_labels]
+        assert _annotate(alone, templates, config, i) == [labels]
         assert _annotate(alone, templates, config, i) == [
-            reference_annotate(record.series, registry, config, i)
+            reference_annotate(series, registry, config, i)
         ]
         assert _annotate(alone, templates, quiet, i) == [
-            reference_annotate(record.series, registry, quiet)
+            reference_annotate(series, registry, quiet)
         ]
 
 
@@ -174,7 +175,7 @@ def test_achieved_correlations_match_per_record_means(registry):
     ds = generate_dataset(config, registry)
     pairs = config.correlation_pairs
     means = {
-        factor: [_sum(r.series[factor - 1].tolist()) / r.weeks for r in ds.records]
+        factor: [_sum(series[factor - 1].tolist()) / ds.weeks for series in ds.series]
         for factor in FactorId
     }
     expected = [(a.key, b.key, r, pearson(means[a], means[b])) for a, b, r in pairs]
@@ -221,7 +222,7 @@ def test_records_of_a_loaded_cohort_are_views(registry, tmp_path):
     path = tmp_path / "cohort.jsonl"
     save_dataset(generate_dataset(default_synth_config(n_students=5000, seed=4), registry), path)
     ds = load_dataset(path, registry)
-    ds.take([0]).records  # warm caches
+    dataset_rows(ds, [0]).records  # warm caches
     tracemalloc.start()
     try:
         records = ds.records
@@ -229,4 +230,5 @@ def test_records_of_a_loaded_cohort_are_views(registry, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(records) == 5000
+    assert np.shares_memory(records[-1][1], ds.series)
     assert peak < 6 * 2**20

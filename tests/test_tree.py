@@ -42,8 +42,9 @@ class TestImpurity:
         assert impurity([0, 0, 1, 1], "entropy") == pytest.approx(1.0)
 
     def test_unknown_criterion(self):
-        with pytest.raises(ValidationError):
-            impurity([0, 1], "mse")
+        # the config refuses it, so no impurity is ever computed for it
+        with pytest.raises(ValidationError, match="split_criterion must be one of"):
+            TreeConfig(split_criterion="mse")
 
     def test_clean_split_gain(self):
         # Parent [0, 0, 1, 1] has gini 0.5; both children are pure.
