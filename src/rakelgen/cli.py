@@ -115,7 +115,6 @@ def _eval_options(args, **extra):
         rakel_config=RakelConfig(k=args.k, m=args.m, threshold=args.threshold, seed=seed),
         chain_order=_parse_chain_order(args.chain_order),
         majority_mode=args.majority_mode,
-        n_jobs=args.n_jobs,
         **extra,
     )
 
@@ -169,9 +168,9 @@ def _add_strategy_args(parser):
     parser.add_argument(
         "--majority-mode", choices=MAJORITY_MODES, default="per-label"
     )
-    parser.add_argument(
-        "--n-jobs", type=int, default=1, help="threads for per-label/member training"
-    )
+    # Read by nothing: training runs in one thread. Kept, hidden and only as 1,
+    # because perfbench/run.py still passes --n-jobs 1.
+    parser.add_argument("--n-jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -160,20 +160,21 @@ class TemplateRegistry:
             raise ValidationError(f"unknown template id {template_id}") from None
 
 
-def _checked_series(student_id: str, series) -> np.ndarray:
+def _checked_series(student_id: str, series, where: str = "") -> np.ndarray:
     """A record's series as a read-only (9, W) float64 array, W >= 1, of
-    finite values; a float64 input is kept without a copy."""
+    finite values; a float64 input is kept without a copy. ``where`` starts
+    each error message."""
     series = np.asarray(series, dtype=float).view()
     series.flags.writeable = False
     if series.ndim != 2 or series.shape[0] != len(_ALL_FACTORS) or series.shape[1] < 1:
         raise ValidationError(
-            f"record {student_id}: series must be a (9, W) array with W >= 1, "
+            f"{where}record {student_id}: series must be a (9, W) array with W >= 1, "
             f"got shape {series.shape}"
         )
     if not np.isfinite(series).all():
         row = int(np.isfinite(series).all(axis=1).argmin())
         raise ValidationError(
-            f"record {student_id}: series {FactorId(row + 1).key} has a "
+            f"{where}record {student_id}: series {FactorId(row + 1).key} has a "
             f"non-finite value: {series[row].tolist()}"
         )
     return series
@@ -185,8 +186,9 @@ class Dataset:
     A record is a ``(student_id, series, expert_labels)`` triple: ``series``
     is the student's (9, W) values, row j factor ``FactorId(j + 1)``, and
     ``expert_labels`` the template ids an annotator chose, or ``None`` for an
-    unlabeled record. The dataset checks each record's series in order and
-    keeps them as one read-only (n, 9, W) float64 stack, ``series``.
+    unlabeled record. Student ids are distinct. The dataset checks each
+    record's series in order and keeps them as one read-only (n, 9, W)
+    float64 stack, ``series``.
     Attributes are not to be reassigned.
     """
 
@@ -215,6 +217,12 @@ class Dataset:
         return ds
 
     def _init(self, registry, student_ids, series, expert_labels) -> None:
+        first: dict[str, int] = {}  # each id's 1-based record position
+        for position, student_id in enumerate(student_ids, start=1):
+            if first.setdefault(student_id, position) != position:
+                raise ValidationError(
+                    f"records {first[student_id]} and {position} share student id {student_id!r}"
+                )
         series.flags.writeable = False
         self.registry = registry
         self.student_ids = student_ids
@@ -370,9 +378,11 @@ def record_to_dict(student_id: str, series: np.ndarray, expert_labels) -> dict:
     return out
 
 
-def record_from_dict(data, source: str = "record") -> tuple:
+def record_from_dict(data, source: str = "") -> tuple:
     """One record object of a dataset file as a record triple, each field read
-    by its JSON type, then checked (series lengths in the file's key order)."""
+    by its JSON type, then checked (series lengths in the file's key order).
+    A ``source``, such as the file line, starts each error message."""
+    where = f"{source}: " if source else ""
     try:
         data = json_object(data, "record")
         by_key = {
@@ -384,28 +394,31 @@ def record_from_dict(data, source: str = "record") -> tuple:
         labels = data.get("expert_labels")
         labels = None if labels is None else frozenset(json_list(labels, "expert_labels", json_int))
     except (KeyError, ValidationError) as exc:
-        raise ValidationError(f"{source}: malformed record: {exc}") from None
+        raise ValidationError(f"{where}malformed record: {exc}") from None
+    record = f"{where}record {student_id}"
     series = {}
     for name, values in by_key.items():
-        factor = FactorId.from_key(name)
+        try:
+            factor = FactorId.from_key(name)
+        except ValidationError as exc:
+            raise ValidationError(f"{record}: {exc}") from None
         if factor in series:  # keys are case-insensitive
             raise ValidationError(
-                f"record {student_id}: series {json.dumps(name)} repeats factor {factor.key}"
+                f"{record}: series {json.dumps(name)} repeats factor {factor.key}"
             )
         series[factor] = values
     if weeks < 1:
-        raise ValidationError(f"record {student_id}: weeks must be >= 1")
+        raise ValidationError(f"{record}: weeks must be >= 1")
     missing = _ALL_FACTORS - series.keys()
     if missing:
         names = ", ".join(sorted(f.key for f in missing))
-        raise ValidationError(f"record {student_id}: missing factors: {names}")
+        raise ValidationError(f"{record}: missing factors: {names}")
     for factor, values in series.items():
         if len(values) != weeks:
             raise ValidationError(
-                f"record {student_id}: series {factor.key} has "
-                f"{len(values)} values, expected {weeks}"
+                f"{record}: series {factor.key} has {len(values)} values, expected {weeks}"
             )
-    return student_id, _checked_series(student_id, [series[f] for f in FactorId]), labels
+    return student_id, _checked_series(student_id, [series[f] for f in FactorId], where), labels
 
 
 def _is_unicode(text: str) -> bool:
@@ -491,9 +504,9 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
     it is; any other block is checked again line by line
     (``record_from_dict``), which raises the first bad line's error, and the
     rare records that the bulk checks refuse but the record checks accept
-    (factor keys in upper case, say) load from there. The week counts and the
-    expert labels are checked across the file after its last line, so a bad
-    line anywhere wins over them.
+    (factor keys in upper case, say) load from there. The week counts, the
+    student ids and the expert labels are checked across the file after its
+    last line, so a bad line anywhere wins over them.
     """
     path = Path(path)
     student_ids, weeks, labels, blocks = [], [], [], []

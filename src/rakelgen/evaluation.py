@@ -65,15 +65,12 @@ class EvalOptions:
     rakel_config: RakelConfig = RakelConfig()
     chain_order: tuple[int, ...] | None = None
     majority_mode: str = "per-label"
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValidationError("n_folds must be >= 2")
         if self.aggregate not in AGGREGATES:
             raise ValidationError(f"aggregate must be one of {AGGREGATES}")
-        if self.n_jobs < 1:
-            raise ValidationError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
 def _fit(X: np.ndarray, Y: np.ndarray, methods, opts: EvalOptions) -> dict:
     return fit(
         X, Y, methods, opts.tree_config, opts.rakel_config, opts.chain_order,
-        opts.majority_mode, opts.n_jobs,
+        opts.majority_mode,
     )
 
 

@@ -13,8 +13,8 @@ Five strategies share one trained-model container:
 * ``rakel`` — an ensemble of LP models over random k-subsets of the labels,
   combined by thresholded vote averaging.
 
-Everything is deterministic given (dataset, configs, seeds); parallel member
-training must and does produce results identical to sequential training.
+Everything is deterministic given (dataset, configs, seeds): every tree of a
+``fit`` call grows in one ``train_trees`` call, in one thread.
 """
 
 from __future__ import annotations
@@ -447,22 +447,21 @@ def fit(
     rcfg: RakelConfig = RakelConfig(),
     order: tuple[int, ...] | None = None,
     majority_mode: str = "per-label",
-    n_jobs: int = 1,
 ) -> dict:
     """Each strategy of ``methods`` trained on the feature rows X (n, d) and
     their 0/1 label rows Y (n, L), as {method: payload}.
 
     The trees of every strategy grow in one ``train_trees`` call on X and
     Y's columns in chain ``order`` (registry order by default), which only
-    chain trees read. The two chain strategies share one chain.
+    chain trees read. The two chain strategies share one chain. A given
+    ``order`` is checked whatever the methods.
     """
     methods = tuple(methods)
     n_labels = Y.shape[1]
-    if any(method in CHAIN_METHODS for method in methods):
-        order = tuple(range(n_labels)) if order is None else tuple(map(int, order))
-        if sorted(order) != list(range(n_labels)):
-            raise ValidationError(f"chain order must be a permutation of 0..{n_labels - 1}")
-    else:
+    order = tuple(range(n_labels)) if order is None else tuple(map(int, order))
+    if sorted(order) != list(range(n_labels)):
+        raise ValidationError(f"chain order must be a permutation of 0..{n_labels - 1}")
+    if not any(method in CHAIN_METHODS for method in methods):
         order = ()
     plans = {method: _plan(method, Y, X.shape[1], rcfg, order, majority_mode) for method in methods}
     ys, widths, first = [], [], {}  # first: each tree set's first tree in the call
@@ -473,7 +472,7 @@ def fit(
             ys += codes
             widths += tree_widths
         first[method] = first[tree_set]
-    grown = train_trees(np.hstack([X, Y[:, list(order)]]), ys, cfg, widths, n_jobs) if ys else []
+    grown = train_trees(np.hstack([X, Y[:, list(order)]]), ys, cfg, widths) if ys else []
     return {
         method: payload(grown[first[method] : first[method] + len(codes)])
         for method, (codes, _, payload) in plans.items()

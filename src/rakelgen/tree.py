@@ -471,8 +471,7 @@ class _Block:
 
 
 class _Forest:
-    """The trees of one ``train_trees`` call, or of one thread group, grown
-    together.
+    """The trees of one ``train_trees`` call, grown together.
 
     ``XT`` is X transposed, with only the ``columns`` that no earlier column
     repeats, and a NaN column appended; ``widths[t]`` counts the columns of
@@ -714,9 +713,7 @@ class _Forest:
                     self.nodes[tree][side][node] = child
 
 
-def train_trees(
-    X, ys, cfg: TreeConfig = TreeConfig(), widths=None, n_jobs: int = 1
-) -> list[DecisionTree]:
+def train_trees(X, ys, cfg: TreeConfig = TreeConfig(), widths=None) -> list[DecisionTree]:
     """One tree per integer label array in ``ys``, all grown on the feature rows
     X; tree t sees the first ``widths[t]`` columns (all by default).
 
@@ -727,11 +724,7 @@ def train_trees(
     one's dense ranks is never searched, since the earlier one wins each of
     its ties; trees whose label arrays give equal class codes share each node
     until a column that only some of them see wins it (module docstring).
-    With ``n_jobs`` > 1 the sets of such trees are grown in that many groups
-    on a thread pool, sharing the one presort.
     """
-    if n_jobs < 1:
-        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
     labels = [np.asarray(y, dtype=int) for y in ys]
     if any(y.size == 0 for y in labels):
         raise ValidationError("empty training set")
@@ -763,19 +756,9 @@ def train_trees(
     for t, (_, codes) in enumerate(encoded):
         by_codes.setdefault(codes.tobytes(), []).append(t)
     sets = [sorted(trees, key=lambda t: -widths[t]) for trees in by_codes.values()]
-
-    def grow(group):
-        chosen = [sets[s] for s in group]
-        return _Forest(XT, order, columns.tolist(), encoded, seen, widths, chosen, cfg).grow()
-
-    groups = [g for g in np.array_split(np.arange(len(sets)), n_jobs) if g.size]
-    if len(groups) <= 1:
-        grown = grow(groups[0]) if groups else {}
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only here: prediction never needs it
-
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            grown = {t: tree for trees in pool.map(grow, groups) for t, tree in trees.items()}
+    if not sets:
+        return []
+    grown = _Forest(XT, order, columns.tolist(), encoded, seen, widths, sets, cfg).grow()
     return [grown[t] for t in range(len(labels))]
 
 

@@ -79,8 +79,8 @@ def record_fits(monkeypatch) -> list:
     fits = []
     train_trees = mlc.train_trees
 
-    def recording(X, ys, cfg=TreeConfig(), widths=None, n_jobs=1):
-        trees = train_trees(X, ys, cfg, widths, n_jobs)
+    def recording(X, ys, cfg=TreeConfig(), widths=None):
+        trees = train_trees(X, ys, cfg, widths)
         X = np.asarray(X, dtype=float)
         widths = [X.shape[1]] * len(trees) if widths is None else list(widths)
         fits.extend((X[:, :w], y, cfg, t) for y, w, t in zip(ys, widths, trees))

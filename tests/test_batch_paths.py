@@ -175,7 +175,8 @@ class TestPredictBatch:
     @pytest.mark.parametrize("name", TRAINERS)
     def test_equals_per_record_reference(self, name, ds, ds37, ds100):
         model = TRAINERS[name](ds)
-        records = ds37.records + ds100.records
+        # both cohorts number their students from s0000: give ds100's their own ids
+        records = ds37.records + tuple((f"b{sid}", *rest) for sid, *rest in ds100.records)
         both = Dataset(ds.registry, records)
         X = feature_matrix(both.series, model.feature_mode)
         gold = gold_matrix(model, both)

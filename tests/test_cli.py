@@ -311,11 +311,35 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_jobs", ["0", "-3"])
     def test_n_jobs_below_one_exit_2(self, data_path, n_jobs, capsys):
-        code, stdout, stderr = _run(
-            ["evaluate", "--data", str(data_path), "--n-jobs", n_jobs], capsys
-        )
-        assert (code, stdout) == (2, "")
-        assert f"n_jobs must be >= 1, got {n_jobs}" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", str(data_path), "--n-jobs", n_jobs])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--n-jobs: invalid choice" in captured.err
+
+    def test_n_jobs_is_hidden_and_only_one(self, data_path, capsys):
+        # kept only so that older command lines parse; training is single-threaded
+        base = ["evaluate", "--data", str(data_path), "--folds", "2",
+                "--methods", "majority", "--reference", "majority"]
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--n-jobs", "2"])
+        assert exc.value.code == 2
+        assert "--n-jobs: invalid choice: 2" in capsys.readouterr().err
+        assert main(base + ["--n-jobs", "1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        assert "--n-jobs" not in capsys.readouterr().out
+
+    def test_chain_order_checked_without_a_chain_method(self, data_path, tmp_path, capsys):
+        for argv in (
+            ["train", "--method", "br", "--chain-order", "5,5", "--out", str(tmp_path / "m.json")],
+            ["evaluate", "--methods", "br,rakel", "--folds", "3", "--chain-order", "7"],
+        ):
+            code, stdout, stderr = _run(argv + ["--data", str(data_path)], capsys)
+            assert (code, stdout) == (2, "")
+            assert "chain order must be a permutation of 0..28" in stderr
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestTrain:
@@ -401,8 +425,8 @@ class TestTrain:
             "--seed",
             "0",
         ]
-        main(base + ["--out", str(first), "--n-jobs", "1"])
-        main(base + ["--out", str(second), "--n-jobs", "2"])
+        main(base + ["--out", str(first)])
+        main(base + ["--out", str(second), "--n-jobs", "1"])
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 

@@ -363,6 +363,15 @@ class TestDatasets:
         with pytest.raises(ValidationError):
             Dataset(registry, (record,))
 
+    def test_repeated_student_id_rejected(self, registry):
+        records = [make_record("s0"), make_record("s1"), make_record("s0"), make_record("s1")]
+        message = re.escape("records 1 and 3 share student id 's0'")
+        with pytest.raises(ValidationError, match=message):
+            Dataset(registry, records)
+        ids, series, labels = zip(*records)
+        with pytest.raises(ValidationError, match=message):
+            Dataset.from_series(registry, ids, np.stack(series), labels)
+
     def test_require_labeled(self, registry):
         labeled = make_record("s0", labels=[1])
         unlabeled = make_record("s1")

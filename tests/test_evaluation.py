@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -332,9 +331,6 @@ class TestCrossValidation:
             EvalOptions(n_folds=1)
         with pytest.raises(ValidationError):
             EvalOptions(aggregate="median")
-        for n_jobs in (0, -3):
-            with pytest.raises(ValidationError, match=f"n_jobs must be >= 1, got {n_jobs}"):
-                EvalOptions(n_jobs=n_jobs)
 
 
 @pytest.fixture(scope="module")
@@ -480,14 +476,13 @@ def comparisons(draw):
 
 class TestFoldLoop:
     """The fold-major loop of ``comparison_report`` against the per-method
-    reference loop (``_reference_cv``) on one thread: the same report, field
-    for field, and the same warnings in the same order."""
+    reference loop (``_reference_cv``): the same report, field for field, and
+    the same warnings in the same order."""
 
     @staticmethod
     def _matches_reference(ds, methods, reference, opts):
         got = _with_warnings(lambda: comparison_report(ds, methods, reference, opts))
-        sequential = dataclasses.replace(opts, n_jobs=1)
-        want = _with_warnings(lambda: reference_report(ds, methods, reference, sequential))
+        want = _with_warnings(lambda: reference_report(ds, methods, reference, opts))
         assert got == want
         return got[1]
 
@@ -511,19 +506,13 @@ class TestFoldLoop:
                     chain_order=tuple(reversed(range(29))),
                 ),
             ),
-            *(
-                (
-                    (*DEFAULT_METHODS, "lp"),
-                    "rakel",
-                    EvalOptions(n_folds=3, chain_order=(*range(1, 29), 0), n_jobs=n_jobs),
-                )
-                for n_jobs in (1, 2, 3)
+            (
+                (*DEFAULT_METHODS, "lp"),
+                "rakel",
+                EvalOptions(n_folds=3, chain_order=(*range(1, 29), 0)),
             ),
         ],
-        ids=[
-            "all-derived", "all-fold-mean", "default-raw", "chains-entropy-order",
-            "default-lp-order-1-job", "default-lp-order-2-jobs", "default-lp-order-3-jobs",
-        ],
+        ids=["all-derived", "all-fold-mean", "default-raw", "chains-entropy-order", "default-lp-order"],
     )
     def test_seeded_cohort(self, ds37, methods, reference, opts):
         assert self._matches_reference(ds37, methods, reference, opts) == []
@@ -549,10 +538,10 @@ class TestEachModelTrainedOnce:
         calls = []
         train_trees = mlc.train_trees
 
-        def counted(X, ys, cfg=TreeConfig(), widths=None, n_jobs=1):
+        def counted(X, ys, cfg=TreeConfig(), widths=None):
             ys = list(ys)
             calls.append((X.shape[1], sorted([X.shape[1]] * len(ys) if widths is None else widths)))
-            return train_trees(X, ys, cfg, widths, n_jobs)
+            return train_trees(X, ys, cfg, widths)
 
         monkeypatch.setattr(mlc, "train_trees", counted)
         return calls

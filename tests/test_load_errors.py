@@ -3,9 +3,10 @@
 ``load_dataset`` reads a file once, in blocks of lines; a block that fails a
 bulk check is checked again line by line. ``PINNED`` holds the messages of
 the record-by-record reader that the bulk loader replaced, so the line check
-must find the same first bad line and say the same thing about it; where
-that reader reported a Python error (a null value, a line that is not an
-object), the JSON field readers now name the field instead. ``TYPE_RULES``
+must find the same first bad line and say the same thing about it, now
+prefixed with that line; where that reader reported a Python error (a null
+value, a line that is not an object), the JSON field readers now name the
+field instead. ``TYPE_RULES``
 holds the field type rules: inputs that used to load as something else, and
 now fail naming the line and the field. Each case also runs after ``LEAD``
 good lines, so that its bad line falls in a later block than the first.
@@ -64,16 +65,16 @@ GOOD = json.dumps(_record("s0"))
 #: (case, file lines, message with the file's path as {path})
 PINNED = [
     ("missing factor", [json.dumps(_record(series=_series(revision=None)))],
-     "record s1: missing factors: revision"),
+     "{path}:1: record s1: missing factors: revision"),
     ("unknown factor", [json.dumps(_record(series=_series(attendance=[1, 2, 3])))],
-     "unknown factor name: 'attendance'"),
+     "{path}:1: record s1: unknown factor name: 'attendance'"),
     ("wrong length", [GOOD, json.dumps(_record("s2", marks=[1.0, 2.0, 3.0, 4.0]))],
-     "record s2: series marks has 4 values, expected 3"),
+     "{path}:2: record s2: series marks has 4 values, expected 3"),
     ("nan", ['{"student_id": "s1", "weeks": 2, "series": {'
              + ", ".join(f'"{f.key}": [1.0, NaN]' for f in FactorId) + "}}"],
-     "record s1: series marks has a non-finite value: [1.0, nan]"),
+     "{path}:1: record s1: series marks has a non-finite value: [1.0, nan]"),
     ("inf", [json.dumps(_record(hours_studied=[1.0, float("inf"), 2.0]))],
-     "record s1: series hours_studied has a non-finite value: [1.0, inf, 2.0]"),
+     "{path}:1: record s1: series hours_studied has a non-finite value: [1.0, inf, 2.0]"),
     ("array line", [GOOD, "[1, 2]"],
      "{path}:2: malformed record: record must be an object, got an array"),
     ("string line", ['"abc"'], '{path}:1: malformed record: record must be an object, got "abc"'),
@@ -87,7 +88,7 @@ PINNED = [
      "line 1 column 2 (char 1)"),
     ("bad record before bad json",
      [GOOD, json.dumps(_record(series=_series(revision=None))), "{oops"],
-     "record s1: missing factors: revision"),
+     "{path}:2: record s1: missing factors: revision"),
     ("bad json before bad record",
      [GOOD, "{oops", json.dumps(_record(series=_series(revision=None)))],
      "{path}:2: not valid JSON: Expecting property name enclosed in double quotes: "
@@ -95,7 +96,7 @@ PINNED = [
     ("no student_id", [json.dumps(_without("student_id"))], "{path}:1: malformed record: 'student_id'"),
     ("no weeks", [json.dumps(_without("weeks"))], "{path}:1: malformed record: 'weeks'"),
     ("no series", [json.dumps(_without("series"))], "{path}:1: malformed record: 'series'"),
-    ("zero weeks", [json.dumps(_record(weeks=0))], "record s1: weeks must be >= 1"),
+    ("zero weeks", [json.dumps(_record(weeks=0))], "{path}:1: record s1: weeks must be >= 1"),
     ("null value", [json.dumps(_record(marks=[1.0, None, 2.0]))],
      "{path}:1: malformed record: series marks[1] must be a number, got null"),
     ("number as series", [json.dumps(_record(marks=5))],
@@ -154,6 +155,7 @@ TYPE_RULES = [
 #: Good lines put before each case's lines in its second run: more than one
 #: block of ``load_dataset``'s bulk reader.
 LEAD = 600
+LEAD_LINES = [json.dumps(_record(f"lead{i}")) for i in range(LEAD)]
 
 
 def _cases(table) -> list:
@@ -162,7 +164,7 @@ def _cases(table) -> list:
         return re.sub(r"\{path\}:(\d+):", lambda m: f"{{path}}:{int(m[1]) + LEAD}:", expected)
 
     return [pytest.param(lines, expected, id=case) for case, lines, expected in table] + [
-        pytest.param([GOOD] * LEAD + lines, shifted(expected), id=f"{case} after {LEAD} lines")
+        pytest.param(LEAD_LINES + lines, shifted(expected), id=f"{case} after {LEAD} lines")
         for case, lines, expected in table
     ]
 
@@ -255,7 +257,7 @@ def test_records_the_bulk_checks_refuse_load_record_by_record(tmp_path):
     """Factor keys in upper case pass the record checks but not the bulk ones;
     such a record loads through the line check, with the same values, in the
     first block or a later one."""
-    for lead in ([GOOD], [GOOD] * LEAD):
+    for lead in ([GOOD], LEAD_LINES):
         plain = load_dataset(_write(tmp_path, lead + [json.dumps(_record())]), default_registry())
         loaded = load_dataset(_write(tmp_path, lead + [_upper_case_keys()]), default_registry())
         assert loaded == plain
@@ -267,9 +269,24 @@ def test_a_factor_key_repeated_in_another_case_is_refused(tmp_path):
     "MARKS" fails on the second, in the first block or a later one."""
     record = _record()
     record["series"]["MARKS"] = record["series"]["marks"]
-    for lead in ([], [GOOD] * LEAD):
+    for lead in ([], LEAD_LINES):
         message = _message(tmp_path, lead + [json.dumps(record)])
-        assert message == 'record s1: series "MARKS" repeats factor marks'
+        assert message == f'{{path}}:{len(lead) + 1}: record s1: series "MARKS" repeats factor marks'
+
+
+def test_a_repeated_student_id_exits_2_naming_both_records(tmp_path, capsys):
+    """Records count from 1 and skip blank lines. The check runs once the
+    whole file is read, so a bad line anywhere wins over it."""
+    for lead in ([], LEAD_LINES):
+        path = _write(tmp_path, lead + [GOOD, "", json.dumps(_record("s1")), GOOD])
+        assert main(["inspect-features", "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rakelgen: validation error: records {len(lead) + 1} and {len(lead) + 3} "
+            "share student id 's0'\n"
+        )
+    assert _message(tmp_path, [GOOD] * 2 + ["{oops"]).startswith("{path}:3: not valid JSON")
 
 
 def test_a_bad_line_in_a_later_block_wins_over_the_week_counts(tmp_path):
@@ -286,7 +303,7 @@ def test_a_bad_line_in_a_later_block_wins_over_the_week_counts(tmp_path):
     ids=["clean", "upper", "bad"],
 )
 def test_the_file_is_opened_once(tmp_path, monkeypatch, last, fails):
-    path = _write(tmp_path, [GOOD] * LEAD + [last])
+    path = _write(tmp_path, LEAD_LINES + [last])
     registry = default_registry()
     opened = []
     path_open = Path.open
@@ -320,7 +337,7 @@ def test_row_j_of_a_loaded_record_is_factor_j_plus_1(tmp_path):
     data["series"] = {f.key: [float(f), 10.0 * f, -float(f)] for f in reversed(FactorId)}
     upper = dict(data, series={key.upper(): values for key, values in data["series"].items()})
     for line in (json.dumps(data), json.dumps(upper)):
-        for lead in ([], [GOOD] * LEAD):
+        for lead in ([], LEAD_LINES):
             ds = load_dataset(_write(tmp_path, lead + [line]), default_registry())
             rows = ds.records[-1][1].tolist()
             assert rows == [data["series"][FactorId(j + 1).key] for j in range(9)]

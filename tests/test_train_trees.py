@@ -1,5 +1,5 @@
 """Growing many trees in one call: every tree equals the per-node reference,
-whatever else shares its call, its blocks or its thread."""
+whatever else shares its call or its blocks."""
 
 from __future__ import annotations
 
@@ -89,20 +89,16 @@ class TestAgainstReference:
     @given(forests())
     def test_random_forests(self, forest):
         X, ys, widths, cfg = forest
-        for n_jobs in (1, 2, 3):
-            trees = train_trees(X, ys, cfg, widths, n_jobs)
-            _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
+        trees = train_trees(X, ys, cfg, widths)
+        _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
 
     @given(
         forests(),
         st.sampled_from([1, 64, 10**9]),
         st.sampled_from([1, 16]),
         st.sampled_from([1, 50, 1 << 15]),
-        st.sampled_from([1, 2, 3]),
     )
-    def test_any_block_wave_and_chunk_size(
-        self, forest, block_cells, wave_blocks, chunk_cells, n_jobs
-    ):
+    def test_any_block_wave_and_chunk_size(self, forest, block_cells, wave_blocks, chunk_cells):
         # 1: every node is a block of its own, larger than the cap; 10**9: all
         # pending nodes share one block; a wave of 1 block starts a tree only
         # when fewer cells than a block are pending; small chunks split stage 2 up
@@ -110,7 +106,7 @@ class TestAgainstReference:
         with mock.patch.object(tree_module, "_BLOCK_CELLS", block_cells), \
                 mock.patch.object(tree_module, "_WAVE_BLOCKS", wave_blocks), \
                 mock.patch.object(tree_module, "_CHUNK_CELLS", chunk_cells):
-            trees = train_trees(X, ys, cfg, widths, n_jobs)
+            trees = train_trees(X, ys, cfg, widths)
         _assert_each_tree_is_the_reference(X, ys, widths, cfg, trees)
 
     @pytest.mark.parametrize("criterion", CRITERIA)
@@ -265,17 +261,16 @@ def _all_distinct_forest(criterion):
 
 
 class TestSameTreeAnywhere:
-    @given(forests(), st.integers(2, 4))
-    @example(_hundred_rows_seven_trees(), 3)
-    @example(_all_distinct_forest("gini"), 2)
-    @example(_all_distinct_forest("entropy"), 4)
-    def test_alone_in_a_batch_or_on_threads(self, forest, n_jobs):
+    @given(forests())
+    @example(_hundred_rows_seven_trees())
+    @example(_all_distinct_forest("gini"))
+    @example(_all_distinct_forest("entropy"))
+    def test_alone_or_in_a_batch(self, forest):
         X, ys, widths, cfg = forest
         widths = [X.shape[1]] * len(ys) if widths is None else widths
         batch = [tree_to_dict(t) for t in train_trees(X, ys, cfg, widths)]
-        threaded = [tree_to_dict(t) for t in train_trees(X, ys, cfg, widths, n_jobs=n_jobs)]
         alone = [tree_to_dict(fit_tree(X[:, :w], y, cfg)) for y, w in zip(ys, widths)]
-        assert batch == threaded == alone
+        assert batch == alone
 
 
 class TestInputs:
@@ -290,8 +285,3 @@ class TestInputs:
     def test_every_label_array_matches_the_rows(self):
         with pytest.raises(ValidationError, match="do not match 3 labels"):
             train_trees([[0.0], [1.0]], [[0, 1], [0, 1, 1]])
-
-    @pytest.mark.parametrize("n_jobs", [0, -3])
-    def test_n_jobs_below_one(self, n_jobs):
-        with pytest.raises(ValidationError, match=f"n_jobs must be >= 1, got {n_jobs}"):
-            train_trees([[0.0], [1.0]], [[0, 1]], n_jobs=n_jobs)
