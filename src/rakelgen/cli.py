@@ -168,8 +168,8 @@ def _add_strategy_args(parser):
     parser.add_argument(
         "--majority-mode", choices=MAJORITY_MODES, default="per-label"
     )
-    # Read by nothing: training runs in one thread. Kept, hidden and only as 1,
-    # because perfbench/run.py still passes --n-jobs 1.
+    # Read by nothing, so it does not bound evaluate's fold workers either.
+    # Kept, hidden and only as 1, because perfbench/run.py still passes --n-jobs 1.
     parser.add_argument("--n-jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
 
 

@@ -11,7 +11,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -217,12 +217,7 @@ class Dataset:
         return ds
 
     def _init(self, registry, student_ids, series, expert_labels) -> None:
-        first: dict[str, int] = {}  # each id's 1-based record position
-        for position, student_id in enumerate(student_ids, start=1):
-            if first.setdefault(student_id, position) != position:
-                raise ValidationError(
-                    f"records {first[student_id]} and {position} share student id {student_id!r}"
-                )
+        _check_unique_ids(student_ids, count(1), "records")
         series.flags.writeable = False
         self.registry = registry
         self.student_ids = student_ids
@@ -280,6 +275,17 @@ class Dataset:
         ]
         if unlabeled:
             raise ValidationError(f"records without expert labels: {unlabeled[:5]}")
+
+
+def _check_unique_ids(student_ids: Iterable[str], places: Iterable[int], noun: str) -> None:
+    """Raise on the first student id that repeats, naming its first and second
+    place (record positions, say, or file lines)."""
+    first: dict[str, int] = {}
+    for place, student_id in zip(places, student_ids):
+        if first.setdefault(student_id, place) != place:
+            raise ValidationError(
+                f"{noun} {first[student_id]} and {place} share student id {student_id!r}"
+            )
 
 
 def series_stack(series: Sequence[np.ndarray]) -> np.ndarray:
@@ -506,10 +512,11 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
     rare records that the bulk checks refuse but the record checks accept
     (factor keys in upper case, say) load from there. The week counts, the
     student ids and the expert labels are checked across the file after its
-    last line, so a bad line anywhere wins over them.
+    last line, so a bad line anywhere wins over them; their errors start with
+    the path, and a repeated id names both file lines.
     """
     path = Path(path)
-    student_ids, weeks, labels, blocks = [], [], [], []
+    student_ids, weeks, labels, blocks, lines = [], [], [], [], []
     try:  # bytes that are not UTF-8 read as lone surrogates, which do not encode back
         handle = path.open(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
@@ -520,16 +527,21 @@ def load_dataset(path: str | Path, registry: TemplateRegistry) -> Dataset:
             ids, block_weeks, block_labels, values = _bulk_block(block) or _checked_block(
                 block, path, lineno
             )
+            lines += (i for i, line in enumerate(block, lineno) if not line.isspace())
             lineno += len(block)
             student_ids += ids
             weeks += block_weeks
             labels += block_labels
             if values is not None:
                 blocks.append(values)
-    _common_weeks(weeks)
-    if not blocks:
-        return Dataset(registry, ())
-    return Dataset.from_series(registry, student_ids, np.concatenate(blocks), labels)
+    try:
+        _common_weeks(weeks)
+        _check_unique_ids(student_ids, lines, "lines")
+        if not blocks:
+            return Dataset(registry, ())
+        return Dataset.from_series(registry, student_ids, np.concatenate(blocks), labels)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 _FACTOR_KEYS = tuple(factor.key for factor in FactorId)

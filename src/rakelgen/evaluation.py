@@ -5,6 +5,11 @@ scored on identical folds, and per-fold accuracies feed a paired two-tailed
 t-test against a reference strategy. Micro metrics pool true/false positive
 counts over all predictions; an empty denominator counts as a perfect 1.0.
 
+The folds are independent, so they train in forked worker processes, one
+per CPU the process may run on (``_worker_count``); the parent keeps the
+metrics, the t-tests and the fold order, and emits each fold's warnings again
+as a run in one process would.
+
 The t-test p-value comes from the regularized incomplete beta function,
 evaluated here with a Lentz continued fraction so the package needs no
 statistics dependency.
@@ -13,7 +18,11 @@ statistics dependency.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
+import threading
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -265,6 +274,81 @@ def significance_mark(p_value: float | None) -> str:
     return ""
 
 
+def _worker_count(n_folds: int) -> int:
+    """Processes to run ``n_folds`` folds in: one per CPU in this process's
+    affinity, at most one per fold, and 1 where ``fork`` or the affinity is
+    missing or where fork is unsafe (another thread runs)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_folds)
+
+
+def _fold(fold: int, plan, X, G, methods, opts) -> tuple[dict, list]:
+    """Train every method on the rows outside ``fold`` and predict the rows
+    in it: ({method: 0/1 predictions}, the (warning, filename, line) of each
+    warning raised, in order)."""
+    test = plan == fold
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        payloads = _fit(X[~test], G[~test], methods, opts)
+        bits = {
+            m: payloads[m].predict(X[test], G.shape[1], G[test] if m == "chain-real" else None)[0]
+            for m in methods
+        }
+    return bits, [(w.message, w.filename, w.lineno) for w in caught]
+
+
+_worker_state: tuple = ()  # a worker's (plan, X, G, methods, opts)
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_fold(fold: int) -> tuple[dict, list]:
+    return _fold(fold, *_worker_state)
+
+
+def _map_folds(state: tuple, n_folds: int) -> list:
+    """``_fold`` of each fold with ``state``, in fold order; the first failing
+    fold's exception is raised. Workers are forked, so ``state`` is inherited,
+    not pickled, and every worker is joined before this returns or raises."""
+    workers = _worker_count(n_folds)
+    if workers == 1:
+        return [_fold(fold, *state) for fold in range(n_folds)]
+    # imported here, since `train` imports this module and never forks:
+    # at module level they cost every `train` about 2 MB and 20 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("fork"),
+        initializer=_init_worker,
+        initargs=state,
+    ) as executor:
+        return list(executor.map(_worker_fold, range(n_folds)))
+
+
+def _warn_again(caught: list) -> None:
+    """Emit each recorded warning again from its original file and line, with
+    the registry of the module there, so the filters (and their "default"
+    deduplication) treat it as they treat a direct ``warnings.warn``."""
+    modules = {getattr(module, "__file__", None): module for module in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+        else:
+            warnings.warn_explicit(
+                message, type(message), filename, lineno, module.__name__,
+                vars(module).setdefault("__warningregistry__", {}), vars(module),
+            )
+
+
 def comparison_report(
     ds: Dataset,
     methods: Sequence[str] = DEFAULT_METHODS,
@@ -274,11 +358,13 @@ def comparison_report(
     """Cross-validate each strategy on identical folds and test each one's
     per-fold accuracies against the reference strategy's.
 
-    One loop runs over the folds. Each fold trains every strategy once, in
-    one ``fit`` on the other folds' rows of the report's feature and label
-    matrices, and predicts its own rows, so every record is predicted
-    exactly once. The headline metrics pool all predictions (or average the
-    per-fold metrics under ``aggregate="fold-mean"``).
+    Each fold trains every strategy once, in one ``fit`` on the other folds'
+    rows of the report's feature and label matrices, and predicts its own
+    rows, so every record is predicted exactly once. The folds run in forked
+    worker processes where more than one CPU is available; the report and
+    the warnings, re-emitted here in fold order, are those of a serial run.
+    The headline metrics pool all predictions (or average the per-fold
+    metrics under ``aggregate="fold-mean"``).
     """
     methods = tuple(methods)
     if not methods:
@@ -296,16 +382,10 @@ def comparison_report(
     plan = np.array(make_fold_plan(len(ds), opts.n_folds, opts.seed))
     X = feature_matrix(ds.series, opts.feature_mode, ds.student_ids)
     G = ds.label_matrix()
-    golds: list[np.ndarray] = []
-    predicted: dict[str, list[np.ndarray]] = {m: [] for m in methods}
-    for fold in range(opts.n_folds):
-        test = plan == fold
-        payloads = _fit(X[~test], G[~test], methods, opts)
-        golds.append(G[test])
-        for method in methods:
-            gold = golds[-1] if method == "chain-real" else None
-            bits, _ = payloads[method].predict(X[test], G.shape[1], gold)
-            predicted[method].append(bits)
+    outcomes = _map_folds((plan, X, G, methods, opts), opts.n_folds)
+    _warn_again([warning for _, caught in outcomes for warning in caught])
+    golds = [G[plan == fold] for fold in range(opts.n_folds)]
+    predicted = {m: [bits[m] for bits, _ in outcomes] for m in methods}
     fold_metrics = {
         m: [compute_metrics(gold, bits) for gold, bits in zip(golds, predicted[m])]
         for m in methods

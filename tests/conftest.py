@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 from hypothesis import settings
 
@@ -10,6 +12,13 @@ from rakelgen.synth import default_synth_config, generate_dataset
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fails a test that leaves a child process (a fold worker, say) running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

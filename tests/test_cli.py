@@ -318,7 +318,7 @@ class TestEvaluate:
         assert "--n-jobs: invalid choice" in captured.err
 
     def test_n_jobs_is_hidden_and_only_one(self, data_path, capsys):
-        # kept only so that older command lines parse; training is single-threaded
+        # kept only so that older command lines parse; nothing reads it
         base = ["evaluate", "--data", str(data_path), "--folds", "2",
                 "--methods", "majority", "--reference", "majority"]
         with pytest.raises(SystemExit) as exc:

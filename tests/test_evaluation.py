@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from _builders import marks_dataset, tiny_registry
 from _reference_cv import reference_report
-from rakelgen import mlc
+from rakelgen import evaluation, mlc
 from rakelgen.domain import default_registry
 from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.features import FEATURE_MODES
@@ -527,7 +527,8 @@ class TestFoldLoop:
 class TestEachModelTrainedOnce:
     """Per fold, ``comparison_report`` grows the trees of every requested
     strategy in one ``train_trees`` call: each model is trained once, and the
-    two chain methods share one chain."""
+    two chain methods share one chain. The calls are counted in this
+    process, so the folds run here, in one process."""
 
     L, M = 2, 1  # labels, RAkEL members
     D = 9 * (5 + 4)  # features of 4-week records, feature mode "both"
@@ -535,6 +536,7 @@ class TestEachModelTrainedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         """(columns of X, the trees' widths) of each ``train_trees`` call."""
+        monkeypatch.setattr(evaluation, "_worker_count", lambda n_folds: 1)
         calls = []
         train_trees = mlc.train_trees
 

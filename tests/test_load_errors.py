@@ -106,9 +106,9 @@ PINNED = [
     ("number as labels", [json.dumps(_record(expert_labels=5))],
      "{path}:1: malformed record: expert_labels must be an array, got 5"),
     ("label not in registry", [GOOD, json.dumps(_record(expert_labels=[999]))],
-     "record s1: expert labels [999] not in registry"),
+     "{path}: record s1: expert labels [999] not in registry"),
     ("weeks disagree", [GOOD, json.dumps(_record("s2", length=4))],
-     "records disagree on week count: [3, 4]"),
+     "{path}: records disagree on week count: [3, 4]"),
 ]
 
 #: The same table for inputs that the record reader did not report as bad data.
@@ -275,15 +275,16 @@ def test_a_factor_key_repeated_in_another_case_is_refused(tmp_path):
 
 
 def test_a_repeated_student_id_exits_2_naming_both_records(tmp_path, capsys):
-    """Records count from 1 and skip blank lines. The check runs once the
-    whole file is read, so a bad line anywhere wins over it."""
+    """Records are named by their file lines, which count from 1, blank lines
+    too. The check runs once the whole file is read, so a bad line anywhere
+    wins over it."""
     for lead in ([], LEAD_LINES):
         path = _write(tmp_path, lead + [GOOD, "", json.dumps(_record("s1")), GOOD])
         assert main(["inspect-features", "--data", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"rakelgen: validation error: records {len(lead) + 1} and {len(lead) + 3} "
+            f"rakelgen: validation error: {path}: lines {len(lead) + 1} and {len(lead) + 4} "
             "share student id 's0'\n"
         )
     assert _message(tmp_path, [GOOD] * 2 + ["{oops"]).startswith("{path}:3: not valid JSON")
