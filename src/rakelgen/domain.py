@@ -6,7 +6,7 @@ All types here are immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import json
-import re
+import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -23,8 +23,6 @@ from .errors import ValidationError
 SLOT_NAMES = frozenset(
     {"average", "trend_word", "first_week_value", "last_week_value", "per_week_list"}
 )
-
-_SLOT_RE = re.compile(r"\{([^{}]*)\}")
 
 
 class FactorId(IntEnum):
@@ -112,7 +110,14 @@ class Template:
     _slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = tuple(_SLOT_RE.findall(self.surface_text))
+        try:  # a slot as written: its name, then any !conversion and :spec
+            slots = tuple(
+                name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+                for _, name, spec, conversion in string.Formatter().parse(self.surface_text)
+                if name is not None
+            )
+        except ValueError as exc:  # an unmatched brace
+            raise ValidationError(f"template {self.id}: malformed surface text: {exc}") from None
         for slot in slots:
             if slot not in SLOT_NAMES:
                 raise ValidationError(

@@ -5,10 +5,10 @@ scored on identical folds, and per-fold accuracies feed a paired two-tailed
 t-test against a reference strategy. Micro metrics pool true/false positive
 counts over all predictions; an empty denominator counts as a perfect 1.0.
 
-The folds are independent, so they train in forked worker processes, one
-per CPU the process may run on (``_worker_count``); the parent keeps the
-metrics, the t-tests and the fold order, and emits each fold's warnings again
-as a run in one process would.
+The request is checked, and RAkEL's subsets sampled, once per report in the
+calling process. The folds then only fit and predict, independently, so they
+run in forked worker processes, one per CPU the process may run on
+(``_worker_count``); the parent keeps the metrics, t-tests and fold order.
 
 The t-test p-value comes from the regularized incomplete beta function,
 evaluated here with a Lentz continued fraction so the package needs no
@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
 import threading
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -34,10 +32,12 @@ from .features import feature_matrix
 from .mlc import (
     DEFAULT_METHODS,
     DEFAULT_REFERENCE,
+    MAJORITY_MODES,
     RakelConfig,
     STRATEGIES,
     TrainedModel,
     fit,
+    request,
 )
 from .tree import TreeConfig
 
@@ -80,6 +80,8 @@ class EvalOptions:
             raise ValidationError("n_folds must be >= 2")
         if self.aggregate not in AGGREGATES:
             raise ValidationError(f"aggregate must be one of {AGGREGATES}")
+        if self.majority_mode not in MAJORITY_MODES:
+            raise ValidationError(f"majority mode must be one of {MAJORITY_MODES}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,8 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
         raise ValidationError("empty dataset")
     ds.require_labeled()
     X = feature_matrix(ds.series, opts.feature_mode, ds.student_ids)
-    (payload,) = _fit(X, ds.label_matrix(), (method,), opts).values()
+    settings = _request((method,), len(ds.registry), opts)
+    (payload,) = fit(X, ds.label_matrix(), settings, opts.tree_config).values()
     return TrainedModel(
         registry_version=ds.registry.version,
         n_labels=len(ds.registry),
@@ -163,11 +166,8 @@ def train_method(method: str, ds: Dataset, opts: EvalOptions) -> TrainedModel:
     )
 
 
-def _fit(X: np.ndarray, Y: np.ndarray, methods, opts: EvalOptions) -> dict:
-    return fit(
-        X, Y, methods, opts.tree_config, opts.rakel_config, opts.chain_order,
-        opts.majority_mode,
-    )
+def _request(methods, n_labels: int, opts: EvalOptions) -> dict:
+    return request(methods, n_labels, opts.rakel_config, opts.chain_order, opts.majority_mode)
 
 
 def _mean(values) -> float:
@@ -285,22 +285,18 @@ def _worker_count(n_folds: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_folds)
 
 
-def _fold(fold: int, plan, X, G, methods, opts) -> tuple[dict, list]:
-    """Train every method on the rows outside ``fold`` and predict the rows
-    in it: ({method: 0/1 predictions}, the (warning, filename, line) of each
-    warning raised, in order)."""
+def _fold(fold: int, plan, X, G, settings, cfg) -> dict:
+    """Train every requested method on the rows outside ``fold`` and predict
+    the rows in it, as {method: 0/1 predictions}."""
     test = plan == fold
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        payloads = _fit(X[~test], G[~test], methods, opts)
-        bits = {
-            m: payloads[m].predict(X[test], G.shape[1], G[test] if m == "chain-real" else None)[0]
-            for m in methods
-        }
-    return bits, [(w.message, w.filename, w.lineno) for w in caught]
+    payloads = fit(X[~test], G[~test], settings, cfg)
+    return {
+        m: payload.predict(X[test], G.shape[1], G[test] if m == "chain-real" else None)[0]
+        for m, payload in payloads.items()
+    }
 
 
-_worker_state: tuple = ()  # a worker's (plan, X, G, methods, opts)
+_worker_state: tuple = ()  # a worker's (plan, X, G, settings, cfg)
 
 
 def _init_worker(*state) -> None:
@@ -308,7 +304,7 @@ def _init_worker(*state) -> None:
     _worker_state = state
 
 
-def _worker_fold(fold: int) -> tuple[dict, list]:
+def _worker_fold(fold: int) -> dict:
     return _fold(fold, *_worker_state)
 
 
@@ -333,22 +329,6 @@ def _map_folds(state: tuple, n_folds: int) -> list:
         return list(executor.map(_worker_fold, range(n_folds)))
 
 
-def _warn_again(caught: list) -> None:
-    """Emit each recorded warning again from its original file and line, with
-    the registry of the module there, so the filters (and their "default"
-    deduplication) treat it as they treat a direct ``warnings.warn``."""
-    modules = {getattr(module, "__file__", None): module for module in list(sys.modules.values())}
-    for message, filename, lineno in caught:
-        module = modules.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, type(message), filename, lineno)
-        else:
-            warnings.warn_explicit(
-                message, type(message), filename, lineno, module.__name__,
-                vars(module).setdefault("__warningregistry__", {}), vars(module),
-            )
-
-
 def comparison_report(
     ds: Dataset,
     methods: Sequence[str] = DEFAULT_METHODS,
@@ -358,11 +338,12 @@ def comparison_report(
     """Cross-validate each strategy on identical folds and test each one's
     per-fold accuracies against the reference strategy's.
 
-    Each fold trains every strategy once, in one ``fit`` on the other folds'
-    rows of the report's feature and label matrices, and predicts its own
-    rows, so every record is predicted exactly once. The folds run in forked
-    worker processes where more than one CPU is available; the report and
-    the warnings, re-emitted here in fold order, are those of a serial run.
+    The request is resolved once, here, so its errors and RAkEL's coverage
+    warnings come once per report. Each fold trains every strategy once, in
+    one ``fit`` on the other folds' rows, and predicts its own rows, so every
+    record is predicted exactly once. The folds run in forked worker
+    processes where more than one CPU is available; the report is that of a
+    serial run.
     The headline metrics pool all predictions (or average the per-fold
     metrics under ``aggregate="fold-mean"``).
     """
@@ -382,10 +363,10 @@ def comparison_report(
     plan = np.array(make_fold_plan(len(ds), opts.n_folds, opts.seed))
     X = feature_matrix(ds.series, opts.feature_mode, ds.student_ids)
     G = ds.label_matrix()
-    outcomes = _map_folds((plan, X, G, methods, opts), opts.n_folds)
-    _warn_again([warning for _, caught in outcomes for warning in caught])
+    settings = _request(methods, G.shape[1], opts)
+    outcomes = _map_folds((plan, X, G, settings, opts.tree_config), opts.n_folds)
     golds = [G[plan == fold] for fold in range(opts.n_folds)]
-    predicted = {m: [bits[m] for bits, _ in outcomes] for m in methods}
+    predicted = {m: [bits[m] for bits in outcomes] for m in methods}
     fold_metrics = {
         m: [compute_metrics(gold, bits) for gold, bits in zip(golds, predicted[m])]
         for m in methods

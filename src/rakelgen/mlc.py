@@ -13,8 +13,9 @@ Five strategies share one trained-model container:
 * ``rakel`` — an ensemble of LP models over random k-subsets of the labels,
   combined by thresholded vote averaging.
 
-Everything is deterministic given (dataset, configs, seeds): every tree of a
-``fit`` call grows in one ``train_trees`` call, in one thread.
+``request`` resolves what training reads beside the rows, once; ``fit`` grows
+its trees on rows. Everything is deterministic given (dataset, configs,
+seeds): every tree of a ``fit`` call grows in one ``train_trees`` call.
 """
 
 from __future__ import annotations
@@ -393,24 +394,54 @@ def sample_labelsets(n_labels: int, k: int, m: int, seed: int) -> list[tuple[int
     return subsets
 
 
-def _plan(method: str, Y: np.ndarray, d: int, rcfg: RakelConfig, order, majority_mode: str):
-    """The trees ``method`` grows on the label rows Y, as (their class-code
-    arrays, the width of ``[X, gold bits in chain order]`` each tree reads,
-    trees -> payload); X has d columns."""
+def request(methods, n_labels: int, rcfg=RakelConfig(), order=None, majority_mode="per-label"):
+    """What each of ``methods`` reads beside the rows of n_labels labels, as
+    {method: setting}: the chain ``order`` (registry order by default), the
+    majority mode, RAkEL's (label subsets, threshold), or None. It reads no
+    row, so one request serves every fold. A given ``order`` is checked
+    whatever the methods; RAkEL's m defaults to 2 * n_labels, and its
+    subsets are sampled here, with their coverage warnings."""
+    order = tuple(range(n_labels)) if order is None else tuple(map(int, order))
+    if sorted(order) != list(range(n_labels)):
+        raise ValidationError(f"chain order must be a permutation of 0..{n_labels - 1}")
+    settings = {}
+    for method in methods:
+        if method in CHAIN_METHODS:
+            settings[method] = order
+        elif method == "majority":
+            settings[method] = majority_mode
+        elif method == "rakel":
+            k = rcfg.k
+            m = rcfg.m if rcfg.m is not None else 2 * n_labels
+            if k < n_labels and m * k < n_labels:
+                warnings.warn(
+                    f"m*k = {m * k} < {n_labels} labels: full coverage is impossible",
+                    LabelCoverageWarning,
+                )
+            settings[method] = (sample_labelsets(n_labels, k, m, rcfg.seed), rcfg.threshold)
+        elif method in PAYLOADS:
+            settings[method] = None
+        else:
+            raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
+    return settings
+
+
+def _plan(method: str, setting, Y: np.ndarray, d: int):
+    """The trees ``method`` grows, with its ``request`` setting, on the label
+    rows Y, as (their class-code arrays, the width of ``[X, gold bits in chain
+    order]`` each tree reads, trees -> payload); X has d columns."""
     n_labels = Y.shape[1]
     if method == "br":
         return list(Y.T), [d] * n_labels, lambda trees: BrPayload(trees=tuple(trees))
     if method in CHAIN_METHODS:
         # trained with gold history; position p reads the gold bits of positions 0..p-1
         history = method.removeprefix("chain-")
-        payload = lambda trees: ChainPayload(trees=tuple(trees), order=order, history=history)
-        return list(Y[:, list(order)].T), range(d, d + n_labels), payload
+        payload = lambda trees: ChainPayload(trees=tuple(trees), order=setting, history=history)
+        return list(Y[:, list(setting)].T), range(d, d + n_labels), payload
     if method == "majority":
         # per-label: bit j is set iff label j is in more than half the rows (ties
         # to 0); labelset: the most frequent row, ties to the first seen
-        if majority_mode not in MAJORITY_MODES:
-            raise ValidationError(f"majority mode must be one of {MAJORITY_MODES}")
-        if majority_mode == "per-label":
+        if setting == "per-label":
             bits = tuple(int(c * 2 > len(Y)) for c in Y.sum(axis=0))
         else:
             rows = Counter(tuple(map(int, row)) for row in Y)
@@ -420,50 +451,26 @@ def _plan(method: str, Y: np.ndarray, d: int, rcfg: RakelConfig, order, majority
         scope = tuple(range(n_labels))
         classes, table = _lp_encode(Y, scope)
         return [classes], [d], lambda trees: LpPayload(tree=trees[0], classes=table, scope=scope)
-    if method == "rakel":
-        k = rcfg.k
-        m = rcfg.m if rcfg.m is not None else 2 * n_labels
-        if k < n_labels and m * k < n_labels:
-            warnings.warn(
-                f"m*k = {m * k} < {n_labels} labels: full coverage is impossible",
-                LabelCoverageWarning,
-            )
-        subsets = sample_labelsets(n_labels, k, m, rcfg.seed)
-        encoded = [_lp_encode(Y, scope) for scope in subsets]
+    subsets, threshold = setting  # rakel
+    encoded = [_lp_encode(Y, scope) for scope in subsets]
 
-        def payload(trees):
-            members = map(LpPayload, trees, [table for _, table in encoded], subsets)
-            return RakelPayload(members=tuple(members), threshold=rcfg.threshold)
+    def payload(trees):
+        members = map(LpPayload, trees, [table for _, table in encoded], subsets)
+        return RakelPayload(members=tuple(members), threshold=threshold)
 
-        return [classes for classes, _ in encoded], [d] * len(subsets), payload
-    raise ValidationError(f"unknown method {method!r}; expected one of {STRATEGIES}")
+    return [classes for classes, _ in encoded], [d] * len(subsets), payload
 
 
-def fit(
-    X: np.ndarray,
-    Y: np.ndarray,
-    methods,
-    cfg: TreeConfig = TreeConfig(),
-    rcfg: RakelConfig = RakelConfig(),
-    order: tuple[int, ...] | None = None,
-    majority_mode: str = "per-label",
-) -> dict:
-    """Each strategy of ``methods`` trained on the feature rows X (n, d) and
-    their 0/1 label rows Y (n, L), as {method: payload}.
+def fit(X: np.ndarray, Y: np.ndarray, settings: dict, cfg: TreeConfig = TreeConfig()) -> dict:
+    """Each strategy of a ``request``'s ``settings`` trained on the feature
+    rows X (n, d) and their 0/1 label rows Y (n, L), as {method: payload}.
 
     The trees of every strategy grow in one ``train_trees`` call on X and
-    Y's columns in chain ``order`` (registry order by default), which only
-    chain trees read. The two chain strategies share one chain. A given
-    ``order`` is checked whatever the methods.
+    Y's columns in chain order, which only chain trees read. The two chain
+    strategies share one chain. It checks and samples nothing.
     """
-    methods = tuple(methods)
-    n_labels = Y.shape[1]
-    order = tuple(range(n_labels)) if order is None else tuple(map(int, order))
-    if sorted(order) != list(range(n_labels)):
-        raise ValidationError(f"chain order must be a permutation of 0..{n_labels - 1}")
-    if not any(method in CHAIN_METHODS for method in methods):
-        order = ()
-    plans = {method: _plan(method, Y, X.shape[1], rcfg, order, majority_mode) for method in methods}
+    order = next((settings[m] for m in CHAIN_METHODS if m in settings), ())
+    plans = {method: _plan(method, setting, Y, X.shape[1]) for method, setting in settings.items()}
     ys, widths, first = [], [], {}  # first: each tree set's first tree in the call
     for method, (codes, tree_widths, _) in plans.items():
         tree_set = "chain" if method in CHAIN_METHODS else method

@@ -447,6 +447,16 @@ class TestTrain:
         assert "non-finite" in stderr
 
 
+def _write_stamped(registry, data, model_path) -> None:
+    """Write the registry ``data`` and stamp the artifact as trained against it."""
+    registry.write_text(json.dumps(data), encoding="utf-8")
+    artifact = json.loads(model_path.read_text(encoding="utf-8"))
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    artifact["registry_version"] = data["version"]
+    artifact["registry_sha256"] = hashlib.sha256(canonical).hexdigest()
+    model_path.write_text(json.dumps(artifact), encoding="utf-8")
+
+
 class TestFeedback:
     @pytest.fixture()
     def model_path(self, data_path, tmp_path, capsys):
@@ -590,13 +600,7 @@ class TestFeedback:
                 f"got {json.dumps(template['surface_text'])}"
             )
         registry = tmp_path / "registry.json"
-        registry.write_text(json.dumps(data), encoding="utf-8")
-        # stamp the artifact as trained against that registry
-        artifact = json.loads(model_path.read_text(encoding="utf-8"))
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        artifact["registry_version"] = data["version"]
-        artifact["registry_sha256"] = hashlib.sha256(canonical).hexdigest()
-        model_path.write_text(json.dumps(artifact), encoding="utf-8")
+        _write_stamped(registry, data, model_path)
         code, stdout, stderr = _run(
             ["feedback", "--data", str(data_path), "--model", str(model_path),
              "--registry", str(registry)],
@@ -605,6 +609,34 @@ class TestFeedback:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("rakelgen: validation error: ")
         assert stderr.endswith(expected + "\n")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("Marks } dropped", "Single '}' encountered in format string"),
+            ("Marks { dropped", "expected '}' before end of string"),
+        ],
+        ids=["close", "open"],
+    )
+    def test_unmatched_brace_in_registry_exit_2_before_output(
+        self, data_path, model_path, text, problem, tmp_path, capsys
+    ):
+        data = registry_to_dict(default_registry())
+        for template in data["templates"]:  # so that every record would render one
+            template["surface_text"] = text
+        registry = tmp_path / "registry.json"
+        _write_stamped(registry, data, model_path)
+        code, stdout, stderr = _run(
+            ["feedback", "--data", str(data_path), "--model", str(model_path),
+             "--registry", str(registry)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        template_id = data["templates"][0]["id"]
+        assert stderr == (
+            f"rakelgen: validation error: {registry}: template entry 0: "
+            f"template {template_id}: malformed surface text: {problem}\n"
+        )
 
     @pytest.mark.parametrize(
         "field, value, problem",

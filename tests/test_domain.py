@@ -87,6 +87,27 @@ class TestTemplates:
                 surface_text="Bad {median} slot.",
             )
 
+    @pytest.mark.parametrize("text", ["Marks } dropped", "Marks { dropped", "Bad {average"])
+    def test_unmatched_brace_rejected(self, text):
+        with pytest.raises(ValidationError, match=r"^template 1: malformed surface text: "):
+            Template(id=1, factor=FactorId.MARKS, reference=ReferenceType.AVERAGE, surface_text=text)
+
+    @pytest.mark.parametrize("slot", ["average!r", "average:.2f", "average!s:>4", "", "0"])
+    def test_slot_shown_as_written(self, slot):
+        text = f"Your {{{slot}}} mark."
+        with pytest.raises(ValidationError, match=re.escape(f"unknown slot {{{slot}}} in")):
+            Template(id=1, factor=FactorId.MARKS, reference=ReferenceType.AVERAGE, surface_text=text)
+
+    def test_escaped_braces_are_text(self):
+        t = Template(
+            id=1,
+            factor=FactorId.MARKS,
+            reference=ReferenceType.AVERAGE,
+            surface_text="Marks {{average}} were {average}}}.",
+        )
+        assert t.slots() == ("average",)
+        assert t.surface_text.format(average="7") == "Marks {average} were 7}."
+
     def test_slot_free_text_allowed(self):
         t = Template(
             id=2,

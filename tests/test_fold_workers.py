@@ -8,16 +8,17 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
 
 import rakelgen
-from rakelgen import evaluation
+from rakelgen import evaluation, mlc
 from rakelgen.cli import main
-from rakelgen.errors import ValidationError
+from rakelgen.errors import LabelCoverageWarning, ValidationError
 from rakelgen.evaluation import EvalOptions, comparison_report
-from rakelgen.mlc import STRATEGIES
+from rakelgen.mlc import STRATEGIES, RakelConfig
 
 WORKERS = (1, 2, 3)
 
@@ -95,6 +96,33 @@ def test_warnings_print_as_in_one_process(data_path, rakel, warned):
     assert code == 0
     lines = [line for line in stderr.splitlines() if "LabelCoverageWarning" in line]
     assert len(lines) == len(set(lines)) == warned
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_labelsets_are_sampled_once_per_report(ds37, monkeypatch, workers):
+    """The request is resolved in this process, before the folds are mapped."""
+    calls = []
+    sample = mlc.sample_labelsets
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(mlc, "sample_labelsets", counted)
+    _with_workers(monkeypatch, workers)
+    comparison_report(ds37, ("br", "rakel"), "rakel", EvalOptions(n_folds=4))
+    assert calls == [(29, 3, 58, 0)]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_each_coverage_warning_is_raised_once_per_report(ds37, monkeypatch, workers):
+    _with_workers(monkeypatch, workers)
+    opts = EvalOptions(n_folds=4, rakel_config=RakelConfig(k=2, m=5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        comparison_report(ds37, ("br", "rakel"), "rakel", opts)
+    assert [w.category for w in caught] == [LabelCoverageWarning] * 2
+    assert "full coverage is impossible" in str(caught[0].message)
 
 
 def test_train_imports_no_process_pool(data_path, tmp_path):
